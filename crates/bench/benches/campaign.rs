@@ -9,8 +9,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 
 use peachstar::campaign::{
-    Campaign, CampaignConfig, ConnectionCampaign, ConnectionConfig, SessionConfig, ShardConfig,
-    ShardedCampaign, TransportMode,
+    Campaign, CampaignConfig, RunPlan, SessionConfig, ShardConfig, ShardedCampaign, TransportMode,
 };
 use peachstar::snapshot::{CampaignSnapshot, CheckpointConfig};
 use peachstar::strategy::StrategyKind;
@@ -123,40 +122,6 @@ fn bench_campaign_batched(c: &mut Criterion) {
     group.finish();
 }
 
-/// Summary-only batched throughput: the same batched campaigns as
-/// [`bench_campaign_batched`] with `summary_only()` armed, so the decoders
-/// skip response assembly and error-string formatting. Reports are pinned
-/// bit-identical to the full-decode runs (tests/batch_equivalence.rs); the
-/// delta against the `_batched_` entries is pure decode-output cost.
-fn bench_campaign_summary(c: &mut Criterion) {
-    let mut group = c.benchmark_group("campaign");
-    group.sample_size(30);
-    for (target, label) in [(TargetId::Modbus, "modbus"), (TargetId::Iec104, "iec104")] {
-        for strategy in [StrategyKind::Peach, StrategyKind::PeachStar] {
-            let name = format!(
-                "{label}_{}_summary_2k_execs",
-                match strategy {
-                    StrategyKind::Peach => "peach",
-                    StrategyKind::PeachStar => "peachstar",
-                }
-            );
-            group.bench_function(name, |b| {
-                b.iter(|| {
-                    let config = CampaignConfig::new(strategy)
-                        .executions(EXECUTIONS)
-                        .rng_seed(7)
-                        .sample_interval(500)
-                        .batch(250)
-                        .summary_only();
-                    let report = Campaign::new(target.create(), config).run();
-                    report.final_paths()
-                });
-            });
-        }
-    }
-    group.finish();
-}
-
 /// Session-campaign throughput: the same 2 000-execution budget reshaped
 /// into 10-packet sessions (STARTDT + 8 mutated ASDUs + STOPDT) with
 /// session-scoped resets. Prices the session machinery — the schedule
@@ -230,7 +195,8 @@ fn bench_campaign_checkpointed(c: &mut Criterion) {
 /// Framed-TCP end-to-end throughput: the same 2 000-execution campaigns as
 /// [`bench_campaign`] driven over a loopback socket (one wire round-trip
 /// per execution), plus a batched variant (one round-trip per 250-packet
-/// window) and the 4-connection driver. The delta against the in-process
+/// window) and a 4-worker campaign with one live connection per worker.
+/// The delta against the in-process
 /// entries is the full wire cost — framing, syscalls, scheduling — and the
 /// batched entry shows how window-sized round-trips amortise it; reports
 /// stay bit-identical throughout (tests/transport_equivalence.rs).
@@ -271,13 +237,10 @@ fn bench_campaign_tcp(c: &mut Criterion) {
                     .executions(EXECUTIONS)
                     .rng_seed(7)
                     .sample_interval(500)
-                    .reset_interval(250);
-                let report = ConnectionCampaign::new(
-                    TargetId::Modbus.create(),
-                    config,
-                    ConnectionConfig::with_connections(4),
-                )
-                .run();
+                    .reset_interval(250)
+                    .transport(TransportMode::FramedTcp);
+                let workers = ShardConfig::with_workers(4);
+                let report = ShardedCampaign::new(TargetId::Modbus.create(), config, workers).run();
                 report.final_paths()
             });
         });
@@ -296,7 +259,11 @@ fn bench_snapshot_roundtrip(c: &mut Criterion) {
         .executions(EXECUTIONS)
         .rng_seed(7)
         .sample_interval(500);
-    let (_, snapshot) = Campaign::new(TargetId::Modbus.create(), config).run_with_final_snapshot();
+    let capture = RunPlan { capture_final: true, ..RunPlan::default() };
+    let (_, snapshot) = Campaign::new(TargetId::Modbus.create(), config)
+        .run_plan(capture)
+        .expect("capture-only campaign");
+    let snapshot = snapshot.expect("capture_final returns a snapshot");
     let path = std::env::temp_dir().join(format!(
         "peachstar-bench-roundtrip-{}.snap",
         std::process::id()
@@ -317,7 +284,6 @@ criterion_group!(
     benches,
     bench_campaign,
     bench_campaign_batched,
-    bench_campaign_summary,
     bench_campaign_sharded,
     bench_campaign_sessions,
     bench_campaign_checkpointed,

@@ -38,7 +38,7 @@ fn bench_targets(c: &mut Criterion) {
 /// batched campaign fast path, including each protocol's prescan override.
 /// The `_summary` variants arm [`DecodeSink::Summary`], so their delta
 /// against the plain entries is the pure cost of response assembly and
-/// error-string formatting that summary-only campaigns skip.
+/// error-string formatting that batched campaign windows skip.
 fn bench_process_batch(c: &mut Criterion) {
     let mut group = c.benchmark_group("targets");
     group.sample_size(30);

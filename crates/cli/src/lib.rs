@@ -28,11 +28,10 @@ use std::time::Instant;
 
 use peachstar::artifact::CrashArtifact;
 use peachstar::campaign::{
-    run_repetitions_shared, Campaign, CampaignConfig, CampaignReport, ConnectionCampaign,
-    ConnectionConfig, PhaseMask, ReconnectPolicy, SessionConfig, ShardConfig, ShardedCampaign,
-    TransportMode,
+    run_repetitions_shared, Campaign, CampaignConfig, CampaignReport, PhaseMask, ReconnectPolicy,
+    RunPlan, SessionConfig, ShardConfig, Topology, TransportMode,
 };
-use peachstar::snapshot::{CampaignSnapshot, CheckpointConfig, SnapshotError};
+use peachstar::snapshot::{CampaignSnapshot, CheckpointConfig};
 use peachstar::stats::CoverageSeries;
 use peachstar::strategy::StrategyKind;
 use peachstar::{ControlServer, ServiceHooks};
@@ -99,18 +98,13 @@ pub struct CliOptions {
     /// Suppress the implicit Peach baseline of `--strategy peachstar`.
     pub no_baseline: bool,
     /// Worker threads *inside* each campaign (1 = the classic sequential
-    /// loop; >= 2 = the sharded engine with that many workers).
+    /// loop; >= 2 = the worker topology with that many workers).
     pub shards: usize,
     /// Batched window execution: at most this many packets per executor
     /// dispatch (`None` = the classic per-execution loop). Composes with
     /// `--shards` (caps the per-worker dispatch chunk) and `--sessions`
     /// (windows are whole sessions).
     pub batch: Option<u64>,
-    /// Summary-only decoding on the batched fast path: decoders keep
-    /// identical control flow and traces but skip response assembly and
-    /// error-string formatting, which campaign reports never read. Requires
-    /// `--batch`; reports are bit-identical to full decodes.
-    pub summary_only: bool,
     /// Run stateful session campaigns (handshake → mutated payload →
     /// teardown, with session-scoped resets) instead of the single-packet
     /// stream. Requires session-capable targets.
@@ -158,8 +152,9 @@ pub struct CliOptions {
     /// spawned socket server. Reports are bit-identical either way.
     pub transport: TransportMode,
     /// Live TCP connections multiplexed inside each campaign (>= 2 runs the
-    /// concurrent-connection driver; requires `--transport tcp`). Like
-    /// `--shards`, never changes the report — only how it is produced.
+    /// worker topology, one connection per worker; requires `--transport
+    /// tcp`). Like `--shards`, never changes the report — only how it is
+    /// produced.
     pub connections: usize,
     /// Run one campaign as a long-lived supervised service (`serve` mode):
     /// rolling checkpoints into the `--checkpoint` rotation directory, an
@@ -204,7 +199,6 @@ impl Default for CliOptions {
             no_baseline: false,
             shards: 1,
             batch: None,
-            summary_only: false,
             sessions: false,
             session_payload: SessionConfig::DEFAULT_PAYLOAD_PACKETS,
             mutate: PhaseMask::default(),
@@ -290,12 +284,6 @@ OPTIONS:
                              batch ends (deterministic, barrier-fed like
                              --shards). With --shards, caps the per-worker
                              dispatch chunk instead (never changes results).
-    --summary-only           Skip response assembly and error-string
-                             formatting inside the decoders on the batched
-                             fast path (the campaign loop never reads them);
-                             control flow, traces and reports stay
-                             bit-identical to full decodes, verified
-                             continuously in debug builds. Requires --batch.
     --sessions               Stateful session fuzzing: every session replays
                              the target's handshake (e.g. STARTDT act), runs
                              mutated payload packets against the opened
@@ -567,7 +555,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
                 }
                 options.batch = Some(batch);
             }
-            "--summary-only" => options.summary_only = true,
             "--sessions" => options.sessions = true,
             "--session-payload" => {
                 let payload =
@@ -815,13 +802,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
             );
         }
     }
-    if options.summary_only && options.batch.is_none() {
-        return Err(
-            "--summary-only skips decode output on the batched fast path; enable it with \
-             --batch <N>"
-                .into(),
-        );
-    }
     if options.reconnect_retries.is_some() && options.transport != TransportMode::FramedTcp {
         return Err(
             "--reconnect-retries tunes the framed-TCP reconnect budget; enable the wire \
@@ -1032,9 +1012,6 @@ fn build_config(
     if let Some(batch) = options.batch {
         config = config.batch(batch);
     }
-    if options.summary_only {
-        config = config.summary_only();
-    }
     if let Some(millis) = options.exec_timeout_ms {
         config = config.exec_timeout_ms(millis);
     }
@@ -1077,6 +1054,23 @@ fn make_target(options: &CliOptions, target: TargetId) -> Box<dyn Target> {
     }
 }
 
+/// The topology the options ask for: `--shards N` or `--connections N`
+/// with N >= 2 runs N workers (connections are the workers of a framed-TCP
+/// campaign; parse-time validation forbids asking for both), anything else
+/// runs inline.
+fn topology(options: &CliOptions) -> Topology {
+    match options.shards.max(options.connections) {
+        workers if workers >= 2 => Topology::Workers(ShardConfig::with_workers(workers)),
+        _ => Topology::Inline,
+    }
+}
+
+/// The campaign one work item runs: its target (chaos-wrapped under
+/// `--chaos`) on the topology the options ask for.
+fn build_campaign(options: &CliOptions, target: TargetId, config: CampaignConfig) -> Campaign {
+    Campaign::new(make_target(options, target), config).topology(topology(options))
+}
+
 /// Runs all requested campaigns, distributing repetitions over `jobs`
 /// worker threads, and merges each (target, strategy) group's coverage
 /// series.
@@ -1105,12 +1099,9 @@ pub fn run(options: &CliOptions) -> Result<RunOutcome, String> {
 fn write_artifacts(dir: &Path, outcome: &RunOutcome) -> Result<Vec<PathBuf>, String> {
     let options = &outcome.options;
     let sample_interval = effective_sample_interval(options);
-    let sync_windows = if options.connections >= 2 {
-        Some(ConnectionConfig::with_connections(options.connections).sync_windows)
-    } else if options.shards >= 2 {
-        Some(ShardConfig::with_workers(options.shards).sync_windows)
-    } else {
-        None
+    let sync_windows = match topology(options) {
+        Topology::Inline => None,
+        Topology::Workers(shard) => Some(shard.sync_windows),
     };
     let chaos = chaos_config(options);
     let mut seen: BTreeSet<(TargetId, String)> = BTreeSet::new();
@@ -1182,7 +1173,7 @@ fn run_inner(options: &CliOptions) -> Result<RunOutcome, String> {
     let jobs = if options.jobs > 0 {
         options.jobs
     } else if options.shards >= 2 || options.connections >= 2 {
-        // Sharded and concurrent-connection campaigns parallelise
+        // Worker-topology campaigns (shards or connections) parallelise
         // internally; running many of them concurrently by default would
         // oversubscribe the machine.
         1
@@ -1201,23 +1192,7 @@ fn run_inner(options: &CliOptions) -> Result<RunOutcome, String> {
                     return;
                 };
                 let config = build_config(options, item.strategy, item.seed, sample_interval);
-                let report = if options.connections >= 2 {
-                    ConnectionCampaign::new(
-                        make_target(options, item.target),
-                        config,
-                        ConnectionConfig::with_connections(options.connections),
-                    )
-                    .run()
-                } else if options.shards >= 2 {
-                    ShardedCampaign::new(
-                        make_target(options, item.target),
-                        config,
-                        ShardConfig::with_workers(options.shards),
-                    )
-                    .run()
-                } else {
-                    Campaign::new(make_target(options, item.target), config).run()
-                };
+                let report = build_campaign(options, item.target, config).run();
                 results.lock().expect("results lock").push((item, report));
             });
         }
@@ -1259,8 +1234,7 @@ fn run_inner(options: &CliOptions) -> Result<RunOutcome, String> {
 }
 
 /// The `--checkpoint`/`--resume`/`--stop-after` path: exactly one campaign
-/// (parse-time validated), driven through the snapshot seams of
-/// [`Campaign`] or [`ShardedCampaign`].
+/// (parse-time validated), driven through [`Campaign::run_plan`].
 fn run_checkpointable(
     options: &CliOptions,
     strategy: StrategyKind,
@@ -1281,96 +1255,31 @@ fn run_checkpointable(
         .checkpoint
         .as_ref()
         .map(|path| CheckpointConfig::new(path.clone(), options.checkpoint_every));
-    let campaign_error = |error: SnapshotError| format!("checkpointable campaign: {error}");
+    let campaign = build_campaign(options, target, config);
+    // A controlled interruption runs to the first boundary at or past
+    // --stop-after; its checkpoint there is the snapshot to resume.
+    let stop_after = options
+        .stop_after
+        .map(|stop| first_boundary(&campaign.round_boundaries(), stop))
+        .transpose()?;
+    let (report, _) = campaign
+        .run_plan(RunPlan {
+            resume: resumed.as_ref(),
+            checkpoint: checkpoint.as_ref(),
+            stop_after,
+            ..RunPlan::default()
+        })
+        .map_err(|error| format!("checkpointable campaign: {error}"))?;
 
-    // A controlled interruption: run to the first boundary at or past
-    // --stop-after, persist the snapshot, and report where we stopped.
-    if let Some(stop) = options.stop_after {
-        let path = options
-            .checkpoint
-            .as_ref()
-            .expect("parse_args requires --checkpoint with --stop-after");
-        let snapshot = if options.connections >= 2 {
-            let campaign = ConnectionCampaign::new(
-                make_target(options, target),
-                config,
-                ConnectionConfig::with_connections(options.connections),
-            );
-            let boundary = first_boundary(&campaign.round_boundaries(), stop)?;
-            match &resumed {
-                Some(from) => campaign.resume_to_boundary(from, boundary),
-                None => campaign.run_to_boundary(boundary),
-            }
-            .map_err(campaign_error)?
-        } else if options.shards >= 2 {
-            let campaign = ShardedCampaign::new(
-                make_target(options, target),
-                config,
-                ShardConfig::with_workers(options.shards),
-            );
-            let boundary = first_boundary(&campaign.round_boundaries(), stop)?;
-            match &resumed {
-                Some(from) => campaign.resume_to_boundary(from, boundary),
-                None => campaign.run_to_boundary(boundary),
-            }
-            .map_err(campaign_error)?
-        } else {
-            let campaign = Campaign::new(make_target(options, target), config);
-            let boundary = first_boundary(&campaign.window_boundaries(), stop)?;
-            match &resumed {
-                Some(from) => campaign.resume_to_boundary(from, boundary),
-                None => campaign.run_to_boundary(boundary),
-            }
-            .map_err(campaign_error)?
-        };
-        let stopped_at = snapshot.completed;
-        snapshot
-            .write_atomic(path)
-            .map_err(|error| format!("--checkpoint {}: {error}", path.display()))?;
+    if stop_after.is_some() {
         return Ok(RunOutcome {
             options: options.clone(),
             campaigns: Vec::new(),
             wall_seconds: start.elapsed().as_secs_f64(),
-            stopped_at: Some(stopped_at),
+            stopped_at: Some(report.executions),
             artifacts: Vec::new(),
         });
     }
-
-    let report = if options.connections >= 2 {
-        let campaign = ConnectionCampaign::new(
-            make_target(options, target),
-            config,
-            ConnectionConfig::with_connections(options.connections),
-        );
-        match (&resumed, &checkpoint) {
-            (Some(from), Some(to)) => campaign.resume_checkpointed(from, to),
-            (Some(from), None) => campaign.resume(from),
-            (None, Some(to)) => campaign.run_checkpointed(to),
-            (None, None) => unreachable!("parse_args requires --checkpoint or --resume"),
-        }
-    } else if options.shards >= 2 {
-        let campaign = ShardedCampaign::new(
-            make_target(options, target),
-            config,
-            ShardConfig::with_workers(options.shards),
-        );
-        match (&resumed, &checkpoint) {
-            (Some(from), Some(to)) => campaign.resume_checkpointed(from, to),
-            (Some(from), None) => campaign.resume(from),
-            (None, Some(to)) => campaign.run_checkpointed(to),
-            (None, None) => unreachable!("parse_args requires --checkpoint or --resume"),
-        }
-    } else {
-        let campaign = Campaign::new(make_target(options, target), config);
-        match (&resumed, &checkpoint) {
-            (Some(from), Some(to)) => campaign.resume_checkpointed(from, to),
-            (Some(from), None) => campaign.resume(from),
-            (None, Some(to)) => campaign.run_checkpointed(to),
-            (None, None) => unreachable!("parse_args requires --checkpoint or --resume"),
-        }
-    }
-    .map_err(campaign_error)?;
-
     let merged = MergedCampaign {
         target,
         strategy,
@@ -1427,35 +1336,14 @@ fn run_serve(
         None => None,
     };
 
-    let campaign_error = |error: SnapshotError| format!("supervised campaign: {error}");
-    let report = if options.connections >= 2 {
-        let campaign = ConnectionCampaign::new(
-            make_target(options, target),
-            config,
-            ConnectionConfig::with_connections(options.connections),
-        );
-        match &resumed {
-            Some(from) => campaign.resume_supervised(from, &checkpoint, &hooks),
-            None => campaign.run_supervised(&checkpoint, &hooks),
-        }
-    } else if options.shards >= 2 {
-        let campaign = ShardedCampaign::new(
-            make_target(options, target),
-            config,
-            ShardConfig::with_workers(options.shards),
-        );
-        match &resumed {
-            Some(from) => campaign.resume_supervised(from, &checkpoint, &hooks),
-            None => campaign.run_supervised(&checkpoint, &hooks),
-        }
-    } else {
-        let campaign = Campaign::new(make_target(options, target), config);
-        match &resumed {
-            Some(from) => campaign.resume_supervised(from, &checkpoint, &hooks),
-            None => campaign.run_supervised(&checkpoint, &hooks),
-        }
-    }
-    .map_err(campaign_error)?;
+    let (report, _) = build_campaign(options, target, config)
+        .run_plan(RunPlan {
+            resume: resumed.as_ref(),
+            checkpoint: Some(&checkpoint),
+            service: Some(&hooks),
+            ..RunPlan::default()
+        })
+        .map_err(|error| format!("supervised campaign: {error}"))?;
 
     if let Some(control) = control.as_mut() {
         control.shutdown();
@@ -1551,7 +1439,7 @@ pub fn render_report(outcome: &RunOutcome) -> String {
     let options = &outcome.options;
     let mut out = String::new();
     out.push_str(&format!(
-        "peachstar campaign run: {} executions x {} repetition(s), base seed {}{}{}{}{}{}\n",
+        "peachstar campaign run: {} executions x {} repetition(s), base seed {}{}{}{}{}\n",
         options.executions,
         options.repetitions,
         options.seed,
@@ -1570,11 +1458,6 @@ pub fn render_report(outcome: &RunOutcome) -> String {
             format!(", batched windows of {batch}")
         } else {
             String::new()
-        },
-        if options.summary_only {
-            ", summary-only decode"
-        } else {
-            ""
         },
         if options.sessions {
             format!(
@@ -1814,9 +1697,6 @@ pub fn render_json(outcome: &RunOutcome) -> String {
     }
     if let Some(batch) = options.batch {
         out.push_str(&format!("  \"batch\": {batch},\n"));
-    }
-    if options.summary_only {
-        out.push_str("  \"summary_only\": true,\n");
     }
     if let Some(millis) = options.exec_timeout_ms {
         out.push_str(&format!("  \"exec_timeout_ms\": {millis},\n"));
@@ -2165,94 +2045,6 @@ mod tests {
     }
 
     #[test]
-    fn parses_summary_only_and_requires_batch() {
-        let Command::Run(options) =
-            parse_args(&args(&["--batch", "250", "--summary-only"])).unwrap()
-        else {
-            panic!("expected a run command");
-        };
-        assert!(options.summary_only);
-        let Command::Run(options) = parse_args(&[]).unwrap() else {
-            panic!("expected a run command");
-        };
-        assert!(!options.summary_only);
-        // Without --batch the per-execution loop would still hand full
-        // outcomes to external consumers; the error points at the fix.
-        let error = parse_args(&args(&["--summary-only"])).unwrap_err();
-        assert!(error.contains("--batch"), "points at --batch: {error}");
-        // Composes with --shards (the per-worker fast path).
-        let Command::Run(options) = parse_args(&args(&[
-            "--batch", "64", "--summary-only", "--shards", "2",
-        ]))
-        .unwrap() else {
-            panic!("expected a run command");
-        };
-        assert!(options.summary_only);
-        assert_eq!(options.shards, 2);
-    }
-
-    #[test]
-    fn summary_only_surfaces_in_report_and_json() {
-        let options = CliOptions {
-            targets: vec![TargetId::Modbus],
-            strategy: StrategyChoice::Peach,
-            executions: 600,
-            jobs: 1,
-            batch: Some(200),
-            summary_only: true,
-            ..CliOptions::default()
-        };
-        let outcome = run(&options).expect("run");
-        assert!(render_report(&outcome).contains("summary-only decode"));
-        assert!(render_json(&outcome).contains("\"summary_only\": true"));
-        // Absent when off.
-        let outcome = run(&CliOptions {
-            summary_only: false,
-            ..options
-        })
-        .expect("run");
-        assert!(!render_json(&outcome).contains("\"summary_only\""));
-    }
-
-    #[test]
-    fn summary_only_run_matches_the_full_decode_run() {
-        // The whole point of the sink seam: outcome variants, traces and
-        // therefore reports are bit-identical with decode output skipped.
-        for strategy in [StrategyChoice::Peach, StrategyChoice::PeachStar] {
-            let options = CliOptions {
-                targets: vec![TargetId::Modbus, TargetId::Iec104],
-                strategy,
-                executions: 1_000,
-                jobs: 1,
-                no_baseline: true,
-                batch: Some(128),
-                ..CliOptions::default()
-            };
-            let full = run(&options).expect("run");
-            let summary = run(&CliOptions {
-                summary_only: true,
-                ..options.clone()
-            })
-            .expect("run");
-            for (target, kind) in full
-                .campaigns
-                .iter()
-                .map(|campaign| (campaign.target, campaign.strategy))
-                .collect::<Vec<_>>()
-            {
-                let a = full.find(target, kind).unwrap();
-                let b = summary.find(target, kind).unwrap();
-                assert_eq!(a.final_paths(), b.final_paths());
-                assert_eq!(a.reports[0].series.points(), b.reports[0].series.points());
-                assert_eq!(a.reports[0].responses, b.reports[0].responses);
-                assert_eq!(a.reports[0].protocol_errors, b.reports[0].protocol_errors);
-                assert_eq!(a.reports[0].fault_hits, b.reports[0].fault_hits);
-                assert_eq!(a.unique_bugs(options.seed), b.unique_bugs(options.seed));
-            }
-        }
-    }
-
-    #[test]
     fn shard_warning_fires_only_when_oversubscribed() {
         assert!(shard_parallelism_warning(4, 1, 1).is_some());
         let text = shard_parallelism_warning(8, 1, 2).unwrap();
@@ -2332,11 +2124,11 @@ mod tests {
         assert!(parse_args(&args(&["--connections"])).is_err());
         assert!(parse_args(&args(&["--connections", "many"])).is_err());
         // Connections without a wire are meaningless; the error points at
-        // the fix, like --summary-only's does at --batch.
+        // the fix.
         let error = parse_args(&args(&["--connections", "4"])).unwrap_err();
         assert!(error.contains("--transport tcp"), "points at the wire: {error}");
-        // The connection driver *is* the sharded engine; both at once would
-        // fight over it.
+        // Connections *are* the workers of the worker topology; both at
+        // once would fight over it.
         assert!(parse_args(&args(&[
             "--transport", "tcp", "--connections", "2", "--shards", "2"
         ]))

@@ -28,7 +28,7 @@ use std::path::{Path, PathBuf};
 use peachstar_protocols::chaos::{ChaosConfig, ChaosTarget};
 use peachstar_protocols::{FaultKind, Target, TargetId};
 
-use crate::campaign::{BugRecord, Campaign, CampaignConfig, CampaignReport, ShardConfig, ShardedCampaign};
+use crate::campaign::{BugRecord, Campaign, CampaignConfig, CampaignReport, ShardConfig, Topology};
 use crate::engine::{PhaseMask, SessionConfig};
 use crate::snapshot::{
     fault_kind_from_tag, fault_kind_tag, fnv1a, put_bytes, put_option_u64, put_section, put_str,
@@ -319,15 +319,16 @@ impl CrashArtifact {
             executions: self.first_execution,
             ..self.config
         };
-        let target = self.create_target();
-        let report = match self.sync_windows {
-            Some(sync_windows) => {
-                let shard = ShardConfig::with_workers(1)
-                    .sync_windows(usize::try_from(sync_windows).unwrap_or(usize::MAX));
-                ShardedCampaign::new(target, config, shard).run()
-            }
-            None => Campaign::new(target, config).run(),
+        let topology = match self.sync_windows {
+            Some(sync_windows) => Topology::Workers(
+                ShardConfig::with_workers(1)
+                    .sync_windows(usize::try_from(sync_windows).unwrap_or(usize::MAX)),
+            ),
+            None => Topology::Inline,
         };
+        let report = Campaign::new(self.create_target(), config)
+            .topology(topology)
+            .run();
         // Sites are compared by text, not by interned pointer: native target
         // faults carry `&'static str` literals that never pass through the
         // intern table, so their pointers differ from the decoded copy.

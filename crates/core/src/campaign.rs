@@ -3,10 +3,12 @@
 //!
 //! The per-execution work — reset policy, coverage merge, valuable-seed
 //! retention, bug dedup, series sampling, strategy feedback — lives behind
-//! the seams of the [`engine`](crate::engine) module; [`Campaign::run`] only
-//! assembles the standard engine and drives it. [`ShardedCampaign`]
-//! (re-exported from [`engine::shard`](crate::engine::shard)) runs the same
-//! seams with parallel workers.
+//! the seams of the [`engine`](crate::engine) module. A [`Campaign`]
+//! assembles those seams and drives them through one round loop: its
+//! [`Topology`] only decides how a round executes (inline on the calling
+//! thread, or on parallel workers behind a merge barrier), and a [`RunPlan`]
+//! decides whether the run resumes, checkpoints, stops early, answers to a
+//! service, or returns its final snapshot.
 
 use std::fmt;
 use std::time::{Duration, Instant};
@@ -14,13 +16,15 @@ use std::time::{Duration, Instant};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
-use peachstar_protocols::{DecodeSink, Fault, Target, WindowResults, WireChaos};
+use peachstar_datamodel::DataModelSet;
+use peachstar_protocols::{Fault, Target, WindowResults, WireChaos};
 
 use crate::corpus::PuzzleCorpus;
 use crate::engine::batch::{windows_for_policy, PacketArena};
 use crate::engine::session::session_setup;
+use crate::engine::shard::WorkerPool;
 use crate::engine::{
-    CampaignMonitor, CoverageObserver, Engine, Executor, Feedback, NewCoverageFeedback, Observer,
+    CampaignMonitor, CoverageObserver, Engine, Feedback, NewCoverageFeedback, Observer,
     ResetPolicy, Schedule, SessionPlan, StrategySchedule, TargetExecutor,
 };
 use crate::service::ServiceHooks;
@@ -30,9 +34,8 @@ use crate::strategy::{
     GenerationStrategy, SemanticAwareConfig, SemanticAwareStrategy, StrategyKind, StrategyState,
 };
 
-pub use crate::engine::connections::{ConnectionCampaign, ConnectionConfig};
 pub use crate::engine::session::{PhaseMask, SessionConfig};
-pub use crate::engine::shard::{run_sharded, ShardConfig, ShardedCampaign};
+pub use crate::engine::shard::ShardConfig;
 pub use crate::engine::transport::{ReconnectPolicy, TransportMode};
 
 /// Configuration of one fuzzing campaign.
@@ -63,8 +66,8 @@ pub struct CampaignConfig {
     ///
     /// Batched Peach campaigns are bit-identical to sequential ones for any
     /// batch size; Peach\* receives feedback at batch ends, so its stream is
-    /// deterministic but barrier-fed like a sharded campaign's. Under a
-    /// [`ShardedCampaign`] this instead caps the per-worker dispatch chunk,
+    /// deterministic but barrier-fed like a sharded campaign's. Under
+    /// [`Topology::Workers`] this instead caps the per-worker dispatch chunk,
     /// which never changes the report.
     pub batch: Option<u64>,
     /// Per-execution deadline in milliseconds (`--exec-timeout-ms`): each
@@ -76,18 +79,6 @@ pub struct CampaignConfig {
     /// which nothing hangs is bit-identical to an unsupervised one, and the
     /// field is deliberately excluded from the snapshot fingerprint.
     pub exec_timeout: Option<u64>,
-    /// Decode in summary-only mode on the batched fast path
-    /// ([`DecodeSink::Summary`](peachstar_protocols::DecodeSink)): decoders
-    /// keep identical control flow, state and traces but skip response
-    /// assembly and error-string formatting, which the campaign loop never
-    /// reads. Requires [`batch`](CampaignConfig::batch) (the per-execution
-    /// loop has external consumers of the full outcomes).
-    ///
-    /// Like [`exec_timeout`](CampaignConfig::exec_timeout) this is an
-    /// operational knob, not campaign semantics — reports are bit-identical
-    /// either way — so it is deliberately excluded from the snapshot
-    /// fingerprint.
-    pub summary_only: bool,
     /// How packets reach the target (`--transport`): direct in-process
     /// calls (the default) or length-framed request/response over a
     /// loopback TCP socket against a spawned socket server
@@ -137,7 +128,6 @@ impl CampaignConfig {
             session: None,
             batch: None,
             exec_timeout: None,
-            summary_only: false,
             transport: TransportMode::InProcess,
             reconnect: ReconnectPolicy::DEFAULT,
             wire_chaos: WireChaos::default(),
@@ -192,14 +182,6 @@ impl CampaignConfig {
     #[must_use]
     pub fn exec_timeout_ms(mut self, millis: u64) -> Self {
         self.exec_timeout = Some(millis.max(1));
-        self
-    }
-
-    /// Enables summary-only decoding on the batched fast path (see
-    /// [`summary_only`](CampaignConfig::summary_only)).
-    #[must_use]
-    pub fn summary_only(mut self) -> Self {
-        self.summary_only = true;
         self
     }
 
@@ -323,10 +305,68 @@ impl fmt::Display for CampaignReport {
     }
 }
 
-/// One fuzzing campaign: a strategy, a target and an execution budget.
+/// How a [`Campaign`] executes its rounds. Everything around a round —
+/// resume, checkpoints, stop points, service hooks, the report — is shared
+/// by both topologies.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Topology {
+    /// On the calling thread (the default). Every reset-aligned window is
+    /// one round, executed packet by packet or, with
+    /// [`CampaignConfig::batch`], in batched slices.
+    Inline,
+    /// On parallel workers that execute the windows of a round and merge
+    /// them at a deterministic barrier every
+    /// [`sync_windows`](ShardConfig::sync_windows) windows (see
+    /// [`engine::shard`](crate::engine::shard)). Under
+    /// [`TransportMode::FramedTcp`] every worker is one live connection.
+    Workers(ShardConfig),
+}
+
+impl Topology {
+    /// Windows per round: the distance between two merge barriers.
+    fn sync_windows(self) -> usize {
+        match self {
+            Self::Inline => 1,
+            Self::Workers(shard) => shard.sync_windows.max(1),
+        }
+    }
+}
+
+/// What one [`Campaign::run_plan`] does besides running rounds. The default
+/// is a plain uninterrupted campaign.
+#[derive(Debug, Default, Clone, Copy)]
+pub struct RunPlan<'a> {
+    /// Restore this snapshot before executing anything, then skip every
+    /// round it already covers. The campaign must be configured like the
+    /// one that produced it ([`SnapshotMeta::ensure_matches`]; the worker
+    /// count and the transport are not part of that fingerprint), and the
+    /// snapshot must sit on one of its
+    /// [`round_boundaries`](Campaign::round_boundaries).
+    pub resume: Option<&'a CampaignSnapshot>,
+    /// Write a checkpoint at every round that completes another
+    /// `every_windows` windows, and at the last round run. Windows count
+    /// from the campaign start, so an interrupted-and-resumed run
+    /// checkpoints at the same boundaries as an uninterrupted one.
+    pub checkpoint: Option<&'a CheckpointConfig>,
+    /// Stop after the round ending exactly at this execution — one of the
+    /// [`round_boundaries`](Campaign::round_boundaries) past the resumed
+    /// point — and return the snapshot taken there.
+    pub stop_after: Option<u64>,
+    /// Publish live progress at every round and honour graceful stops
+    /// ([`ServiceHooks::request_stop`]) there: the current round finishes,
+    /// a final checkpoint is written, and the report's `executions` names
+    /// the boundary the campaign stopped at.
+    pub service: Option<&'a ServiceHooks>,
+    /// Return a snapshot of the final state, even at zero executions.
+    pub capture_final: bool,
+}
+
+/// One fuzzing campaign: a strategy, a target, an execution budget and the
+/// [`Topology`] that executes it.
 pub struct Campaign {
     target: Box<dyn Target>,
     config: CampaignConfig,
+    topology: Topology,
     strategy: Box<dyn GenerationStrategy>,
 }
 
@@ -335,22 +375,21 @@ impl fmt::Debug for Campaign {
         f.debug_struct("Campaign")
             .field("target", &self.target.name())
             .field("config", &self.config)
+            .field("topology", &self.topology)
             .finish()
     }
 }
 
 impl Campaign {
-    /// Creates a campaign with the strategy named in the configuration.
+    /// Creates an inline campaign with the strategy named in the
+    /// configuration.
     #[must_use]
     pub fn new(target: Box<dyn Target>, config: CampaignConfig) -> Self {
-        Self {
-            strategy: config.strategy.create(),
-            target,
-            config,
-        }
+        Self::with_strategy(target, config, config.strategy.create())
     }
 
-    /// Creates a campaign with an explicit (possibly customised) strategy.
+    /// Creates an inline campaign with an explicit (possibly customised)
+    /// strategy.
     #[must_use]
     pub fn with_strategy(
         target: Box<dyn Target>,
@@ -360,8 +399,16 @@ impl Campaign {
         Self {
             target,
             config,
+            topology: Topology::Inline,
             strategy,
         }
+    }
+
+    /// Selects how the campaign executes its rounds.
+    #[must_use]
+    pub fn topology(mut self, topology: Topology) -> Self {
+        self.topology = topology;
+        self
     }
 
     /// Runs the campaign to completion and returns the report.
@@ -369,19 +416,36 @@ impl Campaign {
     /// With [`CampaignConfig::session`] set and a session-capable target,
     /// the packet stream is session-shaped (handshake → mutated payload →
     /// teardown) and the target resets at session boundaries
-    /// ([`ResetPolicy::PerSession`]); otherwise the classic single-packet
-    /// stream with interval-scoped resets runs.
+    /// ([`ResetPolicy::PerSession`]), so every window is one whole session
+    /// and sessions never straddle a reset or a merge barrier; otherwise the
+    /// classic single-packet stream with interval-scoped resets runs.
     #[must_use]
     pub fn run(self) -> CampaignReport {
-        let (report, _) = self
-            .launch(DriveOptions::default())
-            .expect("a plain campaign performs no fallible snapshot operations");
-        report
+        self.run_plan(RunPlan::default())
+            .expect("a plain campaign performs no fallible snapshot operations")
+            .0
+    }
+
+    /// Runs the campaign to completion, checkpointing per `checkpoint` (see
+    /// [`RunPlan::checkpoint`]).
+    ///
+    /// # Errors
+    ///
+    /// Propagates checkpoint write failures.
+    pub fn run_checkpointed(
+        self,
+        checkpoint: &CheckpointConfig,
+    ) -> Result<CampaignReport, SnapshotError> {
+        self.run_plan(RunPlan {
+            checkpoint: Some(checkpoint),
+            ..RunPlan::default()
+        })
+        .map(|(report, _)| report)
     }
 
     /// The reset policy this campaign will run under — the same derivation
-    /// [`run`](Campaign::run) performs, exposed so checkpoint alignment can
-    /// be computed without consuming the campaign.
+    /// [`run_plan`](Campaign::run_plan) performs, exposed so checkpoint
+    /// alignment can be computed without consuming the campaign.
     fn policy(&self) -> ResetPolicy {
         let session = self
             .config
@@ -396,359 +460,329 @@ impl Campaign {
     }
 
     /// The reset-aligned window boundaries of this campaign, ascending; the
-    /// last is always the execution budget. These are the only executions a
-    /// checkpoint can land on ([`run_to_boundary`](Campaign::run_to_boundary)
-    /// rejects anything else with [`SnapshotError::Unaligned`]).
+    /// last is always the execution budget.
     #[must_use]
     pub fn window_boundaries(&self) -> Vec<u64> {
-        windows_for_policy(self.config.executions, self.policy())
-            .iter()
-            .map(|&(_, end)| end)
-            .collect()
+        round_ends(&windows_for_policy(self.config.executions, self.policy()), 1)
     }
 
-    /// Runs the campaign to completion, writing a checkpoint to
-    /// `checkpoint.path` every `checkpoint.every_windows` windows (and at
-    /// the final one).
-    pub fn run_checkpointed(
-        self,
-        checkpoint: &CheckpointConfig,
-    ) -> Result<CampaignReport, SnapshotError> {
-        self.launch(DriveOptions {
-            checkpoint: Some(checkpoint),
-            ..DriveOptions::default()
-        })
-        .map(|(report, _)| report)
-    }
-
-    /// Runs the campaign up to (and including) execution `stop_after` —
-    /// which must be one of [`window_boundaries`](Campaign::window_boundaries)
-    /// — and returns the snapshot taken there. Resuming that snapshot with
-    /// [`resume`](Campaign::resume) produces a report bit-identical to an
-    /// uninterrupted [`run`](Campaign::run).
-    pub fn run_to_boundary(self, stop_after: u64) -> Result<CampaignSnapshot, SnapshotError> {
-        let (_, snapshot) = self.launch(DriveOptions {
-            stop_after: Some(stop_after),
-            ..DriveOptions::default()
-        })?;
-        Ok(snapshot.expect("a validated stop boundary always yields a snapshot"))
-    }
-
-    /// Runs the campaign to completion and also returns the final-state
-    /// snapshot — the entry point shared-corpus repetitions use to harvest
-    /// the finished corpus.
+    /// The round-end executions of this campaign, ascending — the only
+    /// executions a checkpoint, a stop or a resume can land on. At a round
+    /// end the campaign RNG, the strategy feedback and the global coverage
+    /// are synchronised and every worker target is about to reset, and the
+    /// layout does not depend on the worker count. An inline round is one
+    /// window, so there this equals
+    /// [`window_boundaries`](Campaign::window_boundaries).
     #[must_use]
-    pub fn run_with_final_snapshot(self) -> (CampaignReport, CampaignSnapshot) {
-        let (report, snapshot) = self
-            .launch(DriveOptions {
-                capture_final: true,
-                ..DriveOptions::default()
-            })
-            .expect("a capture-only campaign performs no fallible snapshot operations");
-        (
-            report,
-            snapshot.expect("capture_final always yields a snapshot"),
-        )
+    pub fn round_boundaries(&self) -> Vec<u64> {
+        let windows = windows_for_policy(self.config.executions, self.policy());
+        round_ends(&windows, self.topology.sync_windows())
     }
 
-    /// Resumes a snapshotted campaign to completion. The campaign must be
-    /// configured identically to the one that produced the snapshot
-    /// ([`SnapshotMeta::ensure_matches`] is enforced), and the resumed
-    /// report is bit-identical to the uninterrupted run's.
-    pub fn resume(self, snapshot: &CampaignSnapshot) -> Result<CampaignReport, SnapshotError> {
-        self.launch(DriveOptions {
-            resume: Some(snapshot),
-            ..DriveOptions::default()
-        })
-        .map(|(report, _)| report)
-    }
-
-    /// Resumes a snapshotted campaign to completion while continuing to
-    /// write periodic checkpoints — the `--resume` + `--checkpoint` CLI
-    /// path. The checkpoint cadence counts absolute windows from the start
-    /// of the campaign, so an interrupted-and-resumed run checkpoints at
-    /// the same boundaries as an uninterrupted one.
-    pub fn resume_checkpointed(
-        self,
-        snapshot: &CampaignSnapshot,
-        checkpoint: &CheckpointConfig,
-    ) -> Result<CampaignReport, SnapshotError> {
-        self.launch(DriveOptions {
-            resume: Some(snapshot),
-            checkpoint: Some(checkpoint),
-            ..DriveOptions::default()
-        })
-        .map(|(report, _)| report)
-    }
-
-    /// Resumes a snapshot and stops again at a later window boundary —
-    /// lets a campaign be carried across any number of interruptions.
-    pub fn resume_to_boundary(
-        self,
-        snapshot: &CampaignSnapshot,
-        stop_after: u64,
-    ) -> Result<CampaignSnapshot, SnapshotError> {
-        let (_, out) = self.launch(DriveOptions {
-            resume: Some(snapshot),
-            stop_after: Some(stop_after),
-            ..DriveOptions::default()
-        })?;
-        Ok(out.expect("a validated stop boundary always yields a snapshot"))
-    }
-
-    /// Runs under service supervision: like
-    /// [`run_checkpointed`](Campaign::run_checkpointed), but live progress is
-    /// published to `hooks` at every window boundary and a graceful stop
-    /// ([`ServiceHooks::request_stop`]) finishes the current window, writes a
-    /// final checkpoint, and returns early — the report's `executions` then
-    /// names the boundary the campaign stopped at.
+    /// Runs the campaign under `plan` and returns its report, plus the
+    /// snapshot of the stop boundary (with [`RunPlan::stop_after`] or a
+    /// service stop) or of the final state (with [`RunPlan::capture_final`]).
     ///
     /// # Errors
     ///
-    /// Propagates checkpoint write failures.
-    pub fn run_supervised(
+    /// Rejects a snapshot that does not match this campaign
+    /// ([`SnapshotError::Mismatch`]), and a resume point or stop point that
+    /// is not one of the [`round_boundaries`](Campaign::round_boundaries) or
+    /// does not lie past the resumed point ([`SnapshotError::Unaligned`]);
+    /// propagates checkpoint write failures.
+    pub fn run_plan(
         self,
-        checkpoint: &CheckpointConfig,
-        hooks: &ServiceHooks,
-    ) -> Result<CampaignReport, SnapshotError> {
-        self.launch(DriveOptions {
-            checkpoint: Some(checkpoint),
-            service: Some(hooks),
-            ..DriveOptions::default()
-        })
-        .map(|(report, _)| report)
-    }
-
-    /// Resumes a snapshot under service supervision (see
-    /// [`run_supervised`](Campaign::run_supervised)).
-    ///
-    /// # Errors
-    ///
-    /// Rejects mismatched snapshots; propagates checkpoint write failures.
-    pub fn resume_supervised(
-        self,
-        snapshot: &CampaignSnapshot,
-        checkpoint: &CheckpointConfig,
-        hooks: &ServiceHooks,
-    ) -> Result<CampaignReport, SnapshotError> {
-        self.launch(DriveOptions {
-            resume: Some(snapshot),
-            checkpoint: Some(checkpoint),
-            service: Some(hooks),
-            ..DriveOptions::default()
-        })
-        .map(|(report, _)| report)
-    }
-
-    /// Dispatches to the session-shaped or classic engine and drives it
-    /// window by window under the given snapshot options.
-    fn launch(
-        self,
-        opts: DriveOptions<'_>,
+        plan: RunPlan<'_>,
     ) -> Result<(CampaignReport, Option<CampaignSnapshot>), SnapshotError> {
         let started = Instant::now();
         let Self {
             target,
             config,
+            topology,
             strategy,
         } = self;
         // The transport guard (the socket server, under `FramedTcp`) must
-        // outlive the engine drive; the campaign's client connections die
-        // with the engine, before the guard drops. `meta` is computed after
-        // deployment but is transport-invariant: the framed target reports
-        // its blueprint's name, and the fingerprint excludes the transport.
+        // outlive the rounds; the campaign's client connections die with the
+        // engine, before the guard drops. The snapshot fingerprint is
+        // transport-invariant: the framed target reports its blueprint's
+        // name, and the fingerprint excludes the transport.
         let (target, _transport) = crate::engine::transport::deploy(
             target,
             config.transport,
             config.reconnect,
             config.wire_chaos,
         );
-        let meta = SnapshotMeta::for_campaign(target.name(), &config);
         let session = config
             .session
             .and_then(|opts| target.session_template().map(|template| (opts, template)));
         match session {
             Some((session_opts, template)) => {
                 let (policy, schedule) = session_setup(session_opts, template, strategy);
-                drive_engine(target, policy, &config, schedule, started, meta, opts)
+                drive(target, topology, policy, schedule, &config, plan, started)
             }
-            None => drive_engine(
+            None => drive(
                 target,
+                topology,
                 ResetPolicy::Interval(config.reset_interval),
-                &config,
                 StrategySchedule::new(strategy),
+                &config,
+                plan,
                 started,
-                meta,
-                opts,
             ),
         }
     }
 }
 
-/// Snapshot-related options of one engine drive. The default (all `None`,
-/// no capture) is a plain uninterrupted campaign. Shared by the sequential
-/// and the sharded driver.
-#[derive(Debug, Default, Clone, Copy)]
-pub(crate) struct DriveOptions<'a> {
-    /// Restore this snapshot before executing anything, then skip every
-    /// window it already covers.
-    pub(crate) resume: Option<&'a CampaignSnapshot>,
-    /// Write periodic checkpoints (cadence counts absolute windows from the
-    /// campaign start, so it is invariant under interruption).
-    pub(crate) checkpoint: Option<&'a CheckpointConfig>,
-    /// Stop after the window (or, sharded, the round) ending exactly here
-    /// and return its snapshot.
-    pub(crate) stop_after: Option<u64>,
-    /// Capture (and return) a snapshot of the completed campaign.
-    pub(crate) capture_final: bool,
-    /// Service supervision: publish live status at every boundary and honor
-    /// graceful-stop requests there (the stop finishes the current window
-    /// and writes a final checkpoint, like a dynamic `stop_after`).
-    pub(crate) service: Option<&'a ServiceHooks>,
+/// Constructors of worker-topology campaigns.
+#[derive(Debug)]
+pub enum ShardedCampaign {}
+
+// `new` deliberately returns a `Campaign`: the worker topology is a property
+// of the one campaign type, not a type of its own.
+#[allow(clippy::new_ret_no_self)]
+impl ShardedCampaign {
+    /// A [`Campaign`] on [`Topology::Workers`] with the strategy named in
+    /// the configuration.
+    #[must_use]
+    pub fn new(target: Box<dyn Target>, config: CampaignConfig, shard: ShardConfig) -> Campaign {
+        Campaign::new(target, config).topology(Topology::Workers(shard))
+    }
+
+    /// A [`Campaign`] on [`Topology::Workers`] with an explicit strategy.
+    #[must_use]
+    pub fn with_strategy(
+        target: Box<dyn Target>,
+        config: CampaignConfig,
+        shard: ShardConfig,
+        strategy: Box<dyn GenerationStrategy>,
+    ) -> Campaign {
+        Campaign::with_strategy(target, config, strategy).topology(Topology::Workers(shard))
+    }
 }
 
-/// Drives the assembled engine window by window and folds the seams into a
-/// [`CampaignReport`]. Generic over the schedule so both the classic and
-/// the session-shaped campaign stay fully monomorphised.
-///
-/// The window walk replicates [`Engine::run`] / [`Engine::run_batched`]
-/// exactly — same windows, same RNG stream, same reduce order — it only adds
-/// pause points between windows, which is what makes a checkpoint taken at a
-/// window boundary resume bit-exactly: every boundary is an execution the
-/// reset policy wipes the target before, so no target state needs saving.
-fn drive_engine<S: Schedule>(
-    target: Box<dyn Target>,
-    policy: ResetPolicy,
-    config: &CampaignConfig,
-    schedule: S,
-    started: Instant,
-    meta: SnapshotMeta,
-    opts: DriveOptions<'_>,
-) -> Result<(CampaignReport, Option<CampaignSnapshot>), SnapshotError> {
-    let windows = windows_for_policy(config.executions, policy);
-    let mut rng = SmallRng::seed_from_u64(config.rng_seed);
-    let mut executor = TargetExecutor::with_policy(target, policy);
-    if let Some(millis) = config.exec_timeout {
-        executor = executor.with_deadline(Duration::from_millis(millis));
-    }
-    if config.summary_only {
-        executor = executor.with_sink(DecodeSink::Summary);
-    }
-    let mut engine = Engine {
+/// The last execution of every round of `sync_windows` windows.
+fn round_ends(windows: &[(u64, u64)], sync_windows: usize) -> Vec<u64> {
+    windows
+        .chunks(sync_windows)
+        .filter_map(|round| round.last().map(|&(_, end)| end))
+        .collect()
+}
+
+/// The seams every topology reduces through, around the topology's
+/// executor.
+pub(crate) type CampaignEngine<X, S> =
+    Engine<X, CoverageObserver, NewCoverageFeedback, CampaignMonitor, S>;
+
+/// Fresh seams around `executor`.
+fn assemble<X, S>(executor: X, schedule: S, config: &CampaignConfig) -> CampaignEngine<X, S> {
+    Engine {
         executor,
         observer: CoverageObserver::new(),
         feedback: NewCoverageFeedback::new(),
         monitor: CampaignMonitor::new(config.executions, config.sample_interval),
         schedule,
-    };
-    let models = engine.executor.data_models();
+    }
+}
 
-    let resumed_from = match opts.resume {
-        Some(snapshot) => {
-            snapshot.meta.ensure_matches(&meta)?;
-            if snapshot.completed != 0
-                && !windows.iter().any(|&(_, end)| end == snapshot.completed)
-            {
-                return Err(SnapshotError::Unaligned(snapshot.completed));
+/// Assembles the engine for `topology` and runs its rounds. Generic over the
+/// schedule so the classic and the session-shaped campaign stay fully
+/// monomorphised; the topology is matched here, once per campaign.
+fn drive<S: Schedule>(
+    target: Box<dyn Target>,
+    topology: Topology,
+    policy: ResetPolicy,
+    schedule: S,
+    config: &CampaignConfig,
+    plan: RunPlan<'_>,
+    started: Instant,
+) -> Result<(CampaignReport, Option<CampaignSnapshot>), SnapshotError> {
+    let mut meta = SnapshotMeta::for_campaign(target.name(), config);
+    if let Topology::Workers(_) = topology {
+        meta = meta.sharded(topology.sync_windows() as u64);
+    }
+    let rounds = Rounds {
+        config,
+        plan,
+        meta,
+        models: target.data_models(),
+        windows: windows_for_policy(config.executions, policy),
+        sync_windows: topology.sync_windows(),
+        target: target.name(),
+        started,
+    };
+    match topology {
+        Topology::Inline => {
+            let mut executor = TargetExecutor::with_policy(target, policy);
+            if let Some(millis) = config.exec_timeout {
+                executor = executor.with_deadline(Duration::from_millis(millis));
             }
-            engine.restore(snapshot, &mut rng)?;
-            snapshot.completed
+            let mut arena = PacketArena::default();
+            let mut results = WindowResults::new();
+            rounds.run(assemble(executor, schedule, config), |engine, round, models, rng| {
+                // An inline round is exactly one window.
+                for &(start, end) in round {
+                    match config.batch {
+                        Some(batch) => engine.run_window_batched(
+                            start,
+                            end,
+                            batch,
+                            models,
+                            rng,
+                            &mut arena,
+                            &mut results,
+                        ),
+                        None => engine.run_span(start, end, models, rng),
+                    }
+                }
+            })
         }
-        None => 0,
-    };
-    if let Some(stop) = opts.stop_after {
-        if stop <= resumed_from || !windows.iter().any(|&(_, end)| end == stop) {
-            return Err(SnapshotError::Unaligned(stop));
+        Topology::Workers(shard) => {
+            let pool = WorkerPool::new(target, shard.workers, config);
+            rounds.run(assemble(pool, schedule, config), WorkerPool::run_round)
         }
     }
+}
 
-    if let Some(checkpoint) = opts.checkpoint {
-        checkpoint.prepare()?;
-    }
+/// Everything the round loop needs besides the engine.
+struct Rounds<'a> {
+    config: &'a CampaignConfig,
+    plan: RunPlan<'a>,
+    meta: SnapshotMeta,
+    models: DataModelSet,
+    windows: Vec<(u64, u64)>,
+    sync_windows: usize,
+    target: &'static str,
+    started: Instant,
+}
 
-    let mut arena = PacketArena::default();
-    let mut results = WindowResults::new();
-    let mut out_snapshot = None;
-    let mut completed = resumed_from;
-    for (index, &(start, end)) in windows.iter().enumerate() {
-        if end <= resumed_from {
-            continue;
+impl Rounds<'_> {
+    /// The campaign's round loop: validates the plan, restores a resumed
+    /// snapshot, runs every remaining round through `run_round`, and handles
+    /// service progress, checkpoints, stops and snapshot capture at every
+    /// round end, then folds the seams into a [`CampaignReport`].
+    ///
+    /// Rounds replicate [`Engine::run`] / [`Engine::run_batched`] (inline)
+    /// or the sharded rounds exactly — same windows, same RNG stream, same
+    /// reduce order — and only pause between them. Every round end is an
+    /// execution the reset policy wipes the target before, so no target
+    /// state needs saving and a snapshot taken there resumes bit-exactly.
+    fn run<X, S: Schedule>(
+        self,
+        mut engine: CampaignEngine<X, S>,
+        mut run_round: impl FnMut(
+            &mut CampaignEngine<X, S>,
+            &[(u64, u64)],
+            &DataModelSet,
+            &mut SmallRng,
+        ),
+    ) -> Result<(CampaignReport, Option<CampaignSnapshot>), SnapshotError> {
+        let Self {
+            config,
+            plan,
+            meta,
+            models,
+            windows,
+            sync_windows,
+            target,
+            started,
+        } = self;
+        let mut rng = SmallRng::seed_from_u64(config.rng_seed);
+        let ends = round_ends(&windows, sync_windows);
+        let resumed_from = match plan.resume {
+            Some(snapshot) => {
+                snapshot.meta.ensure_matches(&meta)?;
+                if snapshot.completed != 0 && !ends.contains(&snapshot.completed) {
+                    return Err(SnapshotError::Unaligned(snapshot.completed));
+                }
+                engine.restore(snapshot, &mut rng)?;
+                snapshot.completed
+            }
+            None => 0,
+        };
+        if let Some(stop) = plan.stop_after {
+            if stop <= resumed_from || !ends.contains(&stop) {
+                return Err(SnapshotError::Unaligned(stop));
+            }
         }
-        match config.batch {
-            // The batched body generates, executes and reduces the window
-            // exactly as Engine::run_batched would (tests/batch_equivalence.rs
-            // pins the Peach bit-equivalence).
-            Some(batch) => engine.run_window_batched(
-                start,
-                end,
-                batch,
-                &models,
-                &mut rng,
-                &mut arena,
-                &mut results,
-            ),
-            None => engine.run_span(start, end, &models, &mut rng),
+        if let Some(checkpoint) = plan.checkpoint {
+            checkpoint.prepare()?;
         }
-        completed = end;
+        // The cadence is "this round crossed a multiple of `every_windows`
+        // windows since the campaign start": invariant under interruption
+        // and worker count, and for one-window rounds simply every
+        // `every_windows`-th window. A zero cadence means every round.
+        let every = plan.checkpoint.map_or(1, |checkpoint| checkpoint.every_windows.max(1));
 
-        if let Some(service) = opts.service {
-            service.observe(
-                end,
-                engine.observer.paths_covered(),
-                engine.observer.edges_covered(),
-                engine.monitor.bugs().len(),
-            );
-        }
-        let windows_done = (index + 1) as u64;
-        let final_window = end == config.executions;
-        let stop_here = opts.stop_after == Some(end)
-            || (!final_window && opts.service.is_some_and(ServiceHooks::stop_requested));
-        let write_checkpoint = opts.checkpoint.is_some_and(|checkpoint| {
-            windows_done.is_multiple_of(checkpoint.every_windows) || final_window || stop_here
-        });
-        if write_checkpoint || stop_here || (opts.capture_final && final_window) {
-            let snapshot = engine.checkpoint(meta.clone(), end, &rng);
-            if let Some(checkpoint) = opts.checkpoint.filter(|_| write_checkpoint) {
-                checkpoint.store(&snapshot)?;
-                if let Some(service) = opts.service {
-                    service.checkpointed(end);
+        let mut out_snapshot = None;
+        let mut completed = resumed_from;
+        let mut windows_done = 0u64;
+        for round in windows.chunks(sync_windows) {
+            let windows_before = windows_done;
+            windows_done += round.len() as u64;
+            let end = round.last().map_or(0, |&(_, end)| end);
+            if end <= resumed_from {
+                continue;
+            }
+            run_round(&mut engine, round, &models, &mut rng);
+            completed = end;
+
+            if let Some(service) = plan.service {
+                service.observe(
+                    end,
+                    engine.observer.paths_covered(),
+                    engine.observer.edges_covered(),
+                    engine.monitor.bugs().len(),
+                );
+            }
+            let final_round = end == config.executions;
+            let stop_here = plan.stop_after == Some(end)
+                || (!final_round && plan.service.is_some_and(ServiceHooks::stop_requested));
+            let write_checkpoint = plan.checkpoint.is_some()
+                && (windows_done / every > windows_before / every || final_round || stop_here);
+            let capture = stop_here || (plan.capture_final && final_round);
+            if write_checkpoint || capture {
+                let snapshot = engine.checkpoint(meta.clone(), end, &rng);
+                if let Some(checkpoint) = plan.checkpoint.filter(|_| write_checkpoint) {
+                    checkpoint.store(&snapshot)?;
+                    if let Some(service) = plan.service {
+                        service.checkpointed(end);
+                    }
+                }
+                if capture {
+                    out_snapshot = Some(snapshot);
                 }
             }
-            if stop_here || (opts.capture_final && final_window) {
-                out_snapshot = Some(snapshot);
+            if stop_here {
+                break;
             }
         }
-        if stop_here {
-            break;
+        // A zero-execution campaign (or a resume of an already-complete
+        // snapshot) never enters the loop; capture the standing state.
+        if plan.capture_final && out_snapshot.is_none() {
+            out_snapshot = Some(engine.checkpoint(meta, completed, &rng));
         }
-    }
-    // A zero-execution campaign (or a resume of an already-complete
-    // snapshot) never enters the loop; capture the standing state directly.
-    if opts.capture_final && out_snapshot.is_none() {
-        out_snapshot = Some(engine.checkpoint(meta, completed, &rng));
-    }
 
-    let target = engine.executor.target_name().to_string();
-    let (responses, protocol_errors, fault_hits) = (
-        engine.monitor.responses(),
-        engine.monitor.protocol_errors(),
-        engine.monitor.fault_hits(),
-    );
-    let (series, bugs) = engine.monitor.into_series_and_bugs();
-    let report = CampaignReport {
-        target,
-        strategy: config.strategy,
-        executions: completed,
-        series,
-        bugs,
-        valuable_seeds: engine.feedback.retained(),
-        corpus_size: engine.schedule.corpus_size(),
-        responses,
-        protocol_errors,
-        fault_hits,
-        wall_time: started.elapsed(),
-    };
-    Ok((report, out_snapshot))
+        let (responses, protocol_errors, fault_hits) = (
+            engine.monitor.responses(),
+            engine.monitor.protocol_errors(),
+            engine.monitor.fault_hits(),
+        );
+        let (series, bugs) = engine.monitor.into_series_and_bugs();
+        let report = CampaignReport {
+            target: target.to_string(),
+            strategy: config.strategy,
+            executions: completed,
+            series,
+            bugs,
+            valuable_seeds: engine.feedback.retained(),
+            corpus_size: engine.schedule.corpus_size(),
+            responses,
+            protocol_errors,
+            fault_hits,
+            wall_time: started.elapsed(),
+        };
+        Ok((report, out_snapshot))
+    }
 }
 
 /// Runs `repetitions` campaigns with different RNG seeds and returns the
@@ -795,9 +829,15 @@ pub fn run_repetitions_shared(
             SemanticAwareConfig::default(),
             shared.clone(),
         ));
-        let campaign = Campaign::with_strategy(make_target(), run_config, strategy);
-        let (report, snapshot) = campaign.run_with_final_snapshot();
-        if let StrategyState::PeachStar { corpus, .. } = &snapshot.schedule.strategy {
+        let (report, snapshot) = Campaign::with_strategy(make_target(), run_config, strategy)
+            .run_plan(RunPlan {
+                capture_final: true,
+                ..RunPlan::default()
+            })
+            .expect("a capture-only campaign performs no fallible snapshot operations");
+        if let Some(StrategyState::PeachStar { corpus, .. }) =
+            snapshot.as_ref().map(|snapshot| &snapshot.schedule.strategy)
+        {
             shared.merge(corpus);
         }
         reports.push(report);

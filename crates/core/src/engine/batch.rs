@@ -6,11 +6,13 @@
 //! [`GeneratedPacket`] allocation, and a trace borrow that forces the loop
 //! to fully drain each execution before generating the next. This module
 //! adds the batched driver, [`Engine::run_batched`]: the campaign is walked
-//! in the same reset-aligned windows the sharded engine uses, but each
+//! in the same reset-aligned windows the worker topology uses, but each
 //! window is generated up front into a pooled packet arena, executed in a
 //! *single* [`Executor::execute_window`] call (one virtual dispatch per
-//! window via [`Target::process_batch`]), and then reduced through the
-//! monitor/observer/feedback/schedule seams in global execution order.
+//! window via [`Target::process_batch`], decoding with the summary sink),
+//! and then reduced through [`Engine::reduce`] in global execution order.
+//! A batched inline [`Campaign`](crate::campaign::Campaign) runs one window
+//! per round through `Engine::run_window_batched`.
 //!
 //! # Equivalence
 //!
@@ -23,9 +25,9 @@
 //! (`tests/batch_equivalence.rs`, plus a batched entry in
 //! `tests/pinned_report.rs` that must match the historic constants). The
 //! Peach\* strategy receives its feedback at the end of each batch instead
-//! of per execution — deterministic, but barrier-fed exactly like its
-//! sharded sibling; with `batch >= window length` the batched Peach\* stream
-//! coincides with a 1-worker, 1-window-per-round sharded campaign.
+//! of per execution — deterministic, but barrier-fed exactly like the
+//! worker topology; with `batch >= window length` the batched Peach\*
+//! stream coincides with a 1-worker, 1-window-per-round worker campaign.
 //!
 //! [`Target::process_batch`]: peachstar_protocols::Target::process_batch
 //! [`GeneratedPacket`]: crate::strategy::GeneratedPacket
@@ -34,9 +36,7 @@ use peachstar_datamodel::DataModelSet;
 use peachstar_protocols::WindowResults;
 use rand::rngs::SmallRng;
 
-use crate::engine::{
-    Engine, Executor, Feedback, FeedbackEvent, Monitor, Observer, ResetPolicy, Schedule,
-};
+use crate::engine::{Engine, Executor, Feedback, Monitor, Observer, ResetPolicy, Schedule};
 use crate::seed::Seed;
 use crate::strategy::GeneratedPacket;
 
@@ -48,8 +48,8 @@ use crate::strategy::GeneratedPacket;
 /// (the last may be truncated by the budget), so a session never straddles
 /// a window boundary — and therefore never a merge barrier either.
 ///
-/// Shared by the batched and the sharded engine so their window layouts can
-/// never drift apart.
+/// Shared by both topologies so their window layouts can never drift
+/// apart.
 pub(crate) fn windows_for_policy(executions: u64, policy: ResetPolicy) -> Vec<(u64, u64)> {
     if executions == 0 {
         return Vec::new();
@@ -144,10 +144,10 @@ where
     }
 
     /// Runs one reset-aligned window `window_start..=window_end` in batched
-    /// slices — the per-window body of [`run_batched`](Engine::run_batched),
-    /// exposed separately so the checkpointing campaign driver can pause
-    /// between windows. `arena` and `results` are caller-held so their
-    /// allocations amortise across windows exactly as in `run_batched`.
+    /// slices — the per-window body of [`run_batched`](Engine::run_batched)
+    /// and the round body of a batched inline campaign. `arena` and
+    /// `results` are caller-held so their allocations amortise across
+    /// windows exactly as in `run_batched`.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn run_window_batched(
         &mut self,
@@ -184,31 +184,17 @@ where
                 debug_assert_eq!(results.len(), count, "one result per packet");
 
                 // Phase 3 — reduce in global execution order through the
-                // same seams `Engine::step` uses, in the same order.
+                // same `Engine::reduce` every driver uses.
                 for (offset, (summary, trace)) in results.iter().enumerate() {
                     let execution = start + offset as u64;
                     let packet = &arena.packets[offset];
-                    self.monitor.record(execution, packet, *summary);
                     let merge = self.observer.merge_sparse(trace);
-                    let valuable = self.feedback.is_interesting(&merge);
-                    self.schedule.feedback(&FeedbackEvent {
-                        execution,
-                        packet,
-                        valuable,
-                        merge: &merge,
-                        models,
-                    });
-                    if valuable {
+                    if self.reduce(execution, packet, *summary, &merge, models) {
                         // The arena keeps its slot for the next window, so
                         // retention clones the (rare) valuable packet
                         // instead of moving it out.
                         self.feedback.retain(packet.clone(), &merge);
                     }
-                    self.monitor.sample(
-                        execution,
-                        self.observer.paths_covered(),
-                        self.observer.edges_covered(),
-                    );
                 }
                 start = end + 1;
             }

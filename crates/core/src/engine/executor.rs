@@ -158,13 +158,6 @@ pub struct TargetExecutor {
     /// the sparse reply traces.
     watchdog: Option<Watchdog>,
     scratch: TraceMap,
-    /// Decode sink armed around whole-window executions. [`DecodeSink::Full`]
-    /// (the default) builds every response and error string;
-    /// [`DecodeSink::Summary`] keeps control flow and traces identical but
-    /// skips the payload formatting the batched campaign loop never reads.
-    /// Per-packet fallback paths (watchdog, interior resets, post-panic
-    /// completion) always run full decodes.
-    sink: DecodeSink,
 }
 
 impl TargetExecutor {
@@ -188,7 +181,6 @@ impl TargetExecutor {
             policy,
             watchdog: None,
             scratch: TraceMap::new(),
-            sink: DecodeSink::Full,
         }
     }
 
@@ -201,26 +193,6 @@ impl TargetExecutor {
     pub fn with_deadline(mut self, timeout: Duration) -> Self {
         self.watchdog = Some(Watchdog::new(self.spare.clone_fresh(), timeout));
         self
-    }
-
-    /// Selects the decode sink armed around whole-window executions.
-    ///
-    /// [`DecodeSink::Summary`] skips response assembly and error-string
-    /// formatting inside the decoders while leaving every branch, state
-    /// mutation and recorded trace identical — outcome *variants* (and
-    /// therefore campaign reports) are bit-for-bit the same as under
-    /// [`DecodeSink::Full`]. Debug builds cross-check that claim on the
-    /// first packet of every batched window.
-    #[must_use]
-    pub fn with_sink(mut self, sink: DecodeSink) -> Self {
-        self.sink = sink;
-        self
-    }
-
-    /// The decode sink armed around whole-window executions.
-    #[must_use]
-    pub fn sink(&self) -> DecodeSink {
-        self.sink
     }
 
     /// The enforced per-execution deadline, when the watchdog is armed.
@@ -324,19 +296,13 @@ impl Executor for TargetExecutor {
         if self.policy.resets_before(first_execution) {
             self.target.reset();
         }
-        // In summary mode, debug builds re-prove the full/summary
-        // bit-identity claim on the first packet of every window, against a
-        // fresh clone (so the stateful run below is untouched).
-        #[cfg(debug_assertions)]
-        if self.sink == DecodeSink::Summary {
-            if let Some(packet) = packets.first() {
-                peachstar_protocols::sink::debug_cross_check_sinks(self.target.as_ref(), packet);
-            }
-        }
-        let sink = self.sink;
-        if let Err(message) =
-            contained(|| self.target.process_batch(packets, &mut self.ctx, out, sink))
-        {
+        // Window results keep only outcome summaries and traces, so the
+        // decoders skip response assembly and error-string formatting
+        // (`DecodeSink::Summary`): same control flow, state and traces.
+        if let Err(message) = contained(|| {
+            self.target
+                .process_batch(packets, &mut self.ctx, out, DecodeSink::Summary)
+        }) {
             // The batch panicked while processing packet `out.len()` (every
             // `process_batch` implementation records incrementally): record
             // the synthetic fault with the partial trace of the panicking

@@ -1,10 +1,7 @@
 //! The pluggable fuzzing engine: the seams the paper's campaign loop
 //! (Algorithm 2) is composed of, made explicit.
 //!
-//! [`Campaign::run`](crate::campaign::Campaign::run) used to hardcode every
-//! step — trace collection, coverage merge, valuable-seed retention, bug
-//! dedup, reset policy and series sampling — in one function. This module
-//! splits the loop into five seams, each behind a trait:
+//! The loop is split into five seams, each behind a trait:
 //!
 //! * [`Executor`] — wraps the target and its [`TraceContext`]
 //!   (`peachstar_coverage`), owns the reset policy (periodic + post-fault);
@@ -17,21 +14,22 @@
 //! * [`Schedule`] — the strategy-facing seam: one typed [`FeedbackEvent`]
 //!   per execution instead of the old ad-hoc `observe(..)` call.
 //!
-//! [`Engine::step`] wires the seams together in exactly the order the
-//! monolithic loop used, so a campaign driven through the engine is
-//! bit-identical to the pre-refactor implementation (`tests/pinned_report.rs`
-//! holds the proof). Three execution modes build on the same seams:
-//! [`batch`] amortises per-execution dispatch by running reset-aligned
-//! windows through one [`Executor::execute_window`] call each
-//! ([`Engine::run_batched`]), [`shard`] executes those windows on parallel
-//! workers with a deterministic merge barrier, and [`session`] builds
-//! stateful session fuzzing (handshake → mutated payload → teardown, with
+//! [`Engine::reduce`] is the one place an executed packet is folded back
+//! into the seams, in exactly the order the historical monolithic loop used,
+//! so a campaign driven through the engine is bit-identical to the
+//! pre-refactor implementation (`tests/pinned_report.rs` holds the proof).
+//! Every way of executing reduces through it: [`Engine::step`] per packet,
+//! [`batch`] for reset-aligned windows run through one
+//! [`Executor::execute_window`] call each ([`Engine::run_batched`]), and
+//! [`shard`] for windows executed on parallel workers behind a
+//! deterministic merge barrier — the two topologies of
+//! [`Campaign`](crate::campaign::Campaign). [`session`] builds stateful
+//! session fuzzing (handshake → mutated payload → teardown, with
 //! session-scoped resets) on the [`Schedule`] and [`Executor`] seams.
 //!
 //! [`TraceContext`]: peachstar_coverage::TraceContext
 
 pub mod batch;
-pub mod connections;
 pub mod executor;
 pub mod monitor;
 pub mod observer;
@@ -41,19 +39,20 @@ pub mod shard;
 pub(crate) mod supervisor;
 pub mod transport;
 
-pub use connections::{ConnectionCampaign, ConnectionConfig};
 pub use executor::{Executor, ResetPolicy, TargetExecutor};
 pub use monitor::{CampaignMonitor, Monitor, MonitorState, OutcomeSummary};
 pub use observer::{CoverageObserver, Feedback, NewCoverageFeedback, Observer};
 pub use schedule::{FeedbackEvent, Schedule, ScheduleState, StrategySchedule};
 pub use session::{PhaseMask, SessionConfig, SessionPlan, SessionSchedule};
-pub use shard::{run_sharded, ShardConfig, ShardedCampaign};
+pub use shard::ShardConfig;
 pub use transport::{error_class, FramedTcpTarget, ReconnectPolicy, TransportMode};
 
+use peachstar_coverage::MergeOutcome;
 use peachstar_datamodel::DataModelSet;
 use rand::rngs::SmallRng;
 
 use crate::snapshot::{CampaignSnapshot, SnapshotError, SnapshotMeta};
+use crate::strategy::GeneratedPacket;
 
 /// The assembled fuzzing engine: one instance of every seam.
 ///
@@ -76,42 +75,65 @@ pub struct Engine<X, O, F, M, S> {
 
 impl<X, O, F, M, S> Engine<X, O, F, M, S>
 where
+    O: Observer,
+    F: Feedback,
+    M: Monitor,
+    S: Schedule,
+{
+    /// Folds one executed packet, whose trace `merge` already went into the
+    /// observer, back into the seams: tally/bug record → valuable verdict →
+    /// schedule feedback → series sample. Returns the verdict; on `true` the
+    /// caller hands the packet to [`Feedback::retain`], moving it when it
+    /// owns it and cloning it out of a reused arena otherwise.
+    ///
+    /// Every driver reduces through here, per packet or at a merge barrier,
+    /// so their reduce order can never drift apart.
+    pub fn reduce(
+        &mut self,
+        execution: u64,
+        packet: &GeneratedPacket,
+        outcome: OutcomeSummary,
+        merge: &MergeOutcome,
+        models: &DataModelSet,
+    ) -> bool {
+        self.monitor.record(execution, packet, outcome);
+        let valuable = self.feedback.is_interesting(merge);
+        self.schedule.feedback(&FeedbackEvent {
+            execution,
+            packet,
+            valuable,
+            merge,
+            models,
+        });
+        self.monitor.sample(
+            execution,
+            self.observer.paths_covered(),
+            self.observer.edges_covered(),
+        );
+        valuable
+    }
+}
+
+impl<X, O, F, M, S> Engine<X, O, F, M, S>
+where
     X: Executor,
     O: Observer,
     F: Feedback,
     M: Monitor,
     S: Schedule,
 {
-    /// Runs one execution through every seam.
-    ///
-    /// The order of operations replicates the historical monolithic loop
-    /// bit-for-bit: generate → execute (reset policy inside) → tally/bug
-    /// record → coverage merge → valuable verdict → schedule feedback →
-    /// seed retention → series sample.
+    /// Runs one execution through every seam: generate → execute (reset
+    /// policy inside) → coverage merge → [`reduce`](Engine::reduce) → seed
+    /// retention.
     pub fn step(&mut self, execution: u64, models: &DataModelSet, rng: &mut SmallRng) {
         let packet = self.schedule.next_packet(models, rng);
         let (outcome, trace) = self.executor.execute(execution, &packet.bytes);
-        self.monitor
-            .record(execution, &packet, OutcomeSummary::from(&outcome));
         let merge = self.observer.merge(trace);
-        let valuable = self.feedback.is_interesting(&merge);
-        self.schedule.feedback(&FeedbackEvent {
-            execution,
-            packet: &packet,
-            valuable,
-            merge: &merge,
-            models,
-        });
-        if valuable {
-            // The schedule only borrows the packet, so retention can move it
+        if self.reduce(execution, &packet, OutcomeSummary::from(&outcome), &merge, models) {
+            // The schedule only borrowed the packet, so retention moves it
             // into the pool instead of cloning.
             self.feedback.retain(packet, &merge);
         }
-        self.monitor.sample(
-            execution,
-            self.observer.paths_covered(),
-            self.observer.edges_covered(),
-        );
     }
 
     /// Runs executions `1..=budget` through [`step`](Engine::step).
@@ -120,8 +142,8 @@ where
     }
 
     /// Runs executions `start..=end` (1-based, inclusive) through
-    /// [`step`](Engine::step) — the window body of the sequential engine,
-    /// used by the checkpointing campaign driver to pause between windows.
+    /// [`step`](Engine::step) — the round body of an unbatched inline
+    /// campaign.
     pub(crate) fn run_span(&mut self, start: u64, end: u64, models: &DataModelSet, rng: &mut SmallRng) {
         for execution in start..=end {
             self.step(execution, models, rng);
@@ -129,7 +151,7 @@ where
     }
 }
 
-impl<S: Schedule> Engine<TargetExecutor, CoverageObserver, NewCoverageFeedback, CampaignMonitor, S> {
+impl<X, S: Schedule> Engine<X, CoverageObserver, NewCoverageFeedback, CampaignMonitor, S> {
     /// Captures a [`CampaignSnapshot`] of the engine's resumable state.
     ///
     /// `completed` must be a reset-aligned window boundary: the target's

@@ -1,64 +1,67 @@
-//! Sharded campaigns: N workers execute disjoint, reset-aligned slices of
-//! one campaign in parallel, syncing through a deterministic merge barrier.
+//! The worker topology ([`Topology::Workers`]): N workers execute disjoint,
+//! reset-aligned slices of one campaign in parallel, syncing through a
+//! deterministic merge barrier.
 //!
 //! # How the work is split
 //!
-//! The sequential campaign resets its target every `reset_interval`
-//! executions, so the execution sequence decomposes into *windows* — maximal
-//! runs that start from the just-started target state. Windows are
-//! independent of each other on the target side (each begins with a reset),
-//! which makes them the natural unit of parallelism:
+//! The campaign resets its target every `reset_interval` executions, so the
+//! execution sequence decomposes into *windows* — maximal runs that start
+//! from the just-started target state. Windows are independent of each
+//! other on the target side (each begins with a reset), which makes them
+//! the natural unit of parallelism. Every round of the campaign's round
+//! loop runs [`sync_windows`](ShardConfig::sync_windows) windows in three
+//! phases:
 //!
 //! 1. **Generate** (sequential): the strategy produces the packets of the
-//!    next `sync_windows` windows in global execution order, consuming the
-//!    campaign RNG exactly as the sequential loop would.
+//!    round's windows in global execution order, consuming the campaign RNG
+//!    exactly as the inline loop would.
 //! 2. **Execute** (parallel): `workers` threads pull windows from a queue
 //!    and run them against their own [`Target::clone_fresh`] copies,
 //!    buffering each execution's [`OutcomeSummary`] and
 //!    [`peachstar_coverage::SparseTrace`] snapshot.
 //! 3. **Reduce** (sequential, the merge barrier): window results are merged
-//!    back in global execution order — coverage merge, valuable-seed
-//!    verdict, schedule feedback, seed retention, bug dedup and series
-//!    sampling all happen here, through the same engine seams the
-//!    sequential campaign uses.
+//!    back in global execution order through
+//!    [`Engine::reduce`](crate::engine::Engine::reduce), the same reduce the
+//!    inline topology uses.
+//!
+//! Under [`TransportMode::FramedTcp`] every worker's target is its own live
+//! connection to the spawned socket server, so the worker count is the
+//! connection count; a connection that exhausts its reconnect budget
+//! retires its worker and its windows degrade onto the survivors.
 //!
 //! # Determinism
 //!
 //! The worker count only decides *who* executes a window, never *what* is
 //! executed or in which order results merge, so the final report is
-//! bit-identical for any `workers >= 1` (see `tests/shard_determinism.rs`).
+//! bit-identical for any `workers >= 1` — and any connection count (see
+//! `tests/shard_determinism.rs` and `tests/transport_equivalence.rs`).
 //!
-//! For the feedback-free Peach baseline the sharded report is additionally
-//! bit-identical to the sequential [`Campaign`](crate::campaign::Campaign):
-//! the packet stream depends only on the RNG, and windows replay the exact
-//! target states of the sequential loop. The Peach\* strategy receives its
+//! For the feedback-free Peach baseline the worker report is additionally
+//! bit-identical to the inline [`Campaign`](crate::campaign::Campaign): the
+//! packet stream depends only on the RNG, and windows replay the exact
+//! target states of the inline loop. The Peach\* strategy receives its
 //! feedback at the barrier instead of per-execution (valuable seeds crack
-//! into puzzles one round later), so its sharded packet stream is
-//! deterministic but intentionally not identical to the sequential one.
+//! into puzzles one round later), so its packet stream is deterministic but
+//! intentionally not identical to the per-execution one.
+//!
+//! [`Topology::Workers`]: crate::campaign::Topology::Workers
+//! [`TransportMode::FramedTcp`]: crate::campaign::TransportMode::FramedTcp
 
 use std::collections::VecDeque;
 use std::sync::Mutex;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use rand::rngs::SmallRng;
-use rand::SeedableRng;
 
 use peachstar_coverage::{SparseTrace, TraceContext};
+use peachstar_datamodel::DataModelSet;
 use peachstar_protocols::{DecodeSink, Target, WindowResults};
 
-use crate::campaign::{CampaignConfig, CampaignReport, DriveOptions};
-use crate::engine::batch::windows_for_policy;
-use crate::engine::session::session_setup;
+use crate::campaign::{CampaignConfig, CampaignEngine};
 use crate::engine::supervisor::{contained, Watchdog};
 use crate::engine::transport::is_connection_loss;
-use crate::service::ServiceHooks;
-use crate::engine::{
-    CampaignMonitor, CoverageObserver, Executor, Feedback, FeedbackEvent, Monitor,
-    NewCoverageFeedback, Observer, OutcomeSummary, ResetPolicy, Schedule, SessionPlan,
-    StrategySchedule, TargetExecutor,
-};
-use crate::snapshot::{CampaignSnapshot, CheckpointConfig, SnapshotError, SnapshotMeta};
-use crate::strategy::{GeneratedPacket, GenerationStrategy};
+use crate::engine::{Executor, Feedback, Observer, OutcomeSummary, Schedule, TargetExecutor};
+use crate::strategy::GeneratedPacket;
 
 /// How many times the merge barrier re-attempts a failed window before
 /// giving up. The re-execution path contains panics per packet (and
@@ -73,11 +76,12 @@ const WINDOW_RETRIES: usize = 3;
 const ALL_CONNECTIONS_LOST: &str =
     "connection campaign: every connection exhausted its reconnect budget";
 
-/// How a sharded campaign spreads its work.
+/// How a worker-topology campaign spreads its work.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ShardConfig {
-    /// Worker threads executing windows in parallel. Does not influence the
-    /// campaign result — only how fast it is produced.
+    /// Worker threads executing windows in parallel (live connections under
+    /// framed TCP). Does not influence the campaign result — only how fast
+    /// it is produced.
     pub workers: usize,
     /// Windows generated (and merged) per round — the distance between two
     /// merge barriers, in windows. Part of the campaign semantics for
@@ -186,7 +190,6 @@ fn execute_window_fast(
     target: &mut Box<dyn Target + Send>,
     spare: &dyn Target,
     chunk: usize,
-    sink: DecodeSink,
     work: WindowWork,
     ctx: &mut TraceContext,
     results: &mut WindowResults,
@@ -204,25 +207,16 @@ fn execute_window_fast(
         panic!("{message}");
     }
     let start = work.start;
-    // In summary mode, debug builds re-prove the full/summary bit-identity
-    // claim on the first packet of every window, against fresh clones (the
-    // stateful worker target below is untouched).
-    #[cfg(debug_assertions)]
-    if sink == DecodeSink::Summary {
-        if let Some(packet) = work.packets.first() {
-            peachstar_protocols::sink::debug_cross_check_sinks(target.as_ref(), &packet.bytes);
-        }
-    }
     let mut remaining = work.packets;
     let mut records: Vec<ExecRecord> = Vec::with_capacity(remaining.len());
     while !remaining.is_empty() {
         let mut rest = remaining.split_off(remaining.len().min(chunk.max(1)));
         // One virtual dispatch per chunk instead of one per packet — the
-        // same amortisation (and the same protocol overrides) the batched
-        // sequential engine gets.
+        // same amortisation, protocol overrides and summary decoding the
+        // batched inline engine gets.
         let attempt = contained(|| {
             let refs: Vec<&[u8]> = remaining.iter().map(|p| p.bytes.as_slice()).collect();
-            target.process_batch(&refs, ctx, results, sink);
+            target.process_batch(&refs, ctx, results, DecodeSink::Summary);
         });
         if let Err(message) = attempt {
             // Reassemble the intact packet list: both the failed and the
@@ -300,7 +294,6 @@ fn execute_window_supervised(watchdog: &mut Watchdog, work: WindowWork) -> Windo
 fn shard_worker(
     worker: &mut ShardWorker,
     chunk: usize,
-    sink: DecodeSink,
     queue: &Mutex<VecDeque<WindowWork>>,
     done: &Mutex<Vec<WindowResult>>,
 ) {
@@ -322,7 +315,7 @@ fn shard_worker(
             // death — degradation is a fast-path concern.
             Some(watchdog) => WindowOutcome::Done(execute_window_supervised(watchdog, work)),
             None => {
-                execute_window_fast(target, spare.as_ref(), chunk, sink, work, &mut ctx, &mut results)
+                execute_window_fast(target, spare.as_ref(), chunk, work, &mut ctx, &mut results)
             }
         };
         match outcome {
@@ -376,512 +369,139 @@ fn reexecute_failed_window(
     panic!("a sharded window failed {WINDOW_RETRIES} re-execution attempts even under containment");
 }
 
-/// One fuzzing campaign executed by multiple workers over disjoint,
-/// reset-aligned slices of the execution budget.
-pub struct ShardedCampaign {
-    target: Box<dyn Target>,
-    config: CampaignConfig,
-    shard: ShardConfig,
-    strategy: Box<dyn GenerationStrategy>,
+/// The worker topology's executor: the blueprint target every worker
+/// target is cloned from (and failed windows are re-executed against), plus
+/// one [`ShardWorker`] per worker.
+pub(crate) struct WorkerPool {
+    blueprint: Box<dyn Target>,
+    workers: Vec<ShardWorker>,
+    /// The per-worker dispatch granularity: `--batch N` caps each
+    /// `process_batch` call at N packets; without it a whole window goes
+    /// into one call. Never affects the report — only how often a worker
+    /// crosses the target seam.
+    chunk: usize,
+    exec_timeout: Option<Duration>,
 }
 
-impl std::fmt::Debug for ShardedCampaign {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ShardedCampaign")
-            .field("target", &self.target.name())
-            .field("config", &self.config)
-            .field("shard", &self.shard)
-            .finish()
-    }
-}
-
-impl ShardedCampaign {
-    /// Creates a sharded campaign with the strategy named in the campaign
-    /// configuration.
-    #[must_use]
-    pub fn new(target: Box<dyn Target>, config: CampaignConfig, shard: ShardConfig) -> Self {
+impl WorkerPool {
+    /// `workers` (at least 1) workers cloned from `blueprint`, with the
+    /// dispatch chunk and watchdog deadline `config` asks for.
+    pub(crate) fn new(blueprint: Box<dyn Target>, workers: usize, config: &CampaignConfig) -> Self {
+        let exec_timeout = config.exec_timeout.map(Duration::from_millis);
+        let workers = (0..workers.max(1))
+            .map(|_| ShardWorker {
+                target: blueprint.clone_fresh(),
+                spare: blueprint.clone_fresh(),
+                watchdog: exec_timeout
+                    .map(|timeout| Watchdog::new(blueprint.clone_fresh(), timeout)),
+                dead: false,
+            })
+            .collect();
+        let chunk = config
+            .batch
+            .map_or(usize::MAX, |batch| usize::try_from(batch.max(1)).unwrap_or(usize::MAX));
         Self {
-            strategy: config.strategy.create(),
-            target,
-            config,
-            shard,
+            blueprint,
+            workers,
+            chunk,
+            exec_timeout,
         }
     }
 
-    /// Creates a sharded campaign with an explicit strategy.
-    #[must_use]
-    pub fn with_strategy(
-        target: Box<dyn Target>,
-        config: CampaignConfig,
-        shard: ShardConfig,
-        strategy: Box<dyn GenerationStrategy>,
-    ) -> Self {
-        Self {
-            target,
-            config,
-            shard,
-            strategy,
-        }
-    }
-
-    /// Runs the campaign to completion and returns the merged report.
-    ///
-    /// As with the sequential [`Campaign`](crate::campaign::Campaign), a
-    /// [`CampaignConfig::session`] configuration on a session-capable target
-    /// switches to session-shaped windows: every window is one whole session
-    /// and the per-window worker reset *is* the session-scoped reset, so
-    /// sessions never straddle a reset or a merge barrier.
-    #[must_use]
-    pub fn run(self) -> CampaignReport {
-        let (report, _) = self
-            .launch(DriveOptions::default())
-            .expect("a plain sharded campaign performs no fallible snapshot operations");
-        report
-    }
-
-    /// The reset policy this campaign will shard over (same derivation as
-    /// [`run`](ShardedCampaign::run)).
-    fn policy(&self) -> ResetPolicy {
-        let session = self
-            .config
-            .session
-            .and_then(|opts| self.target.session_template().map(|template| (opts, template)));
-        match session {
-            Some((opts, template)) => ResetPolicy::PerSession(
-                SessionPlan::new(template, opts.payload_packets).session_len(),
-            ),
-            None => ResetPolicy::Interval(self.config.reset_interval),
-        }
-    }
-
-    /// The merge-barrier (round-end) executions of this campaign, ascending;
-    /// the last is always the execution budget. Sharded checkpoints can only
-    /// land here: at a barrier the campaign RNG, the strategy feedback and
-    /// the global coverage are all fully synchronised — and the layout is
-    /// worker-count-invariant, so a snapshot taken with N workers resumes
-    /// bit-exactly with any other worker count.
-    #[must_use]
-    pub fn round_boundaries(&self) -> Vec<u64> {
-        let windows = windows_for_policy(self.config.executions, self.policy());
-        windows
-            .chunks(self.shard.sync_windows.max(1))
-            .filter_map(|round| round.last().map(|&(_, end)| end))
-            .collect()
-    }
-
-    /// Runs the campaign to completion, writing a checkpoint to
-    /// `checkpoint.path` at every merge barrier that completes
-    /// `checkpoint.every_windows` more windows (and at the final one).
-    pub fn run_checkpointed(
-        self,
-        checkpoint: &CheckpointConfig,
-    ) -> Result<CampaignReport, SnapshotError> {
-        self.launch(DriveOptions {
-            checkpoint: Some(checkpoint),
-            ..DriveOptions::default()
-        })
-        .map(|(report, _)| report)
-    }
-
-    /// Runs up to (and including) execution `stop_after` — which must be one
-    /// of [`round_boundaries`](ShardedCampaign::round_boundaries) — and
-    /// returns the snapshot taken at that merge barrier.
-    pub fn run_to_boundary(self, stop_after: u64) -> Result<CampaignSnapshot, SnapshotError> {
-        let (_, snapshot) = self.launch(DriveOptions {
-            stop_after: Some(stop_after),
-            ..DriveOptions::default()
-        })?;
-        Ok(snapshot.expect("a validated stop boundary always yields a snapshot"))
-    }
-
-    /// Resumes a snapshotted sharded campaign to completion. The snapshot
-    /// must have been taken at a merge barrier of an identically configured
-    /// campaign (worker count excepted — it is not part of the fingerprint).
-    pub fn resume(self, snapshot: &CampaignSnapshot) -> Result<CampaignReport, SnapshotError> {
-        self.launch(DriveOptions {
-            resume: Some(snapshot),
-            ..DriveOptions::default()
-        })
-        .map(|(report, _)| report)
-    }
-
-    /// Resumes a snapshot while continuing to write periodic checkpoints.
-    pub fn resume_checkpointed(
-        self,
-        snapshot: &CampaignSnapshot,
-        checkpoint: &CheckpointConfig,
-    ) -> Result<CampaignReport, SnapshotError> {
-        self.launch(DriveOptions {
-            resume: Some(snapshot),
-            checkpoint: Some(checkpoint),
-            ..DriveOptions::default()
-        })
-        .map(|(report, _)| report)
-    }
-
-    /// Resumes a snapshot and stops at a later merge barrier, returning the
-    /// snapshot taken there — the sharded form of interrupting a resumed run
-    /// again.
-    pub fn resume_to_boundary(
-        self,
-        snapshot: &CampaignSnapshot,
-        stop_after: u64,
-    ) -> Result<CampaignSnapshot, SnapshotError> {
-        let (_, out) = self.launch(DriveOptions {
-            resume: Some(snapshot),
-            stop_after: Some(stop_after),
-            ..DriveOptions::default()
-        })?;
-        Ok(out.expect("a validated stop boundary always yields a snapshot"))
-    }
-
-    /// Runs under service supervision: like
-    /// [`run_checkpointed`](ShardedCampaign::run_checkpointed), but live
-    /// progress is published to `hooks` at every merge barrier and a
-    /// graceful stop ([`ServiceHooks::request_stop`]) finishes the current
-    /// round, writes a final checkpoint, and returns early.
-    pub fn run_supervised(
-        self,
-        checkpoint: &CheckpointConfig,
-        hooks: &ServiceHooks,
-    ) -> Result<CampaignReport, SnapshotError> {
-        self.launch(DriveOptions {
-            checkpoint: Some(checkpoint),
-            service: Some(hooks),
-            ..DriveOptions::default()
-        })
-        .map(|(report, _)| report)
-    }
-
-    /// Resumes a snapshot under service supervision (see
-    /// [`run_supervised`](ShardedCampaign::run_supervised)).
-    pub fn resume_supervised(
-        self,
-        snapshot: &CampaignSnapshot,
-        checkpoint: &CheckpointConfig,
-        hooks: &ServiceHooks,
-    ) -> Result<CampaignReport, SnapshotError> {
-        self.launch(DriveOptions {
-            resume: Some(snapshot),
-            checkpoint: Some(checkpoint),
-            service: Some(hooks),
-            ..DriveOptions::default()
-        })
-        .map(|(report, _)| report)
-    }
-
-    /// Dispatches to the session-shaped or classic sharded engine under the
-    /// given snapshot options.
-    fn launch(
-        self,
-        opts: DriveOptions<'_>,
-    ) -> Result<(CampaignReport, Option<CampaignSnapshot>), SnapshotError> {
-        let started = Instant::now();
-        let Self {
-            target,
-            config,
-            shard,
-            strategy,
-        } = self;
-        // Under `FramedTcp` each worker's `clone_fresh` target is its own
-        // live connection to the spawned socket server; the guard (the
-        // server) must outlive the engine run. Reports stay bit-identical
-        // because the wire relays (outcome, trace) pairs verbatim and the
-        // snapshot fingerprint excludes the transport.
-        let (target, _transport) = crate::engine::transport::deploy(
-            target,
-            config.transport,
-            config.reconnect,
-            config.wire_chaos,
-        );
-        let meta = SnapshotMeta::for_campaign(target.name(), &config)
-            .sharded(shard.sync_windows.max(1) as u64);
-        let session = config
-            .session
-            .and_then(|opts| target.session_template().map(|template| (opts, template)));
-        match session {
-            Some((session_opts, template)) => {
-                let (policy, schedule) = session_setup(session_opts, template, strategy);
-                run_sharded_engine(target, &config, shard, policy, schedule, started, meta, opts)
-            }
-            None => run_sharded_engine(
-                target,
-                &config,
-                shard,
-                ResetPolicy::Interval(config.reset_interval),
-                StrategySchedule::new(strategy),
-                started,
-                meta,
-                opts,
-            ),
-        }
-    }
-}
-
-/// The generate → execute → reduce rounds of a sharded campaign, generic
-/// over the schedule so classic and session campaigns share one loop.
-///
-/// Snapshots interact with the rounds only at merge barriers: a barrier is
-/// the one instant where the campaign RNG (fully consumed by the round's
-/// sequential generation), the strategy feedback (digested in the reduce
-/// phase) and the global coverage are all synchronised, and the workers'
-/// targets hold no state a resume needs (every window begins with a reset).
-/// Resume therefore skips whole rounds, re-clones fresh worker targets and
-/// continues bit-exactly — with any worker count.
-#[allow(clippy::too_many_arguments)]
-fn run_sharded_engine<S: Schedule>(
-    target: Box<dyn Target>,
-    config: &CampaignConfig,
-    shard: ShardConfig,
-    policy: ResetPolicy,
-    mut schedule: S,
-    started: Instant,
-    meta: SnapshotMeta,
-    opts: DriveOptions<'_>,
-) -> Result<(CampaignReport, Option<CampaignSnapshot>), SnapshotError> {
-    let target_name = target.name();
-    let models = target.data_models();
-    let mut rng = SmallRng::seed_from_u64(config.rng_seed);
-    let mut observer = CoverageObserver::new();
-    let mut feedback = NewCoverageFeedback::new();
-    let mut monitor = CampaignMonitor::new(config.executions, config.sample_interval);
-
-    let windows = windows_for_policy(config.executions, policy);
-    let sync_windows = shard.sync_windows.max(1);
-    let is_round_end = |execution: u64| {
-        windows
-            .chunks(sync_windows)
-            .filter_map(|round| round.last().map(|&(_, end)| end))
-            .any(|end| end == execution)
-    };
-    let resumed_from = match opts.resume {
-        Some(snapshot) => {
-            snapshot.meta.ensure_matches(&meta)?;
-            if snapshot.completed != 0 && !is_round_end(snapshot.completed) {
-                return Err(SnapshotError::Unaligned(snapshot.completed));
-            }
-            snapshot.restore_into(
-                &mut rng,
-                &mut observer,
-                &mut feedback,
-                &mut monitor,
-                &mut schedule,
-            )?;
-            snapshot.completed
-        }
-        None => 0,
-    };
-    if let Some(stop) = opts.stop_after {
-        if stop <= resumed_from || !is_round_end(stop) {
-            return Err(SnapshotError::Unaligned(stop));
-        }
-    }
-
-    let exec_timeout = config.exec_timeout.map(Duration::from_millis);
-    let workers = shard.workers.max(1);
-    let mut worker_states: Vec<ShardWorker> = (0..workers)
-        .map(|_| ShardWorker {
-            target: target.clone_fresh(),
-            spare: target.clone_fresh(),
-            watchdog: exec_timeout.map(|timeout| Watchdog::new(target.clone_fresh(), timeout)),
-            dead: false,
-        })
-        .collect();
-    // The per-worker dispatch granularity: `--batch N` caps each
-    // `process_batch` call at N packets; without it a whole window goes into
-    // one call. Never affects the report — only how often the worker crosses
-    // the target seam.
-    let chunk = config
-        .batch
-        .map_or(usize::MAX, |batch| usize::try_from(batch.max(1)).unwrap_or(usize::MAX));
-    // Summary-only decoding on every worker's fast path; the supervised and
-    // recovery paths always decode in full.
-    let sink = if config.summary_only {
-        DecodeSink::Summary
-    } else {
-        DecodeSink::Full
-    };
-
-    if let Some(checkpoint) = opts.checkpoint {
-        checkpoint.prepare()?;
-    }
-
-    let mut out_snapshot = None;
-    let mut completed = resumed_from;
-    let mut windows_done = 0u64;
-    for round in windows.chunks(sync_windows) {
-        let round_windows = round.len() as u64;
-        windows_done += round_windows;
-        let round_end = round.last().map_or(0, |&(_, end)| end);
-        if round_end <= resumed_from {
-            continue;
-        }
-        // Phase 1 — generate: replay the strategy sequentially, in
-        // global execution order, exactly as the sequential loop would.
+    /// One round of the worker topology: generate → execute on the workers
+    /// → reduce at the merge barrier.
+    pub(crate) fn run_round<S: Schedule>(
+        engine: &mut CampaignEngine<Self, S>,
+        round: &[(u64, u64)],
+        models: &DataModelSet,
+        rng: &mut SmallRng,
+    ) {
+        // Phase 1 — generate: replay the strategy sequentially, in global
+        // execution order, exactly as the inline loop would.
         let work: VecDeque<WindowWork> = round
             .iter()
             .map(|&(start, end)| WindowWork {
                 start,
                 packets: (start..=end)
-                    .map(|_| schedule.next_packet(&models, &mut rng))
+                    .map(|_| engine.schedule.next_packet(models, rng))
                     .collect(),
             })
             .collect();
 
-        // Phase 2 — execute: workers drain the window queue in
-        // parallel. Which worker runs which window is scheduling noise;
-        // the buffered results are re-ordered below. A worker whose
-        // connection exhausts its reconnect budget requeues its window and
-        // retires; the loop re-enters the scope so surviving workers drain
-        // whatever the casualties left behind (normally the survivors pick
-        // the window up within the first scope already). The campaign
-        // fails only when no live connection remains and windows are still
-        // queued.
-        let queue = Mutex::new(work);
-        let done: Mutex<Vec<WindowResult>> = Mutex::new(Vec::with_capacity(round.len()));
-        let (queue_ref, done_ref) = (&queue, &done);
-        loop {
-            std::thread::scope(|scope| {
-                for worker in worker_states.iter_mut().filter(|worker| !worker.dead) {
-                    scope.spawn(move || shard_worker(worker, chunk, sink, queue_ref, done_ref));
-                }
-            });
-            if queue.lock().expect("window queue poisoned").is_empty() {
-                break;
-            }
-            assert!(
-                worker_states.iter().any(|worker| !worker.dead),
-                "{ALL_CONNECTIONS_LOST}"
-            );
-        }
+        // Phase 2 — execute on the workers, in parallel.
+        let mut results = engine.executor.execute(work);
 
-        // Phase 3 — reduce (the merge barrier): fold every window back
-        // in global execution order through the same seams the
-        // sequential engine uses.
-        let mut results = done.into_inner().expect("window results poisoned");
+        // Phase 3 — reduce (the merge barrier): fold every window back in
+        // global execution order through `Engine::reduce`.
         results.sort_by_key(|window| window.start);
         for window in results {
             // A window whose worker failed mid-flight arrives with its
             // packets intact instead of records; recover it here, on the
             // fault-tolerant per-packet path, before merging.
             let records = if window.failed {
-                reexecute_failed_window(target.as_ref(), exec_timeout, &window.packets)
+                reexecute_failed_window(
+                    engine.executor.blueprint.as_ref(),
+                    engine.executor.exec_timeout,
+                    &window.packets,
+                )
             } else {
                 window.records
             };
             for (offset, record) in records.into_iter().enumerate() {
                 let execution = window.start + offset as u64;
-                monitor.record(execution, &record.packet, record.outcome);
-                let merge = observer.merge_sparse(&record.trace);
-                let valuable = feedback.is_interesting(&merge);
-                schedule.feedback(&FeedbackEvent {
-                    execution,
-                    packet: &record.packet,
-                    valuable,
-                    merge: &merge,
-                    models: &models,
-                });
-                if valuable {
-                    feedback.retain(record.packet, &merge);
-                }
-                monitor.sample(
-                    execution,
-                    observer.paths_covered(),
-                    observer.edges_covered(),
-                );
-            }
-        }
-        completed = round_end;
-
-        // Checkpoint/stop at the barrier. The cadence counts absolute
-        // windows from the campaign start ("crossed a multiple of
-        // `every_windows` within this round"), so it is invariant under
-        // interruption and worker count.
-        if let Some(service) = opts.service {
-            service.observe(
-                round_end,
-                observer.paths_covered(),
-                observer.edges_covered(),
-                monitor.bugs().len(),
-            );
-        }
-        let final_round = round_end == config.executions;
-        let stop_here = opts.stop_after == Some(round_end)
-            || (!final_round && opts.service.is_some_and(ServiceHooks::stop_requested));
-        let write_checkpoint = opts.checkpoint.is_some_and(|checkpoint| {
-            let every = checkpoint.every_windows.max(1);
-            let before = windows_done - round_windows;
-            windows_done / every > before / every || final_round || stop_here
-        });
-        if write_checkpoint || stop_here || (opts.capture_final && final_round) {
-            let snapshot = CampaignSnapshot::capture(
-                meta.clone(),
-                round_end,
-                &rng,
-                &observer,
-                &feedback,
-                &monitor,
-                &schedule,
-            );
-            if let Some(checkpoint) = opts.checkpoint.filter(|_| write_checkpoint) {
-                checkpoint.store(&snapshot)?;
-                if let Some(service) = opts.service {
-                    service.checkpointed(round_end);
+                let merge = engine.observer.merge_sparse(&record.trace);
+                if engine.reduce(execution, &record.packet, record.outcome, &merge, models) {
+                    engine.feedback.retain(record.packet, &merge);
                 }
             }
-            if stop_here || (opts.capture_final && final_round) {
-                out_snapshot = Some(snapshot);
+        }
+    }
+
+    /// Workers drain the window queue in parallel. Which worker runs which
+    /// window is scheduling noise; the caller re-orders the buffered results.
+    /// A worker whose connection exhausts its reconnect budget requeues its
+    /// window and retires; the loop re-enters the scope so surviving workers
+    /// drain whatever the casualties left behind (normally the survivors
+    /// pick the window up within the first scope already). The campaign
+    /// fails only when no live connection remains and windows are still
+    /// queued.
+    fn execute(&mut self, work: VecDeque<WindowWork>) -> Vec<WindowResult> {
+        let chunk = self.chunk;
+        let done: Mutex<Vec<WindowResult>> = Mutex::new(Vec::with_capacity(work.len()));
+        let queue = Mutex::new(work);
+        let (queue_ref, done_ref) = (&queue, &done);
+        loop {
+            std::thread::scope(|scope| {
+                for worker in self.workers.iter_mut().filter(|worker| !worker.dead) {
+                    scope.spawn(move || shard_worker(worker, chunk, queue_ref, done_ref));
+                }
+            });
+            if queue.lock().expect("window queue poisoned").is_empty() {
+                break;
             }
+            assert!(
+                self.workers.iter().any(|worker| !worker.dead),
+                "{ALL_CONNECTIONS_LOST}"
+            );
         }
-        if stop_here {
-            break;
-        }
+        done.into_inner().expect("window results poisoned")
     }
-    drop(worker_states);
-    if opts.capture_final && out_snapshot.is_none() {
-        out_snapshot = Some(CampaignSnapshot::capture(
-            meta, completed, &rng, &observer, &feedback, &monitor, &schedule,
-        ));
-    }
-
-    let (responses, protocol_errors, fault_hits) = (
-        monitor.responses(),
-        monitor.protocol_errors(),
-        monitor.fault_hits(),
-    );
-    let (series, bugs) = monitor.into_series_and_bugs();
-    let report = CampaignReport {
-        target: target_name.to_string(),
-        strategy: config.strategy,
-        executions: completed,
-        series,
-        bugs,
-        valuable_seeds: feedback.retained(),
-        corpus_size: schedule.corpus_size(),
-        responses,
-        protocol_errors,
-        fault_hits,
-        wall_time: started.elapsed(),
-    };
-    Ok((report, out_snapshot))
-}
-
-/// Convenience wrapper: runs `config` against `target` with `workers`
-/// parallel workers and the default barrier distance.
-#[must_use]
-pub fn run_sharded(
-    target: Box<dyn Target>,
-    config: CampaignConfig,
-    workers: usize,
-) -> CampaignReport {
-    ShardedCampaign::new(target, config, ShardConfig::with_workers(workers)).run()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::campaign::{CampaignReport, ShardedCampaign, TransportMode};
     use crate::strategy::StrategyKind;
     use peachstar_protocols::TargetId;
+
+    fn run_on_workers(
+        target: Box<dyn Target>,
+        config: CampaignConfig,
+        workers: usize,
+    ) -> CampaignReport {
+        ShardedCampaign::new(target, config, ShardConfig::with_workers(workers)).run()
+    }
 
     #[test]
     fn worker_chunk_size_never_changes_the_report() {
@@ -898,7 +518,7 @@ mod tests {
                     .sample_interval(100)
                     .reset_interval(250)
             };
-            let report = run_sharded(TargetId::Iec104.create(), config, 2);
+            let report = run_on_workers(TargetId::Iec104.create(), config, 2);
             (
                 report.final_paths(),
                 report.responses,
@@ -919,7 +539,7 @@ mod tests {
             .rng_seed(3)
             .sample_interval(100)
             .sessions(crate::engine::SessionConfig::new(6));
-        let report = run_sharded(TargetId::Iec104.create(), config, 2);
+        let report = run_on_workers(TargetId::Iec104.create(), config, 2);
         assert_eq!(report.executions, 1_000);
         assert_eq!(
             report.responses + report.protocol_errors + report.fault_hits,
@@ -935,7 +555,7 @@ mod tests {
             .rng_seed(9)
             .sample_interval(100)
             .reset_interval(200);
-        let report = run_sharded(TargetId::Iec104.create(), config, 3);
+        let report = run_on_workers(TargetId::Iec104.create(), config, 3);
         assert_eq!(report.executions, 1_500);
         assert_eq!(
             report.responses + report.protocol_errors + report.fault_hits,
@@ -961,7 +581,7 @@ mod tests {
                 .rng_seed(5)
                 .sample_interval(100)
                 .reset_interval(150);
-            let report = run_sharded(target, config, workers);
+            let report = run_on_workers(target, config, workers);
             assert_eq!(report.executions, 600, "chaos must not shorten the budget");
             (
                 report.final_paths(),
@@ -989,8 +609,8 @@ mod tests {
             .rng_seed(9)
             .sample_interval(100)
             .reset_interval(100);
-        let plain = run_sharded(TargetId::Iec104.create(), config, 2);
-        let supervised = run_sharded(
+        let plain = run_on_workers(TargetId::Iec104.create(), config, 2);
+        let supervised = run_on_workers(
             TargetId::Iec104.create(),
             config.exec_timeout_ms(10_000),
             2,
@@ -1000,6 +620,18 @@ mod tests {
         assert_eq!(plain.protocol_errors, supervised.protocol_errors);
         assert_eq!(plain.fault_hits, supervised.fault_hits);
         assert_eq!(plain.bugs, supervised.bugs);
+    }
+
+    #[test]
+    fn connection_campaign_runs_over_live_sockets() {
+        let config = CampaignConfig::new(StrategyKind::PeachStar)
+            .executions(1_500)
+            .sample_interval(150)
+            .reset_interval(250)
+            .transport(TransportMode::FramedTcp);
+        let report = run_on_workers(TargetId::Modbus.create(), config, 2);
+        assert_eq!(report.executions, 1_500);
+        assert!(report.final_paths() > 0, "coverage flows back over the wire");
     }
 
     #[test]

@@ -41,10 +41,10 @@
 //! Only when the retry budget is exhausted does the target panic — with a
 //! stable, attempt-count-free message that carries the error class
 //! ("connection-refused" dedups apart from "connection-reset"), so the
-//! executor's containment records one bug per failure class and
-//! [`ShardedCampaign`](super::shard::ShardedCampaign) can recognise the
-//! prefix (`is_connection_loss`) and degrade the dead connection instead
-//! of failing the campaign.
+//! executor's containment records one bug per failure class and the
+//! [worker topology](super::shard) can recognise the prefix
+//! (`is_connection_loss`) and degrade the dead connection instead of
+//! failing the campaign.
 
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};

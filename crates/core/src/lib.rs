@@ -52,8 +52,8 @@ pub mod stats;
 pub mod strategy;
 
 pub use artifact::{CrashArtifact, ReplayError};
-pub use campaign::{Campaign, CampaignConfig, CampaignReport};
-pub use engine::{run_sharded, Engine, ShardConfig, ShardedCampaign};
+pub use campaign::{Campaign, CampaignConfig, CampaignReport, RunPlan, ShardedCampaign, Topology};
+pub use engine::{Engine, ShardConfig};
 pub use corpus::PuzzleCorpus;
 pub use cracker::FileCracker;
 pub use error::FuzzError;

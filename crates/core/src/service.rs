@@ -4,12 +4,11 @@
 //! Three pieces cooperate:
 //!
 //! * [`ServiceHooks`] — the shared seam between the running campaign and the
-//!   outside world. Both engine drivers (sequential and sharded) publish
-//!   live progress into it at every window/merge-barrier boundary and poll
-//!   its stop flag there; requesting a stop therefore *drains gracefully*:
-//!   the current window finishes, a final checkpoint is written, and the
-//!   supervised run returns with `executions` naming the boundary it
-//!   stopped at.
+//!   outside world. The campaign's round loop publishes live progress into
+//!   it at every round end and polls its stop flag there; requesting a stop
+//!   therefore *drains gracefully*: the current round finishes, a final
+//!   checkpoint is written, and the supervised run returns with
+//!   `executions` naming the boundary it stopped at.
 //! * [`ControlServer`] — a line-oriented JSON control socket (`--control
 //!   ADDR`). Clients send one command per line: `status` answers with the
 //!   live status document ([`ServiceHooks::status_json`]), `stop` trips the
@@ -27,10 +26,10 @@
 //! [`CheckpointConfig::rotation`]: crate::snapshot::CheckpointConfig::rotation
 //! [`CampaignSnapshot::resume_latest`]: crate::snapshot::CampaignSnapshot::resume_latest
 //!
-//! The hooks are engine-agnostic: `Campaign::run_supervised`,
-//! `ShardedCampaign::run_supervised` and `ConnectionCampaign::run_supervised`
-//! (plus their `resume_supervised` twins) all drive the same seam, so the
-//! service shape is identical in-process, sharded and over a real wire.
+//! A campaign is supervised by passing the hooks as
+//! [`RunPlan::service`](crate::campaign::RunPlan::service) to
+//! [`Campaign::run_plan`](crate::campaign::Campaign::run_plan), so the
+//! service shape is identical inline, on workers and over a real wire.
 
 use std::io::{self, BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -39,8 +38,8 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
-/// A point-in-time view of a supervised campaign, published by the engine
-/// drivers at every window boundary.
+/// A point-in-time view of a supervised campaign, published by the round
+/// loop at every round end.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ServiceStatus {
     /// Executions completed so far.
@@ -60,7 +59,7 @@ pub struct ServiceStatus {
 
 /// The shared seam between a supervised campaign and its operators: live
 /// status in, stop requests out. Cheap to clone behind an [`Arc`]; the
-/// engine drivers hold a borrow for the campaign's duration while the
+/// round loop holds a borrow for the campaign's duration while the
 /// [`ControlServer`] (or a signal handler, or a test) holds another.
 #[derive(Debug)]
 pub struct ServiceHooks {
@@ -107,7 +106,7 @@ impl ServiceHooks {
         self.started.elapsed().as_secs_f64()
     }
 
-    /// Publishes the boundary state the driver just reached.
+    /// Publishes the boundary state the round loop just reached.
     pub(crate) fn observe(&self, executions: u64, paths: usize, edges: usize, bugs: usize) {
         let mut status = self.status.lock().expect("service status poisoned");
         status.executions = executions;

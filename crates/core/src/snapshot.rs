@@ -173,7 +173,7 @@ pub struct SnapshotMeta {
 impl SnapshotMeta {
     /// The fingerprint of a (sequential) campaign configuration.
     ///
-    /// Operational knobs — `exec_timeout`, `summary_only`, `transport`, the
+    /// Operational knobs — `exec_timeout`, `transport`, the
     /// worker/connection count, the `reconnect` policy, server-side
     /// `wire_chaos` injection, and the service flags (`--control`,
     /// `--keep-checkpoints`) — are deliberately excluded: they never change
@@ -1173,9 +1173,8 @@ mod tests {
     fn operational_knobs_stay_out_of_the_fingerprint() {
         // Service and transport-recovery flags must never fence a resume:
         // configs differing only in reconnect schedule, wire chaos, exec
-        // timeout, summary mode or transport fingerprint identically (the
-        // rotation depth and `--control` address never even reach the
-        // config).
+        // timeout or transport fingerprint identically (the rotation depth
+        // and `--control` address never even reach the config).
         use crate::campaign::{CampaignConfig, ReconnectPolicy, TransportMode};
         use crate::strategy::StrategyKind;
         let base = CampaignConfig::new(StrategyKind::PeachStar)
@@ -1188,7 +1187,6 @@ mod tests {
             base.wire_chaos(peachstar_protocols::WireChaos::drop_every(5).reject_after_drop(3)),
             base.transport(TransportMode::FramedTcp),
             base.exec_timeout_ms(50),
-            base.summary_only(),
         ];
         for (index, variant) in variants.iter().enumerate() {
             let meta = SnapshotMeta::for_campaign("libmodbus", variant);

@@ -11,12 +11,13 @@
 //!
 //! * [`DecodeSink::Full`] builds every response and error string
 //!   bit-for-bit — the historical behaviour, required whenever outcome
-//!   payloads are inspected (the sequential engine, session handshakes,
+//!   payloads are inspected (the per-packet engine, session handshakes,
 //!   replay, tests).
 //! * [`DecodeSink::Summary`] keeps the **identical control flow** — every
 //!   `cov_edge!` site, branch and state mutation fires exactly as before,
 //!   so recorded traces and `path_id`s are untouched by construction — but
-//!   returns empty payloads instead of formatting/assembling them.
+//!   returns empty payloads instead of formatting/assembling them. Batched
+//!   campaign windows always decode this way.
 //!
 //! The sink is armed per thread ([`DecodeSink::arm`]) for the duration of a
 //! batched window, not threaded through every decoder helper: the decoders'
@@ -182,9 +183,8 @@ pub fn response_vec(bytes: Vec<u8>) -> Outcome {
 /// clones of `target`, one per sink, and asserts the recorded
 /// [`OutcomeSummary`](crate::OutcomeSummary) and trace are identical.
 ///
-/// Batched executors call this on a sampled packet per window when decoding
-/// in summary mode, so every debug campaign continuously re-proves the
-/// bit-identity argument on real campaign traffic.
+/// The sink tests run it over every target's traffic; campaign equivalence
+/// suites prove the same identity end to end.
 #[cfg(debug_assertions)]
 pub fn debug_cross_check_sinks(target: &dyn crate::Target, packet: &[u8]) {
     use peachstar_coverage::TraceContext;

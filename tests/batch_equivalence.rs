@@ -181,13 +181,13 @@ fn batched_session_peach_equals_sequential_session_campaign() {
 }
 
 #[test]
-fn summary_only_decode_never_changes_a_batched_report() {
-    // `summary_only` skips response assembly and error-string formatting
-    // inside the decoders — operational output the campaign loop never
-    // reads. Control flow, state and traces are identical by construction
-    // (debug builds cross-check a sampled packet per window), so every
-    // deterministic report field must match the full-decode run bit for bit
-    // — for every target, both strategies, and across batch sizes.
+fn summary_decode_never_changes_a_batched_report() {
+    // Batched windows decode with the summary sink: decoders skip response
+    // assembly and error-string formatting, which the campaign loop never
+    // reads, while control flow, state and traces stay identical. An armed
+    // watchdog runs the same windows per packet with full decodes, so every
+    // deterministic report field must match it bit for bit — for every
+    // target, both strategies, and across batch sizes.
     for (target, seed) in [
         (TargetId::Modbus, 3),
         (TargetId::Iec104, 7),
@@ -199,12 +199,13 @@ fn summary_only_decode_never_changes_a_batched_report() {
         for strategy in [StrategyKind::Peach, StrategyKind::PeachStar] {
             for batch in [7, 250] {
                 let cfg = config(strategy, seed).batch(batch);
-                let full = deterministic(&Campaign::new(target.create(), cfg).run());
-                let summary =
-                    deterministic(&Campaign::new(target.create(), cfg.summary_only()).run());
+                let summary = deterministic(&Campaign::new(target.create(), cfg).run());
+                let full = deterministic(
+                    &Campaign::new(target.create(), cfg.exec_timeout_ms(60_000)).run(),
+                );
                 assert_eq!(
                     full, summary,
-                    "{strategy} on {target} seed {seed} batch {batch}: summary-only diverged"
+                    "{strategy} on {target} seed {seed} batch {batch}: summary decode diverged"
                 );
             }
         }
@@ -212,25 +213,26 @@ fn summary_only_decode_never_changes_a_batched_report() {
 }
 
 #[test]
-fn summary_only_decode_never_changes_a_sharded_report() {
-    // The sharded engine arms the same sink on every worker's fast path;
-    // the merge barrier and recovery paths are untouched, so worker-count
-    // invariance and summary/full equality compose.
+fn summary_decode_never_changes_a_sharded_report() {
+    // Workers decode their fast-path windows with the same sink; the
+    // supervised worker path decodes in full, so worker-count invariance
+    // and summary/full equality compose.
     for (target, seed) in [(TargetId::Modbus, 11), (TargetId::Iec104, 5)] {
         for strategy in [StrategyKind::Peach, StrategyKind::PeachStar] {
             for workers in [1, 3] {
                 let cfg = config(strategy, seed).batch(64);
                 let shard = ShardConfig::with_workers(workers).sync_windows(2);
-                let full = deterministic(
+                let summary = deterministic(
                     &ShardedCampaign::new(target.create(), cfg, shard).run(),
                 );
-                let summary = deterministic(
-                    &ShardedCampaign::new(target.create(), cfg.summary_only(), shard).run(),
+                let full_decode = cfg.exec_timeout_ms(60_000);
+                let full = deterministic(
+                    &ShardedCampaign::new(target.create(), full_decode, shard).run(),
                 );
                 assert_eq!(
                     full, summary,
                     "{strategy} on {target} seed {seed}, {workers} workers: \
-                     sharded summary-only diverged"
+                     sharded summary decode diverged"
                 );
             }
         }

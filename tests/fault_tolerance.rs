@@ -25,8 +25,7 @@
 
 use peachstar::artifact::CrashArtifact;
 use peachstar::campaign::{
-    Campaign, CampaignConfig, ConnectionCampaign, ConnectionConfig, SessionConfig, ShardConfig,
-    ShardedCampaign, TransportMode,
+    Campaign, CampaignConfig, RunPlan, SessionConfig, ShardConfig, ShardedCampaign, TransportMode,
 };
 use peachstar::engine::transport::FramedTcpTarget;
 use peachstar::strategy::StrategyKind;
@@ -231,7 +230,7 @@ fn framed_tcp_chaos_campaign_matches_in_process() {
 
 #[test]
 fn connection_driver_chaos_matches_the_in_process_sharded_engine() {
-    // The same guarantee through the concurrent-connection driver: N live
+    // The same guarantee on the worker topology over framed TCP: N live
     // connections with server-side chaos reduce to the in-process sharded
     // report at the merge barrier.
     let cfg = config(StrategyKind::PeachStar, 77);
@@ -245,10 +244,10 @@ fn connection_driver_chaos_matches_the_in_process_sharded_engine() {
     );
     for connections in [1, 3] {
         let live = deterministic(
-            &ConnectionCampaign::new(
+            &ShardedCampaign::new(
                 chaos_target(TargetId::Lib60870),
-                cfg,
-                ConnectionConfig::with_connections(connections).sync_windows(4),
+                cfg.transport(TransportMode::FramedTcp),
+                ShardConfig::with_workers(connections).sync_windows(4),
             )
             .run(),
         );
@@ -364,11 +363,12 @@ fn resume_composes_with_chaos_and_artifacts() {
 
     let boundaries = Campaign::new(chaos_target(TargetId::Modbus), cfg).window_boundaries();
     let boundary = boundaries[boundaries.len() / 2];
-    let snapshot = Campaign::new(chaos_target(TargetId::Modbus), cfg)
-        .run_to_boundary(boundary)
+    let (_, snapshot) = Campaign::new(chaos_target(TargetId::Modbus), cfg)
+        .run_plan(RunPlan { stop_after: Some(boundary), ..RunPlan::default() })
         .expect("runs to the boundary");
-    let resumed = Campaign::new(chaos_target(TargetId::Modbus), cfg)
-        .resume(&snapshot)
+    let snapshot = snapshot.expect("a stop returns its snapshot");
+    let (resumed, _) = Campaign::new(chaos_target(TargetId::Modbus), cfg)
+        .run_plan(RunPlan { resume: Some(&snapshot), ..RunPlan::default() })
         .expect("resumes");
     assert_eq!(
         deterministic(&complete),

@@ -89,45 +89,16 @@ fn modbus_peach_baseline_report_is_pinned() {
 
 #[test]
 fn batched_modbus_peach_baseline_matches_the_pinned_report() {
-    // The batched driver (PR 5) against the constants captured from the
-    // *pre-PR-2 dense* implementation, deliberately un-recaptured: batching
-    // amortises dispatch but may not move a single count of the
-    // feedback-free baseline, whatever the batch size.
+    // The batched driver against the constants captured from the dense
+    // implementation, deliberately un-recaptured: batching amortises
+    // dispatch and decodes with the summary sink, but may not move a single
+    // count of the feedback-free baseline, whatever the batch size.
     for batch in [64, 250, 4_000] {
         let config = CampaignConfig::new(StrategyKind::Peach)
             .executions(3_000)
             .rng_seed(3)
             .sample_interval(200)
             .batch(batch);
-        assert_eq!(
-            run_config(TargetId::Modbus, config),
-            PinnedReport {
-                final_paths: 89,
-                final_edges: 125,
-                responses: 953,
-                protocol_errors: 2_040,
-                fault_hits: 7,
-                unique_bugs: 2,
-                valuable_seeds: 89,
-                corpus_size: 0,
-            },
-            "batch {batch}"
-        );
-    }
-}
-
-#[test]
-fn summary_only_batched_modbus_peach_matches_the_pinned_report() {
-    // Summary-only decoding (PR 8) against the same pre-PR-2 constants,
-    // again deliberately un-recaptured: skipping response assembly and
-    // error-string formatting may not move a single count either.
-    for batch in [64, 250] {
-        let config = CampaignConfig::new(StrategyKind::Peach)
-            .executions(3_000)
-            .rng_seed(3)
-            .sample_interval(200)
-            .batch(batch)
-            .summary_only();
         assert_eq!(
             run_config(TargetId::Modbus, config),
             PinnedReport {

@@ -21,8 +21,7 @@ use std::sync::{Arc, OnceLock};
 use proptest::prelude::*;
 
 use peachstar::campaign::{
-    Campaign, CampaignConfig, ConnectionCampaign, ConnectionConfig, ReconnectPolicy, ShardConfig,
-    ShardedCampaign, TransportMode,
+    Campaign, CampaignConfig, ReconnectPolicy, RunPlan, ShardConfig, ShardedCampaign, TransportMode,
 };
 use peachstar::snapshot::{CampaignSnapshot, CheckpointConfig};
 use peachstar::strategy::StrategyKind;
@@ -68,6 +67,11 @@ fn config(seed: u64) -> CampaignConfig {
         .reset_interval(250)
 }
 
+/// Runs `campaign` under `plan` and returns its report.
+fn run(campaign: Campaign, plan: RunPlan<'_>) -> CampaignReport {
+    campaign.run_plan(plan).expect("campaign run").0
+}
+
 /// A unique scratch rotation directory, wiped clean before use.
 fn scratch_dir(tag: &str) -> PathBuf {
     static UNIQUE: AtomicUsize = AtomicUsize::new(0);
@@ -105,9 +109,9 @@ fn graceful_stop_then_resume_latest_is_bit_identical_to_uninterrupted() {
     // boundary — deterministically — and writes a final checkpoint there.
     let hooks = ServiceHooks::new(cfg.executions);
     hooks.request_stop();
-    let partial = Campaign::new(TargetId::Modbus.create(), cfg)
-        .run_supervised(&checkpoint, &hooks)
-        .expect("supervised run");
+    let supervised =
+        RunPlan { checkpoint: Some(&checkpoint), service: Some(&hooks), ..RunPlan::default() };
+    let partial = run(Campaign::new(TargetId::Modbus.create(), cfg), supervised);
     assert!(
         partial.executions < cfg.executions,
         "the drain must stop before the budget: stopped at {}",
@@ -126,9 +130,8 @@ fn graceful_stop_then_resume_latest_is_bit_identical_to_uninterrupted() {
         .expect("the stop wrote a restorable checkpoint");
     assert_eq!(snapshot.completed, partial.executions);
     let resumed_hooks = ServiceHooks::new(cfg.executions);
-    let resumed = Campaign::new(TargetId::Modbus.create(), cfg)
-        .resume_supervised(&snapshot, &checkpoint, &resumed_hooks)
-        .expect("supervised resume");
+    let plan = RunPlan { resume: Some(&snapshot), service: Some(&resumed_hooks), ..supervised };
+    let resumed = run(Campaign::new(TargetId::Modbus.create(), cfg), plan);
     assert_eq!(resumed.executions, cfg.executions);
     assert_eq!(complete, deterministic(&resumed), "graceful stop + resume diverged");
     assert_eq!(resumed_hooks.status().executions, cfg.executions);
@@ -145,9 +148,10 @@ fn an_unstopped_supervised_run_is_observationally_free() {
     let plain = deterministic(&Campaign::new(TargetId::Iec104.create(), cfg).run());
     let dir = scratch_dir("free");
     let hooks = ServiceHooks::new(cfg.executions);
-    let supervised = Campaign::new(TargetId::Iec104.create(), cfg)
-        .run_supervised(&CheckpointConfig::new(dir.clone(), 2).rotation(2), &hooks)
-        .expect("supervised run");
+    let checkpoint = CheckpointConfig::new(dir.clone(), 2).rotation(2);
+    let plan =
+        RunPlan { checkpoint: Some(&checkpoint), service: Some(&hooks), ..RunPlan::default() };
+    let supervised = run(Campaign::new(TargetId::Iec104.create(), cfg), plan);
     assert_eq!(supervised.executions, cfg.executions);
     assert_eq!(plain, deterministic(&supervised));
     let status = hooks.status();
@@ -198,9 +202,9 @@ fn a_control_socket_stop_drains_and_the_service_resumes_to_the_same_report() {
         }
     });
 
-    let stopped = Campaign::new(TargetId::Modbus.create(), cfg)
-        .run_supervised(&checkpoint, &hooks)
-        .expect("supervised run");
+    let plan =
+        RunPlan { checkpoint: Some(&checkpoint), service: Some(&hooks), ..RunPlan::default() };
+    let stopped = run(Campaign::new(TargetId::Modbus.create(), cfg), plan);
     operator.join().expect("operator thread");
     control.shutdown();
 
@@ -215,9 +219,8 @@ fn a_control_socket_stop_drains_and_the_service_resumes_to_the_same_report() {
     let final_report = if snapshot.completed == cfg.executions {
         stopped
     } else {
-        Campaign::new(TargetId::Modbus.create(), cfg)
-            .resume(&snapshot)
-            .expect("resume")
+        let plan = RunPlan { resume: Some(&snapshot), ..RunPlan::default() };
+        run(Campaign::new(TargetId::Modbus.create(), cfg), plan)
     };
     assert_eq!(complete, deterministic(&final_report), "control-socket stop diverged");
 
@@ -246,9 +249,8 @@ fn kill_resume_from_every_rotation_slot_converges() {
             .expect("rotation scan")
             .expect("slot restores");
         assert_eq!(snapshot.completed, boundary, "newest surviving slot");
-        let resumed = Campaign::new(TargetId::Iec104.create(), cfg)
-            .resume(&snapshot)
-            .expect("resume");
+        let plan = RunPlan { resume: Some(&snapshot), ..RunPlan::default() };
+        let resumed = run(Campaign::new(TargetId::Iec104.create(), cfg), plan);
         assert_eq!(
             complete,
             deterministic(&resumed),
@@ -298,10 +300,10 @@ fn an_exhausted_connection_degrades_onto_the_survivors() {
     let chaotic = cfg
         .reconnect(ReconnectPolicy::immediate(2))
         .wire_chaos(WireChaos::drop_every(137).limit(1).reject_after_drop(3));
-    let report = ConnectionCampaign::new(
+    let report = ShardedCampaign::new(
         TargetId::Modbus.create(),
-        chaotic,
-        ConnectionConfig::with_connections(2).sync_windows(2),
+        chaotic.transport(TransportMode::FramedTcp),
+        ShardConfig::with_workers(2).sync_windows(2),
     )
     .run();
     assert_eq!(report.executions, cfg.executions);
@@ -349,10 +351,11 @@ fn rotation_fixture() -> &'static Vec<(u64, Vec<u8>)> {
             .window_boundaries()
             .into_iter()
             .map(|boundary| {
-                let snapshot = Campaign::new(TargetId::Modbus.create(), cfg)
-                    .run_to_boundary(boundary)
+                let plan = RunPlan { stop_after: Some(boundary), ..RunPlan::default() };
+                let (_, snapshot) = Campaign::new(TargetId::Modbus.create(), cfg)
+                    .run_plan(plan)
                     .expect("boundary snapshot");
-                (boundary, snapshot.encode())
+                (boundary, snapshot.expect("a stop returns its snapshot").encode())
             })
             .collect()
     })

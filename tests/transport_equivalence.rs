@@ -10,15 +10,15 @@
 //!    executor's containment/reset sequence, so nothing can diverge.
 //! 2. **Connection-count invariance** — `--connections {1,2,4}` produce
 //!    bit-identical reports at the merge barrier, mirroring
-//!    `tests/shard_determinism.rs`: the connection driver *is* the sharded
-//!    engine behind the wire, so worker invariance carries over unchanged.
+//!    `tests/shard_determinism.rs`: connections *are* the workers of the
+//!    worker topology behind the wire, so worker invariance carries over
+//!    unchanged.
 //! 3. **Cross-transport resume** — a checkpoint recorded under TCP resumes
 //!    in-process bit-exactly (and vice versa): the snapshot fingerprint
 //!    deliberately excludes the transport and the connection count.
 
 use peachstar::campaign::{
-    Campaign, CampaignConfig, ConnectionCampaign, ConnectionConfig, SessionConfig, ShardConfig,
-    ShardedCampaign, TransportMode,
+    Campaign, CampaignConfig, RunPlan, SessionConfig, ShardConfig, ShardedCampaign, TransportMode,
 };
 use peachstar::strategy::StrategyKind;
 use peachstar::CampaignReport;
@@ -90,24 +90,19 @@ fn framed_tcp_campaign_equals_in_process_for_every_target() {
 
 #[test]
 fn framed_tcp_batched_campaign_equals_in_process() {
-    // Batched windows ride the wire as one round-trip per window; summaries
-    // and traces must reduce to the same records the per-packet loop makes.
-    for summary_only in [false, true] {
-        for (target, seed) in [(TargetId::Modbus, 3), (TargetId::Iec61850, 21)] {
-            let mut cfg = config(StrategyKind::PeachStar, seed).batch(128);
-            if summary_only {
-                cfg = cfg.summary_only();
-            }
-            let in_process = deterministic(&Campaign::new(target.create(), cfg).run());
-            let over_tcp = deterministic(
-                &Campaign::new(target.create(), cfg.transport(TransportMode::FramedTcp)).run(),
-            );
-            assert_eq!(
-                in_process, over_tcp,
-                "batched Peach* on {target:?} seed {seed} \
-                 (summary_only={summary_only}): TCP transport diverged"
-            );
-        }
+    // Batched windows ride the wire as one round-trip per window, decoded
+    // server-side with the summary sink; summaries and traces must reduce to
+    // the same records the per-packet loop makes.
+    for (target, seed) in [(TargetId::Modbus, 3), (TargetId::Iec61850, 21)] {
+        let cfg = config(StrategyKind::PeachStar, seed).batch(128);
+        let in_process = deterministic(&Campaign::new(target.create(), cfg).run());
+        let over_tcp = deterministic(
+            &Campaign::new(target.create(), cfg.transport(TransportMode::FramedTcp)).run(),
+        );
+        assert_eq!(
+            in_process, over_tcp,
+            "batched Peach* on {target:?} seed {seed}: TCP transport diverged"
+        );
     }
 }
 
@@ -132,14 +127,24 @@ fn framed_tcp_session_campaign_equals_in_process() {
     }
 }
 
-fn connections(target: TargetId, cfg: CampaignConfig, count: usize) -> Deterministic {
-    let report = ConnectionCampaign::new(
+/// A worker-topology campaign over `count` live framed-TCP connections.
+fn connections(target: TargetId, cfg: CampaignConfig, count: usize) -> Campaign {
+    ShardedCampaign::new(
         target.create(),
-        cfg,
-        ConnectionConfig::with_connections(count).sync_windows(4),
+        cfg.transport(TransportMode::FramedTcp),
+        ShardConfig::with_workers(count).sync_windows(4),
     )
-    .run();
-    deterministic(&report)
+}
+
+fn stop_at(campaign: Campaign, stop: u64) -> peachstar::CampaignSnapshot {
+    let plan = RunPlan { stop_after: Some(stop), ..RunPlan::default() };
+    let (_, snapshot) = campaign.run_plan(plan).expect("runs to the boundary");
+    snapshot.expect("a stop returns its snapshot")
+}
+
+fn resume(campaign: Campaign, snapshot: &peachstar::CampaignSnapshot) -> CampaignReport {
+    let plan = RunPlan { resume: Some(snapshot), ..RunPlan::default() };
+    campaign.run_plan(plan).expect("resumes").0
 }
 
 #[test]
@@ -159,7 +164,7 @@ fn connection_count_never_changes_the_report() {
                 .run(),
             );
             for count in [1, 2, 4] {
-                let live = connections(target, config(strategy, seed), count);
+                let live = deterministic(&connections(target, config(strategy, seed), count).run());
                 assert_eq!(
                     sharded_in_process, live,
                     "{strategy} on {target:?} seed {seed}: {count} connections diverged"
@@ -186,11 +191,9 @@ fn tcp_recorded_checkpoint_resumes_in_process_bit_exactly() {
         .into_iter()
         .find(|&end| end >= 500)
         .expect("a boundary past 500");
-    let snapshot = over_tcp.run_to_boundary(boundary).expect("tcp run to boundary");
+    let snapshot = stop_at(over_tcp, boundary);
 
-    let resumed = Campaign::new(TargetId::Modbus.create(), cfg)
-        .resume(&snapshot)
-        .expect("in-process resume of a TCP-recorded snapshot");
+    let resumed = resume(Campaign::new(TargetId::Modbus.create(), cfg), &snapshot);
     assert_eq!(
         complete,
         deterministic(&resumed),
@@ -213,37 +216,23 @@ fn connection_checkpoint_resumes_on_any_worker_or_connection_count() {
     };
     let complete = deterministic(&shard(2).run());
 
-    let recorder = ConnectionCampaign::new(
-        TargetId::Iec104.create(),
-        cfg,
-        ConnectionConfig::with_connections(4).sync_windows(4),
-    );
+    let recorder = connections(TargetId::Iec104, cfg, 4);
     let boundary = recorder
         .round_boundaries()
         .into_iter()
         .find(|&end| end >= 500)
         .expect("a merge barrier past 500");
-    let snapshot = recorder
-        .run_to_boundary(boundary)
-        .expect("tcp run to merge barrier");
+    let snapshot = stop_at(recorder, boundary);
 
     for workers in [1, 3] {
-        let resumed = shard(workers)
-            .resume(&snapshot)
-            .expect("in-process resume of a connection-recorded snapshot");
+        let resumed = resume(shard(workers), &snapshot);
         assert_eq!(
             complete,
             deterministic(&resumed),
             "{workers} in-process workers diverged resuming a TCP checkpoint"
         );
     }
-    let resumed = ConnectionCampaign::new(
-        TargetId::Iec104.create(),
-        cfg,
-        ConnectionConfig::with_connections(2).sync_windows(4),
-    )
-    .resume(&snapshot)
-    .expect("2-connection resume of a 4-connection snapshot");
+    let resumed = resume(connections(TargetId::Iec104, cfg, 2), &snapshot);
     assert_eq!(
         complete,
         deterministic(&resumed),
