@@ -88,8 +88,8 @@ fn bench_campaign_sharded(c: &mut Criterion) {
 }
 
 /// Batched end-to-end throughput: the same campaigns as [`bench_campaign`]
-/// — identical config, identical reports for Peach — driven through
-/// `Engine::run_batched` with 250-packet windows. The delta against the
+/// — identical config, identical reports for Peach — run with `batch(250)`,
+/// in 250-packet slices. The delta against the
 /// unsuffixed entries is the pure dispatch amortisation: pooled packet
 /// arena instead of a fresh seed per execution, one (devirtualised)
 /// target call per window instead of per packet, and no per-execution

@@ -61,8 +61,10 @@ pub struct CampaignConfig {
     /// [`session_template`](peachstar_protocols::Target::session_template);
     /// sessionless targets fall back to the classic campaign.
     pub session: Option<SessionConfig>,
-    /// Execute in batched windows of at most this many packets
-    /// ([`Engine::run_batched`]) instead of the per-execution loop.
+    /// Execute each reset-aligned window in batched slices of at most this
+    /// many packets, one
+    /// [`Executor::execute_window`](crate::engine::Executor::execute_window)
+    /// call each, instead of the per-execution loop.
     ///
     /// Batched Peach campaigns are bit-identical to sequential ones for any
     /// batch size; Peach\* receives feedback at batch ends, so its stream is
@@ -207,6 +209,16 @@ impl CampaignConfig {
     pub fn wire_chaos(mut self, chaos: WireChaos) -> Self {
         self.wire_chaos = chaos;
         self
+    }
+
+    /// The executor an inline campaign or one worker runs `target` through:
+    /// `policy` resets, and the hang watchdog when a deadline is set.
+    pub(crate) fn executor(&self, target: Box<dyn Target>, policy: ResetPolicy) -> TargetExecutor {
+        let executor = TargetExecutor::with_policy(target, policy);
+        match self.exec_timeout {
+            Some(millis) => executor.with_deadline(Duration::from_millis(millis)),
+            None => executor,
+        }
     }
 }
 
@@ -612,10 +624,7 @@ fn drive<S: Schedule>(
     };
     match topology {
         Topology::Inline => {
-            let mut executor = TargetExecutor::with_policy(target, policy);
-            if let Some(millis) = config.exec_timeout {
-                executor = executor.with_deadline(Duration::from_millis(millis));
-            }
+            let executor = config.executor(target, policy);
             let mut arena = PacketArena::default();
             let mut results = WindowResults::new();
             rounds.run(assemble(executor, schedule, config), |engine, round, models, rng| {
@@ -637,7 +646,7 @@ fn drive<S: Schedule>(
             })
         }
         Topology::Workers(shard) => {
-            let pool = WorkerPool::new(target, shard.workers, config);
+            let pool = WorkerPool::new(target, policy, shard.workers, config);
             rounds.run(assemble(pool, schedule, config), WorkerPool::run_round)
         }
     }
@@ -661,9 +670,9 @@ impl Rounds<'_> {
     /// service progress, checkpoints, stops and snapshot capture at every
     /// round end, then folds the seams into a [`CampaignReport`].
     ///
-    /// Rounds replicate [`Engine::run`] / [`Engine::run_batched`] (inline)
-    /// or the sharded rounds exactly — same windows, same RNG stream, same
-    /// reduce order — and only pause between them. Every round end is an
+    /// An inline round is one window, run per execution
+    /// ([`Engine::step`]) or in batched slices; a worker round is generate →
+    /// execute on the workers → merge barrier. Every round end is an
     /// execution the reset policy wipes the target before, so no target
     /// state needs saving and a snapshot taken there resumes bit-exactly.
     fn run<X, S: Schedule>(

@@ -4,15 +4,14 @@
 //! The sequential engine pays a full round trip through the seams for every
 //! execution — one `dyn Target` dispatch, one reset-policy check, one fresh
 //! [`GeneratedPacket`] allocation, and a trace borrow that forces the loop
-//! to fully drain each execution before generating the next. This module
-//! adds the batched driver, [`Engine::run_batched`]: the campaign is walked
-//! in the same reset-aligned windows the worker topology uses, but each
-//! window is generated up front into a pooled packet arena, executed in a
-//! *single* [`Executor::execute_window`] call (one virtual dispatch per
-//! window via [`Target::process_batch`], decoding with the summary sink),
-//! and then reduced through [`Engine::reduce`] in global execution order.
-//! A batched inline [`Campaign`](crate::campaign::Campaign) runs one window
-//! per round through `Engine::run_window_batched`.
+//! to fully drain each execution before generating the next. A batched
+//! inline [`Campaign`](crate::campaign::Campaign) instead runs each round —
+//! one of the reset-aligned windows the worker topology uses too — through
+//! `Engine::run_window_batched`: every slice of the window is generated up
+//! front into a pooled packet arena, executed in a *single*
+//! [`Executor::execute_window`] call (one virtual dispatch per slice via
+//! [`Target::process_batch`], decoding with the summary sink), and then
+//! reduced through [`Engine::reduce`] in global execution order.
 //!
 //! # Equivalence
 //!
@@ -110,44 +109,13 @@ where
     M: Monitor,
     S: Schedule,
 {
-    /// Runs executions `1..=budget` in batched windows of at most `batch`
-    /// executions, aligned to the reset boundaries of `policy`.
-    ///
-    /// Each batch runs in three phases mirroring one sharded round on a
-    /// single worker: generate the batch into the pooled arena (global
-    /// execution order, same RNG stream as [`run`](Engine::run)), execute it
-    /// in one [`Executor::execute_window`] call, then reduce every result
-    /// through the seams in global execution order. `policy` must be the
-    /// reset policy the executor itself applies — the windows are derived
-    /// from it so that no reset boundary falls inside a window.
-    pub fn run_batched(
-        &mut self,
-        budget: u64,
-        policy: ResetPolicy,
-        batch: u64,
-        models: &DataModelSet,
-        rng: &mut SmallRng,
-    ) {
-        let mut arena = PacketArena::default();
-        let mut results = WindowResults::new();
-        for (window_start, window_end) in windows_for_policy(budget, policy) {
-            self.run_window_batched(
-                window_start,
-                window_end,
-                batch,
-                models,
-                rng,
-                &mut arena,
-                &mut results,
-            );
-        }
-    }
-
     /// Runs one reset-aligned window `window_start..=window_end` in batched
-    /// slices — the per-window body of [`run_batched`](Engine::run_batched)
-    /// and the round body of a batched inline campaign. `arena` and
-    /// `results` are caller-held so their allocations amortise across
-    /// windows exactly as in `run_batched`.
+    /// slices of at most `batch` executions — the round body of a batched
+    /// inline campaign. Each slice runs in three phases mirroring one
+    /// worker round on a single worker: generate into the pooled arena,
+    /// execute in one [`Executor::execute_window`] call, reduce in global
+    /// execution order. `arena` and `results` are caller-held so their
+    /// allocations amortise across windows.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn run_window_batched(
         &mut self,
@@ -160,44 +128,41 @@ where
         results: &mut WindowResults,
     ) {
         let batch = batch.max(1);
-        {
-            // Large reset windows split into `batch`-sized slices: no reset
-            // falls inside a slice (target state flows through untouched,
-            // exactly as in the sequential loop), while feedback reduces at
-            // every slice end instead of once per giant window.
-            let mut start = window_start;
-            while start <= window_end {
-                let end = window_end.min(start + (batch - 1));
-                let count = usize::try_from(end - start + 1).expect("batch fits usize");
+        // Large reset windows split into `batch`-sized slices: no reset
+        // falls inside a slice (target state flows through untouched,
+        // exactly as in the sequential loop), while feedback reduces at
+        // every slice end instead of once per giant window.
+        let mut start = window_start;
+        while start <= window_end {
+            let end = window_end.min(start + (batch - 1));
+            let count = usize::try_from(end - start + 1).expect("batch fits usize");
 
-                // Phase 1 — generate into the pooled arena.
-                arena.fill(&mut self.schedule, models, rng, count);
+            // Phase 1 — generate into the pooled arena.
+            arena.fill(&mut self.schedule, models, rng, count);
 
-                // Phase 2 — execute the whole slice in one executor call.
-                // (The ref table borrows the arena, so it lives only for
-                // this slice; its one small allocation is amortised over
-                // the whole batch.)
-                let refs: Vec<&[u8]> =
-                    arena.packets.iter().map(|p| p.bytes.as_slice()).collect();
-                self.executor.execute_window(start, &refs, results);
-                drop(refs);
-                debug_assert_eq!(results.len(), count, "one result per packet");
+            // Phase 2 — execute the whole slice in one executor call.
+            // (The ref table borrows the arena, so it lives only for
+            // this slice; its one small allocation is amortised over
+            // the whole batch.)
+            let refs: Vec<&[u8]> = arena.packets.iter().map(|p| p.bytes.as_slice()).collect();
+            self.executor.execute_window(start, &refs, results);
+            drop(refs);
+            debug_assert_eq!(results.len(), count, "one result per packet");
 
-                // Phase 3 — reduce in global execution order through the
-                // same `Engine::reduce` every driver uses.
-                for (offset, (summary, trace)) in results.iter().enumerate() {
-                    let execution = start + offset as u64;
-                    let packet = &arena.packets[offset];
-                    let merge = self.observer.merge_sparse(trace);
-                    if self.reduce(execution, packet, *summary, &merge, models) {
-                        // The arena keeps its slot for the next window, so
-                        // retention clones the (rare) valuable packet
-                        // instead of moving it out.
-                        self.feedback.retain(packet.clone(), &merge);
-                    }
+            // Phase 3 — reduce in global execution order through the
+            // same `Engine::reduce` every driver uses.
+            for (offset, (summary, trace)) in results.iter().enumerate() {
+                let execution = start + offset as u64;
+                let packet = &arena.packets[offset];
+                let merge = self.observer.merge_sparse(trace);
+                if self.reduce(execution, packet, *summary, &merge, models) {
+                    // The arena keeps its slot for the next window, so
+                    // retention clones the (rare) valuable packet
+                    // instead of moving it out.
+                    self.feedback.retain(packet.clone(), &merge);
                 }
-                start = end + 1;
             }
+            start = end + 1;
         }
     }
 }
@@ -205,12 +170,6 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{
-        CampaignMonitor, CoverageObserver, NewCoverageFeedback, StrategySchedule, TargetExecutor,
-    };
-    use crate::strategy::StrategyKind;
-    use peachstar_protocols::TargetId;
-    use rand::SeedableRng;
 
     fn windows_for(executions: u64, reset_interval: u64) -> Vec<(u64, u64)> {
         windows_for_policy(executions, ResetPolicy::Interval(reset_interval))
@@ -251,96 +210,5 @@ mod tests {
             windows_for_policy(5, ResetPolicy::PerSession(10)),
             vec![(1, 5)]
         );
-    }
-
-    fn engine_for(
-        strategy: StrategyKind,
-        reset_interval: u64,
-        budget: u64,
-    ) -> Engine<
-        TargetExecutor,
-        CoverageObserver,
-        NewCoverageFeedback,
-        CampaignMonitor,
-        StrategySchedule,
-    > {
-        Engine {
-            executor: TargetExecutor::new(TargetId::Modbus.create(), reset_interval),
-            observer: CoverageObserver::new(),
-            feedback: NewCoverageFeedback::new(),
-            monitor: CampaignMonitor::new(budget, 100),
-            schedule: StrategySchedule::new(strategy.create()),
-        }
-    }
-
-    #[test]
-    fn batched_peach_engine_matches_the_sequential_engine() {
-        // The engine-level equivalence claim, before any campaign plumbing:
-        // for the feedback-free baseline, run_batched is bit-identical to
-        // run for any batch size (including ones that straddle windows).
-        let budget = 1_200;
-        let mut sequential = engine_for(StrategyKind::Peach, 500, budget);
-        let models = sequential.executor.data_models();
-        let mut rng = SmallRng::seed_from_u64(11);
-        sequential.run(budget, &models, &mut rng);
-
-        for batch in [1, 7, 250, 5_000] {
-            let mut batched = engine_for(StrategyKind::Peach, 500, budget);
-            let mut rng = SmallRng::seed_from_u64(11);
-            batched.run_batched(budget, ResetPolicy::Interval(500), batch, &models, &mut rng);
-            assert_eq!(
-                batched.observer.paths_covered(),
-                sequential.observer.paths_covered(),
-                "batch {batch}: paths diverged"
-            );
-            assert_eq!(
-                batched.observer.edges_covered(),
-                sequential.observer.edges_covered(),
-                "batch {batch}: edges diverged"
-            );
-            assert_eq!(
-                batched.feedback.retained(),
-                sequential.feedback.retained(),
-                "batch {batch}: valuable seeds diverged"
-            );
-            assert_eq!(
-                (
-                    batched.monitor.responses(),
-                    batched.monitor.protocol_errors(),
-                    batched.monitor.fault_hits()
-                ),
-                (
-                    sequential.monitor.responses(),
-                    sequential.monitor.protocol_errors(),
-                    sequential.monitor.fault_hits()
-                ),
-                "batch {batch}: outcome tally diverged"
-            );
-        }
-    }
-
-    #[test]
-    fn batched_peachstar_engine_is_deterministic_and_complete() {
-        let budget = 1_000;
-        let run = || {
-            let mut engine = engine_for(StrategyKind::PeachStar, 250, budget);
-            let models = engine.executor.data_models();
-            let mut rng = SmallRng::seed_from_u64(5);
-            engine.run_batched(budget, ResetPolicy::Interval(250), 64, &models, &mut rng);
-            (
-                engine.observer.paths_covered(),
-                engine.feedback.retained(),
-                engine.monitor.responses()
-                    + engine.monitor.protocol_errors()
-                    + engine.monitor.fault_hits(),
-                engine.schedule.corpus_size(),
-            )
-        };
-        let (paths, retained, total, corpus) = run();
-        assert_eq!(run(), (paths, retained, total, corpus), "not deterministic");
-        assert_eq!(total, budget, "every execution reduced exactly once");
-        assert!(paths > 0);
-        assert!(retained > 0);
-        assert!(corpus > 0, "barrier-fed feedback still reaches the strategy");
     }
 }

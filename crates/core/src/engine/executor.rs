@@ -4,9 +4,10 @@ use std::time::Duration;
 
 use peachstar_coverage::{TraceContext, TraceMap};
 use peachstar_datamodel::DataModelSet;
+use peachstar_protocols::containment::{contained, contained_step, panic_fault};
 use peachstar_protocols::{DecodeSink, Outcome, Target, WindowResults};
 
-use super::supervisor::{contained, panic_fault, Watchdog};
+use super::supervisor::Watchdog;
 
 /// When the target's session state is wiped back to the just-started
 /// condition (in addition to the unconditional restart after a fault).
@@ -150,14 +151,16 @@ pub struct TargetExecutor {
     /// source after a contained panic (the panicked instance may be left in
     /// an arbitrary state, so `clone_fresh` is taken from this spare, not
     /// from the poisoned target).
-    spare: Box<dyn Target + Send>,
+    spare: Box<dyn Target>,
     ctx: TraceContext,
     policy: ResetPolicy,
+    /// Set by [`reset_before_next`](TargetExecutor::reset_before_next): the
+    /// next execution starts from a reset whatever the policy says.
+    reset_pending: bool,
     /// Armed by [`with_deadline`](TargetExecutor::with_deadline): executions
-    /// are delegated to the supervised worker and `scratch` re-materialises
+    /// are delegated to the supervised worker, and `ctx` re-materialises
     /// the sparse reply traces.
     watchdog: Option<Watchdog>,
-    scratch: TraceMap,
 }
 
 impl TargetExecutor {
@@ -179,8 +182,8 @@ impl TargetExecutor {
             spare,
             ctx: TraceContext::new(),
             policy,
+            reset_pending: false,
             watchdog: None,
-            scratch: TraceMap::new(),
         }
     }
 
@@ -212,6 +215,19 @@ impl TargetExecutor {
     pub fn policy(&self) -> ResetPolicy {
         self.policy
     }
+
+    /// Makes the next execution start from a reset even where the policy
+    /// schedules none: a worker's window must start from the just-started
+    /// state even when its target already ran other windows.
+    pub(crate) fn reset_before_next(&mut self) {
+        self.reset_pending = true;
+    }
+
+    /// Whether the next execution, number `execution`, starts from a reset;
+    /// consumes a pending [`reset_before_next`](Self::reset_before_next).
+    fn take_reset(&mut self, execution: u64) -> bool {
+        std::mem::take(&mut self.reset_pending) | self.policy.resets_before(execution)
+    }
 }
 
 impl std::fmt::Debug for TargetExecutor {
@@ -234,35 +250,20 @@ impl Executor for TargetExecutor {
     }
 
     fn execute(&mut self, execution: u64, packet: &[u8]) -> (Outcome, &TraceMap) {
-        let resets = self.policy.resets_before(execution);
+        let resets = self.take_reset(execution);
         if let Some(watchdog) = &mut self.watchdog {
             // Supervised mode: the worker thread owns the authoritative
-            // target and applies the same reset/containment sequence as the
-            // in-thread path below; the reply trace is re-materialised into
-            // `scratch` so callers keep seeing a dense `TraceMap`.
+            // target and runs the same contained step as the in-thread path
+            // below; the reply trace is re-materialised into `ctx` so
+            // callers keep seeing a dense `TraceMap`.
             let (outcome, trace) = watchdog.execute(resets, packet);
-            self.scratch.load_sparse(&trace);
-            return (outcome, &self.scratch);
+            self.ctx.load_sparse(&trace);
+            return (outcome, self.ctx.trace());
         }
         if resets {
             self.target.reset();
         }
-        self.ctx.reset();
-        let outcome = match contained(|| self.target.process(packet, &mut self.ctx)) {
-            Ok(outcome) => outcome,
-            Err(message) => {
-                // The panic may have left the target in an arbitrary state;
-                // discard it and rebuild from the pristine spare. The trace
-                // keeps the edges recorded up to the panic — real coverage.
-                self.target = self.spare.clone_fresh();
-                Outcome::Fault(panic_fault(&message))
-            }
-        };
-        if outcome.is_fault() {
-            // A fault leaves the session in an undefined state; restart the
-            // target, as the paper's harness restarts the crashed server.
-            self.target.reset();
-        }
+        let outcome = contained_step(&mut self.target, self.spare.as_ref(), &mut self.ctx, packet);
         (outcome, self.ctx.trace())
     }
 
@@ -293,7 +294,7 @@ impl Executor for TargetExecutor {
         // target's `process_batch` (overridable per protocol) owns the
         // packet loop — one virtual dispatch per window instead of one per
         // packet.
-        if self.policy.resets_before(first_execution) {
+        if self.take_reset(first_execution) {
             self.target.reset();
         }
         // Window results keep only outcome summaries and traces, so the

@@ -19,13 +19,13 @@
 //! so a campaign driven through the engine is bit-identical to the
 //! pre-refactor implementation (`tests/pinned_report.rs` holds the proof).
 //! Every way of executing reduces through it: [`Engine::step`] per packet,
-//! [`batch`] for reset-aligned windows run through one
-//! [`Executor::execute_window`] call each ([`Engine::run_batched`]), and
-//! [`shard`] for windows executed on parallel workers behind a
-//! deterministic merge barrier — the two topologies of
-//! [`Campaign`](crate::campaign::Campaign). [`session`] builds stateful
-//! session fuzzing (handshake → mutated payload → teardown, with
-//! session-scoped resets) on the [`Schedule`] and [`Executor`] seams.
+//! [`batch`] for reset-aligned windows run in slices of one
+//! [`Executor::execute_window`] call each, and [`shard`] for windows
+//! executed on parallel workers behind a deterministic merge barrier — the
+//! two topologies of [`Campaign`](crate::campaign::Campaign), whose round
+//! loop drives all three. [`session`] builds stateful session fuzzing
+//! (handshake → mutated payload → teardown, with session-scoped resets) on
+//! the [`Schedule`] and [`Executor`] seams.
 //!
 //! [`TraceContext`]: peachstar_coverage::TraceContext
 
@@ -136,11 +136,6 @@ where
         }
     }
 
-    /// Runs executions `1..=budget` through [`step`](Engine::step).
-    pub fn run(&mut self, budget: u64, models: &DataModelSet, rng: &mut SmallRng) {
-        self.run_span(1, budget, models, rng);
-    }
-
     /// Runs executions `start..=end` (1-based, inclusive) through
     /// [`step`](Engine::step) — the round body of an unbatched inline
     /// campaign.
@@ -210,7 +205,7 @@ mod tests {
             schedule: StrategySchedule::new(StrategyKind::PeachStar.create()),
         };
         let mut rng = SmallRng::seed_from_u64(3);
-        engine.run(1_000, &models, &mut rng);
+        engine.run_span(1, 1_000, &models, &mut rng);
 
         assert!(engine.observer.paths_covered() > 0);
         assert!(engine.feedback.retained() > 0);

@@ -16,9 +16,10 @@
 //!    round's windows in global execution order, consuming the campaign RNG
 //!    exactly as the inline loop would.
 //! 2. **Execute** (parallel): `workers` threads pull windows from a queue
-//!    and run them against their own [`Target::clone_fresh`] copies,
-//!    buffering each execution's [`OutcomeSummary`] and
-//!    [`peachstar_coverage::SparseTrace`] snapshot.
+//!    and run them through their own [`TargetExecutor`] (over their own
+//!    [`Target::clone_fresh`] copy), the same fault-tolerant path the
+//!    inline topology takes, buffering each execution's [`OutcomeSummary`]
+//!    and [`peachstar_coverage::SparseTrace`] snapshot.
 //! 3. **Reduce** (sequential, the merge barrier): window results are merged
 //!    back in global execution order through
 //!    [`Engine::reduce`](crate::engine::Engine::reduce), the same reduce the
@@ -49,26 +50,20 @@
 
 use std::collections::VecDeque;
 use std::sync::Mutex;
-use std::time::Duration;
 
 use rand::rngs::SmallRng;
 
-use peachstar_coverage::{SparseTrace, TraceContext};
+use peachstar_coverage::SparseTrace;
 use peachstar_datamodel::DataModelSet;
-use peachstar_protocols::{DecodeSink, Target, WindowResults};
+use peachstar_protocols::containment::contained;
+use peachstar_protocols::{FaultKind, Target, WindowResults};
 
 use crate::campaign::{CampaignConfig, CampaignEngine};
-use crate::engine::supervisor::{contained, Watchdog};
 use crate::engine::transport::is_connection_loss;
-use crate::engine::{Executor, Feedback, Observer, OutcomeSummary, Schedule, TargetExecutor};
+use crate::engine::{
+    Executor, Feedback, Observer, OutcomeSummary, ResetPolicy, Schedule, TargetExecutor,
+};
 use crate::strategy::GeneratedPacket;
-
-/// How many times the merge barrier re-attempts a failed window before
-/// giving up. The re-execution path contains panics per packet (and
-/// supervises hangs when a deadline is set), so a single attempt normally
-/// succeeds; the bound defends against targets whose `clone_fresh`/`reset`
-/// themselves misbehave.
-const WINDOW_RETRIES: usize = 3;
 
 /// The terminal failure when every connection of a framed-TCP campaign has
 /// exhausted its reconnect budget while windows remain unexecuted. Stable
@@ -124,287 +119,169 @@ struct WindowWork {
     packets: Vec<GeneratedPacket>,
 }
 
-/// One execution's buffered result, headed back to the merge barrier.
-struct ExecRecord {
-    packet: GeneratedPacket,
-    outcome: OutcomeSummary,
-    trace: SparseTrace,
-}
-
-/// One window's results, in execution order — or, for a window whose worker
-/// failed mid-flight, the intact packet list the merge barrier re-executes.
+/// One executed window, headed back to the merge barrier: its packets and
+/// one `(summary, snapshot)` per packet, in execution order.
 struct WindowResult {
     start: u64,
-    records: Vec<ExecRecord>,
-    /// `true` when the worker panicked (or otherwise died) mid-window: the
-    /// partial results were discarded and `packets` holds the full window
-    /// for barrier-side re-execution on a fresh target.
-    failed: bool,
     packets: Vec<GeneratedPacket>,
+    results: Vec<(OutcomeSummary, SparseTrace)>,
 }
 
-/// One shard worker's execution state: the active target, a pristine spare
-/// it is rebuilt from after a contained panic, and — when a per-execution
-/// deadline is armed — the [`Watchdog`] that supervises every execution.
-struct ShardWorker {
-    target: Box<dyn Target + Send>,
-    spare: Box<dyn Target + Send>,
-    watchdog: Option<Watchdog>,
-    /// Set when the worker's connection exhausted its reconnect budget
-    /// (framed-TCP transport): the worker is retired for the rest of the
-    /// campaign and its windows degrade onto the survivors.
-    dead: bool,
+/// One worker, across the rounds of a campaign.
+enum ShardWorker {
+    /// Not started yet: the target its executor will run. The executor is
+    /// built on the worker's own thread when the worker first runs, so its
+    /// trace buffers are allocated there, and a campaign that runs no round
+    /// never builds it.
+    Idle(Box<dyn Target>),
+    /// The executor the worker runs its windows through, which owns the
+    /// worker's target, the spare it is rebuilt from after a contained panic
+    /// and, with `--exec-timeout-ms`, the hang watchdog.
+    Ready(TargetExecutor),
+    /// Retired because its connection exhausted its reconnect budget
+    /// (framed-TCP transport): its windows degrade onto the survivors.
+    Dead,
 }
 
-/// What a worker hands back for one window.
-enum WindowOutcome {
-    /// The window executed (or failed over to the barrier's re-execution
-    /// path with its packets intact).
-    Done(WindowResult),
-    /// The worker's connection died mid-window with its reconnect budget
-    /// exhausted: the window is returned untouched — every window starts
-    /// from a reset, so any surviving connection can run it from scratch —
-    /// and the worker retires.
-    ConnectionLost(WindowWork),
+/// Whether a recorded outcome is an exhausted reconnect budget, contained
+/// by the executor like any other panic.
+fn lost_connection(summary: &OutcomeSummary) -> bool {
+    matches!(summary, OutcomeSummary::Fault(fault)
+        if fault.kind == FaultKind::Panic && is_connection_loss(fault.site))
 }
 
-/// The fast (unsupervised) window path: chunked [`Target::process_batch`]
-/// calls under window-level panic containment.
+/// Runs one window through the worker's executor, one
+/// [`Executor::execute_window`] call per `chunk` packets — the worker face
+/// of the `--batch` knob. Chunks of one window share the worker's target
+/// back to back, so the chunk size never changes the report.
 ///
-/// `chunk` caps how many packets go into one `process_batch` call — the
-/// sharded face of the `--batch` knob. It is pure dispatch granularity:
-/// results are buffered to the merge barrier either way, so the chunk size
-/// provably never changes the report (chunks of one window share the
-/// worker's target state back to back, exactly like the old per-packet
-/// loop).
+/// The window starts from exactly one reset: the executor's policy resets
+/// before every window but the campaign's first, which gets an explicit
+/// one, so a requeued window runs from the just-started state even on a
+/// target that already ran other windows. Everything else is the inline
+/// topology's path: a panic inside a chunk is recorded as a fault, the
+/// target is rebuilt and the chunk finishes packet by packet, so a window
+/// always completes in place.
 ///
-/// A panic escaping the target poisons both the worker's target state and
-/// the chunk's partial results, so the whole window is declared failed: the
-/// target is rebuilt from the pristine spare, the full packet list is
-/// reassembled (earlier chunks' records surrender their packets back) and
-/// shipped to the merge barrier, which re-executes the window on the
-/// fault-tolerant per-packet path. Because the same packets panic no matter
-/// who executes them, failure detection — like everything else here — is
-/// worker-count-invariant.
-fn execute_window_fast(
-    target: &mut Box<dyn Target + Send>,
-    spare: &dyn Target,
+/// `None` means the worker's connection exhausted its reconnect budget on
+/// the unsupervised path: the partial results are dropped and the caller
+/// requeues the intact window. Under a watchdog every execution is
+/// contained per packet, so there a lost connection stays a recorded fault.
+fn run_window(
+    executor: &mut TargetExecutor,
     chunk: usize,
-    work: WindowWork,
-    ctx: &mut TraceContext,
-    results: &mut WindowResults,
-) -> WindowOutcome {
-    // Every window begins from the just-started target state: the
-    // sequential campaign either created the target right before the
-    // first window or reset it at the window boundary, and `reset` is
-    // documented to restore exactly that state. Over framed TCP the reset
-    // is a wire exchange, so it is where an exhausted reconnect budget can
-    // first surface — with the window still untouched.
-    if let Err(message) = contained(|| target.reset()) {
-        if is_connection_loss(&message) {
-            return WindowOutcome::ConnectionLost(work);
+    work: &WindowWork,
+    scratch: &mut WindowResults,
+) -> Option<Vec<(OutcomeSummary, SparseTrace)>> {
+    let degradable = executor.deadline().is_none();
+    let attempt = contained(|| {
+        if !executor.policy().resets_before(work.start) {
+            executor.reset_before_next();
         }
-        panic!("{message}");
-    }
-    let start = work.start;
-    let mut remaining = work.packets;
-    let mut records: Vec<ExecRecord> = Vec::with_capacity(remaining.len());
-    while !remaining.is_empty() {
-        let mut rest = remaining.split_off(remaining.len().min(chunk.max(1)));
-        // One virtual dispatch per chunk instead of one per packet — the
-        // same amortisation, protocol overrides and summary decoding the
-        // batched inline engine gets.
-        let attempt = contained(|| {
-            let refs: Vec<&[u8]> = remaining.iter().map(|p| p.bytes.as_slice()).collect();
-            target.process_batch(&refs, ctx, results, DecodeSink::Summary);
-        });
-        if let Err(message) = attempt {
-            // Reassemble the intact packet list: both the failed and the
-            // connection-lost path ship whole windows onward.
-            let mut packets: Vec<GeneratedPacket> =
-                records.into_iter().map(|record| record.packet).collect();
-            packets.append(&mut remaining);
-            packets.append(&mut rest);
-            if is_connection_loss(&message) {
-                return WindowOutcome::ConnectionLost(WindowWork { start, packets });
+        let mut results = Vec::with_capacity(work.packets.len());
+        let mut first = work.start;
+        for packets in work.packets.chunks(chunk) {
+            let refs: Vec<&[u8]> = packets
+                .iter()
+                .map(|packet| packet.bytes.as_slice())
+                .collect();
+            executor.execute_window(first, &refs, scratch);
+            if degradable && scratch.iter().any(|(summary, _)| lost_connection(summary)) {
+                return None;
             }
-            // A target panic: rebuild from the pristine spare and declare
-            // the window failed so the merge barrier re-executes it. The
-            // rebuild itself reconnects over framed TCP, so it too can
-            // exhaust the budget.
-            match contained(|| spare.clone_fresh()) {
-                Ok(fresh) => *target = fresh,
-                Err(rebuild) if is_connection_loss(&rebuild) => {
-                    return WindowOutcome::ConnectionLost(WindowWork { start, packets });
-                }
-                Err(rebuild) => panic!("{rebuild}"),
-            }
-            return WindowOutcome::Done(WindowResult {
-                start,
-                records: Vec::new(),
-                failed: true,
-                packets,
-            });
+            results.extend(scratch.drain());
+            first += packets.len() as u64;
         }
-        // Draining moves the snapshots straight into the records headed for
-        // the merge barrier.
-        records.extend(remaining.drain(..).zip(results.drain()).map(
-            |(packet, (outcome, trace))| ExecRecord {
-                packet,
-                outcome,
-                trace,
-            },
-        ));
-        remaining = rest;
-    }
-    WindowOutcome::Done(WindowResult {
-        start,
-        records,
-        failed: false,
-        packets: Vec::new(),
-    })
-}
-
-/// The supervised window path, used when `--exec-timeout-ms` arms a
-/// deadline: every execution runs on the worker's [`Watchdog`], which
-/// contains panics and abandons hangs per packet, so the window always
-/// completes in bounded time and is never declared failed.
-fn execute_window_supervised(watchdog: &mut Watchdog, work: WindowWork) -> WindowResult {
-    let mut records = Vec::with_capacity(work.packets.len());
-    for (offset, packet) in work.packets.into_iter().enumerate() {
-        // `reset_before` on the first packet is the window-start reset of
-        // the fast path, applied to the supervised worker's target.
-        let (outcome, trace) = watchdog.execute(offset == 0, &packet.bytes);
-        records.push(ExecRecord {
-            outcome: OutcomeSummary::from(&outcome),
-            trace,
-            packet,
-        });
-    }
-    WindowResult {
-        start: work.start,
-        records,
-        failed: false,
-        packets: Vec::new(),
+        Some(results)
+    });
+    // Outside a contained `process`, a lost connection surfaces as an
+    // uncontained panic: in the window-start reset or in a rebuild.
+    match attempt {
+        Ok(results) => results,
+        Err(message) if degradable && is_connection_loss(&message) => None,
+        Err(message) => panic!("{message}"),
     }
 }
 
-/// Worker loop: pull windows off the queue, execute them (fast or
-/// supervised path), push buffered results.
+/// Worker loop: pull windows off the queue, run them, push the results.
 fn shard_worker(
     worker: &mut ShardWorker,
-    chunk: usize,
+    (config, policy, chunk): (&CampaignConfig, ResetPolicy, usize),
     queue: &Mutex<VecDeque<WindowWork>>,
     done: &Mutex<Vec<WindowResult>>,
 ) {
-    let mut ctx = TraceContext::new();
-    let mut results = WindowResults::new();
-    let ShardWorker {
-        target,
-        spare,
-        watchdog,
-        dead,
-    } = worker;
+    let mut executor = match std::mem::replace(worker, ShardWorker::Dead) {
+        ShardWorker::Idle(target) => config.executor(target, policy),
+        ShardWorker::Ready(executor) => executor,
+        ShardWorker::Dead => return,
+    };
+    let mut scratch = WindowResults::new();
     loop {
+        // `let … else` drops the queue guard before the window runs.
         let Some(work) = queue.lock().expect("window queue poisoned").pop_front() else {
+            break;
+        };
+        let Some(results) = run_window(&mut executor, chunk, &work, &mut scratch) else {
+            // The window is intact, and every window starts from a reset,
+            // so any surviving connection can run it from scratch: put it
+            // back at the head of the queue and leave this worker retired.
+            queue
+                .lock()
+                .expect("window queue poisoned")
+                .push_front(work);
             return;
         };
-        let outcome = match watchdog {
-            // Under a watchdog every execution is contained per packet, so a
-            // connection loss surfaces as a recorded fault, never as worker
-            // death — degradation is a fast-path concern.
-            Some(watchdog) => WindowOutcome::Done(execute_window_supervised(watchdog, work)),
-            None => {
-                execute_window_fast(target, spare.as_ref(), chunk, work, &mut ctx, &mut results)
-            }
-        };
-        match outcome {
-            WindowOutcome::Done(result) => {
-                done.lock().expect("window results poisoned").push(result);
-            }
-            WindowOutcome::ConnectionLost(work) => {
-                // The window is intact; put it back at the head of the
-                // queue for a surviving connection and retire this worker.
-                queue.lock().expect("window queue poisoned").push_front(work);
-                *dead = true;
-                return;
-            }
-        }
+        done.lock()
+            .expect("window results poisoned")
+            .push(WindowResult {
+                start: work.start,
+                packets: work.packets,
+                results,
+            });
     }
+    *worker = ShardWorker::Ready(executor);
 }
 
-/// Barrier-side recovery: re-executes a failed window's packets on a fresh
-/// target through the fault-tolerant per-packet path — panic containment,
-/// post-fault resets, and the hang watchdog when a deadline is armed —
-/// which is exactly what a sequential fault-tolerant campaign does for the
-/// same window, so recovered results keep worker-count invariance.
-fn reexecute_failed_window(
-    pristine: &dyn Target,
-    exec_timeout: Option<Duration>,
-    packets: &[GeneratedPacket],
-) -> Vec<ExecRecord> {
-    for _ in 0..WINDOW_RETRIES {
-        let attempt = contained(|| {
-            let mut executor = TargetExecutor::new(pristine.clone_fresh(), 0);
-            if let Some(timeout) = exec_timeout {
-                executor = executor.with_deadline(timeout);
-            }
-            packets
-                .iter()
-                .enumerate()
-                .map(|(offset, packet)| {
-                    let (outcome, trace) = executor.execute(offset as u64 + 1, &packet.bytes);
-                    ExecRecord {
-                        outcome: OutcomeSummary::from(&outcome),
-                        trace: trace.to_sparse(),
-                        packet: packet.clone(),
-                    }
-                })
-                .collect::<Vec<ExecRecord>>()
-        });
-        if let Ok(records) = attempt {
-            return records;
-        }
-    }
-    panic!("a sharded window failed {WINDOW_RETRIES} re-execution attempts even under containment");
-}
-
-/// The worker topology's executor: the blueprint target every worker
-/// target is cloned from (and failed windows are re-executed against), plus
-/// one [`ShardWorker`] per worker.
+/// The worker topology's executor: one [`ShardWorker`] per worker, and
+/// what each needs to build its [`TargetExecutor`].
 pub(crate) struct WorkerPool {
-    blueprint: Box<dyn Target>,
     workers: Vec<ShardWorker>,
+    config: CampaignConfig,
+    policy: ResetPolicy,
     /// The per-worker dispatch granularity: `--batch N` caps each
-    /// `process_batch` call at N packets; without it a whole window goes
+    /// `execute_window` call at N packets; without it a whole window goes
     /// into one call. Never affects the report — only how often a worker
     /// crosses the target seam.
     chunk: usize,
-    exec_timeout: Option<Duration>,
 }
 
 impl WorkerPool {
-    /// `workers` (at least 1) workers cloned from `blueprint`, with the
-    /// dispatch chunk and watchdog deadline `config` asks for.
-    pub(crate) fn new(blueprint: Box<dyn Target>, workers: usize, config: &CampaignConfig) -> Self {
-        let exec_timeout = config.exec_timeout.map(Duration::from_millis);
-        let workers = (0..workers.max(1))
-            .map(|_| ShardWorker {
-                target: blueprint.clone_fresh(),
-                spare: blueprint.clone_fresh(),
-                watchdog: exec_timeout
-                    .map(|timeout| Watchdog::new(blueprint.clone_fresh(), timeout)),
-                dead: false,
-            })
+    /// `workers` (at least 1) workers under `policy`, with the dispatch
+    /// chunk and watchdog deadline `config` asks for. The first worker runs
+    /// `target` itself and the others fresh clones of it, so a framed-TCP
+    /// campaign opens no connection it does not execute on (besides each
+    /// executor's spare).
+    pub(crate) fn new(
+        target: Box<dyn Target>,
+        policy: ResetPolicy,
+        workers: usize,
+        config: &CampaignConfig,
+    ) -> Self {
+        let clones: Vec<Box<dyn Target>> = (1..workers.max(1))
+            .map(|_| target.clone_fresh() as Box<dyn Target>)
             .collect();
-        let chunk = config
-            .batch
-            .map_or(usize::MAX, |batch| usize::try_from(batch.max(1)).unwrap_or(usize::MAX));
+        let workers = std::iter::once(target)
+            .chain(clones)
+            .map(ShardWorker::Idle)
+            .collect();
+        let chunk = config.batch.map_or(usize::MAX, |batch| {
+            usize::try_from(batch.max(1)).unwrap_or(usize::MAX)
+        });
         Self {
-            blueprint,
             workers,
+            config: *config,
+            policy,
             chunk,
-            exec_timeout,
         }
     }
 
@@ -435,23 +312,12 @@ impl WorkerPool {
         // global execution order through `Engine::reduce`.
         results.sort_by_key(|window| window.start);
         for window in results {
-            // A window whose worker failed mid-flight arrives with its
-            // packets intact instead of records; recover it here, on the
-            // fault-tolerant per-packet path, before merging.
-            let records = if window.failed {
-                reexecute_failed_window(
-                    engine.executor.blueprint.as_ref(),
-                    engine.executor.exec_timeout,
-                    &window.packets,
-                )
-            } else {
-                window.records
-            };
-            for (offset, record) in records.into_iter().enumerate() {
+            let executed = window.packets.into_iter().zip(window.results);
+            for (offset, (packet, (outcome, trace))) in executed.enumerate() {
                 let execution = window.start + offset as u64;
-                let merge = engine.observer.merge_sparse(&record.trace);
-                if engine.reduce(execution, &record.packet, record.outcome, &merge, models) {
-                    engine.feedback.retain(record.packet, &merge);
+                let merge = engine.observer.merge_sparse(&trace);
+                if engine.reduce(execution, &packet, outcome, &merge, models) {
+                    engine.feedback.retain(packet, &merge);
                 }
             }
         }
@@ -466,21 +332,23 @@ impl WorkerPool {
     /// fails only when no live connection remains and windows are still
     /// queued.
     fn execute(&mut self, work: VecDeque<WindowWork>) -> Vec<WindowResult> {
-        let chunk = self.chunk;
         let done: Mutex<Vec<WindowResult>> = Mutex::new(Vec::with_capacity(work.len()));
         let queue = Mutex::new(work);
+        let setup = (&self.config, self.policy, self.chunk);
         let (queue_ref, done_ref) = (&queue, &done);
         loop {
             std::thread::scope(|scope| {
-                for worker in self.workers.iter_mut().filter(|worker| !worker.dead) {
-                    scope.spawn(move || shard_worker(worker, chunk, queue_ref, done_ref));
+                for worker in &mut self.workers {
+                    scope.spawn(move || shard_worker(worker, setup, queue_ref, done_ref));
                 }
             });
             if queue.lock().expect("window queue poisoned").is_empty() {
                 break;
             }
             assert!(
-                self.workers.iter().any(|worker| !worker.dead),
+                self.workers
+                    .iter()
+                    .any(|worker| !matches!(worker, ShardWorker::Dead)),
                 "{ALL_CONNECTIONS_LOST}"
             );
         }
@@ -569,9 +437,9 @@ mod tests {
 
     #[test]
     fn chaos_panics_are_worker_count_invariant() {
-        // Injected panics fail whole windows over to the merge barrier's
-        // re-execution path. Failure detection is content-keyed, so the
-        // recovered report must not depend on who executed the window.
+        // Injected panics are recovered in place by each worker's executor.
+        // Injection is content-keyed, so the recovered report must not
+        // depend on who executed the window.
         use peachstar_protocols::chaos::{ChaosConfig, ChaosTarget};
         let run = |workers: usize| {
             let chaos = ChaosConfig::new(11).panic_every(23).hang_every(0).garbage_every(0);
@@ -632,6 +500,76 @@ mod tests {
         let report = run_on_workers(TargetId::Modbus.create(), config, 2);
         assert_eq!(report.executions, 1_500);
         assert!(report.final_paths() > 0, "coverage flows back over the wire");
+    }
+
+    /// Modbus, counting every reset of every clone into one shared counter.
+    struct CountingResets {
+        inner: Box<dyn Target + Send>,
+        resets: std::sync::Arc<std::sync::atomic::AtomicUsize>,
+    }
+
+    impl Target for CountingResets {
+        fn name(&self) -> &'static str {
+            self.inner.name()
+        }
+
+        fn data_models(&self) -> DataModelSet {
+            self.inner.data_models()
+        }
+
+        fn process(
+            &mut self,
+            packet: &[u8],
+            ctx: &mut peachstar_coverage::TraceContext,
+        ) -> peachstar_protocols::Outcome {
+            self.inner.process(packet, ctx)
+        }
+
+        fn reset(&mut self) {
+            self.resets
+                .fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+            self.inner.reset();
+        }
+
+        fn clone_fresh(&self) -> Box<dyn Target + Send> {
+            Box::new(Self {
+                inner: self.inner.clone_fresh(),
+                resets: std::sync::Arc::clone(&self.resets),
+            })
+        }
+    }
+
+    #[test]
+    fn every_worker_window_starts_from_exactly_one_reset() {
+        // The interval policy resets before every window but the first, and
+        // after every fault; a worker adds exactly one reset to that, at the
+        // start of the first window, whatever the worker count or chunking.
+        let resets = |workers: Option<usize>, batch: Option<u64>| {
+            let resets = std::sync::Arc::default();
+            let target = Box::new(CountingResets {
+                inner: TargetId::Modbus.create_send(),
+                resets: std::sync::Arc::clone(&resets),
+            });
+            let config = CampaignConfig {
+                batch,
+                ..CampaignConfig::new(StrategyKind::Peach)
+                    .executions(1_000)
+                    .reset_interval(250)
+            };
+            match workers {
+                Some(workers) => drop(run_on_workers(target, config, workers)),
+                None => drop(crate::campaign::Campaign::new(target, config).run()),
+            }
+            resets.load(std::sync::atomic::Ordering::SeqCst)
+        };
+        let inline = resets(None, None);
+        for (workers, batch) in [(1, None), (2, None), (2, Some(40))] {
+            assert_eq!(
+                resets(Some(workers), batch),
+                inline + 1,
+                "{workers} workers, batch {batch:?}"
+            );
+        }
     }
 
     #[test]

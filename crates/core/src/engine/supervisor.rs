@@ -1,23 +1,14 @@
-//! Panic containment and the hang watchdog — the fault-tolerance substrate
-//! under [`TargetExecutor`](super::TargetExecutor) and the sharded campaign
-//! workers.
+//! The hang watchdog under [`TargetExecutor`](super::TargetExecutor), whose
+//! panic containment lives in [`peachstar_protocols::containment`] (shared
+//! with the framed-TCP socket server).
 //!
-//! Two primitives live here:
-//!
-//! * [`contained`] / [`panic_fault`] — re-exported from
-//!   [`peachstar_protocols::containment`], where they moved so the
-//!   framed-TCP socket server can contain panics *server-side* with the
-//!   same process-global hook. A caught panic becomes an `Err(message)`
-//!   that the executor converts into a synthetic [`FaultKind::Panic`] fault
-//!   whose dedup site is the interned message.
-//! * [`Watchdog`] runs executions on a dedicated worker thread under a
-//!   per-execution deadline. A stuck execution is *abandoned* — the reply
-//!   channel is dropped, the worker thread is left to finish (or sleep
-//!   forever) detached, and a fresh worker is built from the pristine
-//!   factory target — and recorded as a [`FaultKind::Hang`] fault. The
-//!   worker applies exactly the reset/containment sequence the in-thread
-//!   executor applies, so a supervised campaign in which nothing hangs is
-//!   bit-identical to an unsupervised one.
+//! [`Watchdog`] runs executions on a dedicated worker thread under a
+//! per-execution deadline. A stuck execution is *abandoned* — the reply
+//! channel is dropped, the worker thread is left to finish (or sleep
+//! forever) detached, and a fresh worker is built from the pristine factory
+//! target — and recorded as a [`FaultKind::Hang`] fault. The worker runs
+//! the same [`contained_step`] the in-thread executor runs, so a supervised
+//! campaign in which nothing hangs is bit-identical to an unsupervised one.
 
 use std::sync::mpsc::{self, RecvTimeoutError};
 use std::thread;
@@ -26,7 +17,7 @@ use std::time::Duration;
 use peachstar_coverage::{SparseTrace, TraceContext};
 use peachstar_protocols::{Fault, FaultKind, Outcome, Target};
 
-pub(crate) use peachstar_protocols::containment::{contained, panic_fault};
+use peachstar_protocols::containment::contained_step;
 
 /// The dedup site recorded when the watchdog abandons a stuck execution.
 pub const HANG_SITE: &str = "watchdog: execution exceeded the --exec-timeout-ms deadline";
@@ -55,7 +46,7 @@ struct WatchdogWorker {
 /// restarted target.
 pub(crate) struct Watchdog {
     timeout: Duration,
-    factory: Box<dyn Target + Send>,
+    factory: Box<dyn Target>,
     worker: Option<WatchdogWorker>,
 }
 
@@ -69,7 +60,7 @@ impl std::fmt::Debug for Watchdog {
 }
 
 fn spawn_worker(factory: &dyn Target) -> WatchdogWorker {
-    let mut target = factory.clone_fresh();
+    let mut target: Box<dyn Target> = factory.clone_fresh();
     let spare = factory.clone_fresh();
     let (jobs, jobs_rx) = mpsc::channel::<Job>();
     let (replies_tx, replies) = mpsc::channel::<Reply>();
@@ -84,19 +75,7 @@ fn spawn_worker(factory: &dyn Target) -> WatchdogWorker {
                 if job.reset_before {
                     target.reset();
                 }
-                ctx.reset();
-                let outcome = match contained(|| target.process(&job.packet, &mut ctx)) {
-                    Ok(outcome) => outcome,
-                    Err(message) => {
-                        // The panic may have left the target inconsistent;
-                        // rebuild it from the pristine spare.
-                        target = spare.clone_fresh();
-                        Outcome::Fault(panic_fault(&message))
-                    }
-                };
-                if outcome.is_fault() {
-                    target.reset();
-                }
+                let outcome = contained_step(&mut target, spare.as_ref(), &mut ctx, &job.packet);
                 if replies_tx.send((outcome, ctx.trace().to_sparse())).is_err() {
                     // The supervisor abandoned us (deadline missed on an
                     // earlier packet) — nothing left to do.
@@ -111,7 +90,7 @@ fn spawn_worker(factory: &dyn Target) -> WatchdogWorker {
 impl Watchdog {
     /// Creates a watchdog enforcing `timeout` per execution, building its
     /// workers from fresh copies of `factory`.
-    pub(crate) fn new(factory: Box<dyn Target + Send>, timeout: Duration) -> Self {
+    pub(crate) fn new(factory: Box<dyn Target>, timeout: Duration) -> Self {
         Self {
             timeout,
             factory,

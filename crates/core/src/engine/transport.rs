@@ -43,8 +43,8 @@
 //! ("connection-refused" dedups apart from "connection-reset"), so the
 //! executor's containment records one bug per failure class and the
 //! [worker topology](super::shard) can recognise the prefix
-//! (`is_connection_loss`) and degrade the dead connection instead of
-//! failing the campaign.
+//! (`is_connection_loss`), retire the dead connection and requeue its
+//! window instead of failing the campaign.
 
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -227,21 +227,15 @@ pub fn deploy(
     }
 }
 
-/// [`deploy`] for the sharded engine, whose targets must stay `Send` so
-/// worker threads can own them.
+/// [`deploy`] typed for callers that hold `Box<dyn Target + Send>`.
 pub fn deploy_send(
     target: Box<dyn Target + Send>,
     mode: TransportMode,
     policy: ReconnectPolicy,
     chaos: WireChaos,
 ) -> (Box<dyn Target + Send>, Option<TransportGuard>) {
-    match mode {
-        TransportMode::InProcess => (target, None),
-        TransportMode::FramedTcp => {
-            let (client, guard) = deploy_tcp(target.as_ref(), policy, chaos);
-            (Box::new(client), Some(guard))
-        }
-    }
+    let (target, guard) = deploy(target, mode, policy, chaos);
+    (target, guard)
 }
 
 fn deploy_tcp(

@@ -1,17 +1,18 @@
 //! Panic containment: run target code, catch its panics, and turn them into
 //! deduplicatable [`FaultKind::Panic`] faults.
 //!
-//! This is the substrate under every fault-tolerant execution path — the
-//! in-process executor and sharded workers in the `peachstar` core crate,
-//! and the per-connection handlers of the framed-TCP [`server`](crate::server)
-//! in this one. It lives here (rather than in the engine) because the
+//! This is the substrate under every fault-tolerant execution path: the
+//! `TargetExecutor` of the `peachstar` core crate (which every worker of the
+//! worker topology owns one of), its hang watchdog's supervised thread, and
+//! the per-connection handlers of the framed-TCP [`server`](crate::server)
+//! in this crate. It lives here (rather than in the engine) because the
 //! socket server must contain panics *server-side*: a panic unwinding out of
 //! a connection handler would kill the handler thread and surface to the
 //! fuzzer as a dead socket instead of as the `Panic` bug the in-process
 //! path records. Keeping one module also keeps one process-global panic
 //! hook, so contained and uncontained threads never fight over it.
 //!
-//! Two primitives:
+//! Three primitives:
 //!
 //! * [`contained`] wraps a closure in `catch_unwind` with a process-global
 //!   panic hook that (only while a contained call is on the stack of the
@@ -21,11 +22,16 @@
 //!   the campaign records: kind [`FaultKind::Panic`],
 //!   site = the interned message, so identical panics dedup into one unique
 //!   bug exactly like planted faults do.
+//! * [`contained_step`] is the one single-packet execution step all three
+//!   paths above share: a contained [`Target::process`], a rebuild after a
+//!   panic, and a restart after any fault.
 
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::Once;
 
-use crate::{intern_site, Fault, FaultKind};
+use peachstar_coverage::TraceContext;
+
+use crate::{intern_site, Fault, FaultKind, Outcome, Target};
 
 std::thread_local! {
     static CONTAINING: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
@@ -65,9 +71,11 @@ fn install_hook() {
 /// Returns the panic message when `f` panicked.
 pub fn contained<R>(f: impl FnOnce() -> R) -> Result<R, String> {
     install_hook();
-    CONTAINING.with(|c| c.set(true));
+    // Restore the enclosing state on exit, so a contained call nested in
+    // another leaves the outer one still containing.
+    let outer = CONTAINING.with(|c| c.replace(true));
     let result = panic::catch_unwind(AssertUnwindSafe(f));
-    CONTAINING.with(|c| c.set(false));
+    CONTAINING.with(|c| c.set(outer));
     result.map_err(|payload| {
         CAPTURED
             .with(|c| c.borrow_mut().take())
@@ -85,6 +93,36 @@ pub fn panic_fault(message: &str) -> Fault {
     Fault::new(FaultKind::Panic, intern_site(message))
 }
 
+/// Runs one packet the way the paper's harness does, with the trace
+/// recorded on `ctx`: clear the trace, run a contained
+/// [`Target::process`], rebuild `target` from `spare` when it panicked (the
+/// panic may have left it in any state) and record the panic as a
+/// [`panic_fault`], then restart the target after any fault, as the harness
+/// restarts a crashed server. The trace keeps the edges a panicking packet
+/// recorded before the panic: they are real coverage.
+///
+/// `spare` must be a pristine instance that is never executed. A reset the
+/// caller's policy schedules before the packet is the caller's to apply.
+pub fn contained_step(
+    target: &mut Box<dyn Target>,
+    spare: &dyn Target,
+    ctx: &mut TraceContext,
+    packet: &[u8],
+) -> Outcome {
+    ctx.reset();
+    let outcome = match contained(|| target.process(packet, ctx)) {
+        Ok(outcome) => outcome,
+        Err(message) => {
+            *target = spare.clone_fresh();
+            Outcome::Fault(panic_fault(&message))
+        }
+    };
+    if outcome.is_fault() {
+        target.reset();
+    }
+    outcome
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -97,6 +135,14 @@ mod tests {
         assert_eq!(formatted, Err("chaos: injected panic #2".into()));
         // Containment is per-call: a later normal call is unaffected.
         assert_eq!(contained(|| "ok"), Ok("ok"));
+        // A nested call leaves the outer one containing: the hook, not the
+        // payload fallback, still names a non-string panic.
+        let nested = contained(|| {
+            assert_eq!(contained(|| 1), Ok(1));
+            panic::panic_any(7u8)
+        });
+        let message: String = nested.expect_err("the outer call contains the panic");
+        assert!(message.starts_with("panic at "), "{message}");
     }
 
     #[test]

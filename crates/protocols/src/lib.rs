@@ -374,8 +374,10 @@ impl SessionTemplate {
 /// packets to.
 ///
 /// Targets are stateful (sessions, register banks, sequence numbers); the
-/// campaign decides when to [`reset`](Target::reset) them.
-pub trait Target {
+/// campaign decides when to [`reset`](Target::reset) them. They are `Send`,
+/// so any campaign topology can move a target, with the executor that owns
+/// it, onto a worker thread.
+pub trait Target: Send {
     /// Short name of the target, matching the project names used in the
     /// paper (e.g. `"libmodbus"`, `"lib60870"`).
     fn name(&self) -> &'static str;
@@ -442,8 +444,8 @@ pub trait Target {
     /// Creates a fresh, just-started instance of the same target.
     ///
     /// This is the factory seam sharded campaigns use to give every worker
-    /// thread its own target copy (hence the `Send` bound). The returned
-    /// instance must be indistinguishable from the state
+    /// thread its own target copy. The returned instance must be
+    /// indistinguishable from the state
     /// [`reset`](Target::reset) restores, so that executing a reset-aligned
     /// slice of a campaign on a fresh copy produces exactly the outcomes the
     /// sequential campaign would.
@@ -516,19 +518,11 @@ impl TargetId {
         }
     }
 
-    /// Instantiates the target as a `Send` trait object — for consumers
-    /// that must move the instance to another thread (the hang watchdog's
-    /// supervised worker, a replayed crash artifact).
+    /// [`create`](TargetId::create) typed as a `Box<dyn Target + Send>`, the
+    /// type wrappers such as [`ChaosTarget`](chaos::ChaosTarget) hold.
     #[must_use]
     pub fn create_send(self) -> Box<dyn Target + Send> {
-        match self {
-            TargetId::Modbus => Box::new(modbus::ModbusServer::new()),
-            TargetId::Iec104 => Box::new(iec104::Iec104Server::new()),
-            TargetId::Iec61850 => Box::new(iec61850::MmsServer::new()),
-            TargetId::Lib60870 => Box::new(lib60870::Lib60870Server::new()),
-            TargetId::Iccp => Box::new(iccp::IccpServer::new()),
-            TargetId::Dnp3 => Box::new(dnp3::Dnp3Outstation::new()),
-        }
+        self.create()
     }
 
     /// Parses a project name (as printed by [`TargetId::project_name`]) or a

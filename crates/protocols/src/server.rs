@@ -11,19 +11,17 @@
 //!
 //! Server-side semantics replicate the in-process executor bit for bit:
 //!
-//! * **Process**: `ctx.reset()` → [`contained`] `process` → a panic rebuilds
-//!   the target from the spare and becomes a [`panic_fault`] outcome → a
-//!   fault outcome triggers `target.reset()` — the exact sequence of the
-//!   in-process `TargetExecutor` and its watchdog worker.
-//! * **Batch**: the requested [`DecodeSink`](crate::DecodeSink) is armed around a *per-packet
-//!   contained loop* (never a whole-window `process_batch` call). This is
-//!   deliberate: the in-process engines fall back to exactly this per-packet
-//!   contained sequence whenever a window fails (executor rebuild-and-finish,
-//!   sharded failed-window re-execution), and for windows that *don't* fail
-//!   the per-packet results are identical to the batched ones (proven by the
-//!   batch-equivalence tests). Containing per packet server-side means a
-//!   client-visible window never fails, which is what makes TCP campaigns
-//!   reduce to the same records as in-process ones.
+//! * **Process**: one [`contained_step`], the single-packet step the
+//!   in-process `TargetExecutor` and its watchdog thread run too.
+//! * **Batch**: the requested [`DecodeSink`](crate::DecodeSink) is armed
+//!   around a *per-packet* loop of [`contained_step`] (never a whole-window
+//!   `process_batch` call). This is deliberate: the in-process executor
+//!   finishes a window on exactly this per-packet step after a panic, and
+//!   for windows that *don't* panic the per-packet results are identical
+//!   to the batched ones (proven by the batch-equivalence tests).
+//!   Containing per packet server-side means a client-visible window never
+//!   fails, which is what makes TCP campaigns reduce to the same records as
+//!   in-process ones.
 //! * **Panic containment is server-side** ([`crate::containment`]): a target
 //!   panic must become a `Panic` fault on the wire, not a dead handler
 //!   thread and a broken socket.
@@ -42,9 +40,9 @@ use std::thread::JoinHandle;
 
 use peachstar_coverage::TraceContext;
 
-use crate::containment::{contained, panic_fault};
+use crate::containment::contained_step;
 use crate::wire::{MessageStream, Request, Response, WireFraming};
-use crate::{Outcome, OutcomeSummary, Target};
+use crate::{OutcomeSummary, Target};
 
 /// Deterministic server-side failure injection for [`serve_with_chaos`]:
 /// the wire-level counterpart of [`ChaosTarget`](crate::chaos::ChaosTarget).
@@ -250,8 +248,8 @@ pub fn serve_with_chaos(
 /// module docs.
 fn handle_connection(
     mut stream: TcpStream,
-    mut target: Box<dyn Target + Send>,
-    spare: Box<dyn Target + Send>,
+    mut target: Box<dyn Target>,
+    spare: Box<dyn Target>,
     chaos: WireChaos,
     chaos_state: &WireChaosState,
 ) -> io::Result<()> {
@@ -271,15 +269,15 @@ fn handle_connection(
         let request = Request::decode(&message)?;
         let response = match request {
             Request::Process(packet) => {
-                let (outcome, trace) = execute_one(&mut target, &*spare, &mut ctx, &packet);
-                Response::Process(outcome, trace)
+                let outcome = contained_step(&mut target, spare.as_ref(), &mut ctx, &packet);
+                Response::Process(outcome, ctx.trace().to_sparse())
             }
             Request::Batch { sink, packets } => {
                 let _armed = sink.arm();
                 records.clear();
                 for packet in &packets {
-                    let (outcome, trace) = execute_one(&mut target, &*spare, &mut ctx, packet);
-                    records.push((OutcomeSummary::from(&outcome), trace));
+                    let outcome = contained_step(&mut target, spare.as_ref(), &mut ctx, packet);
+                    records.push((OutcomeSummary::from(&outcome), ctx.trace().to_sparse()));
                 }
                 Response::Batch(std::mem::take(&mut records))
             }
@@ -292,29 +290,6 @@ fn handle_connection(
         messages.send(&mut stream, &payload)?;
     }
     Ok(())
-}
-
-/// One contained execution: the in-process executor's exact sequence —
-/// trace reset, contained `process`, rebuild-from-spare on panic, post-fault
-/// target reset — returning the outcome with its sparse trace snapshot.
-fn execute_one(
-    target: &mut Box<dyn Target + Send>,
-    spare: &(dyn Target + Send),
-    ctx: &mut TraceContext,
-    packet: &[u8],
-) -> (Outcome, peachstar_coverage::SparseTrace) {
-    ctx.reset();
-    let outcome = match contained(|| target.process(packet, ctx)) {
-        Ok(outcome) => outcome,
-        Err(message) => {
-            *target = spare.clone_fresh();
-            Outcome::Fault(panic_fault(&message))
-        }
-    };
-    if outcome.is_fault() {
-        target.reset();
-    }
-    (outcome, ctx.trace().to_sparse())
 }
 
 #[cfg(test)]

@@ -17,14 +17,15 @@
 //!   `cov_edge!` site, branch and state mutation fires exactly as before,
 //!   so recorded traces and `path_id`s are untouched by construction — but
 //!   returns empty payloads instead of formatting/assembling them. Batched
-//!   campaign windows always decode this way.
+//!   windows, inline or on a worker, always decode this way.
 //!
 //! The sink is armed per thread ([`DecodeSink::arm`]) for the duration of a
 //! batched window, not threaded through every decoder helper: the decoders'
 //! call graphs stay signature-identical, which is what keeps their
 //! `cov_edge!` call sites (and therefore edge IDs, which hash the source
 //! position) pinned. The guard restores the previous mode on drop, so panic
-//! containment (`catch_unwind` in the executor) and nested arming are safe.
+//! containment ([`contained`](crate::containment::contained) unwinding out
+//! of a batched window) and nested arming are safe.
 //!
 //! Debug builds can cross-check the two fidelities end to end with
 //! [`debug_cross_check_sinks`]: both sinks run the same packet on fresh

@@ -11,8 +11,8 @@
 //!    across strategies × batch sizes × sessions × sharded workers.
 //! 2. **Dedup** — injected panic sites surface as unique bugs, one record
 //!    per site, alongside the target's native bugs.
-//! 3. **Worker invariance under chaos** — failed-window detection and
-//!    barrier re-execution are content-keyed, so the worker count still
+//! 3. **Worker invariance under chaos** — injection is content-keyed and
+//!    every worker recovers a panic in place, so the worker count still
 //!    cannot leak into a sharded report.
 //! 4. **Composition** — checkpoint/resume reproduces a chaos campaign bit
 //!    for bit, and a crash artifact cut from the resumed report still
@@ -200,6 +200,20 @@ fn worker_count_never_changes_a_chaos_report() {
                     run(workers),
                     "{strategy} chaos on {target} seed {seed}: {workers} workers diverged"
                 );
+            }
+            // Peach takes no feedback, so its worker report is also the
+            // inline one, batched or not: a window that panics recovers to
+            // exactly what the inline executor records for it.
+            if strategy == StrategyKind::Peach {
+                for inline in [config(strategy, seed), config(strategy, seed).batch(64)] {
+                    assert_eq!(
+                        one,
+                        deterministic(&Campaign::new(chaos_target(target), inline).run()),
+                        "Peach chaos on {target} seed {seed}: workers diverged from inline \
+                         (batch {:?})",
+                        inline.batch
+                    );
+                }
             }
         }
     }

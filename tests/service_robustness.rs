@@ -288,26 +288,36 @@ fn an_exhausted_connection_degrades_onto_the_survivors() {
     // accept-and-close rejections outlast its reconnect budget: the
     // connection is marked dead, its window is redistributed, and the
     // surviving connection finishes the campaign with the healthy report.
-    let cfg = config(13);
-    let healthy = deterministic(
-        &ShardedCampaign::new(
+    // Unbatched, every window reaches the target in one chunk; a batch
+    // splits each window into several, so a connection can die between
+    // chunks of one window. Only `batch(5)` sends enough frames to reach
+    // the 137th, where the drop fires.
+    for cfg in [config(13), config(13).batch(50), config(13).batch(5)] {
+        let healthy = deterministic(
+            &ShardedCampaign::new(
+                TargetId::Modbus.create(),
+                cfg,
+                ShardConfig::with_workers(2).sync_windows(2),
+            )
+            .run(),
+        );
+        let chaotic = cfg
+            .reconnect(ReconnectPolicy::immediate(2))
+            .wire_chaos(WireChaos::drop_every(137).limit(1).reject_after_drop(3));
+        let report = ShardedCampaign::new(
             TargetId::Modbus.create(),
-            cfg,
+            chaotic.transport(TransportMode::FramedTcp),
             ShardConfig::with_workers(2).sync_windows(2),
         )
-        .run(),
-    );
-    let chaotic = cfg
-        .reconnect(ReconnectPolicy::immediate(2))
-        .wire_chaos(WireChaos::drop_every(137).limit(1).reject_after_drop(3));
-    let report = ShardedCampaign::new(
-        TargetId::Modbus.create(),
-        chaotic.transport(TransportMode::FramedTcp),
-        ShardConfig::with_workers(2).sync_windows(2),
-    )
-    .run();
-    assert_eq!(report.executions, cfg.executions);
-    assert_eq!(healthy, deterministic(&report), "degraded campaign diverged");
+        .run();
+        assert_eq!(report.executions, cfg.executions);
+        assert_eq!(
+            healthy,
+            deterministic(&report),
+            "degraded campaign diverged (batch {:?})",
+            cfg.batch
+        );
+    }
 }
 
 // ---------------------------------------------------------------------------
