@@ -35,7 +35,8 @@ fn bench_targets(c: &mut Criterion) {
 
 /// Whole-window dispatch: the same default packets cycled into a 64-packet
 /// window and handed to `process_batch` — the exact call shape of the
-/// batched campaign fast path, including each protocol's prescan override.
+/// batched campaign fast path, whose packet loop calls each target's
+/// `process` with static dispatch.
 /// The `_summary` variants arm [`DecodeSink::Summary`], so their delta
 /// against the plain entries is the pure cost of response assembly and
 /// error-string formatting that batched campaign windows skip.

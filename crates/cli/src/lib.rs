@@ -151,11 +151,6 @@ pub struct CliOptions {
     /// or length-framed request/response over loopback TCP against a
     /// spawned socket server. Reports are bit-identical either way.
     pub transport: TransportMode,
-    /// Live TCP connections multiplexed inside each campaign (>= 2 runs the
-    /// worker topology, one connection per worker; requires `--transport
-    /// tcp`). Like `--shards`, never changes the report — only how it is
-    /// produced.
-    pub connections: usize,
     /// Run one campaign as a long-lived supervised service (`serve` mode):
     /// rolling checkpoints into the `--checkpoint` rotation directory, an
     /// optional `--control` socket, graceful drain on `stop`, and SIGKILL
@@ -213,7 +208,6 @@ impl Default for CliOptions {
             chaos: None,
             chaos_hang_every: None,
             transport: TransportMode::InProcess,
-            connections: 1,
             serve: false,
             control: None,
             keep_checkpoints: Self::DEFAULT_KEEP_CHECKPOINTS,
@@ -329,21 +323,17 @@ OPTIONS:
                              against a spawned socket server (TPKT/COTP
                              framing for iec61850/iccp, raw length framing
                              otherwise). Reports are bit-identical either
-                             way. [default: inprocess]
-    --connections <N>        With --transport tcp: multiplex each campaign
-                             over N live connections (each with its own
-                             server-side target instance), buffered per
-                             connection and reduced at the merge barrier in
-                             execution order. Like --shards, N never changes
-                             the report. Incompatible with --shards.
-                             [default: 1]
+                             way. With --shards N, each of the N workers
+                             drives its own live connection (each with its
+                             own server-side target instance).
+                             [default: inprocess]
     --reconnect-retries <N>  With --transport tcp: reconnect attempts per
                              lost connection (bounded exponential backoff,
                              journal replay restores the session; 0 fails on
                              the first socket error). A connection that
                              exhausts its budget is declared dead; with
-                             --connections its windows redistribute onto the
-                             survivors. [default: 4]
+                             --shards its windows redistribute onto the
+                             surviving connections. [default: 4]
     --wire-drop-every <N>    With --transport tcp: deterministic server-side
                              failure injection — the server drops the serving
                              connection before every Nth frame. The campaign
@@ -414,7 +404,7 @@ EXAMPLES:
         --resume run.snap                          # finish the campaign
     peachstar-cli --target modbus --strategy peach --chaos 7 \\
         --artifacts crashes/ --fail-on-fault       # chaos run + reproducers
-    peachstar-cli --target modbus --transport tcp --connections 4 \\
+    peachstar-cli --target modbus --transport tcp --shards 4 \\
         --batch 250                                # real-wire campaign
     peachstar-cli serve --target modbus --strategy peach --checkpoint rot/ \\
         --keep-checkpoints 4 --control 127.0.0.1:4455   # supervised service
@@ -434,7 +424,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
     let mut mutate: Option<PhaseMask> = None;
     let mut session_payload: Option<u64> = None;
     let mut checkpoint_every: Option<u64> = None;
-    let mut connections: Option<usize> = None;
     let mut keep_checkpoints: Option<usize> = None;
     let mut iter = args.iter();
 
@@ -616,13 +605,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
                         ))
                     }
                 };
-            }
-            "--connections" => {
-                let count = number("--connections", value("--connections", &mut iter)?)?;
-                if count == 0 {
-                    return Err("--connections must be at least 1".into());
-                }
-                connections = Some(usize::try_from(count).unwrap_or(1));
             }
             "--artifacts" => {
                 options.artifacts = Some(PathBuf::from(value("--artifacts", &mut iter)?));
@@ -827,32 +809,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
         }
         Some(_) => {}
     }
-    if let Some(count) = connections {
-        if options.transport != TransportMode::FramedTcp {
-            return Err(
-                "--connections multiplexes live TCP connections; enable the wire with \
-                 --transport tcp"
-                    .into(),
-            );
-        }
-        options.connections = count;
-    }
-    if options.connections >= 2 {
-        if options.shards >= 2 {
-            return Err(
-                "--connections and --shards both drive the parallel engine; pick one \
-                 (connections are the sharded workers of a TCP campaign)"
-                    .into(),
-            );
-        }
-        if options.shared_corpus {
-            return Err(
-                "--shared-corpus chains repetitions sequentially through one corpus; \
-                 drop --connections"
-                    .into(),
-            );
-        }
-    }
     Ok(Command::Run(options))
 }
 
@@ -1054,12 +1010,11 @@ fn make_target(options: &CliOptions, target: TargetId) -> Box<dyn Target> {
     }
 }
 
-/// The topology the options ask for: `--shards N` or `--connections N`
-/// with N >= 2 runs N workers (connections are the workers of a framed-TCP
-/// campaign; parse-time validation forbids asking for both), anything else
+/// The topology the options ask for: `--shards N` with N >= 2 runs N
+/// workers (under `--transport tcp`, N live connections), anything else
 /// runs inline.
 fn topology(options: &CliOptions) -> Topology {
-    match options.shards.max(options.connections) {
+    match options.shards {
         workers if workers >= 2 => Topology::Workers(ShardConfig::with_workers(workers)),
         _ => Topology::Inline,
     }
@@ -1076,7 +1031,7 @@ fn build_campaign(options: &CliOptions, target: TargetId, config: CampaignConfig
 /// series.
 ///
 /// `--checkpoint`/`--resume`/`--stop-after` runs drive the single campaign
-/// through the snapshot seams instead of the thread pool; `--shared-corpus`
+/// through a checkpointing run plan instead of the thread pool; `--shared-corpus`
 /// chains the repetitions sequentially through one merged puzzle corpus.
 ///
 /// # Errors
@@ -1172,10 +1127,9 @@ fn run_inner(options: &CliOptions) -> Result<RunOutcome, String> {
 
     let jobs = if options.jobs > 0 {
         options.jobs
-    } else if options.shards >= 2 || options.connections >= 2 {
-        // Worker-topology campaigns (shards or connections) parallelise
-        // internally; running many of them concurrently by default would
-        // oversubscribe the machine.
+    } else if options.shards >= 2 {
+        // Worker-topology campaigns parallelise internally; running many of
+        // them concurrently by default would oversubscribe the machine.
         1
     } else {
         std::thread::available_parallelism().map_or(1, usize::from)
@@ -1448,11 +1402,9 @@ pub fn render_report(outcome: &RunOutcome) -> String {
         } else {
             String::new()
         },
-        match (options.transport, options.connections) {
-            (TransportMode::FramedTcp, connections) if connections >= 2 =>
-                format!(", framed-TCP transport x {connections} connections"),
-            (TransportMode::FramedTcp, _) => ", framed-TCP transport".to_string(),
-            (TransportMode::InProcess, _) => String::new(),
+        match options.transport {
+            TransportMode::FramedTcp => ", framed-TCP transport".to_string(),
+            TransportMode::InProcess => String::new(),
         },
         if let Some(batch) = options.batch {
             format!(", batched windows of {batch}")
@@ -1683,9 +1635,8 @@ pub fn render_json(outcome: &RunOutcome) -> String {
     ));
     if options.transport == TransportMode::FramedTcp {
         out.push_str(&format!(
-            "  \"transport\": \"{}\",\n  \"connections\": {},\n",
-            options.transport.as_flag(),
-            options.connections
+            "  \"transport\": \"{}\",\n",
+            options.transport.as_flag()
         ));
     }
     if options.sessions {
@@ -1770,28 +1721,28 @@ pub fn render_json(outcome: &RunOutcome) -> String {
     out
 }
 
-/// The single-core honesty check for `--shards` and `--connections`:
-/// oversubscribed workers time-slice the same cores, so the parallel
-/// campaign usually runs *slower* than the sequential loop while producing
-/// the same report. `--shards N` demands N worker threads; `--connections N`
-/// demands roughly 2N (N client lanes plus N server-side connection
+/// The single-core honesty check for `--shards`: oversubscribed workers
+/// time-slice the same cores, so the parallel campaign usually runs
+/// *slower* than the sequential loop while producing the same report.
+/// `--shards N` demands N worker threads in-process and roughly 2N over
+/// `--transport tcp` (N client lanes plus N server-side connection
 /// handlers). Returns the warning text when that demand exceeds `available`
 /// hardware parallelism.
 #[must_use]
 pub fn shard_parallelism_warning(
     shards: usize,
-    connections: usize,
+    transport: TransportMode,
     available: usize,
 ) -> Option<String> {
-    if connections >= 2 && connections * 2 > available {
+    if transport == TransportMode::FramedTcp && shards >= 2 && shards * 2 > available {
         return Some(format!(
-            "--connections {connections} drives ~{} threads ({connections} client \
-             lanes + {connections} server handlers), exceeding the available \
+            "--shards {shards} over --transport tcp drives ~{} threads ({shards} \
+             client lanes + {shards} server handlers), exceeding the available \
              parallelism ({available}): connections will time-slice the same \
              core(s), which usually runs slower than one connection. On a \
              single core prefer --batch N, which amortises per-packet wire \
              round-trips without threads.",
-            connections * 2
+            shards * 2
         ));
     }
     (shards >= 2 && shards > available).then(|| {
@@ -1824,7 +1775,7 @@ pub fn run_main(args: &[String]) -> ExitCode {
         Ok(Command::Run(options)) => {
             let available = std::thread::available_parallelism().map_or(1, usize::from);
             if let Some(warning) =
-                shard_parallelism_warning(options.shards, options.connections, available)
+                shard_parallelism_warning(options.shards, options.transport, available)
             {
                 eprintln!("warning: {warning}");
             }
@@ -2046,28 +1997,32 @@ mod tests {
 
     #[test]
     fn shard_warning_fires_only_when_oversubscribed() {
-        assert!(shard_parallelism_warning(4, 1, 1).is_some());
-        let text = shard_parallelism_warning(8, 1, 2).unwrap();
+        let in_process = TransportMode::InProcess;
+        assert!(shard_parallelism_warning(4, in_process, 1).is_some());
+        let text = shard_parallelism_warning(8, in_process, 2).unwrap();
         assert!(text.contains("--shards 8"));
         assert!(text.contains("(2)"));
         assert!(text.contains("--batch"), "points at the single-core alternative");
-        assert!(shard_parallelism_warning(4, 1, 4).is_none());
-        assert!(shard_parallelism_warning(2, 1, 8).is_none());
-        assert!(shard_parallelism_warning(1, 1, 1).is_none(), "sequential never warns");
+        assert!(shard_parallelism_warning(4, in_process, 4).is_none());
+        assert!(shard_parallelism_warning(2, in_process, 8).is_none());
+        assert!(shard_parallelism_warning(1, in_process, 1).is_none(), "sequential never warns");
     }
 
     #[test]
     fn connection_warning_accounts_for_server_handler_threads() {
-        // N connections drive ~2N threads: N client lanes + N server-side
-        // connection handlers. 4 connections on 8 cores is exactly at the
-        // edge; on 4 cores it warns even though 4 shards would not.
-        assert!(shard_parallelism_warning(1, 4, 8).is_none());
-        let text = shard_parallelism_warning(1, 4, 4).unwrap();
-        assert!(text.contains("--connections 4"));
+        // N shards over TCP drive ~2N threads: N client lanes + N
+        // server-side connection handlers. 4 connections on 8 cores is
+        // exactly at the edge; on 4 cores it warns even though 4 in-process
+        // shards would not.
+        let tcp = TransportMode::FramedTcp;
+        assert!(shard_parallelism_warning(4, tcp, 8).is_none());
+        let text = shard_parallelism_warning(4, tcp, 4).unwrap();
+        assert!(text.contains("--shards 4 over --transport tcp"));
         assert!(text.contains("~8 threads"));
         assert!(text.contains("--batch"), "points at the single-core alternative");
-        assert!(shard_parallelism_warning(1, 2, 4).is_none());
-        assert!(shard_parallelism_warning(1, 1, 1).is_none(), "one connection never warns");
+        assert!(shard_parallelism_warning(4, TransportMode::InProcess, 4).is_none());
+        assert!(shard_parallelism_warning(2, tcp, 4).is_none());
+        assert!(shard_parallelism_warning(1, tcp, 1).is_none(), "one connection never warns");
     }
 
     #[test]
@@ -2076,19 +2031,19 @@ mod tests {
             panic!("expected a run command");
         };
         assert_eq!(options.transport, TransportMode::FramedTcp);
-        assert_eq!(options.connections, 1);
+        assert_eq!(topology(&options), Topology::Inline);
+        // Every shard of a TCP campaign is one live connection.
         let Command::Run(options) =
-            parse_args(&args(&["--transport", "tcp", "--connections", "4"])).unwrap()
+            parse_args(&args(&["--transport", "tcp", "--shards", "4"])).unwrap()
         else {
             panic!("expected a run command");
         };
-        assert_eq!(options.connections, 4);
+        assert_eq!(topology(&options), Topology::Workers(ShardConfig::with_workers(4)));
         // Defaults and aliases.
         let Command::Run(options) = parse_args(&[]).unwrap() else {
             panic!("expected a run command");
         };
         assert_eq!(options.transport, TransportMode::InProcess);
-        assert_eq!(options.connections, 1);
         for alias in ["inprocess", "in-process", "direct"] {
             let Command::Run(options) = parse_args(&args(&["--transport", alias])).unwrap()
             else {
@@ -2105,13 +2060,13 @@ mod tests {
         }
         // Composes with the batch/session/chaos/artifact machinery.
         let Command::Run(options) = parse_args(&args(&[
-            "--target", "iec104", "--transport", "tcp", "--connections", "2",
+            "--target", "iec104", "--transport", "tcp", "--shards", "2",
             "--batch", "64", "--sessions", "--chaos", "7", "--artifacts", "crashes",
         ]))
         .unwrap() else {
             panic!("expected a run command");
         };
-        assert_eq!(options.connections, 2);
+        assert_eq!(options.shards, 2);
         assert_eq!(options.batch, Some(64));
         assert!(options.sessions);
     }
@@ -2120,26 +2075,15 @@ mod tests {
     fn transport_and_connection_flags_are_validated() {
         assert!(parse_args(&args(&["--transport", "udp"])).is_err());
         assert!(parse_args(&args(&["--transport"])).is_err());
-        assert!(parse_args(&args(&["--connections", "0"])).is_err());
-        assert!(parse_args(&args(&["--connections"])).is_err());
-        assert!(parse_args(&args(&["--connections", "many"])).is_err());
-        // Connections without a wire are meaningless; the error points at
-        // the fix.
-        let error = parse_args(&args(&["--connections", "4"])).unwrap_err();
-        assert!(error.contains("--transport tcp"), "points at the wire: {error}");
-        // Connections *are* the workers of the worker topology; both at
-        // once would fight over it.
+        // `--shards` is the connection count; there is no second flag for it.
+        assert!(parse_args(&args(&["--transport", "tcp", "--connections", "2"])).is_err());
         assert!(parse_args(&args(&[
-            "--transport", "tcp", "--connections", "2", "--shards", "2"
-        ]))
-        .is_err());
-        assert!(parse_args(&args(&[
-            "--transport", "tcp", "--connections", "2",
+            "--transport", "tcp", "--shards", "2",
             "--shared-corpus", "--repetitions", "2"
         ]))
         .is_err());
-        // One connection over tcp is the plain sequential campaign.
-        assert!(parse_args(&args(&["--transport", "tcp", "--connections", "1"])).is_ok());
+        // One shard over tcp is the plain sequential campaign.
+        assert!(parse_args(&args(&["--transport", "tcp", "--shards", "1"])).is_ok());
     }
 
     #[test]
@@ -2154,7 +2098,7 @@ mod tests {
         let in_process = run(&options).expect("in-process run");
         let tcp = run(&CliOptions {
             transport: TransportMode::FramedTcp,
-            connections: 2,
+            shards: 2,
             ..options.clone()
         })
         .expect("tcp run");
@@ -2165,14 +2109,14 @@ mod tests {
         assert_eq!(a.reports[0].series.points(), b.reports[0].series.points());
         assert_eq!(a.unique_bugs(options.seed), b.unique_bugs(options.seed));
 
-        assert!(render_report(&tcp).contains("framed-TCP transport x 2 connections"));
+        assert!(render_report(&tcp).contains("2 shard workers, framed-TCP transport"));
         let json = render_json(&tcp);
         assert!(json.contains("\"transport\": \"tcp\""));
-        assert!(json.contains("\"connections\": 2"));
+        assert!(json.contains("\"shards\": 2"));
+        assert!(!json.contains("\"connections\""));
         // Absent when in-process, so existing consumers see no new fields.
         let json = render_json(&in_process);
         assert!(!json.contains("\"transport\""));
-        assert!(!json.contains("\"connections\""));
     }
 
     #[test]

@@ -33,7 +33,7 @@ use crate::engine::{PhaseMask, SessionConfig};
 use crate::snapshot::{
     fault_kind_from_tag, fault_kind_tag, fnv1a, put_bytes, put_option_u64, put_section, put_str,
     put_u32, put_u64, put_u8, read_option_u64, read_section, strategy_from_tag, strategy_tag,
-    Reader, SnapshotError,
+    write_atomic, Reader, SnapshotError,
 };
 
 /// File magic of a crash artifact bundle.
@@ -278,15 +278,14 @@ impl CrashArtifact {
 
     /// Writes the bundle into `dir` (created if missing) under its
     /// deterministic [`file_name`](CrashArtifact::file_name), atomically:
-    /// bytes go to a sibling `.tmp` first and are renamed into place.
+    /// bytes go to a sibling `.tmp` first and are renamed into place, and a
+    /// failed write removes its temp file — the same helper
+    /// [`CampaignSnapshot::write_atomic`](crate::snapshot::CampaignSnapshot::write_atomic)
+    /// uses.
     pub fn write_atomic(&self, dir: &Path) -> Result<PathBuf, SnapshotError> {
         std::fs::create_dir_all(dir)?;
         let path = dir.join(self.file_name());
-        let mut tmp = path.as_os_str().to_owned();
-        tmp.push(".tmp");
-        let tmp = PathBuf::from(tmp);
-        std::fs::write(&tmp, self.encode())?;
-        std::fs::rename(&tmp, &path)?;
+        write_atomic(&path, &self.encode())?;
         Ok(path)
     }
 

@@ -2,9 +2,9 @@
 //! execution budget, recording coverage growth and unique bugs.
 //!
 //! The per-execution work — reset policy, coverage merge, valuable-seed
-//! retention, bug dedup, series sampling, strategy feedback — lives behind
-//! the seams of the [`engine`](crate::engine) module. A [`Campaign`]
-//! assembles those seams and drives them through one round loop: its
+//! retention, bug dedup, series sampling, strategy feedback — lives in the
+//! [`engine`](crate::engine) module. A [`Campaign`] assembles an
+//! [`Engine`] and drives it through one round loop: its
 //! [`Topology`] only decides how a round executes (inline on the calling
 //! thread, or on parallel workers behind a merge barrier), and a [`RunPlan`]
 //! decides whether the run resumes, checkpoints, stops early, answers to a
@@ -21,11 +21,9 @@ use peachstar_protocols::{Fault, Target, WindowResults, WireChaos};
 
 use crate::corpus::PuzzleCorpus;
 use crate::engine::batch::{windows_for_policy, PacketArena};
-use crate::engine::session::session_setup;
 use crate::engine::shard::WorkerPool;
 use crate::engine::{
-    CampaignMonitor, CoverageObserver, Engine, Feedback, NewCoverageFeedback, Observer,
-    ResetPolicy, Schedule, SessionPlan, StrategySchedule, TargetExecutor,
+    CampaignMonitor, Engine, ResetPolicy, Schedule, SessionPlan, SessionSchedule, TargetExecutor,
 };
 use crate::service::ServiceHooks;
 use crate::snapshot::{CampaignSnapshot, CheckpointConfig, SnapshotError, SnapshotMeta};
@@ -63,7 +61,7 @@ pub struct CampaignConfig {
     pub session: Option<SessionConfig>,
     /// Execute each reset-aligned window in batched slices of at most this
     /// many packets, one
-    /// [`Executor::execute_window`](crate::engine::Executor::execute_window)
+    /// [`TargetExecutor::execute_window`](crate::engine::TargetExecutor::execute_window)
     /// call each, instead of the per-execution loop.
     ///
     /// Batched Peach campaigns are bit-identical to sequential ones for any
@@ -455,27 +453,36 @@ impl Campaign {
         .map(|(report, _)| report)
     }
 
-    /// The reset policy this campaign will run under — the same derivation
-    /// [`run_plan`](Campaign::run_plan) performs, exposed so checkpoint
-    /// alignment can be computed without consuming the campaign.
-    fn policy(&self) -> ResetPolicy {
+    /// The session mode and reset policy this campaign runs under: with
+    /// [`CampaignConfig::session`] set and a session-capable target, every
+    /// session is one reset window; otherwise the interval policy applies.
+    /// The one derivation both [`run_plan`](Campaign::run_plan) and the
+    /// boundary queries use.
+    fn session_and_policy(&self) -> (Option<SessionSchedule>, ResetPolicy) {
         let session = self
             .config
             .session
             .and_then(|opts| self.target.session_template().map(|template| (opts, template)));
         match session {
-            Some((opts, template)) => ResetPolicy::PerSession(
-                SessionPlan::new(template, opts.payload_packets).session_len(),
-            ),
-            None => ResetPolicy::Interval(self.config.reset_interval),
+            Some((opts, template)) => {
+                let plan = SessionPlan::new(template, opts.payload_packets);
+                let policy = ResetPolicy::PerSession(plan.session_len());
+                (Some(SessionSchedule::new(plan, opts.mutate)), policy)
+            }
+            None => (None, ResetPolicy::Interval(self.config.reset_interval)),
         }
+    }
+
+    /// The reset-aligned windows of this campaign.
+    fn windows(&self) -> Vec<(u64, u64)> {
+        windows_for_policy(self.config.executions, self.session_and_policy().1)
     }
 
     /// The reset-aligned window boundaries of this campaign, ascending; the
     /// last is always the execution budget.
     #[must_use]
     pub fn window_boundaries(&self) -> Vec<u64> {
-        round_ends(&windows_for_policy(self.config.executions, self.policy()), 1)
+        round_ends(&self.windows(), 1)
     }
 
     /// The round-end executions of this campaign, ascending — the only
@@ -487,8 +494,7 @@ impl Campaign {
     /// [`window_boundaries`](Campaign::window_boundaries).
     #[must_use]
     pub fn round_boundaries(&self) -> Vec<u64> {
-        let windows = windows_for_policy(self.config.executions, self.policy());
-        round_ends(&windows, self.topology.sync_windows())
+        round_ends(&self.windows(), self.topology.sync_windows())
     }
 
     /// Runs the campaign under `plan` and returns its report, plus the
@@ -507,6 +513,7 @@ impl Campaign {
         plan: RunPlan<'_>,
     ) -> Result<(CampaignReport, Option<CampaignSnapshot>), SnapshotError> {
         let started = Instant::now();
+        let (session, policy) = self.session_and_policy();
         let Self {
             target,
             config,
@@ -515,8 +522,8 @@ impl Campaign {
         } = self;
         // The transport guard (the socket server, under `FramedTcp`) must
         // outlive the rounds; the campaign's client connections die with the
-        // engine, before the guard drops. The snapshot fingerprint is
-        // transport-invariant: the framed target reports its blueprint's
+        // executors below, before the guard drops. The snapshot fingerprint
+        // is transport-invariant: the framed target reports its blueprint's
         // name, and the fingerprint excludes the transport.
         let (target, _transport) = crate::engine::transport::deploy(
             target,
@@ -524,23 +531,60 @@ impl Campaign {
             config.reconnect,
             config.wire_chaos,
         );
-        let session = config
-            .session
-            .and_then(|opts| target.session_template().map(|template| (opts, template)));
-        match session {
-            Some((session_opts, template)) => {
-                let (policy, schedule) = session_setup(session_opts, template, strategy);
-                drive(target, topology, policy, schedule, &config, plan, started)
+        let mut schedule = Schedule::new(strategy);
+        if let Some(session) = session {
+            schedule = schedule.sessions(session);
+        }
+        let engine = Engine::new(
+            schedule,
+            CampaignMonitor::new(config.executions, config.sample_interval),
+        );
+        let mut meta = SnapshotMeta::for_campaign(target.name(), &config);
+        if let Topology::Workers(_) = topology {
+            meta = meta.sharded(topology.sync_windows() as u64);
+        }
+        let rounds = Rounds {
+            config: &config,
+            plan,
+            meta,
+            models: target.data_models(),
+            windows: windows_for_policy(config.executions, policy),
+            sync_windows: topology.sync_windows(),
+            target: target.name(),
+            started,
+        };
+        match topology {
+            Topology::Inline => {
+                let mut executor = config.executor(target, policy);
+                let mut arena = PacketArena::default();
+                let mut results = WindowResults::new();
+                rounds.run(engine, |engine, round, models, rng| {
+                    // An inline round is exactly one window.
+                    for &(start, end) in round {
+                        match config.batch {
+                            Some(batch) => engine.run_window_batched(
+                                &mut executor,
+                                start,
+                                end,
+                                batch,
+                                models,
+                                rng,
+                                &mut arena,
+                                &mut results,
+                            ),
+                            None => (start..=end).for_each(|execution| {
+                                engine.step(&mut executor, execution, models, rng);
+                            }),
+                        }
+                    }
+                })
             }
-            None => drive(
-                target,
-                topology,
-                ResetPolicy::Interval(config.reset_interval),
-                StrategySchedule::new(strategy),
-                &config,
-                plan,
-                started,
-            ),
+            Topology::Workers(shard) => {
+                let mut pool = WorkerPool::new(target, policy, shard.workers, &config);
+                rounds.run(engine, |engine, round, models, rng| {
+                    pool.run_round(engine, round, models, rng);
+                })
+            }
         }
     }
 }
@@ -580,78 +624,6 @@ fn round_ends(windows: &[(u64, u64)], sync_windows: usize) -> Vec<u64> {
         .collect()
 }
 
-/// The seams every topology reduces through, around the topology's
-/// executor.
-pub(crate) type CampaignEngine<X, S> =
-    Engine<X, CoverageObserver, NewCoverageFeedback, CampaignMonitor, S>;
-
-/// Fresh seams around `executor`.
-fn assemble<X, S>(executor: X, schedule: S, config: &CampaignConfig) -> CampaignEngine<X, S> {
-    Engine {
-        executor,
-        observer: CoverageObserver::new(),
-        feedback: NewCoverageFeedback::new(),
-        monitor: CampaignMonitor::new(config.executions, config.sample_interval),
-        schedule,
-    }
-}
-
-/// Assembles the engine for `topology` and runs its rounds. Generic over the
-/// schedule so the classic and the session-shaped campaign stay fully
-/// monomorphised; the topology is matched here, once per campaign.
-fn drive<S: Schedule>(
-    target: Box<dyn Target>,
-    topology: Topology,
-    policy: ResetPolicy,
-    schedule: S,
-    config: &CampaignConfig,
-    plan: RunPlan<'_>,
-    started: Instant,
-) -> Result<(CampaignReport, Option<CampaignSnapshot>), SnapshotError> {
-    let mut meta = SnapshotMeta::for_campaign(target.name(), config);
-    if let Topology::Workers(_) = topology {
-        meta = meta.sharded(topology.sync_windows() as u64);
-    }
-    let rounds = Rounds {
-        config,
-        plan,
-        meta,
-        models: target.data_models(),
-        windows: windows_for_policy(config.executions, policy),
-        sync_windows: topology.sync_windows(),
-        target: target.name(),
-        started,
-    };
-    match topology {
-        Topology::Inline => {
-            let executor = config.executor(target, policy);
-            let mut arena = PacketArena::default();
-            let mut results = WindowResults::new();
-            rounds.run(assemble(executor, schedule, config), |engine, round, models, rng| {
-                // An inline round is exactly one window.
-                for &(start, end) in round {
-                    match config.batch {
-                        Some(batch) => engine.run_window_batched(
-                            start,
-                            end,
-                            batch,
-                            models,
-                            rng,
-                            &mut arena,
-                            &mut results,
-                        ),
-                        None => engine.run_span(start, end, models, rng),
-                    }
-                }
-            })
-        }
-        Topology::Workers(shard) => {
-            let pool = WorkerPool::new(target, policy, shard.workers, config);
-            rounds.run(assemble(pool, schedule, config), WorkerPool::run_round)
-        }
-    }
-}
-
 /// Everything the round loop needs besides the engine.
 struct Rounds<'a> {
     config: &'a CampaignConfig,
@@ -668,22 +640,17 @@ impl Rounds<'_> {
     /// The campaign's round loop: validates the plan, restores a resumed
     /// snapshot, runs every remaining round through `run_round`, and handles
     /// service progress, checkpoints, stops and snapshot capture at every
-    /// round end, then folds the seams into a [`CampaignReport`].
+    /// round end, then folds the engine into a [`CampaignReport`].
     ///
     /// An inline round is one window, run per execution
     /// ([`Engine::step`]) or in batched slices; a worker round is generate →
     /// execute on the workers → merge barrier. Every round end is an
     /// execution the reset policy wipes the target before, so no target
     /// state needs saving and a snapshot taken there resumes bit-exactly.
-    fn run<X, S: Schedule>(
+    fn run(
         self,
-        mut engine: CampaignEngine<X, S>,
-        mut run_round: impl FnMut(
-            &mut CampaignEngine<X, S>,
-            &[(u64, u64)],
-            &DataModelSet,
-            &mut SmallRng,
-        ),
+        mut engine: Engine,
+        mut run_round: impl FnMut(&mut Engine, &[(u64, u64)], &DataModelSet, &mut SmallRng),
     ) -> Result<(CampaignReport, Option<CampaignSnapshot>), SnapshotError> {
         let Self {
             config,
@@ -738,8 +705,8 @@ impl Rounds<'_> {
             if let Some(service) = plan.service {
                 service.observe(
                     end,
-                    engine.observer.paths_covered(),
-                    engine.observer.edges_covered(),
+                    engine.coverage.paths_covered(),
+                    engine.coverage.edges_covered(),
                     engine.monitor.bugs().len(),
                 );
             }
@@ -783,7 +750,7 @@ impl Rounds<'_> {
             executions: completed,
             series,
             bugs,
-            valuable_seeds: engine.feedback.retained(),
+            valuable_seeds: engine.seeds.len(),
             corpus_size: engine.schedule.corpus_size(),
             responses,
             protocol_errors,

@@ -1,7 +1,7 @@
 //! Batched window execution: amortising per-execution dispatch out of the
 //! campaign hot path.
 //!
-//! The sequential engine pays a full round trip through the seams for every
+//! The sequential engine pays a full round trip through the loop for every
 //! execution — one `dyn Target` dispatch, one reset-policy check, one fresh
 //! [`GeneratedPacket`] allocation, and a trace borrow that forces the loop
 //! to fully drain each execution before generating the next. A batched
@@ -9,8 +9,8 @@
 //! one of the reset-aligned windows the worker topology uses too — through
 //! `Engine::run_window_batched`: every slice of the window is generated up
 //! front into a pooled packet arena, executed in a *single*
-//! [`Executor::execute_window`] call (one virtual dispatch per slice via
-//! [`Target::process_batch`], decoding with the summary sink), and then
+//! [`TargetExecutor::execute_window`] call (one virtual dispatch per slice
+//! via [`Target::process_batch`], decoding with the summary sink), and then
 //! reduced through [`Engine::reduce`] in global execution order.
 //!
 //! # Equivalence
@@ -18,7 +18,8 @@
 //! Batching only moves *when* packets are generated and reduced, never what
 //! is executed: windows are reset-aligned, packets are generated in global
 //! execution order consuming the campaign RNG exactly as the sequential
-//! loop would, and results reduce in the same order through the same seams.
+//! loop would, and results reduce in the same order through the same
+//! [`Engine::reduce`].
 //! For the feedback-free Peach baseline the batched report is therefore
 //! **bit-identical** to the sequential campaign for any batch size
 //! (`tests/batch_equivalence.rs`, plus a batched entry in
@@ -35,7 +36,7 @@ use peachstar_datamodel::DataModelSet;
 use peachstar_protocols::WindowResults;
 use rand::rngs::SmallRng;
 
-use crate::engine::{Engine, Executor, Feedback, Monitor, Observer, ResetPolicy, Schedule};
+use crate::engine::{Engine, ResetPolicy, Schedule, TargetExecutor};
 use crate::seed::Seed;
 use crate::strategy::GeneratedPacket;
 
@@ -82,9 +83,9 @@ pub(crate) struct PacketArena {
 impl PacketArena {
     /// Regenerates the arena to exactly `count` packets, pulled from the
     /// schedule in execution order, reusing existing slots.
-    fn fill<S: Schedule>(
+    fn fill(
         &mut self,
-        schedule: &mut S,
+        schedule: &mut Schedule,
         models: &DataModelSet,
         rng: &mut SmallRng,
         count: usize,
@@ -101,24 +102,19 @@ impl PacketArena {
     }
 }
 
-impl<X, O, F, M, S> Engine<X, O, F, M, S>
-where
-    X: Executor,
-    O: Observer,
-    F: Feedback,
-    M: Monitor,
-    S: Schedule,
-{
-    /// Runs one reset-aligned window `window_start..=window_end` in batched
-    /// slices of at most `batch` executions — the round body of a batched
-    /// inline campaign. Each slice runs in three phases mirroring one
-    /// worker round on a single worker: generate into the pooled arena,
-    /// execute in one [`Executor::execute_window`] call, reduce in global
-    /// execution order. `arena` and `results` are caller-held so their
-    /// allocations amortise across windows.
+impl Engine {
+    /// Runs one reset-aligned window `window_start..=window_end` on
+    /// `executor` in batched slices of at most `batch` executions — the
+    /// round body of a batched inline campaign. Each slice runs in three
+    /// phases mirroring one worker round on a single worker: generate into
+    /// the pooled arena, execute in one
+    /// [`TargetExecutor::execute_window`] call, reduce in global execution
+    /// order. `arena` and `results` are caller-held so their allocations
+    /// amortise across windows.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn run_window_batched(
         &mut self,
+        executor: &mut TargetExecutor,
         window_start: u64,
         window_end: u64,
         batch: u64,
@@ -145,7 +141,7 @@ where
             // this slice; its one small allocation is amortised over
             // the whole batch.)
             let refs: Vec<&[u8]> = arena.packets.iter().map(|p| p.bytes.as_slice()).collect();
-            self.executor.execute_window(start, &refs, results);
+            executor.execute_window(start, &refs, results);
             drop(refs);
             debug_assert_eq!(results.len(), count, "one result per packet");
 
@@ -154,12 +150,12 @@ where
             for (offset, (summary, trace)) in results.iter().enumerate() {
                 let execution = start + offset as u64;
                 let packet = &arena.packets[offset];
-                let merge = self.observer.merge_sparse(trace);
+                let merge = self.coverage.merge_sparse(trace);
                 if self.reduce(execution, packet, *summary, &merge, models) {
                     // The arena keeps its slot for the next window, so
                     // retention clones the (rare) valuable packet
                     // instead of moving it out.
-                    self.feedback.retain(packet.clone(), &merge);
+                    self.retain(packet.clone(), &merge);
                 }
             }
             start = end + 1;

@@ -1,9 +1,8 @@
-//! The [`Executor`] seam: who runs a packet, and when the target resets.
+//! The [`TargetExecutor`]: who runs a packet, and when the target resets.
 
 use std::time::Duration;
 
 use peachstar_coverage::{TraceContext, TraceMap};
-use peachstar_datamodel::DataModelSet;
 use peachstar_protocols::containment::{contained, contained_step, panic_fault};
 use peachstar_protocols::{DecodeSink, Outcome, Target, WindowResults};
 
@@ -20,7 +19,7 @@ pub enum ResetPolicy {
     /// Reset at every *session* boundary: before executions `1`, `1 + len`,
     /// `1 + 2·len`, … so that target state persists across all `len` packets
     /// of a session (handshake, payload, teardown) and never leaks into the
-    /// next one. Used together with a session-aware
+    /// next one. Used together with a session-mode
     /// [`Schedule`](crate::engine::Schedule) whose sessions are `len`
     /// packets long.
     PerSession(u64),
@@ -61,16 +60,18 @@ impl ResetPolicy {
 
 /// Runs packets against a target and owns the *reset policy* — both the
 /// periodic session reset and the restart after a fault (the paper's harness
-/// restarts the crashed server).
+/// restarts the crashed server): one [`Target`] instance, one reused
+/// [`TraceContext`] (reset clears only the slots the previous execution
+/// dirtied), and a [`ResetPolicy`] deciding when session state is wiped.
 ///
-/// The campaign loop calls [`execute`](Executor::execute) once per execution
-/// and never touches the target directly, so alternative executors (batched,
-/// remote, forkserver-style) can slot in without changing the loop.
+/// Campaigns never touch the target directly: the inline topology runs
+/// every packet or window through one executor, and every worker of the
+/// worker topology owns one.
 ///
 /// # Example
 ///
 /// ```
-/// use peachstar::engine::{Executor, TargetExecutor};
+/// use peachstar::engine::TargetExecutor;
 /// use peachstar_protocols::TargetId;
 ///
 /// // Reset the Modbus target's session state every 100 executions.
@@ -80,49 +81,6 @@ impl ResetPolicy {
 /// assert!(outcome.response().is_some());
 /// assert!(trace.edges_hit() > 0, "every execution is instrumented");
 /// ```
-pub trait Executor {
-    /// Short name of the target being executed.
-    fn target_name(&self) -> &'static str;
-
-    /// The format specification of the target under execution.
-    fn data_models(&self) -> DataModelSet;
-
-    /// Runs one packet as execution number `execution` (1-based): applies
-    /// the periodic reset policy, feeds the packet to the target, restarts
-    /// the target after a fault, and returns the outcome together with the
-    /// execution's coverage trace.
-    fn execute(&mut self, execution: u64, packet: &[u8]) -> (Outcome, &TraceMap);
-
-    /// Runs one *window* of packets — executions `first_execution ..` in
-    /// order — in a single call, replacing `out`'s previous contents with
-    /// one `(summary, snapshot)` pair per packet.
-    ///
-    /// This is the batch entry point the amortised campaign drivers use: a
-    /// window crosses the executor seam once instead of once per execution,
-    /// so implementations can hoist per-packet dispatch (see
-    /// [`Target::process_batch`]) while the default keeps every existing
-    /// executor working by looping [`execute`](Executor::execute).
-    ///
-    /// The per-packet outcomes and traces must be identical to calling
-    /// `execute` for each packet — batched campaigns are required to be
-    /// bit-identical to sequential ones.
-    fn execute_window(
-        &mut self,
-        first_execution: u64,
-        packets: &[&[u8]],
-        out: &mut WindowResults,
-    ) {
-        out.begin();
-        for (offset, packet) in packets.iter().enumerate() {
-            let (outcome, trace) = self.execute(first_execution + offset as u64, packet);
-            out.record(&outcome, trace);
-        }
-    }
-}
-
-/// The standard single-target executor: one [`Target`] instance, one reused
-/// [`TraceContext`] (reset clears only the slots the previous execution
-/// dirtied), and a [`ResetPolicy`] deciding when session state is wiped.
 ///
 /// # Fault tolerance
 ///
@@ -240,16 +198,12 @@ impl std::fmt::Debug for TargetExecutor {
     }
 }
 
-impl Executor for TargetExecutor {
-    fn target_name(&self) -> &'static str {
-        self.target.name()
-    }
-
-    fn data_models(&self) -> DataModelSet {
-        self.target.data_models()
-    }
-
-    fn execute(&mut self, execution: u64, packet: &[u8]) -> (Outcome, &TraceMap) {
+impl TargetExecutor {
+    /// Runs one packet as execution number `execution` (1-based): applies
+    /// the reset policy, feeds the packet to the target, restarts the target
+    /// after a fault, and returns the outcome together with the execution's
+    /// coverage trace.
+    pub fn execute(&mut self, execution: u64, packet: &[u8]) -> (Outcome, &TraceMap) {
         let resets = self.take_reset(execution);
         if let Some(watchdog) = &mut self.watchdog {
             // Supervised mode: the worker thread owns the authoritative
@@ -267,7 +221,16 @@ impl Executor for TargetExecutor {
         (outcome, self.ctx.trace())
     }
 
-    fn execute_window(
+    /// Runs one *window* of packets — executions `first_execution ..` in
+    /// order — in a single call, replacing `out`'s previous contents with
+    /// one `(summary, snapshot)` pair per packet: the window crosses into
+    /// the target once, through [`Target::process_batch`], instead of once
+    /// per execution.
+    ///
+    /// The per-packet outcomes and traces are identical to calling
+    /// [`execute`](Self::execute) for each packet — batched campaigns are
+    /// required to be bit-identical to sequential ones.
+    pub fn execute_window(
         &mut self,
         first_execution: u64,
         packets: &[&[u8]],
@@ -291,9 +254,8 @@ impl Executor for TargetExecutor {
         }
         // The whole window runs inside one target call: the per-execution
         // policy check collapses to a single window-start check, and the
-        // target's `process_batch` (overridable per protocol) owns the
-        // packet loop — one virtual dispatch per window instead of one per
-        // packet.
+        // target's `process_batch` owns the packet loop — one virtual
+        // dispatch per window instead of one per packet.
         if self.take_reset(first_execution) {
             self.target.reset();
         }
@@ -365,9 +327,9 @@ mod tests {
     #[test]
     fn executor_exposes_target_metadata() {
         let executor = TargetExecutor::new(TargetId::Modbus.create(), 100);
-        assert_eq!(executor.target_name(), "libmodbus");
-        assert!(!executor.data_models().is_empty());
         assert_eq!(executor.target().name(), "libmodbus");
+        assert!(!executor.target().data_models().is_empty());
+        assert_eq!(executor.policy(), ResetPolicy::Interval(100));
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! The [`Monitor`] seam: outcome tallies, unique-bug dedup and coverage
+//! The [`CampaignMonitor`]: outcome tallies, unique-bug dedup and coverage
 //! series sampling.
 
 use std::collections::HashSet;
@@ -13,7 +13,8 @@ use crate::strategy::GeneratedPacket;
 pub use peachstar_protocols::OutcomeSummary;
 
 /// Observes the campaign from the side: tallies outcomes, deduplicates bugs
-/// by fault site, and samples the coverage growth series.
+/// by fault site, and samples the coverage growth series for the
+/// `CampaignReport`.
 ///
 /// The monitor never influences the fuzzing loop — removing it must not
 /// change which packets run or which seeds are retained.
@@ -21,7 +22,7 @@ pub use peachstar_protocols::OutcomeSummary;
 /// # Example
 ///
 /// ```
-/// use peachstar::engine::{CampaignMonitor, Monitor, OutcomeSummary};
+/// use peachstar::engine::{CampaignMonitor, OutcomeSummary};
 /// use peachstar::seed::Seed;
 ///
 /// // A 100-execution campaign sampled every 50 executions.
@@ -32,17 +33,6 @@ pub use peachstar_protocols::OutcomeSummary;
 /// assert_eq!(monitor.responses(), 1);
 /// assert_eq!(monitor.series().final_paths(), 12);
 /// ```
-pub trait Monitor {
-    /// Records one execution's outcome (called once per execution, in
-    /// execution order).
-    fn record(&mut self, execution: u64, packet: &GeneratedPacket, outcome: OutcomeSummary);
-
-    /// Offers a series sample point after an execution was merged; the
-    /// monitor decides whether to keep it.
-    fn sample(&mut self, execution: u64, paths: usize, edges: usize);
-}
-
-/// The standard monitor backing a `CampaignReport`.
 #[derive(Debug)]
 pub struct CampaignMonitor {
     budget: u64,
@@ -155,8 +145,10 @@ pub struct MonitorState {
     pub fault_hits: u64,
 }
 
-impl Monitor for CampaignMonitor {
-    fn record(&mut self, execution: u64, packet: &GeneratedPacket, outcome: OutcomeSummary) {
+impl CampaignMonitor {
+    /// Records one execution's outcome (called once per execution, in
+    /// execution order).
+    pub fn record(&mut self, execution: u64, packet: &GeneratedPacket, outcome: OutcomeSummary) {
         match outcome {
             OutcomeSummary::Response => self.responses += 1,
             OutcomeSummary::ProtocolError => self.protocol_errors += 1,
@@ -174,7 +166,10 @@ impl Monitor for CampaignMonitor {
         }
     }
 
-    fn sample(&mut self, execution: u64, paths: usize, edges: usize) {
+    /// Offers a series sample point after an execution was merged; the
+    /// monitor keeps it at every sample interval and at the final
+    /// execution.
+    pub fn sample(&mut self, execution: u64, paths: usize, edges: usize) {
         if execution.is_multiple_of(self.sample_interval) || execution == self.budget {
             self.series.push(SeriesPoint {
                 executions: execution,

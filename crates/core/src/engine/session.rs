@@ -1,5 +1,5 @@
 //! Session-aware scheduling: multi-packet sessions (handshake → mutated
-//! payload → teardown) on top of any [`Schedule`].
+//! payload → teardown), the session mode of the [`Schedule`].
 //!
 //! The paper's campaign fuzzes one packet at a time, but real ICS endpoints
 //! gate their deep decoders behind a session handshake: IEC 104 rejects
@@ -19,17 +19,19 @@
 //! ```
 //!
 //! Which phases are mutated is controlled by a [`PhaseMask`]: by default only
-//! the payload packets come from the wrapped strategy while handshake and
+//! the payload packets come from the generation strategy while handshake and
 //! teardown replay the template verbatim (so the session state machine
 //! actually opens); fuzzing the handshake itself flips bytes of the template
 //! packets instead.
 //!
-//! Pair the schedule with
+//! Pair the session mode with
 //! [`ResetPolicy::PerSession`](crate::engine::ResetPolicy::PerSession) so the
 //! target resets exactly at session boundaries — state persists across a
 //! session's packets and never leaks into the next session. The sharded
 //! engine aligns its windows to the same boundaries, so sessions never
 //! straddle a merge barrier either.
+//!
+//! [`Schedule`]: crate::engine::Schedule
 
 use peachstar_datamodel::emit::emit_default;
 use peachstar_datamodel::DataModelSet;
@@ -37,9 +39,8 @@ use peachstar_protocols::SessionTemplate;
 use rand::rngs::SmallRng;
 use rand::Rng;
 
-use crate::engine::schedule::{FeedbackEvent, Schedule, ScheduleState};
 use crate::seed::Seed;
-use crate::strategy::{empty_set_seed, pick_model, GeneratedPacket};
+use crate::strategy::{empty_set_seed, pick_model, GeneratedPacket, GenerationStrategy};
 
 /// Which phases of a session receive mutated packets.
 ///
@@ -50,7 +51,7 @@ use crate::strategy::{empty_set_seed, pick_model, GeneratedPacket};
 pub struct PhaseMask {
     /// Mutate the handshake packets (byte corruptions of the template).
     pub handshake: bool,
-    /// Mutate the payload packets (generated by the wrapped strategy).
+    /// Mutate the payload packets (generated by the strategy).
     pub payload: bool,
     /// Mutate the teardown packets (byte corruptions of the template).
     pub teardown: bool,
@@ -180,29 +181,6 @@ impl SessionPlan {
     }
 }
 
-/// The one source of truth for assembling a session campaign's moving
-/// parts from a target's template: derives the [`SessionPlan`], the
-/// session-aligned reset policy and the wrapping schedule. Shared by the
-/// sequential and the sharded engine so their session semantics can never
-/// drift apart (the determinism tests rely on that equivalence).
-pub(crate) fn session_setup(
-    opts: SessionConfig,
-    template: peachstar_protocols::SessionTemplate,
-    strategy: Box<dyn crate::strategy::GenerationStrategy>,
-) -> (
-    crate::engine::ResetPolicy,
-    SessionSchedule<crate::engine::StrategySchedule>,
-) {
-    let plan = SessionPlan::new(template, opts.payload_packets);
-    let policy = crate::engine::ResetPolicy::PerSession(plan.session_len());
-    let schedule = SessionSchedule::new(
-        crate::engine::StrategySchedule::new(strategy),
-        plan,
-        opts.mutate,
-    );
-    (policy, schedule)
-}
-
 /// Corrupts a template packet in place: one or two random byte overwrites,
 /// driven by the campaign RNG (deterministic for a fixed seed).
 fn corrupt(bytes: &mut [u8], rng: &mut SmallRng) {
@@ -216,36 +194,31 @@ fn corrupt(bytes: &mut [u8], rng: &mut SmallRng) {
     }
 }
 
-/// Wraps any [`Schedule`] into a session-emitting one: executions cycle
-/// through handshake → payload → teardown positions, template phases replay
-/// (or corrupt) the target's known-good packets, and payload positions
-/// delegate to the wrapped schedule.
+/// The session mode of a [`Schedule`]: executions cycle through
+/// handshake → payload → teardown positions, template phases replay (or
+/// corrupt) the target's known-good packets, and mutated payload positions
+/// come from the generation strategy.
 ///
-/// Feedback routing: the wrapped schedule only receives the
-/// [`FeedbackEvent`]s of packets it generated itself (mutated payload), so a
-/// valuable handshake replay never pollutes a feedback-driven strategy's
-/// corpus with packets it did not produce. The routing is derived
-/// arithmetically from the event's 1-based execution number (execution `e`
-/// sits at session offset `(e - 1) % session_len`), so it needs no mutable
-/// provenance state and stays correct in both the sequential engine and the
-/// sharded merge barrier.
+/// Which executions the strategy generated — and so which verdicts it
+/// receives — is derived arithmetically from the 1-based execution number
+/// (execution `e` sits at session offset `(e - 1) % session_len`), so it
+/// needs no provenance state and stays correct both per execution and at
+/// the worker topology's merge barrier.
+///
+/// [`Schedule`]: crate::engine::Schedule
 ///
 /// # Example
 ///
 /// ```
-/// use peachstar::engine::{Schedule, SessionPlan, SessionSchedule, StrategySchedule};
-/// use peachstar::engine::PhaseMask;
+/// use peachstar::engine::{PhaseMask, Schedule, SessionPlan, SessionSchedule};
 /// use peachstar::strategy::StrategyKind;
 /// use peachstar_protocols::{Target, TargetId};
 /// use rand::{rngs::SmallRng, SeedableRng};
 ///
 /// let target = TargetId::Iec104.create();
 /// let plan = SessionPlan::new(target.session_template().unwrap(), 2);
-/// let mut schedule = SessionSchedule::new(
-///     StrategySchedule::new(StrategyKind::Peach.create()),
-///     plan,
-///     PhaseMask::default(),
-/// );
+/// let mut schedule = Schedule::new(StrategyKind::Peach.create())
+///     .sessions(SessionSchedule::new(plan, PhaseMask::default()));
 /// let models = target.data_models();
 /// let mut rng = SmallRng::seed_from_u64(1);
 /// // A 4-packet session: STARTDT, two mutated payloads, STOPDT.
@@ -257,20 +230,18 @@ fn corrupt(bytes: &mut [u8], rng: &mut SmallRng) {
 /// let last = schedule.next_packet(&models, &mut rng);
 /// assert_eq!(last.model, "STOPDT act");
 /// ```
-pub struct SessionSchedule<S> {
-    inner: S,
+#[derive(Debug)]
+pub struct SessionSchedule {
     plan: SessionPlan,
     mutate: PhaseMask,
     cursor: u64,
 }
 
-impl<S> SessionSchedule<S> {
-    /// Wraps `inner` so it emits `plan`-shaped sessions with the given
-    /// mutation mask.
+impl SessionSchedule {
+    /// Sessions shaped by `plan`, mutating the phases in `mutate`.
     #[must_use]
-    pub fn new(inner: S, plan: SessionPlan, mutate: PhaseMask) -> Self {
+    pub fn new(plan: SessionPlan, mutate: PhaseMask) -> Self {
         Self {
-            inner,
             plan,
             mutate,
             cursor: 0,
@@ -281,12 +252,6 @@ impl<S> SessionSchedule<S> {
     #[must_use]
     pub fn plan(&self) -> &SessionPlan {
         &self.plan
-    }
-
-    /// The wrapped schedule.
-    #[must_use]
-    pub fn inner(&self) -> &S {
-        &self.inner
     }
 
     /// A template packet as a seed, corrupted when the phase is mutated.
@@ -310,31 +275,28 @@ impl<S> SessionSchedule<S> {
         };
         Seed::new(emit_default(model).unwrap_or_default(), model.name(), false)
     }
-}
 
-impl<S> std::fmt::Debug for SessionSchedule<S> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SessionSchedule")
-            .field("session_len", &self.plan.session_len())
-            .field("mutate", &self.mutate)
-            .field("cursor", &self.cursor)
-            .finish()
-    }
-}
-
-impl<S: Schedule> Schedule for SessionSchedule<S> {
-    fn name(&self) -> &'static str {
-        self.inner.name()
+    /// The position of the next packet within its session.
+    pub(crate) fn cursor(&self) -> u64 {
+        self.cursor
     }
 
-    fn next_packet(&mut self, models: &DataModelSet, rng: &mut SmallRng) -> GeneratedPacket {
-        let mut seed = Seed::new(Vec::new(), "", false);
-        self.next_packet_into(models, rng, &mut seed);
-        seed
+    /// Moves to a restored position (taken modulo the session length).
+    pub(crate) fn set_cursor(&mut self, cursor: u64) {
+        self.cursor = cursor % self.plan.session_len();
     }
 
-    fn next_packet_into(
+    /// Whether `strategy` generated execution `execution` (1-based): only
+    /// mutated payload packets come from it.
+    pub(crate) fn generated_by_strategy(&self, execution: u64) -> bool {
+        let offset = (execution - 1) % self.plan.session_len();
+        self.mutate.payload && matches!(self.plan.phase_at(offset), Phase::Payload)
+    }
+
+    /// Writes the packet at the cursor into `slot` and advances the cursor.
+    pub(crate) fn next_packet_into(
         &mut self,
+        strategy: &mut dyn GenerationStrategy,
         models: &DataModelSet,
         rng: &mut SmallRng,
         slot: &mut GeneratedPacket,
@@ -357,56 +319,18 @@ impl<S: Schedule> Schedule for SessionSchedule<S> {
                 );
             }
             // Mutated payload positions reuse the slot's buffers through the
-            // wrapped strategy — the batched arena's zero-allocation path.
-            Phase::Payload if self.mutate.payload => {
-                self.inner.next_packet_into(models, rng, slot);
-            }
+            // strategy — the batched arena's zero-allocation path.
+            Phase::Payload if self.mutate.payload => strategy.next_packet_into(models, rng, slot),
             Phase::Payload => *slot = Self::default_payload(models, rng),
         }
-    }
-
-    fn feedback(&mut self, event: &FeedbackEvent<'_>) {
-        // Execution `e` (1-based) is the packet at session offset
-        // `(e - 1) % session_len`; only mutated-payload packets came from
-        // the wrapped schedule, so only their events are forwarded.
-        let offset = (event.execution - 1) % self.plan.session_len();
-        if self.mutate.payload && matches!(self.plan.phase_at(offset), Phase::Payload) {
-            self.inner.feedback(event);
-        }
-    }
-
-    fn corpus_size(&self) -> usize {
-        self.inner.corpus_size()
-    }
-
-    fn snapshot_state(&self) -> ScheduleState {
-        ScheduleState {
-            cursor: self.cursor,
-            ..self.inner.snapshot_state()
-        }
-    }
-
-    fn restore_state(&mut self, state: ScheduleState) -> bool {
-        // The cursor belongs to this layer; the strategy state passes
-        // through to the wrapped schedule (which ignores the zeroed cursor).
-        let cursor = state.cursor;
-        if !self.inner.restore_state(ScheduleState {
-            strategy: state.strategy,
-            cursor: 0,
-        }) {
-            return false;
-        }
-        self.cursor = cursor % self.plan.session_len();
-        true
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::StrategySchedule;
+    use crate::engine::Schedule;
     use crate::strategy::StrategyKind;
-    use peachstar_coverage::{MergeOutcome, PathId};
     use peachstar_protocols::TargetId;
     use rand::SeedableRng;
 
@@ -414,11 +338,11 @@ mod tests {
         payload: u64,
         mutate: PhaseMask,
         strategy: StrategyKind,
-    ) -> (SessionSchedule<StrategySchedule>, DataModelSet) {
+    ) -> (Schedule, DataModelSet) {
         let target = TargetId::Iec104.create();
         let plan = SessionPlan::new(target.session_template().unwrap(), payload);
         (
-            SessionSchedule::new(StrategySchedule::new(strategy.create()), plan, mutate),
+            Schedule::new(strategy.create()).sessions(SessionSchedule::new(plan, mutate)),
             target.data_models(),
         )
     }
@@ -503,13 +427,7 @@ mod tests {
         let (mut schedule, models) =
             iec104_schedule(1, PhaseMask::default(), StrategyKind::PeachStar);
         let mut rng = SmallRng::seed_from_u64(11);
-        let merge = MergeOutcome {
-            new_edges: 1,
-            new_buckets: 0,
-            new_path: true,
-            path_id: PathId::new(9),
-        };
-        // Feed both events a packet that certainly cracks into puzzles, so
+        // Feed both verdicts a packet that certainly cracks into puzzles, so
         // any difference in corpus size is purely down to the routing.
         let crackable = Seed::new(
             peachstar_datamodel::emit::emit_default(models.find("single_command").unwrap())
@@ -517,29 +435,17 @@ mod tests {
             "single_command",
             false,
         );
-        // Execution 1 is a handshake position: its (valuable) event must NOT
-        // reach the wrapped strategy.
+        // Execution 1 is a handshake position: its (valuable) verdict must
+        // NOT reach the strategy.
         let _handshake = schedule.next_packet(&models, &mut rng);
-        schedule.feedback(&FeedbackEvent {
-            execution: 1,
-            packet: &crackable,
-            valuable: true,
-            merge: &merge,
-            models: &models,
-        });
+        schedule.feedback(1, &crackable, true, &models);
         assert_eq!(schedule.corpus_size(), 0, "template packets are not cracked");
-        // Execution 2 is a payload position: its event must reach it.
+        // Execution 2 is a payload position: its verdict must reach it.
         let _payload = schedule.next_packet(&models, &mut rng);
-        schedule.feedback(&FeedbackEvent {
-            execution: 2,
-            packet: &crackable,
-            valuable: true,
-            merge: &merge,
-            models: &models,
-        });
+        schedule.feedback(2, &crackable, true, &models);
         assert!(
             schedule.corpus_size() > 0,
-            "payload packets feed the wrapped Peach* strategy"
+            "payload packets feed the Peach* strategy"
         );
     }
 

@@ -58,11 +58,9 @@ use peachstar_datamodel::DataModelSet;
 use peachstar_protocols::containment::contained;
 use peachstar_protocols::{FaultKind, Target, WindowResults};
 
-use crate::campaign::{CampaignConfig, CampaignEngine};
+use crate::campaign::CampaignConfig;
 use crate::engine::transport::is_connection_loss;
-use crate::engine::{
-    Executor, Feedback, Observer, OutcomeSummary, ResetPolicy, Schedule, TargetExecutor,
-};
+use crate::engine::{Engine, OutcomeSummary, ResetPolicy, TargetExecutor};
 use crate::strategy::GeneratedPacket;
 
 /// The terminal failure when every connection of a framed-TCP campaign has
@@ -151,9 +149,10 @@ fn lost_connection(summary: &OutcomeSummary) -> bool {
 }
 
 /// Runs one window through the worker's executor, one
-/// [`Executor::execute_window`] call per `chunk` packets — the worker face
-/// of the `--batch` knob. Chunks of one window share the worker's target
-/// back to back, so the chunk size never changes the report.
+/// [`TargetExecutor::execute_window`] call per `chunk` packets — the
+/// worker face of the `--batch` knob. Chunks of one window share the
+/// worker's target back to back, so the chunk size never changes the
+/// report.
 ///
 /// The window starts from exactly one reset: the executor's policy resets
 /// before every window but the campaign's first, which gets an explicit
@@ -287,8 +286,9 @@ impl WorkerPool {
 
     /// One round of the worker topology: generate → execute on the workers
     /// → reduce at the merge barrier.
-    pub(crate) fn run_round<S: Schedule>(
-        engine: &mut CampaignEngine<Self, S>,
+    pub(crate) fn run_round(
+        &mut self,
+        engine: &mut Engine,
         round: &[(u64, u64)],
         models: &DataModelSet,
         rng: &mut SmallRng,
@@ -306,7 +306,7 @@ impl WorkerPool {
             .collect();
 
         // Phase 2 — execute on the workers, in parallel.
-        let mut results = engine.executor.execute(work);
+        let mut results = self.execute(work);
 
         // Phase 3 — reduce (the merge barrier): fold every window back in
         // global execution order through `Engine::reduce`.
@@ -315,9 +315,9 @@ impl WorkerPool {
             let executed = window.packets.into_iter().zip(window.results);
             for (offset, (packet, (outcome, trace))) in executed.enumerate() {
                 let execution = window.start + offset as u64;
-                let merge = engine.observer.merge_sparse(&trace);
+                let merge = engine.coverage.merge_sparse(&trace);
                 if engine.reduce(execution, &packet, outcome, &merge, models) {
-                    engine.feedback.retain(packet, &merge);
+                    engine.retain(packet, &merge);
                 }
             }
         }

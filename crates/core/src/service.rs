@@ -31,12 +31,20 @@
 //! [`Campaign::run_plan`](crate::campaign::Campaign::run_plan), so the
 //! service shape is identical inline, on workers and over a real wire.
 
-use std::io::{self, BufRead, BufReader, Write};
+use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
-use std::time::Instant;
+use std::time::{Duration, Instant};
+
+/// The longest control command line accepted, newline excluded; a longer
+/// line gets an error reply and the connection is closed.
+const MAX_COMMAND_LEN: usize = 256;
+
+/// How long a read on a control connection blocks before re-checking the
+/// shutdown flag, so an idle client cannot keep the server from stopping.
+const CONTROL_POLL: Duration = Duration::from_millis(100);
 
 /// A point-in-time view of a supervised campaign, published by the round
 /// loop at every round end.
@@ -157,7 +165,10 @@ impl ServiceHooks {
 
 /// The line-oriented JSON control socket of a supervised campaign (see the
 /// module docs for the protocol). Connections are handled one at a time on
-/// the accept thread — a control socket sees operators, not load.
+/// the accept thread — a control socket sees operators, not load. Reads
+/// re-check the shutdown flag every 100 ms, so a client that stays
+/// connected without sending anything never blocks
+/// [`shutdown`](ControlServer::shutdown).
 #[derive(Debug)]
 pub struct ControlServer {
     addr: SocketAddr,
@@ -184,7 +195,7 @@ impl ControlServer {
                         break;
                     }
                     let Ok(stream) = connection else { continue };
-                    let _ = handle_control(stream, &hooks);
+                    let _ = handle_control(stream, &hooks, &accept_shutdown);
                 }
             })?;
         Ok(Self {
@@ -219,32 +230,68 @@ impl Drop for ControlServer {
     }
 }
 
-/// Serves one control connection until EOF: one command per line in, one
-/// JSON document per line out.
-fn handle_control(stream: TcpStream, hooks: &ServiceHooks) -> io::Result<()> {
+/// Serves one control connection until EOF or shutdown: one command per
+/// line in, one JSON document per line out.
+fn handle_control(
+    stream: TcpStream,
+    hooks: &ServiceHooks,
+    shutdown: &AtomicBool,
+) -> io::Result<()> {
+    stream.set_read_timeout(Some(CONTROL_POLL))?;
     let mut reader = BufReader::new(stream.try_clone()?);
     let mut writer = stream;
-    let mut line = String::new();
+    let mut line = Vec::new();
     loop {
+        // Buffers at most the longest command plus one byte: its newline,
+        // or the byte that makes the line too long.
+        let limit = (MAX_COMMAND_LEN + 1 - line.len()) as u64;
+        let eof = match (&mut reader).take(limit).read_until(b'\n', &mut line) {
+            Ok(read) => read == 0,
+            Err(error)
+                if matches!(
+                    error.kind(),
+                    io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
+                ) =>
+            {
+                if shutdown.load(Ordering::SeqCst) {
+                    return Ok(());
+                }
+                continue;
+            }
+            Err(error) => return Err(error),
+        };
+        let terminated = line.last() == Some(&b'\n');
+        let too_long = line.len() - usize::from(terminated) > MAX_COMMAND_LEN;
+        if !(terminated || too_long || eof) {
+            continue;
+        }
+        let reply = if too_long {
+            Some(format!(
+                "{{\"error\":\"command longer than {MAX_COMMAND_LEN} bytes\"}}"
+            ))
+        } else {
+            match String::from_utf8_lossy(&line).trim() {
+                "" => None,
+                "status" => Some(hooks.status_json()),
+                "stop" => {
+                    hooks.request_stop();
+                    Some("{\"ok\":true,\"stopping\":true}".to_owned())
+                }
+                other => Some(format!(
+                    "{{\"error\":\"unknown command: {}\"}}",
+                    other.replace(['"', '\\'], "?")
+                )),
+            }
+        };
         line.clear();
-        if reader.read_line(&mut line)? == 0 {
+        if let Some(reply) = reply {
+            writer.write_all(reply.as_bytes())?;
+            writer.write_all(b"\n")?;
+            writer.flush()?;
+        }
+        if eof || too_long {
             return Ok(());
         }
-        let reply = match line.trim() {
-            "" => continue,
-            "status" => hooks.status_json(),
-            "stop" => {
-                hooks.request_stop();
-                "{\"ok\":true,\"stopping\":true}".to_owned()
-            }
-            other => format!(
-                "{{\"error\":\"unknown command: {}\"}}",
-                other.replace(['"', '\\'], "?")
-            ),
-        };
-        writer.write_all(reply.as_bytes())?;
-        writer.write_all(b"\n")?;
-        writer.flush()?;
     }
 }
 
@@ -302,6 +349,44 @@ mod tests {
         // A second client is served after the first disconnects.
         let again = control_roundtrip(control.addr(), &["status"]);
         assert!(again[0].contains("\"budget\":5000"), "{}", again[0]);
+        control.shutdown();
+    }
+
+    #[test]
+    fn an_idle_client_does_not_block_shutdown() {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let mut control = ControlServer::start(listener, ServiceHooks::new(1)).expect("control");
+        // An operator's forgotten `nc`: one `status`, then the connection
+        // stays open and sends nothing more. The answered `status` proves
+        // the accept thread is serving this connection when shutdown runs.
+        let idle = TcpStream::connect(control.addr()).expect("connect");
+        let mut reader = BufReader::new(idle.try_clone().expect("clone"));
+        (&idle).write_all(b"status\n").expect("send");
+        let mut reply = String::new();
+        reader.read_line(&mut reply).expect("reply");
+        assert!(reply.contains("\"budget\":1"), "{reply}");
+        let (done, finished) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            control.shutdown();
+            done.send(()).ok();
+        });
+        assert!(
+            finished.recv_timeout(Duration::from_secs(5)).is_ok(),
+            "an idle control client kept shutdown from returning"
+        );
+    }
+
+    #[test]
+    fn an_over_long_command_line_is_refused() {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let mut control = ControlServer::start(listener, ServiceHooks::new(1)).expect("control");
+        let long = "x".repeat(MAX_COMMAND_LEN + 1);
+        let replies = control_roundtrip(control.addr(), &[&long]);
+        assert!(replies[0].contains("longer than"), "{}", replies[0]);
+        // The longest accepted command still gets an ordinary answer.
+        let longest = "x".repeat(MAX_COMMAND_LEN);
+        let replies = control_roundtrip(control.addr(), &[&longest]);
+        assert!(replies[0].contains("unknown command"), "{}", replies[0]);
         control.shutdown();
     }
 }

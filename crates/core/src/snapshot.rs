@@ -7,8 +7,8 @@
 //! configuration plus five pieces of mutable state, all of which serialise
 //! here:
 //!
-//! * the campaign [`SmallRng`]'s exact stream position (four xoshiro256++
-//!   state words);
+//! * the campaign [`SmallRng`](rand::rngs::SmallRng)'s exact stream
+//!   position (four xoshiro256++ state words);
 //! * the global [`CoverageMap`] — per-slot bucket masks, the path-id set
 //!   and the execution count;
 //! * the [`SeedPool`] of retained valuable seeds;
@@ -54,19 +54,17 @@
 use std::collections::HashSet;
 use std::fmt;
 use std::io;
-use std::path::Path;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use peachstar_coverage::{CoverageMap, PathId, MAP_SIZE};
 use peachstar_datamodel::RuleId;
 use peachstar_protocols::{Fault, FaultKind};
-use rand::rngs::SmallRng;
 
 use crate::campaign::{BugRecord, CampaignConfig};
 use crate::corpus::PuzzleCorpus;
 use crate::engine::monitor::MonitorState;
 use crate::engine::schedule::ScheduleState;
-use crate::engine::{CampaignMonitor, CoverageObserver, NewCoverageFeedback, Schedule};
 use crate::seed::{Seed, SeedPool};
 use crate::stats::SeriesPoint;
 use crate::strategy::{StrategyKind, StrategyState};
@@ -262,48 +260,6 @@ pub struct CampaignSnapshot {
 }
 
 impl CampaignSnapshot {
-    /// Captures a checkpoint from the live engine seams.
-    #[must_use]
-    pub fn capture<S: Schedule>(
-        meta: SnapshotMeta,
-        completed: u64,
-        rng: &SmallRng,
-        observer: &CoverageObserver,
-        feedback: &NewCoverageFeedback,
-        monitor: &CampaignMonitor,
-        schedule: &S,
-    ) -> Self {
-        Self {
-            meta,
-            completed,
-            rng_state: rng.state(),
-            map: observer.map().clone(),
-            pool: feedback.pool().clone(),
-            monitor: monitor.snapshot_state(),
-            schedule: schedule.snapshot_state(),
-        }
-    }
-
-    /// Restores this checkpoint into freshly assembled engine seams,
-    /// validating that the schedule accepts the strategy state.
-    pub fn restore_into<S: Schedule>(
-        &self,
-        rng: &mut SmallRng,
-        observer: &mut CoverageObserver,
-        feedback: &mut NewCoverageFeedback,
-        monitor: &mut CampaignMonitor,
-        schedule: &mut S,
-    ) -> Result<(), SnapshotError> {
-        if !schedule.restore_state(self.schedule.clone()) {
-            return Err(SnapshotError::Mismatch("strategy state"));
-        }
-        *rng = SmallRng::from_state(self.rng_state);
-        observer.restore_map(self.map.clone());
-        feedback.restore_pool(self.pool.clone());
-        monitor.restore_state(self.monitor.clone());
-        Ok(())
-    }
-
     /// Encodes the snapshot into the versioned wire format.
     ///
     /// The encoding is canonical: the same state always produces the same
@@ -383,15 +339,7 @@ impl CampaignSnapshot {
     /// its own temp file (best-effort); temps orphaned by a hard kill are
     /// swept by [`CheckpointConfig::prepare`] at the next startup.
     pub fn write_atomic(&self, path: &Path) -> Result<(), SnapshotError> {
-        let mut tmp = path.as_os_str().to_owned();
-        tmp.push(".tmp");
-        let tmp = std::path::PathBuf::from(tmp);
-        let result = std::fs::write(&tmp, self.encode())
-            .and_then(|()| std::fs::rename(&tmp, path));
-        if result.is_err() {
-            std::fs::remove_file(&tmp).ok();
-        }
-        result.map_err(SnapshotError::from)
+        write_atomic(path, &self.encode()).map_err(SnapshotError::from)
     }
 
     /// Reads and decodes a snapshot file.
@@ -430,6 +378,25 @@ impl CampaignSnapshot {
         }
         Ok(None)
     }
+}
+
+/// The sibling temp file [`write_atomic`] stages `path`'s bytes in.
+fn temp_path(path: &Path) -> PathBuf {
+    let mut tmp = path.as_os_str().to_owned();
+    tmp.push(".tmp");
+    PathBuf::from(tmp)
+}
+
+/// Writes `bytes` to `path` via [`temp_path`] plus `rename`, so `path` never
+/// holds a torn write. A failed write or rename removes the temp file
+/// (best-effort).
+pub(crate) fn write_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
+    let tmp = temp_path(path);
+    let result = std::fs::write(&tmp, bytes).and_then(|()| std::fs::rename(&tmp, path));
+    if result.is_err() {
+        std::fs::remove_file(&tmp).ok();
+    }
+    result
 }
 
 /// The completed-execution index a rotation file name encodes, when `path`
@@ -973,25 +940,27 @@ impl CheckpointConfig {
     }
 
     /// Startup hygiene, run once before a campaign writes its first
-    /// checkpoint: creates the rotation directory and sweeps `*.tmp` files
-    /// orphaned beside the checkpoint path by a previous hard kill
-    /// mid-write.
+    /// checkpoint: creates the rotation directory and sweeps the temp files
+    /// a previous hard kill mid-write orphaned — only names
+    /// [`CampaignSnapshot::write_atomic`] stages in: `<path>.tmp` in the
+    /// single-file layout, `ckpt-*.peachsnp.tmp` in a rotation.
     ///
     /// # Errors
     ///
     /// Propagates rotation-directory creation failures; temp removal is
     /// best-effort.
     pub fn prepare(&self) -> Result<(), SnapshotError> {
-        let dir = if self.keep.is_some() {
-            std::fs::create_dir_all(&self.path)?;
-            self.path.as_path()
-        } else {
-            self.path.parent().filter(|p| !p.as_os_str().is_empty()).unwrap_or(Path::new("."))
-        };
-        if let Ok(entries) = std::fs::read_dir(dir) {
+        if self.keep.is_none() {
+            std::fs::remove_file(temp_path(&self.path)).ok();
+            return Ok(());
+        }
+        std::fs::create_dir_all(&self.path)?;
+        if let Ok(entries) = std::fs::read_dir(&self.path) {
             for entry in entries.flatten() {
                 let path = entry.path();
-                if path.extension().is_some_and(|ext| ext == "tmp") {
+                if path.extension().is_some_and(|ext| ext == "tmp")
+                    && rotation_slot(&path.with_extension("")).is_some()
+                {
                     std::fs::remove_file(&path).ok();
                 }
             }
@@ -1290,8 +1259,12 @@ mod tests {
         let path = dir.join("run.snap");
         let stale = dir.join("run.snap.tmp");
         std::fs::write(&stale, b"torn half-write").expect("stale temp");
+        // A temp file the checkpoint never wrote must survive the sweep.
+        let unrelated = dir.join("notes.tmp");
+        std::fs::write(&unrelated, b"operator notes").expect("unrelated temp");
         CheckpointConfig::new(&path, 1).prepare().expect("prepare");
         assert!(!stale.exists(), "single-file prepare removes the orphan");
+        assert!(unrelated.exists(), "single-file prepare keeps notes.tmp");
 
         // Rotation layout: same sweep inside the rotation directory.
         let rotation = dir.join("rotation");
@@ -1299,8 +1272,11 @@ mod tests {
         config.prepare().expect("create rotation dir");
         let stale = rotation.join("ckpt-000000000250.peachsnp.tmp");
         std::fs::write(&stale, b"torn").expect("stale temp");
+        let unrelated = rotation.join("notes.tmp");
+        std::fs::write(&unrelated, b"operator notes").expect("unrelated temp");
         config.prepare().expect("prepare again");
         assert!(!stale.exists(), "rotation prepare removes the orphan");
+        assert!(unrelated.exists(), "rotation prepare keeps notes.tmp");
         std::fs::remove_dir_all(&dir).ok();
     }
 }

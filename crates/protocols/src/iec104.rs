@@ -377,59 +377,6 @@ impl Target for Iec104Server {
             )],
         ))
     }
-
-    fn process_batch(
-        &mut self,
-        packets: &[&[u8]],
-        ctx: &mut TraceContext,
-        out: &mut crate::WindowResults,
-        sink: crate::DecodeSink,
-    ) {
-        let _armed = sink.arm();
-        out.begin();
-        // Window-hoisted framing prescan: APCI validation (start byte,
-        // length octet) is a pure function of the packet bytes, so the whole
-        // window's verdicts come from one pass of the vectorised
-        // [`crate::prescan`] kernels before the stateful I/S/U dispatch runs.
-        // The per-packet decode below stays authoritative and re-records the
-        // same checks edge-for-edge — skipping them would change the recorded
-        // traces and break the batched/sequential bit-identity contract — so
-        // the prescan is cross-checked in debug builds, with its verdict
-        // buffer pooled in `out` to keep the hot path allocation-free.
-        #[cfg(debug_assertions)]
-        let mut scratch = out.take_prescan();
-        #[cfg(debug_assertions)]
-        let well_framed = scratch.run(crate::FrameSpec::Apci, packets);
-        for (index, packet) in packets.iter().enumerate() {
-            ctx.reset();
-            // `self` is the concrete server here, so this loop is statically
-            // dispatched: one virtual call per window instead of per packet.
-            let outcome = self.process(packet, ctx);
-            if outcome.is_fault() {
-                self.reset();
-            }
-            #[cfg(debug_assertions)]
-            debug_assert!(
-                well_framed[index] || matches!(outcome, Outcome::ProtocolError(_)),
-                "prescan rejected packet {index}, but the decoder accepted it"
-            );
-            let _ = index;
-            out.record(&outcome, ctx.trace());
-        }
-        #[cfg(debug_assertions)]
-        out.return_prescan(scratch);
-    }
-}
-
-/// Whether `packet` passes the pure APCI framing checks of
-/// [`Iec104Server::process`](Target::process): start byte `0x68` and a
-/// length octet of at least 4 matching the frame length. Depends only on the
-/// packet bytes (never on the link state), which is what lets
-/// [`Target::process_batch`] prevalidate a whole window in one pass; the
-/// decoder's own checks remain authoritative.
-#[must_use]
-pub fn apci_well_framed(packet: &[u8]) -> bool {
-    crate::FrameSpec::Apci.check(packet)
 }
 
 /// The format specification of the IEC 104 packets the fuzzer generates.
@@ -728,20 +675,5 @@ mod tests {
         let set = data_models();
         assert!(set.len() >= 6);
         assert!(set.rule_overlap() > 0.3, "overlap: {}", set.rule_overlap());
-    }
-
-    #[test]
-    fn apci_prescan_agrees_with_the_decoder_on_framing() {
-        assert!(apci_well_framed(&[0x68, 0x04, 0x07, 0x00, 0x00, 0x00])); // STARTDT act
-        assert!(!apci_well_framed(&[])); // too short
-        assert!(!apci_well_framed(&[0x67, 0x04, 0x07, 0x00, 0x00, 0x00])); // bad start byte
-        assert!(!apci_well_framed(&[0x68, 0x03, 0x07, 0x00, 0x00])); // length below APCI minimum
-        assert!(!apci_well_framed(&[0x68, 0x05, 0x07, 0x00, 0x00, 0x00])); // length mismatch
-        // Prescan-rejected frames must be decoder-rejected too.
-        let mut server = Iec104Server::new();
-        let mut ctx = TraceContext::new();
-        for frame in [&[0x67u8, 0x04, 0x07, 0x00, 0x00, 0x00][..], &[0x68, 0x05, 0x07, 0x00, 0x00, 0x00]] {
-            assert!(matches!(server.process(frame, &mut ctx), Outcome::ProtocolError(_)));
-        }
     }
 }

@@ -374,42 +374,6 @@ impl Target for MmsServer {
     fn clone_fresh(&self) -> Box<dyn Target + Send> {
         Box::new(Self::new())
     }
-
-    fn process_batch(
-        &mut self,
-        packets: &[&[u8]],
-        ctx: &mut TraceContext,
-        out: &mut crate::WindowResults,
-        sink: crate::DecodeSink,
-    ) {
-        let _armed = sink.arm();
-        out.begin();
-        // Window-hoisted TPKT/COTP framing prescan (version, length field,
-        // DT TPDU header), via the vectorised [`crate::prescan`] kernels with
-        // the verdict buffer pooled in `out`. The decoder below stays
-        // authoritative; debug builds assert the prescan is never stricter.
-        #[cfg(debug_assertions)]
-        let mut scratch = out.take_prescan();
-        #[cfg(debug_assertions)]
-        let well_framed = scratch.run(crate::FrameSpec::TpktCotp, packets);
-        for (index, packet) in packets.iter().enumerate() {
-            ctx.reset();
-            // Statically dispatched: one virtual call per window.
-            let outcome = self.process(packet, ctx);
-            if outcome.is_fault() {
-                self.reset();
-            }
-            #[cfg(debug_assertions)]
-            debug_assert!(
-                well_framed[index] || matches!(outcome, Outcome::ProtocolError(_)),
-                "prescan rejected packet {index}, but the decoder accepted it"
-            );
-            let _ = index;
-            out.record(&outcome, ctx.trace());
-        }
-        #[cfg(debug_assertions)]
-        out.return_prescan(scratch);
-    }
 }
 
 /// The format specification of the MMS packets the fuzzer generates.

@@ -47,7 +47,6 @@ pub mod iec104;
 pub mod iec61850;
 pub mod lib60870;
 pub mod modbus;
-pub mod prescan;
 pub mod server;
 pub mod sink;
 pub mod wire;
@@ -58,7 +57,6 @@ use std::sync::{Mutex, OnceLock};
 use peachstar_coverage::{SparseTrace, TraceContext, TraceMap};
 use peachstar_datamodel::DataModelSet;
 
-pub use prescan::{FrameSpec, PrescanScratch};
 pub use server::{serve, serve_with_chaos, ServerHandle, WireChaos};
 pub use sink::DecodeSink;
 pub use wire::{FrameReassembler, MessageStream, WireFraming};
@@ -226,7 +224,6 @@ pub struct WindowResults {
     summaries: Vec<OutcomeSummary>,
     traces: Vec<SparseTrace>,
     len: usize,
-    prescan: PrescanScratch,
 }
 
 impl WindowResults {
@@ -286,21 +283,6 @@ impl WindowResults {
         self.summaries[..self.len]
             .iter()
             .zip(&self.traces[..self.len])
-    }
-
-    /// Detaches the pooled [`PrescanScratch`] so a `process_batch` override
-    /// can prescan the window while recording into this buffer (the borrow
-    /// checker would reject holding both through one `&mut self`). Pair
-    /// with [`return_prescan`](WindowResults::return_prescan) so the
-    /// verdict allocation survives into the next window.
-    #[must_use]
-    pub fn take_prescan(&mut self) -> PrescanScratch {
-        std::mem::take(&mut self.prescan)
-    }
-
-    /// Returns a detached [`PrescanScratch`] to the pool.
-    pub fn return_prescan(&mut self, scratch: PrescanScratch) {
-        self.prescan = scratch;
     }
 
     /// Moves the recorded results out of the buffer, in execution order,
@@ -396,12 +378,11 @@ pub trait Target: Send {
     /// The default implementation loops [`process`](Target::process) —
     /// resetting `ctx` before each packet and restarting the target after a
     /// fault, exactly as the per-execution executor does — so every target
-    /// supports batching out of the box. Servers can override it to hoist
-    /// per-packet setup out of the loop: the override runs its packet loop
-    /// with *static* dispatch (one virtual call per window instead of one
-    /// per packet), and can prevalidate window-constant framing with the
-    /// vectorised [`prescan`] substrate in a tight prepass over the
-    /// headers.
+    /// supports batching out of the box. A provided method is compiled once
+    /// per implementing type, so the loop's `process` call is statically
+    /// dispatched: one virtual call per window instead of one per packet.
+    /// Only targets whose packets leave the process (a framed-TCP client)
+    /// need an override.
     ///
     /// `sink` selects the output fidelity for the whole window (see
     /// [`DecodeSink`]): [`DecodeSink::Summary`] skips response assembly and
@@ -669,9 +650,7 @@ mod tests {
     #[test]
     fn process_batch_matches_a_sequential_process_loop() {
         // The batched entry point's contract: per-packet outcomes and trace
-        // snapshots are identical to looping `process`, for the default
-        // implementation and for every override (modbus and iec104 ship
-        // devirtualised overrides with a framing prescan). Drive each target
+        // snapshots are identical to looping `process`. Drive each target
         // with a window mixing well-formed packets, malformed frames and
         // repeats, comparing against an independent per-packet loop.
         use peachstar_datamodel::emit::emit_default;

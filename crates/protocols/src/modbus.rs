@@ -585,60 +585,6 @@ impl Target for ModbusServer {
     fn clone_fresh(&self) -> Box<dyn Target + Send> {
         Box::new(Self::new())
     }
-
-    fn process_batch(
-        &mut self,
-        packets: &[&[u8]],
-        ctx: &mut TraceContext,
-        out: &mut crate::WindowResults,
-        sink: crate::DecodeSink,
-    ) {
-        let _armed = sink.arm();
-        out.begin();
-        // Window-hoisted framing prescan: MBAP validation is a pure function
-        // of the packet bytes, so the whole window's verdicts come from the
-        // vectorised [`crate::prescan`] kernels in one tight pass over the
-        // headers before the stateful dispatch loop runs. The per-packet
-        // decode below stays authoritative and re-records the same checks
-        // edge-for-edge — skipping them based on the prescan would change
-        // the recorded traces and break the batched/sequential bit-identity
-        // contract — so the prescan is cross-checked in debug builds, using
-        // the verdict buffer pooled in `out` (no per-window allocation).
-        #[cfg(debug_assertions)]
-        let mut scratch = out.take_prescan();
-        #[cfg(debug_assertions)]
-        let well_framed = scratch.run(crate::FrameSpec::Mbap, packets);
-        for (index, packet) in packets.iter().enumerate() {
-            ctx.reset();
-            // `self` is the concrete server here, so this loop is statically
-            // dispatched: one virtual call per window instead of per packet.
-            let outcome = self.process(packet, ctx);
-            if outcome.is_fault() {
-                self.reset();
-            }
-            #[cfg(debug_assertions)]
-            debug_assert!(
-                well_framed[index] || matches!(outcome, Outcome::ProtocolError(_)),
-                "prescan rejected packet {index}, but the decoder accepted it"
-            );
-            let _ = index;
-            out.record(&outcome, ctx.trace());
-        }
-        #[cfg(debug_assertions)]
-        out.return_prescan(scratch);
-    }
-}
-
-/// Whether `packet` passes the pure MBAP framing checks of
-/// [`ModbusServer::process`](Target::process): full header, protocol id 0,
-/// matching MBAP length and a served unit id. Depends only on the packet
-/// bytes (never on session state), which is what lets
-/// [`Target::process_batch`] prevalidate a whole window in one pass; the
-/// decoder's own checks remain authoritative. Delegates to the shared
-/// (vectorisable) [`crate::FrameSpec::Mbap`] predicate.
-#[must_use]
-pub fn mbap_well_framed(packet: &[u8]) -> bool {
-    crate::FrameSpec::Mbap.check(packet)
 }
 
 /// The format specification (Peach-pit equivalent) of the Modbus/TCP
@@ -1002,25 +948,5 @@ mod tests {
         let response = outcome.response().unwrap();
         let value = u16::from_be_bytes([response[9], response[10]]);
         assert_eq!(value, (0x1234 & 0xF225) | (0x0002 & !0xF225));
-    }
-
-    #[test]
-    fn mbap_prescan_agrees_with_the_decoder_on_framing() {
-        // Well-framed read request.
-        assert!(mbap_well_framed(&[0x00, 0x01, 0x00, 0x00, 0x00, 0x06, 0x01, 0x03, 0x00, 0x00, 0x00, 0x02]));
-        assert!(!mbap_well_framed(&[])); // too short
-        assert!(!mbap_well_framed(&[0x00; 7])); // header truncated
-        // Bad protocol id.
-        assert!(!mbap_well_framed(&[0x00, 0x01, 0x00, 0x09, 0x00, 0x06, 0x01, 0x03, 0x00, 0x00, 0x00, 0x02]));
-        // MBAP length mismatch.
-        assert!(!mbap_well_framed(&[0x00, 0x01, 0x00, 0x00, 0x00, 0x07, 0x01, 0x03, 0x00, 0x00, 0x00, 0x02]));
-        // Unit id nobody serves.
-        assert!(!mbap_well_framed(&[0x00, 0x01, 0x00, 0x00, 0x00, 0x06, 0x09, 0x03, 0x00, 0x00, 0x00, 0x02]));
-        // Prescan-rejected frames must be decoder-rejected too.
-        let mut server = ModbusServer::new();
-        let mut ctx = TraceContext::new();
-        for frame in [&[0x00u8; 7][..], &[0x00, 0x01, 0x00, 0x09, 0x00, 0x06, 0x01, 0x03, 0x00, 0x00, 0x00, 0x02]] {
-            assert!(matches!(server.process(frame, &mut ctx), Outcome::ProtocolError(_)));
-        }
     }
 }

@@ -14,10 +14,9 @@
 //!    indicator, DT code, end-of-TSDU flag). Messages larger than one TPKT
 //!    packet (65 535 bytes total) are segmented into a chain of DT TPDUs
 //!    whose last — and only the last — sets the EOT bit `0x80`. Every frame
-//!    this framer emits satisfies the
-//!    [`FrameSpec::TpktCotp`](crate::prescan::FrameSpec) prescan oracle
-//!    (`crates/protocols/tests/wire_framing.rs` proves the agreement by
-//!    property test).
+//!    this framer emits passes an independent RFC 1006 TPKT/COTP header
+//!    check (`crates/protocols/tests/wire_framing.rs` proves it by property
+//!    test).
 //! 2. **Messages** ([`Request`], [`Response`]): the transport protocol
 //!    itself — process one packet, process a batch, reset — with outcomes,
 //!    fault records and sparse coverage traces serialised symmetrically on
@@ -623,13 +622,26 @@ mod tests {
         assert_eq!(reassembler.next_message().unwrap().as_deref(), Some(&big[..]));
     }
 
+    /// The stateless RFC 1006 header oracle, written independently of the
+    /// reassembler: TPKT version 3, reserved 0, a length covering the whole
+    /// frame, and a COTP header that fits and is a DT TPDU.
+    fn prescan_oracle(frame: &[u8]) -> bool {
+        let len = frame.len();
+        len >= 7
+            && frame[0] == 0x03
+            && frame[1] == 0x00
+            && usize::from(u16::from_be_bytes([frame[2], frame[3]])) == len
+            && frame[4] >= 2
+            && usize::from(frame[4]) + 5 <= len
+            && frame[5] == 0xF0
+    }
+
     #[test]
     fn tpkt_frames_satisfy_the_prescan_oracle() {
-        use crate::prescan::FrameSpec;
         for payload in [&b""[..], b"abc", &[0u8; 512]] {
             let framed = WireFraming::Tpkt.frame(payload);
             assert!(
-                FrameSpec::TpktCotp.check(&framed),
+                prescan_oracle(&framed),
                 "single-frame TPKT messages are oracle-valid"
             );
         }

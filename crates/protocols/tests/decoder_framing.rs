@@ -1,21 +1,24 @@
-//! Property suite pinning the prescan ↔ decoder framing agreement for all
-//! six targets, over arbitrary byte strings and near-valid mutated traffic.
+//! Decoder-side framing properties for all six targets, over arbitrary byte
+//! strings and near-valid mutated traffic, judged by the scalar header
+//! predicates in `support`.
 //!
-//! The contract the batched fast path relies on (and debug builds assert per
-//! window): a frame the vectorised prescan rejects is *always* rejected by
-//! the decoder's own framing checks — the prescan is at least as permissive
-//! as the decoder, never stricter. The reverse direction deliberately does
-//! not hold (a well-framed packet can still fail semantic validation), so
-//! the decoder stays authoritative.
+//! Framing checks are state-independent: a frame whose header breaks its
+//! target's framing is *always* a decoder `ProtocolError`, from a fresh
+//! target and from a used one. The reverse direction deliberately does not
+//! hold (a well-framed packet can still fail semantic validation), so the
+//! decoder stays authoritative.
+
+mod support;
 
 use proptest::prelude::*;
 
 use peachstar_coverage::TraceContext;
 use peachstar_datamodel::emit::emit_default;
-use peachstar_protocols::{FrameSpec, Outcome, PrescanScratch, TargetId};
+use peachstar_protocols::{Outcome, TargetId};
 
-/// Each target paired with the framing specification its batched
-/// `process_batch` override prescans with.
+use support::FrameSpec;
+
+/// Each target paired with the framing its decoder checks first.
 const PAIRS: [(TargetId, FrameSpec); 6] = [
     (TargetId::Modbus, FrameSpec::Mbap),
     (TargetId::Iec104, FrameSpec::Apci),
@@ -47,7 +50,7 @@ fn mutated_defaults(target: TargetId, index: usize, mask: u8) -> Vec<Vec<u8>> {
 #[test]
 fn every_default_emission_passes_its_frame_spec() {
     // Non-vacuity anchor for the reject-direction properties below: the
-    // emitter's length/CRC fixups produce frames the prescan accepts, so the
+    // emitter's length/CRC fixups produce well-framed packets, so the
     // mutated traffic genuinely straddles the boundary.
     for (target, spec) in PAIRS {
         let models = target.create().data_models();
@@ -65,11 +68,11 @@ fn every_default_emission_passes_its_frame_spec() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
-    /// Arbitrary bytes: a prescan reject is always a decoder
+    /// Arbitrary bytes: a framing reject is always a decoder
     /// `ProtocolError`, from the fresh state *and* from whatever state the
     /// first decode left behind (framing checks must be state-independent).
     #[test]
-    fn a_prescan_reject_is_always_a_decoder_reject(
+    fn a_framing_reject_is_always_a_decoder_reject(
         data in proptest::collection::vec(any::<u8>(), 0..64),
     ) {
         for (target, spec) in PAIRS {
@@ -92,7 +95,7 @@ proptest! {
     /// Near-valid traffic (mutated default emissions): same agreement, but
     /// concentrated where single-bit damage flips individual header checks.
     #[test]
-    fn mutated_defaults_keep_the_prescan_at_least_as_permissive(
+    fn mutated_defaults_with_broken_framing_are_decoder_rejects(
         index in any::<usize>(),
         mask in any::<u8>(),
     ) {
@@ -110,29 +113,6 @@ proptest! {
                     "{target}: decoder accepted a frame {spec:?} rejects: {packet:02x?}"
                 );
             }
-        }
-    }
-
-    /// The chunked (vectorisable) kernels agree with the scalar oracle on
-    /// arbitrary mixed windows — including the lane remainder and windows
-    /// built from near-valid traffic.
-    #[test]
-    fn chunked_prescan_matches_the_scalar_oracle_on_mixed_windows(
-        raw in proptest::collection::vec(proptest::collection::vec(any::<u8>(), 0..32), 0..40),
-        index in any::<usize>(),
-        mask in any::<u8>(),
-    ) {
-        let mut scratch = PrescanScratch::new();
-        for (target, spec) in PAIRS {
-            let mut packets = mutated_defaults(target, index, mask);
-            packets.extend(raw.iter().cloned());
-            let refs: Vec<&[u8]> = packets.iter().map(Vec::as_slice).collect();
-            let expected: Vec<bool> = refs.iter().map(|p| spec.check(p)).collect();
-            prop_assert_eq!(
-                scratch.run(spec, &refs),
-                &expected[..],
-                "{}: chunked kernels diverged from the scalar oracle", target
-            );
         }
     }
 }

@@ -8,11 +8,11 @@
 //!    targets and both strategies. The transport relays `(outcome, trace)`
 //!    pairs verbatim and the server executes packets with exactly the
 //!    executor's containment/reset sequence, so nothing can diverge.
-//! 2. **Connection-count invariance** — `--connections {1,2,4}` produce
-//!    bit-identical reports at the merge barrier, mirroring
-//!    `tests/shard_determinism.rs`: connections *are* the workers of the
-//!    worker topology behind the wire, so worker invariance carries over
-//!    unchanged.
+//! 2. **Connection-count invariance** — 1, 2 and 4 connections (`--shards
+//!    {1,2,4} --transport tcp`) produce bit-identical reports at the merge
+//!    barrier, mirroring `tests/shard_determinism.rs`: connections *are*
+//!    the workers of the worker topology behind the wire, so worker
+//!    invariance carries over unchanged.
 //! 3. **Cross-transport resume** — a checkpoint recorded under TCP resumes
 //!    in-process bit-exactly (and vice versa): the snapshot fingerprint
 //!    deliberately excludes the transport and the connection count.
