@@ -89,11 +89,10 @@ fn bench_campaign_sharded(c: &mut Criterion) {
 
 /// Batched end-to-end throughput: the same campaigns as [`bench_campaign`]
 /// — identical config, identical reports for Peach — run with `batch(250)`,
-/// in 250-packet slices. The delta against the
-/// unsuffixed entries is the pure dispatch amortisation: pooled packet
-/// arena instead of a fresh seed per execution, one (devirtualised)
-/// target call per window instead of per packet, and no per-execution
-/// reset-policy checks.
+/// in 250-packet slices. The unsuffixed entries run slices of one packet,
+/// so the delta against them is the pure dispatch amortisation: one
+/// (devirtualised) target call and one reset-policy check per 250 packets
+/// instead of per packet.
 fn bench_campaign_batched(c: &mut Criterion) {
     let mut group = c.benchmark_group("campaign");
     group.sample_size(30);

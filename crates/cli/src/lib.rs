@@ -100,10 +100,10 @@ pub struct CliOptions {
     /// Worker threads *inside* each campaign (1 = the classic sequential
     /// loop; >= 2 = the worker topology with that many workers).
     pub shards: usize,
-    /// Batched window execution: at most this many packets per executor
-    /// dispatch (`None` = the classic per-execution loop). Composes with
-    /// `--shards` (caps the per-worker dispatch chunk) and `--sessions`
-    /// (windows are whole sessions).
+    /// Window slice size: at most this many packets per executor dispatch
+    /// (`None` = slices of one packet inline, whole windows per worker).
+    /// Composes with `--shards` (caps the per-worker dispatch chunk) and
+    /// `--sessions` (windows are whole sessions).
     pub batch: Option<u64>,
     /// Run stateful session campaigns (handshake → mutated payload →
     /// teardown, with session-scoped resets) instead of the single-packet
@@ -273,11 +273,13 @@ OPTIONS:
     --batch <N>              Batched window execution: generate up to N
                              packets, execute them in one target call, then
                              reduce — amortising per-packet dispatch on one
-                             core. Peach reports are bit-identical to the
-                             per-execution loop; Peach* digests feedback at
+                             core. Without it every window runs in slices of
+                             one packet. Peach reports are identical for
+                             every N; for N > 1 Peach* digests feedback at
                              batch ends (deterministic, barrier-fed like
                              --shards). With --shards, caps the per-worker
-                             dispatch chunk instead (never changes results).
+                             dispatch chunk instead (never changes results;
+                             without it a worker sends whole windows).
     --sessions               Stateful session fuzzing: every session replays
                              the target's handshake (e.g. STARTDT act), runs
                              mutated payload packets against the opened

@@ -1,9 +1,9 @@
 //! The campaign runner: executes one fuzzer against one target for a fixed
 //! execution budget, recording coverage growth and unique bugs.
 //!
-//! The per-execution work — reset policy, coverage merge, valuable-seed
-//! retention, bug dedup, series sampling, strategy feedback — lives in the
-//! [`engine`](crate::engine) module. A [`Campaign`] assembles an
+//! The work of every execution — reset policy, coverage merge,
+//! valuable-seed retention, bug dedup, series sampling, strategy feedback —
+//! lives in the [`engine`](crate::engine) module. A [`Campaign`] assembles an
 //! [`Engine`] and drives it through one round loop: its
 //! [`Topology`] only decides how a round executes (inline on the calling
 //! thread, or on parallel workers behind a merge barrier), and a [`RunPlan`]
@@ -59,16 +59,17 @@ pub struct CampaignConfig {
     /// [`session_template`](peachstar_protocols::Target::session_template);
     /// sessionless targets fall back to the classic campaign.
     pub session: Option<SessionConfig>,
-    /// Execute each reset-aligned window in batched slices of at most this
-    /// many packets, one
+    /// Execute each reset-aligned window in slices of at most this many
+    /// packets, one
     /// [`TargetExecutor::execute_window`](crate::engine::TargetExecutor::execute_window)
-    /// call each, instead of the per-execution loop.
+    /// call each. Unset, an inline campaign runs slices of one packet, so
+    /// Peach\* digests every verdict before it generates the next packet.
     ///
-    /// Batched Peach campaigns are bit-identical to sequential ones for any
-    /// batch size; Peach\* receives feedback at batch ends, so its stream is
+    /// Peach campaigns are bit-identical for any batch size; Peach\* with a
+    /// batch above 1 receives feedback at batch ends, so its stream is
     /// deterministic but barrier-fed like a sharded campaign's. Under
-    /// [`Topology::Workers`] this instead caps the per-worker dispatch chunk,
-    /// which never changes the report.
+    /// [`Topology::Workers`] this instead caps the per-worker dispatch chunk
+    /// (unset: one call per window), which never changes the report.
     pub batch: Option<u64>,
     /// Per-execution deadline in milliseconds (`--exec-timeout-ms`): each
     /// packet runs on a supervised watchdog thread and an execution that
@@ -169,8 +170,8 @@ impl CampaignConfig {
         self
     }
 
-    /// Enables batched window execution with at most `batch` packets per
-    /// window (clamped to at least 1).
+    /// Sets the slice size [`batch`](CampaignConfig::batch): at most `batch`
+    /// packets per executor call (clamped to at least 1).
     #[must_use]
     pub fn batch(mut self, batch: u64) -> Self {
         self.batch = Some(batch.max(1));
@@ -321,8 +322,8 @@ impl fmt::Display for CampaignReport {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Topology {
     /// On the calling thread (the default). Every reset-aligned window is
-    /// one round, executed packet by packet or, with
-    /// [`CampaignConfig::batch`], in batched slices.
+    /// one round, executed in slices of [`CampaignConfig::batch`] packets
+    /// (one packet when unset).
     Inline,
     /// On parallel workers that execute the windows of a round and merge
     /// them at a deterministic barrier every
@@ -558,24 +559,20 @@ impl Campaign {
                 let mut executor = config.executor(target, policy);
                 let mut arena = PacketArena::default();
                 let mut results = WindowResults::new();
+                let batch = config.batch.unwrap_or(1);
                 rounds.run(engine, |engine, round, models, rng| {
                     // An inline round is exactly one window.
                     for &(start, end) in round {
-                        match config.batch {
-                            Some(batch) => engine.run_window_batched(
-                                &mut executor,
-                                start,
-                                end,
-                                batch,
-                                models,
-                                rng,
-                                &mut arena,
-                                &mut results,
-                            ),
-                            None => (start..=end).for_each(|execution| {
-                                engine.step(&mut executor, execution, models, rng);
-                            }),
-                        }
+                        engine.run_window(
+                            &mut executor,
+                            start,
+                            end,
+                            batch,
+                            models,
+                            rng,
+                            &mut arena,
+                            &mut results,
+                        );
                     }
                 })
             }
@@ -642,9 +639,9 @@ impl Rounds<'_> {
     /// service progress, checkpoints, stops and snapshot capture at every
     /// round end, then folds the engine into a [`CampaignReport`].
     ///
-    /// An inline round is one window, run per execution
-    /// ([`Engine::step`]) or in batched slices; a worker round is generate →
-    /// execute on the workers → merge barrier. Every round end is an
+    /// An inline round is one window, run in slices of generate → execute
+    /// → reduce; a worker round is generate → execute on the workers →
+    /// merge barrier. Every round end is an
     /// execution the reset policy wipes the target before, so no target
     /// state needs saving and a snapshot taken there resumes bit-exactly.
     fn run(

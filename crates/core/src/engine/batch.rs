@@ -1,36 +1,37 @@
-//! Batched window execution: amortising per-execution dispatch out of the
-//! campaign hot path.
+//! Window execution: the one way a packet reaches the engine.
 //!
-//! The sequential engine pays a full round trip through the loop for every
-//! execution — one `dyn Target` dispatch, one reset-policy check, one fresh
-//! [`GeneratedPacket`] allocation, and a trace borrow that forces the loop
-//! to fully drain each execution before generating the next. A batched
-//! inline [`Campaign`](crate::campaign::Campaign) instead runs each round —
-//! one of the reset-aligned windows the worker topology uses too — through
-//! `Engine::run_window_batched`: every slice of the window is generated up
-//! front into a pooled packet arena, executed in a *single*
-//! [`TargetExecutor::execute_window`] call (one virtual dispatch per slice
-//! via [`Target::process_batch`], decoding with the summary sink), and then
-//! reduced through [`Engine::reduce`] in global execution order.
+//! Every campaign runs in reset-aligned windows. An inline
+//! [`Campaign`](crate::campaign::Campaign) runs each window through
+//! `Engine::run_window` in slices of `batch` packets (one packet per slice
+//! unless [`CampaignConfig::batch`] says otherwise): every slice is
+//! generated up front into a pooled `PacketArena`, executed in a
+//! *single* [`TargetExecutor::execute_window`] call (one virtual dispatch
+//! per slice via [`Target::process_batch`], decoding with the summary
+//! sink), and then reduced through [`Engine::reduce`] in global execution
+//! order. The worker topology ([`shard`](crate::engine::shard)) generates
+//! its windows into the same arena type and executes them through the same
+//! executor call on its workers.
 //!
 //! # Equivalence
 //!
-//! Batching only moves *when* packets are generated and reduced, never what
-//! is executed: windows are reset-aligned, packets are generated in global
-//! execution order consuming the campaign RNG exactly as the sequential
-//! loop would, and results reduce in the same order through the same
-//! [`Engine::reduce`].
-//! For the feedback-free Peach baseline the batched report is therefore
-//! **bit-identical** to the sequential campaign for any batch size
-//! (`tests/batch_equivalence.rs`, plus a batched entry in
-//! `tests/pinned_report.rs` that must match the historic constants). The
-//! Peach\* strategy receives its feedback at the end of each batch instead
-//! of per execution — deterministic, but barrier-fed exactly like the
-//! worker topology; with `batch >= window length` the batched Peach\*
-//! stream coincides with a 1-worker, 1-window-per-round worker campaign.
+//! The slice size only moves *when* packets are generated and reduced,
+//! never what is executed: windows are reset-aligned, packets are generated
+//! in global execution order consuming the campaign RNG in one stream, and
+//! results reduce in execution order through the same [`Engine::reduce`].
+//! For the feedback-free Peach baseline the report is therefore
+//! **bit-identical** for any batch size (`tests/batch_equivalence.rs`,
+//! plus batched and unbatched entries in `tests/pinned_report.rs` that must
+//! match the historic constants). The Peach\* strategy receives its
+//! feedback at the end of each slice — with slices of one, before the next
+//! packet is generated, exactly as the paper's loop does; with larger
+//! slices deterministic but barrier-fed like the worker topology, and with
+//! `batch >= window length` the stream coincides with a 1-worker,
+//! 1-window-per-round worker campaign.
 //!
 //! [`Target::process_batch`]: peachstar_protocols::Target::process_batch
-//! [`GeneratedPacket`]: crate::strategy::GeneratedPacket
+//! [`CampaignConfig::batch`]: crate::campaign::CampaignConfig::batch
+
+use std::ops::Range;
 
 use peachstar_datamodel::DataModelSet;
 use peachstar_protocols::WindowResults;
@@ -43,7 +44,7 @@ use crate::strategy::GeneratedPacket;
 /// The reset-aligned execution windows of a campaign: `(start, end)` pairs,
 /// 1-based and inclusive, covering `1..=executions` without gaps. Every
 /// window after the first starts at an execution the reset policy resets
-/// before — exactly where the sequential campaign wipes its target. For
+/// before — exactly where the campaign wipes its target. For
 /// [`ResetPolicy::PerSession`] this makes every window one whole session
 /// (the last may be truncated by the budget), so a session never straddles
 /// a window boundary — and therefore never a merge barrier either.
@@ -69,50 +70,78 @@ pub(crate) fn windows_for_policy(executions: u64, policy: ResetPolicy) -> Vec<(u
         .collect()
 }
 
-/// Pooled storage for one window's generated packets.
+/// Pooled storage for generated packets, and the table of byte slices
+/// [`TargetExecutor::execute_window`] takes.
 ///
-/// Slots are [`GeneratedPacket`]s that get overwritten in place through
-/// [`Schedule::next_packet_into`], so after the first window the generate
-/// phase reuses the packet byte buffers and model-name strings of earlier
-/// windows instead of allocating one fresh seed per execution.
+/// Slots are [`GeneratedPacket`]s overwritten in place through
+/// [`Schedule::next_packet_into`], so a reused arena recycles the packet
+/// byte buffers and model-name strings of earlier slices instead of
+/// allocating one fresh seed per execution. The ref table is pooled too:
+/// it is emptied after every call and keeps its allocation.
 #[derive(Debug, Default)]
 pub(crate) struct PacketArena {
-    packets: Vec<GeneratedPacket>,
+    pub(crate) packets: Vec<GeneratedPacket>,
+    /// Always empty between calls; only its allocation is kept.
+    refs: Vec<&'static [u8]>,
 }
 
 impl PacketArena {
     /// Regenerates the arena to exactly `count` packets, pulled from the
     /// schedule in execution order, reusing existing slots.
-    fn fill(
+    pub(crate) fn fill(
         &mut self,
         schedule: &mut Schedule,
         models: &DataModelSet,
         rng: &mut SmallRng,
         count: usize,
     ) {
-        self.packets.truncate(count);
+        self.packets
+            .resize_with(count, || Seed::new(Vec::new(), "", false));
         for slot in &mut self.packets {
             schedule.next_packet_into(models, rng, slot);
         }
-        while self.packets.len() < count {
-            let mut slot = Seed::new(Vec::new(), "", false);
-            schedule.next_packet_into(models, rng, &mut slot);
-            self.packets.push(slot);
-        }
+    }
+
+    /// Executes packets `range` as executions `first_execution ..` in one
+    /// [`TargetExecutor::execute_window`] call, replacing `out`'s contents.
+    pub(crate) fn execute(
+        &mut self,
+        executor: &mut TargetExecutor,
+        first_execution: u64,
+        range: Range<usize>,
+        out: &mut WindowResults,
+    ) {
+        // Collecting an empty vector through `map` into a vector of the
+        // same layout reuses its allocation in place, so the table changes
+        // lifetime here and back below without allocating.
+        let mut refs: Vec<&[u8]> = std::mem::take(&mut self.refs)
+            .into_iter()
+            .map(|_| unreachable!("the pooled ref table is empty"))
+            .collect();
+        refs.extend(
+            self.packets[range]
+                .iter()
+                .map(|packet| packet.bytes.as_slice()),
+        );
+        executor.execute_window(first_execution, &refs, out);
+        refs.clear();
+        self.refs = refs
+            .into_iter()
+            .map(|_| unreachable!("the ref table was just cleared"))
+            .collect();
     }
 }
 
 impl Engine {
     /// Runs one reset-aligned window `window_start..=window_end` on
-    /// `executor` in batched slices of at most `batch` executions — the
-    /// round body of a batched inline campaign. Each slice runs in three
-    /// phases mirroring one worker round on a single worker: generate into
-    /// the pooled arena, execute in one
-    /// [`TargetExecutor::execute_window`] call, reduce in global execution
-    /// order. `arena` and `results` are caller-held so their allocations
-    /// amortise across windows.
+    /// `executor` in slices of at most `batch` executions — the round body
+    /// of an inline campaign. Each slice runs in three phases mirroring one
+    /// worker round on a single worker: generate into the pooled arena,
+    /// execute in one [`TargetExecutor::execute_window`] call, reduce in
+    /// global execution order. `arena` and `results` are caller-held so
+    /// their allocations amortise across windows.
     #[allow(clippy::too_many_arguments)]
-    pub(crate) fn run_window_batched(
+    pub(crate) fn run_window(
         &mut self,
         executor: &mut TargetExecutor,
         window_start: u64,
@@ -125,9 +154,9 @@ impl Engine {
     ) {
         let batch = batch.max(1);
         // Large reset windows split into `batch`-sized slices: no reset
-        // falls inside a slice (target state flows through untouched,
-        // exactly as in the sequential loop), while feedback reduces at
-        // every slice end instead of once per giant window.
+        // falls inside a slice (target state flows through untouched),
+        // while feedback reduces at every slice end instead of once per
+        // giant window.
         let mut start = window_start;
         while start <= window_end {
             let end = window_end.min(start + (batch - 1));
@@ -137,26 +166,13 @@ impl Engine {
             arena.fill(&mut self.schedule, models, rng, count);
 
             // Phase 2 — execute the whole slice in one executor call.
-            // (The ref table borrows the arena, so it lives only for
-            // this slice; its one small allocation is amortised over
-            // the whole batch.)
-            let refs: Vec<&[u8]> = arena.packets.iter().map(|p| p.bytes.as_slice()).collect();
-            executor.execute_window(start, &refs, results);
-            drop(refs);
+            arena.execute(executor, start, 0..count, results);
             debug_assert_eq!(results.len(), count, "one result per packet");
 
-            // Phase 3 — reduce in global execution order through the
-            // same `Engine::reduce` every driver uses.
+            // Phase 3 — reduce in global execution order.
             for (offset, (summary, trace)) in results.iter().enumerate() {
                 let execution = start + offset as u64;
-                let packet = &arena.packets[offset];
-                let merge = self.coverage.merge_sparse(trace);
-                if self.reduce(execution, packet, *summary, &merge, models) {
-                    // The arena keeps its slot for the next window, so
-                    // retention clones the (rare) valuable packet
-                    // instead of moving it out.
-                    self.retain(packet.clone(), &merge);
-                }
+                self.reduce(execution, &arena.packets[offset], *summary, trace, models);
             }
             start = end + 1;
         }

@@ -65,8 +65,8 @@ impl ResetPolicy {
 /// dirtied), and a [`ResetPolicy`] deciding when session state is wiped.
 ///
 /// Campaigns never touch the target directly: the inline topology runs
-/// every packet or window through one executor, and every worker of the
-/// worker topology owns one.
+/// every window through one executor, and every worker of the worker
+/// topology owns one.
 ///
 /// # Example
 ///

@@ -8,16 +8,19 @@
 //! session cursor in session mode). Packets run through a
 //! [`TargetExecutor`], which owns the target and its reset policy.
 //!
-//! [`Engine::reduce`] is the one place an executed packet is folded back
-//! into that state, so every way of executing reduces in the same order
-//! (`tests/pinned_report.rs` pins the resulting reports): [`Engine::step`]
-//! per packet, [`batch`] for reset-aligned windows run in slices of one
-//! [`TargetExecutor::execute_window`] call each, and [`shard`] for windows
-//! executed on parallel workers behind a deterministic merge barrier — the
-//! two topologies of [`Campaign`](crate::campaign::Campaign), whose round
-//! loop drives all three. [`session`] builds stateful session fuzzing
-//! (handshake → mutated payload → teardown, with session-scoped resets) as
-//! the session mode of the [`Schedule`].
+//! Packets reach the engine only in windows: [`batch`] runs each
+//! reset-aligned window of an inline campaign in slices (of one packet
+//! unless the campaign asks for larger ones), one
+//! [`TargetExecutor::execute_window`] call each, and [`shard`] executes the
+//! windows of a round on parallel workers behind a deterministic merge
+//! barrier — the two topologies of
+//! [`Campaign`](crate::campaign::Campaign), whose round loop drives both.
+//! Both generate into the same packet arena, and both fold every executed
+//! packet back through [`Engine::reduce`], so their reduce order can never
+//! drift apart (`tests/pinned_report.rs` pins the resulting reports).
+//! [`session`] builds stateful session fuzzing (handshake → mutated
+//! payload → teardown, with session-scoped resets) as the session mode of
+//! the [`Schedule`].
 
 pub mod batch;
 pub mod executor;
@@ -35,7 +38,7 @@ pub use session::{PhaseMask, SessionConfig, SessionPlan, SessionSchedule};
 pub use shard::ShardConfig;
 pub use transport::{error_class, FramedTcpTarget, ReconnectPolicy, TransportMode};
 
-use peachstar_coverage::{CoverageMap, MergeOutcome};
+use peachstar_coverage::{CoverageMap, SparseTrace};
 use peachstar_datamodel::DataModelSet;
 use rand::rngs::SmallRng;
 
@@ -47,10 +50,13 @@ use crate::strategy::GeneratedPacket;
 ///
 /// # Example
 ///
+/// The campaign loop with windows of one packet: generate → execute →
+/// reduce.
+///
 /// ```
 /// use peachstar::engine::{CampaignMonitor, Engine, Schedule, TargetExecutor};
 /// use peachstar::strategy::StrategyKind;
-/// use peachstar_protocols::TargetId;
+/// use peachstar_protocols::{TargetId, WindowResults};
 /// use rand::{rngs::SmallRng, SeedableRng};
 ///
 /// let mut executor = TargetExecutor::new(TargetId::Modbus.create(), 100);
@@ -60,8 +66,13 @@ use crate::strategy::GeneratedPacket;
 ///     CampaignMonitor::new(200, 50),
 /// );
 /// let mut rng = SmallRng::seed_from_u64(1);
+/// let mut results = WindowResults::new();
 /// for execution in 1..=200 {
-///     engine.step(&mut executor, execution, &models, &mut rng);
+///     let packet = engine.schedule.next_packet(&models, &mut rng);
+///     executor.execute_window(execution, &[&packet.bytes], &mut results);
+///     for (summary, trace) in results.iter() {
+///         engine.reduce(execution, &packet, *summary, trace, &models);
+///     }
 /// }
 /// // The first execution always adds coverage, so it is a valuable seed.
 /// assert!(engine.coverage.paths_covered() > 0);
@@ -92,14 +103,12 @@ impl Engine {
         }
     }
 
-    /// Folds one executed packet, whose trace `merge` already went into
-    /// [`coverage`](Engine::coverage), back into the state: tally/bug record
-    /// → valuable verdict (new edge or hit-count bucket) → strategy feedback
-    /// → series sample. Returns the verdict; on `true` the caller retains
-    /// the packet with [`retain`](Engine::retain), moving it when it owns
-    /// it and cloning it out of a reused arena otherwise.
+    /// Folds one executed packet back into the state: coverage merge of its
+    /// `trace` → tally/bug record → valuable verdict (new edge or
+    /// hit-count bucket) → strategy feedback → series sample, and a
+    /// valuable packet is cloned into [`seeds`](Engine::seeds).
     ///
-    /// Every driver reduces through here, per packet or at a merge barrier,
+    /// Every driver reduces through here, per slice or at a merge barrier,
     /// so their reduce order can never drift apart.
     ///
     /// # Example
@@ -118,13 +127,11 @@ impl Engine {
     /// );
     /// let mut ctx = TraceContext::new();
     /// ctx.edge(EdgeId::new(3));
+    /// let trace = ctx.trace().to_sparse();
     /// let packet = Seed::new(vec![0x42], "demo", false);
     /// // The same trace twice: only its first execution adds coverage.
     /// for execution in 1..=2 {
-    ///     let merge = engine.coverage.merge(ctx.trace());
-    ///     if engine.reduce(execution, &packet, OutcomeSummary::Response, &merge, &models) {
-    ///         engine.retain(packet.clone(), &merge);
-    ///     }
+    ///     engine.reduce(execution, &packet, OutcomeSummary::Response, &trace, &models);
     /// }
     /// assert_eq!(engine.seeds.len(), 1);
     /// assert_eq!(engine.monitor.responses(), 2);
@@ -134,9 +141,10 @@ impl Engine {
         execution: u64,
         packet: &GeneratedPacket,
         outcome: OutcomeSummary,
-        merge: &MergeOutcome,
+        trace: &SparseTrace,
         models: &DataModelSet,
-    ) -> bool {
+    ) {
+        let merge = self.coverage.merge_sparse(trace);
         self.monitor.record(execution, packet, outcome);
         let valuable = merge.is_interesting();
         self.schedule.feedback(execution, packet, valuable, models);
@@ -145,31 +153,9 @@ impl Engine {
             self.coverage.paths_covered(),
             self.coverage.edges_covered(),
         );
-        valuable
-    }
-
-    /// Retains a packet [`reduce`](Engine::reduce) judged valuable.
-    pub fn retain(&mut self, packet: GeneratedPacket, merge: &MergeOutcome) {
-        self.seeds.push(packet, merge.path_id, merge.new_edges);
-    }
-
-    /// Runs one execution: generate → execute on `executor` (reset policy
-    /// inside) → coverage merge → [`reduce`](Engine::reduce) → seed
-    /// retention.
-    pub fn step(
-        &mut self,
-        executor: &mut TargetExecutor,
-        execution: u64,
-        models: &DataModelSet,
-        rng: &mut SmallRng,
-    ) {
-        let packet = self.schedule.next_packet(models, rng);
-        let (outcome, trace) = executor.execute(execution, &packet.bytes);
-        let merge = self.coverage.merge(trace);
-        if self.reduce(execution, &packet, OutcomeSummary::from(&outcome), &merge, models) {
-            // The schedule only borrowed the packet, so retention moves it
-            // into the pool instead of cloning.
-            self.retain(packet, &merge);
+        if valuable {
+            self.seeds
+                .push(packet.clone(), merge.path_id, merge.new_edges);
         }
     }
 
@@ -216,18 +202,19 @@ impl Engine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::batch::PacketArena;
     use crate::seed::Seed;
     use crate::strategy::StrategyKind;
-    use peachstar_coverage::{EdgeId, TraceContext, TraceMap};
-    use peachstar_protocols::TargetId;
+    use peachstar_coverage::{EdgeId, TraceContext};
+    use peachstar_protocols::{TargetId, WindowResults};
     use rand::SeedableRng;
 
-    fn trace_of(ids: &[u32]) -> TraceMap {
+    fn trace_of(ids: &[u32]) -> SparseTrace {
         let mut ctx = TraceContext::new();
         for &id in ids {
             ctx.edge(EdgeId::new(id));
         }
-        ctx.into_trace()
+        ctx.trace().to_sparse()
     }
 
     fn peach_engine() -> Engine {
@@ -238,42 +225,12 @@ mod tests {
     }
 
     #[test]
-    fn live_and_sparse_merges_reduce_identically() {
-        // `step` merges live traces, the merge barrier buffered sparse
-        // snapshots: the same executions must reduce to the same state.
-        let models = TargetId::Modbus.create().data_models();
-        let mut live = peach_engine();
-        let mut buffered = peach_engine();
-        let packet = Seed::new(vec![0x42], "m", false);
-        let traces = [trace_of(&[1, 2]), trace_of(&[2, 3]), trace_of(&[1, 2])];
-        for (execution, trace) in (1..).zip(&traces) {
-            let a = live.coverage.merge(trace);
-            let b = buffered.coverage.merge_sparse(&trace.to_sparse());
-            assert_eq!(a, b);
-            assert_eq!(
-                live.reduce(execution, &packet, OutcomeSummary::Response, &a, &models),
-                buffered.reduce(execution, &packet, OutcomeSummary::Response, &b, &models),
-            );
-        }
-        assert_eq!(live.coverage.paths_covered(), buffered.coverage.paths_covered());
-        assert_eq!(live.coverage.edges_covered(), buffered.coverage.edges_covered());
-        assert_eq!(live.coverage.executions(), 3);
-        assert_eq!(
-            live.monitor.series().final_paths(),
-            buffered.monitor.series().final_paths()
-        );
-    }
-
-    #[test]
     fn reduce_retains_only_interesting_seeds() {
         let models = TargetId::Modbus.create().data_models();
         let mut engine = peach_engine();
         for (execution, trace) in (1..).zip(&[trace_of(&[1, 2]), trace_of(&[1, 2])]) {
-            let merge = engine.coverage.merge(trace);
             let packet = Seed::new(vec![execution as u8], "m", false);
-            if engine.reduce(execution, &packet, OutcomeSummary::Response, &merge, &models) {
-                engine.retain(packet, &merge);
-            }
+            engine.reduce(execution, &packet, OutcomeSummary::Response, trace, &models);
         }
         assert_eq!(engine.seeds.len(), 1, "the duplicate trace adds nothing");
         assert_eq!(engine.seeds.iter().next().map(|kept| &kept.seed.bytes[..]), Some(&[1][..]));
@@ -289,9 +246,18 @@ mod tests {
             CampaignMonitor::new(1_000, 100),
         );
         let mut rng = SmallRng::seed_from_u64(3);
-        for execution in 1..=1_000 {
-            engine.step(&mut executor, execution, &models, &mut rng);
-        }
+        let (mut arena, mut results) = (PacketArena::default(), WindowResults::new());
+        // Slices of one packet never straddle a reset.
+        engine.run_window(
+            &mut executor,
+            1,
+            1_000,
+            1,
+            &models,
+            &mut rng,
+            &mut arena,
+            &mut results,
+        );
 
         assert!(engine.coverage.paths_covered() > 0);
         assert!(!engine.seeds.is_empty());

@@ -77,19 +77,15 @@ impl Schedule {
         self.strategy.name()
     }
 
-    /// Produces the next packet to execute.
+    /// Produces the next packet to execute, into a fresh seed.
     pub fn next_packet(&mut self, models: &DataModelSet, rng: &mut SmallRng) -> GeneratedPacket {
-        if self.session.is_none() {
-            return self.strategy.next_packet(models, rng);
-        }
         let mut seed = Seed::new(Vec::new(), "", false);
         self.next_packet_into(models, rng, &mut seed);
         seed
     }
 
     /// Produces the next packet into a reusable slot, overwriting every
-    /// field — the batched engine's packet-arena entry point. Observationally
-    /// identical to [`next_packet`](Schedule::next_packet).
+    /// field — the engine's packet-arena entry point.
     pub fn next_packet_into(
         &mut self,
         models: &DataModelSet,

@@ -12,14 +12,14 @@
 //! loop runs [`sync_windows`](ShardConfig::sync_windows) windows in three
 //! phases:
 //!
-//! 1. **Generate** (sequential): the strategy produces the packets of the
-//!    round's windows in global execution order, consuming the campaign RNG
-//!    exactly as the inline loop would.
+//! 1. **Generate** (sequential): the strategy fills one packet arena per
+//!    window of the round, in global execution order, consuming the
+//!    campaign RNG exactly as the inline topology would.
 //! 2. **Execute** (parallel): `workers` threads pull windows from a queue
 //!    and run them through their own [`TargetExecutor`] (over their own
 //!    [`Target::clone_fresh`] copy), the same fault-tolerant path the
 //!    inline topology takes, buffering each execution's [`OutcomeSummary`]
-//!    and [`peachstar_coverage::SparseTrace`] snapshot.
+//!    and [`SparseTrace`] snapshot.
 //! 3. **Reduce** (sequential, the merge barrier): window results are merged
 //!    back in global execution order through
 //!    [`Engine::reduce`](crate::engine::Engine::reduce), the same reduce the
@@ -40,10 +40,11 @@
 //! For the feedback-free Peach baseline the worker report is additionally
 //! bit-identical to the inline [`Campaign`](crate::campaign::Campaign): the
 //! packet stream depends only on the RNG, and windows replay the exact
-//! target states of the inline loop. The Peach\* strategy receives its
-//! feedback at the barrier instead of per-execution (valuable seeds crack
-//! into puzzles one round later), so its packet stream is deterministic but
-//! intentionally not identical to the per-execution one.
+//! target states of the inline topology. The Peach\* strategy receives its
+//! feedback at the barrier instead of after every packet (valuable seeds
+//! crack into puzzles one round later), so its packet stream is
+//! deterministic but intentionally not identical to the unbatched inline
+//! one.
 //!
 //! [`Topology::Workers`]: crate::campaign::Topology::Workers
 //! [`TransportMode::FramedTcp`]: crate::campaign::TransportMode::FramedTcp
@@ -59,9 +60,9 @@ use peachstar_protocols::containment::contained;
 use peachstar_protocols::{FaultKind, Target, WindowResults};
 
 use crate::campaign::CampaignConfig;
+use crate::engine::batch::PacketArena;
 use crate::engine::transport::is_connection_loss;
 use crate::engine::{Engine, OutcomeSummary, ResetPolicy, TargetExecutor};
-use crate::strategy::GeneratedPacket;
 
 /// The terminal failure when every connection of a framed-TCP campaign has
 /// exhausted its reconnect budget while windows remain unexecuted. Stable
@@ -111,17 +112,12 @@ impl Default for ShardConfig {
     }
 }
 
-/// One window's packets, headed to a worker.
-struct WindowWork {
+/// One window of a round: its packets travel to a worker, and come back to
+/// the merge barrier with one `(summary, snapshot)` per packet, in
+/// execution order.
+struct Window {
     start: u64,
-    packets: Vec<GeneratedPacket>,
-}
-
-/// One executed window, headed back to the merge barrier: its packets and
-/// one `(summary, snapshot)` per packet, in execution order.
-struct WindowResult {
-    start: u64,
-    packets: Vec<GeneratedPacket>,
+    arena: PacketArena,
     results: Vec<(OutcomeSummary, SparseTrace)>,
 }
 
@@ -149,10 +145,10 @@ fn lost_connection(summary: &OutcomeSummary) -> bool {
 }
 
 /// Runs one window through the worker's executor, one
-/// [`TargetExecutor::execute_window`] call per `chunk` packets — the
-/// worker face of the `--batch` knob. Chunks of one window share the
-/// worker's target back to back, so the chunk size never changes the
-/// report.
+/// [`TargetExecutor::execute_window`] call per `chunk` packets of its
+/// arena — the worker face of the `--batch` knob. Chunks of one window
+/// share the worker's target back to back, so the chunk size never changes
+/// the report.
 ///
 /// The window starts from exactly one reset: the executor's policy resets
 /// before every window but the campaign's first, which gets an explicit
@@ -162,42 +158,41 @@ fn lost_connection(summary: &OutcomeSummary) -> bool {
 /// target is rebuilt and the chunk finishes packet by packet, so a window
 /// always completes in place.
 ///
-/// `None` means the worker's connection exhausted its reconnect budget on
-/// the unsupervised path: the partial results are dropped and the caller
-/// requeues the intact window. Under a watchdog every execution is
+/// `false` means the worker's connection exhausted its reconnect budget on
+/// the unsupervised path: the caller requeues the window, whose partial
+/// results the next run discards. Under a watchdog every execution is
 /// contained per packet, so there a lost connection stays a recorded fault.
 fn run_window(
     executor: &mut TargetExecutor,
     chunk: usize,
-    work: &WindowWork,
+    window: &mut Window,
     scratch: &mut WindowResults,
-) -> Option<Vec<(OutcomeSummary, SparseTrace)>> {
+) -> bool {
     let degradable = executor.deadline().is_none();
+    window.results.clear();
     let attempt = contained(|| {
-        if !executor.policy().resets_before(work.start) {
+        if !executor.policy().resets_before(window.start) {
             executor.reset_before_next();
         }
-        let mut results = Vec::with_capacity(work.packets.len());
-        let mut first = work.start;
-        for packets in work.packets.chunks(chunk) {
-            let refs: Vec<&[u8]> = packets
-                .iter()
-                .map(|packet| packet.bytes.as_slice())
-                .collect();
-            executor.execute_window(first, &refs, scratch);
+        let len = window.arena.packets.len();
+        for first in (0..len).step_by(chunk) {
+            let end = len.min(first.saturating_add(chunk));
+            let execution = window.start + first as u64;
+            window
+                .arena
+                .execute(executor, execution, first..end, scratch);
             if degradable && scratch.iter().any(|(summary, _)| lost_connection(summary)) {
-                return None;
+                return false;
             }
-            results.extend(scratch.drain());
-            first += packets.len() as u64;
+            window.results.extend(scratch.drain());
         }
-        Some(results)
+        true
     });
     // Outside a contained `process`, a lost connection surfaces as an
     // uncontained panic: in the window-start reset or in a rebuild.
     match attempt {
-        Ok(results) => results,
-        Err(message) if degradable && is_connection_loss(&message) => None,
+        Ok(completed) => completed,
+        Err(message) if degradable && is_connection_loss(&message) => false,
         Err(message) => panic!("{message}"),
     }
 }
@@ -206,8 +201,8 @@ fn run_window(
 fn shard_worker(
     worker: &mut ShardWorker,
     (config, policy, chunk): (&CampaignConfig, ResetPolicy, usize),
-    queue: &Mutex<VecDeque<WindowWork>>,
-    done: &Mutex<Vec<WindowResult>>,
+    queue: &Mutex<VecDeque<Window>>,
+    done: &Mutex<Vec<Window>>,
 ) {
     let mut executor = match std::mem::replace(worker, ShardWorker::Dead) {
         ShardWorker::Idle(target) => config.executor(target, policy),
@@ -217,26 +212,20 @@ fn shard_worker(
     let mut scratch = WindowResults::new();
     loop {
         // `let … else` drops the queue guard before the window runs.
-        let Some(work) = queue.lock().expect("window queue poisoned").pop_front() else {
+        let Some(mut window) = queue.lock().expect("window queue poisoned").pop_front() else {
             break;
         };
-        let Some(results) = run_window(&mut executor, chunk, &work, &mut scratch) else {
-            // The window is intact, and every window starts from a reset,
+        if !run_window(&mut executor, chunk, &mut window, &mut scratch) {
+            // The packets are intact, and every window starts from a reset,
             // so any surviving connection can run it from scratch: put it
             // back at the head of the queue and leave this worker retired.
             queue
                 .lock()
                 .expect("window queue poisoned")
-                .push_front(work);
+                .push_front(window);
             return;
-        };
-        done.lock()
-            .expect("window results poisoned")
-            .push(WindowResult {
-                start: work.start,
-                packets: work.packets,
-                results,
-            });
+        }
+        done.lock().expect("window results poisoned").push(window);
     }
     *worker = ShardWorker::Ready(executor);
 }
@@ -294,31 +283,34 @@ impl WorkerPool {
         rng: &mut SmallRng,
     ) {
         // Phase 1 — generate: replay the strategy sequentially, in global
-        // execution order, exactly as the inline loop would.
-        let work: VecDeque<WindowWork> = round
+        // execution order, into one fresh arena per window. (The arenas
+        // die with the round: pooled across rounds, every slot would keep
+        // the largest packet it ever held.)
+        let work: VecDeque<Window> = round
             .iter()
-            .map(|&(start, end)| WindowWork {
-                start,
-                packets: (start..=end)
-                    .map(|_| engine.schedule.next_packet(models, rng))
-                    .collect(),
+            .map(|&(start, end)| {
+                let mut arena = PacketArena::default();
+                let count = usize::try_from(end - start + 1).expect("window fits usize");
+                arena.fill(&mut engine.schedule, models, rng, count);
+                Window {
+                    start,
+                    arena,
+                    results: Vec::with_capacity(count),
+                }
             })
             .collect();
 
         // Phase 2 — execute on the workers, in parallel.
-        let mut results = self.execute(work);
+        let mut windows = self.execute(work);
 
         // Phase 3 — reduce (the merge barrier): fold every window back in
         // global execution order through `Engine::reduce`.
-        results.sort_by_key(|window| window.start);
-        for window in results {
-            let executed = window.packets.into_iter().zip(window.results);
+        windows.sort_by_key(|window| window.start);
+        for window in &windows {
+            let executed = window.arena.packets.iter().zip(&window.results);
             for (offset, (packet, (outcome, trace))) in executed.enumerate() {
                 let execution = window.start + offset as u64;
-                let merge = engine.coverage.merge_sparse(&trace);
-                if engine.reduce(execution, &packet, outcome, &merge, models) {
-                    engine.retain(packet, &merge);
-                }
+                engine.reduce(execution, packet, *outcome, trace, models);
             }
         }
     }
@@ -331,8 +323,8 @@ impl WorkerPool {
     /// pick the window up within the first scope already). The campaign
     /// fails only when no live connection remains and windows are still
     /// queued.
-    fn execute(&mut self, work: VecDeque<WindowWork>) -> Vec<WindowResult> {
-        let done: Mutex<Vec<WindowResult>> = Mutex::new(Vec::with_capacity(work.len()));
+    fn execute(&mut self, work: VecDeque<Window>) -> Vec<Window> {
+        let done: Mutex<Vec<Window>> = Mutex::new(Vec::with_capacity(work.len()));
         let queue = Mutex::new(work);
         let setup = (&self.config, self.policy, self.chunk);
         let (queue_ref, done_ref) = (&queue, &done);

@@ -94,24 +94,21 @@ pub trait GenerationStrategy {
     /// Short display name ("Peach", "Peach*", …).
     fn name(&self) -> &'static str;
 
-    /// Produces the next packet to execute.
-    fn next_packet(&mut self, models: &DataModelSet, rng: &mut SmallRng) -> GeneratedPacket;
-
     /// Produces the next packet into a reusable slot, overwriting every
-    /// field — the batched engine's packet-arena entry point.
-    ///
-    /// Must be observationally identical to
-    /// [`next_packet`](GenerationStrategy::next_packet): same packet for the
-    /// same RNG state, same strategy-side bookkeeping. The default delegates
-    /// to `next_packet`; strategies on the hot path override it to emit into
-    /// the slot's existing buffers instead of allocating a fresh seed.
+    /// field — the engine's packet-arena entry point, which lets the slot's
+    /// existing buffers take the packet instead of a fresh seed.
     fn next_packet_into(
         &mut self,
         models: &DataModelSet,
         rng: &mut SmallRng,
         slot: &mut GeneratedPacket,
-    ) {
-        *slot = self.next_packet(models, rng);
+    );
+
+    /// Produces the next packet to execute, into a fresh seed.
+    fn next_packet(&mut self, models: &DataModelSet, rng: &mut SmallRng) -> GeneratedPacket {
+        let mut seed = Seed::new(Vec::new(), "", false);
+        self.next_packet_into(models, rng, &mut seed);
+        seed
     }
 
     /// Observes the execution result of a previously generated packet.
@@ -272,12 +269,6 @@ impl RandomGenerationStrategy {
 impl GenerationStrategy for RandomGenerationStrategy {
     fn name(&self) -> &'static str {
         "Peach"
-    }
-
-    fn next_packet(&mut self, models: &DataModelSet, rng: &mut SmallRng) -> GeneratedPacket {
-        let mut seed = Seed::new(Vec::new(), "", false);
-        self.next_packet_into(models, rng, &mut seed);
-        seed
     }
 
     fn next_packet_into(
@@ -507,12 +498,6 @@ impl SemanticAwareStrategy {
 impl GenerationStrategy for SemanticAwareStrategy {
     fn name(&self) -> &'static str {
         "Peach*"
-    }
-
-    fn next_packet(&mut self, models: &DataModelSet, rng: &mut SmallRng) -> GeneratedPacket {
-        let mut seed = Seed::new(Vec::new(), "", false);
-        self.next_packet_into(models, rng, &mut seed);
-        seed
     }
 
     fn next_packet_into(

@@ -5,8 +5,8 @@
 //! targets × strategies × seeds:
 //!
 //! 1. **Sequential equivalence for Peach** — the feedback-free baseline's
-//!    batched report is bit-identical to the classic per-execution
-//!    [`Campaign`] for *any* batch size: windows are reset-aligned, packets
+//!    batched report is bit-identical to the unbatched [`Campaign`] (slices
+//!    of one packet) for *any* batch size: windows are reset-aligned, packets
 //!    generate in global execution order off the same RNG stream, and
 //!    results reduce in the same order through the same seams.
 //! 2. **Determinism for Peach\*** — the feedback-driven strategy digests
@@ -83,23 +83,6 @@ fn batched_peach_equals_sequential_for_any_batch_size() {
                 "Peach on {target} seed {seed}: batch {batch} diverged from sequential"
             );
         }
-    }
-}
-
-#[test]
-fn batch_of_one_collapses_to_the_sequential_loop_even_for_peachstar() {
-    // With batch = 1 the batched driver's generate → execute → reduce
-    // cadence is exactly the sequential step order (feedback lands before
-    // the next packet is generated), so even the feedback-driven strategy
-    // must match the classic loop bit for bit.
-    for (target, seed) in [(TargetId::Modbus, 3), (TargetId::Iec104, 5)] {
-        let cfg = config(StrategyKind::PeachStar, seed);
-        let sequential = deterministic(&Campaign::new(target.create(), cfg).run());
-        let batched = deterministic(&Campaign::new(target.create(), cfg.batch(1)).run());
-        assert_eq!(
-            sequential, batched,
-            "Peach* on {target} seed {seed}: batch 1 diverged from sequential"
-        );
     }
 }
 

@@ -290,9 +290,14 @@ fn an_exhausted_connection_degrades_onto_the_survivors() {
     // surviving connection finishes the campaign with the healthy report.
     // Unbatched, every window reaches the target in one chunk; a batch
     // splits each window into several, so a connection can die between
-    // chunks of one window. Only `batch(5)` sends enough frames to reach
-    // the 137th, where the drop fires.
-    for cfg in [config(13), config(13).batch(50), config(13).batch(5)] {
+    // chunks of one window. Each case drops at a frame its campaign
+    // reaches, which the same chaos on a lone connection proves: there it
+    // exhausts every connection the campaign has.
+    for (cfg, drop_every) in [
+        (config(13), 3),
+        (config(13).batch(50), 7),
+        (config(13).batch(5), 137),
+    ] {
         let healthy = deterministic(
             &ShardedCampaign::new(
                 TargetId::Modbus.create(),
@@ -303,18 +308,38 @@ fn an_exhausted_connection_degrades_onto_the_survivors() {
         );
         let chaotic = cfg
             .reconnect(ReconnectPolicy::immediate(2))
-            .wire_chaos(WireChaos::drop_every(137).limit(1).reject_after_drop(3));
-        let report = ShardedCampaign::new(
-            TargetId::Modbus.create(),
-            chaotic.transport(TransportMode::FramedTcp),
-            ShardConfig::with_workers(2).sync_windows(2),
-        )
-        .run();
+            .wire_chaos(
+                WireChaos::drop_every(drop_every)
+                    .limit(1)
+                    .reject_after_drop(3),
+            )
+            .transport(TransportMode::FramedTcp);
+        let on_workers = |workers: usize| {
+            ShardedCampaign::new(
+                TargetId::Modbus.create(),
+                chaotic,
+                ShardConfig::with_workers(workers).sync_windows(2),
+            )
+            .run()
+        };
+        let report = on_workers(2);
         assert_eq!(report.executions, cfg.executions);
         assert_eq!(
             healthy,
             deterministic(&report),
             "degraded campaign diverged (batch {:?})",
+            cfg.batch
+        );
+        let lone = std::panic::catch_unwind(|| on_workers(1))
+            .expect_err("the drop must fire and exhaust the lone connection");
+        let message = lone
+            .downcast_ref::<String>()
+            .map(String::as_str)
+            .or_else(|| lone.downcast_ref::<&str>().copied())
+            .unwrap_or_default();
+        assert!(
+            message.contains("every connection exhausted its reconnect budget"),
+            "unexpected panic (batch {:?}): {message}",
             cfg.batch
         );
     }
