@@ -71,7 +71,10 @@ pub use trace::{EdgeId, PathId, SparseTrace, TraceContext, TraceMap};
 /// This macro is the stand-in for the compile-time-random block identifiers
 /// that the paper's LLVM pass would insert: the identifier is a hash of the
 /// file, line and column of the macro invocation, so every textual call site
-/// gets a distinct, stable [`EdgeId`].
+/// gets a distinct, stable [`EdgeId`]. Each expansion binds the id to a
+/// `const` item, so [`site_id`] runs in the compiler and an edge hit costs
+/// one [`TraceContext::edge`] call. Without the `const`, LLVM leaves the
+/// hash loop in the decoders, where it walks the source path at run time.
 ///
 /// ```
 /// use peachstar_coverage::{cov_edge, TraceContext};
@@ -93,8 +96,13 @@ pub use trace::{EdgeId, PathId, SparseTrace, TraceContext, TraceMap};
 /// ```
 #[macro_export]
 macro_rules! cov_edge {
+    // Each `const` sits in a block of its own, so that the caller's `$ctx`
+    // and `$discriminator` expressions cannot see the name `SITE`.
     ($ctx:expr) => {
-        $ctx.edge($crate::site_id(file!(), line!(), column!()))
+        $ctx.edge({
+            const SITE: $crate::EdgeId = $crate::site_id(file!(), line!(), column!());
+            SITE
+        })
     };
     // Value-discriminated form: stands in for data-dependent dispatch in the
     // original targets (per-zone callbacks, per-type jump tables), where
@@ -102,7 +110,11 @@ macro_rules! cov_edge {
     // discriminator is folded into the site id so each class is its own edge.
     ($ctx:expr, $discriminator:expr) => {
         $ctx.edge($crate::EdgeId::new(
-            $crate::site_id(file!(), line!(), column!()).raw()
+            {
+                const SITE: $crate::EdgeId = $crate::site_id(file!(), line!(), column!());
+                SITE
+            }
+            .raw()
                 ^ (($discriminator as u32) & 0x3f).rotate_left(10),
         ))
     };
@@ -110,9 +122,17 @@ macro_rules! cov_edge {
 
 /// Derives a stable pseudo-random site identifier from a source location.
 ///
-/// Used by [`cov_edge!`]; exposed so that targets which generate their own
-/// instrumentation points (e.g. table-driven parsers) can produce identifiers
-/// from strings of their choosing.
+/// The id is FNV-1a 64 over the file bytes, then the line and the column as
+/// little-endian bytes, folded to 32 bits. It is a `const fn`, so
+/// [`cov_edge!`] evaluates it at compile time. It hashes the path string as
+/// given: `file!()` is whatever path Cargo passed to rustc, which is
+/// workspace-relative for workspace members but absolute for a crate built
+/// as a path dependency of another workspace, so such builds' ids depend on
+/// the checkout directory.
+///
+/// Exposed, and callable at run time, so that targets which generate their
+/// own instrumentation points (e.g. table-driven parsers) can produce
+/// identifiers from strings of their choosing.
 ///
 /// ```
 /// let a = peachstar_coverage::site_id("modbus.rs", 10, 5);
@@ -120,30 +140,50 @@ macro_rules! cov_edge {
 /// assert_ne!(a, b);
 /// ```
 #[must_use]
-pub fn site_id(file: &str, line: u32, column: u32) -> EdgeId {
-    // FNV-1a over the location string pieces; cheap, stable across runs and
-    // well distributed over the 16-bit block-id space used by the trace map.
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for byte in file
-        .as_bytes()
-        .iter()
-        .copied()
-        .chain(line.to_le_bytes())
-        .chain(column.to_le_bytes())
-    {
-        hash ^= u64::from(byte);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
+pub const fn site_id(file: &str, line: u32, column: u32) -> EdgeId {
+    // FNV-1a: well distributed over the 16-bit block-id space of the trace
+    // map.
+    let hash = fnv1a(0xcbf2_9ce4_8422_2325, file.as_bytes());
+    let hash = fnv1a(hash, &line.to_le_bytes());
+    let hash = fnv1a(hash, &column.to_le_bytes());
     EdgeId::new((hash ^ (hash >> 32)) as u32)
+}
+
+/// Continues an FNV-1a 64 hash over `bytes`; a `while` loop because a
+/// `const fn` cannot use iterators.
+const fn fnv1a(mut hash: u64, bytes: &[u8]) -> u64 {
+    let mut i = 0;
+    while i < bytes.len() {
+        hash ^= bytes[i] as u64;
+        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+        i += 1;
+    }
+    hash
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// Compiles only while `site_id` is a `const fn`, which `cov_edge!`
+    /// relies on.
+    const PINNED: EdgeId = site_id("a.rs", 1, 1);
+
     #[test]
     fn site_id_is_stable() {
         assert_eq!(site_id("a.rs", 1, 1), site_id("a.rs", 1, 1));
+    }
+
+    #[test]
+    fn site_id_values_are_pinned() {
+        // Every edge id, and through them every pinned report, depends on
+        // these exact values.
+        assert_eq!(PINNED.raw(), 0xf524_2b09);
+        assert_eq!(site_id("a.rs", 1, 1).raw(), 0xf524_2b09);
+        assert_eq!(
+            site_id("crates/protocols/src/modbus.rs", 100, 9).raw(),
+            0x5b17_b95b
+        );
     }
 
     #[test]
