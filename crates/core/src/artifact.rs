@@ -19,9 +19,12 @@
 //! ([`CrashArtifact::sync_windows`]) and replay rebuilds the same topology
 //! (with a single worker — worker count is invariant anyway).
 //!
-//! The wire format follows the conventions of [`snapshot`](crate::snapshot):
-//! magic + version header, tagged length-prefixed sections, little-endian
-//! integers, an FNV-1a trailer, and atomic `.tmp` + rename writes.
+//! The wire format is a fixed-width cousin of the
+//! [`snapshot`](crate::snapshot) format: magic + version header, tagged
+//! sections with `u64` lengths, little-endian integers, a byte-wise FNV-1a
+//! 64 trailer, and atomic writes through a `.tmp` file and a rename. A
+//! bundle is a few hundred bytes written once per bug, so it gains nothing
+//! from the snapshot's varints.
 
 use std::path::{Path, PathBuf};
 
@@ -31,8 +34,7 @@ use peachstar_protocols::{FaultKind, Target, TargetId};
 use crate::campaign::{BugRecord, Campaign, CampaignConfig, CampaignReport, ShardConfig, Topology};
 use crate::engine::{PhaseMask, SessionConfig};
 use crate::snapshot::{
-    fault_kind_from_tag, fault_kind_tag, fnv1a, put_bytes, put_option_u64, put_section, put_str,
-    put_u32, put_u64, put_u8, read_option_u64, read_section, strategy_from_tag, strategy_tag,
+    fault_kind_from_tag, fault_kind_tag, put_u32, put_u64, put_u8, strategy_from_tag, strategy_tag,
     write_atomic, Reader, SnapshotError,
 };
 
@@ -212,7 +214,7 @@ impl CrashArtifact {
         }
         let (target, config, sync_windows, chaos) =
             read_section(&mut reader, SECTION_RECIPE, |section| {
-                let target_name = section.string()?;
+                let target_name = read_string(section)?;
                 let target = TargetId::parse(&target_name)
                     .ok_or(SnapshotError::Corrupt("unknown target"))?;
                 let strategy = strategy_from_tag(section.u8()?)?;
@@ -254,10 +256,10 @@ impl CrashArtifact {
         let (fault_kind, site, first_execution, packet, model) =
             read_section(&mut reader, SECTION_BUG, |section| {
                 let kind = fault_kind_from_tag(section.u8()?)?;
-                let site = section.string()?;
+                let site = read_string(section)?;
                 let first_execution = section.u64()?;
-                let packet = section.bytes()?.to_vec();
-                let model = section.string()?;
+                let packet = read_bytes(section)?.to_vec();
+                let model = read_string(section)?;
                 Ok((kind, site, first_execution, packet, model))
             })?;
         if !reader.is_empty() {
@@ -363,6 +365,82 @@ fn slug(text: &str) -> String {
         }
     }
     out.trim_matches('-').to_string()
+}
+
+// ---------------------------------------------------------------------------
+// The fixed-width framing: `u64` lengths and a byte-wise checksum.
+
+fn put_bytes(buf: &mut Vec<u8>, bytes: &[u8]) {
+    put_u64(buf, bytes.len() as u64);
+    buf.extend_from_slice(bytes);
+}
+
+fn put_str(buf: &mut Vec<u8>, text: &str) {
+    put_bytes(buf, text.as_bytes());
+}
+
+fn put_option_u64(buf: &mut Vec<u8>, value: Option<u64>) {
+    match value {
+        Some(value) => {
+            put_u8(buf, 1);
+            put_u64(buf, value);
+        }
+        None => put_u8(buf, 0),
+    }
+}
+
+fn put_section(out: &mut Vec<u8>, tag: u8, fill: impl FnOnce(&mut Vec<u8>)) {
+    let mut payload = Vec::new();
+    fill(&mut payload);
+    put_u8(out, tag);
+    put_bytes(out, &payload);
+}
+
+/// FNV-1a 64-bit over `bytes`, one byte at a time — the corruption detector
+/// appended to every bundle (not a cryptographic integrity guarantee).
+fn fnv1a(bytes: &[u8]) -> u64 {
+    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+    for &byte in bytes {
+        hash ^= u64::from(byte);
+        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    hash
+}
+
+/// A `u64`-length-prefixed byte string; the declared length is validated
+/// against the remaining input before anything is allocated.
+fn read_bytes<'a>(reader: &mut Reader<'a>) -> Result<&'a [u8], SnapshotError> {
+    let len = usize::try_from(reader.u64()?).map_err(|_| SnapshotError::Corrupt("length"))?;
+    reader.take(len)
+}
+
+fn read_string(reader: &mut Reader<'_>) -> Result<String, SnapshotError> {
+    String::from_utf8(read_bytes(reader)?.to_vec())
+        .map_err(|_| SnapshotError::Corrupt("utf-8 string"))
+}
+
+fn read_option_u64(reader: &mut Reader<'_>) -> Result<Option<u64>, SnapshotError> {
+    match reader.u8()? {
+        0 => Ok(None),
+        1 => Ok(Some(reader.u64()?)),
+        _ => Err(SnapshotError::Corrupt("option flag")),
+    }
+}
+
+fn read_section<'a, T>(
+    reader: &mut Reader<'a>,
+    expected_tag: u8,
+    parse: impl FnOnce(&mut Reader<'a>) -> Result<T, SnapshotError>,
+) -> Result<T, SnapshotError> {
+    if reader.u8()? != expected_tag {
+        return Err(SnapshotError::Corrupt("section tag"));
+    }
+    let mut section = Reader::new(read_bytes(reader)?);
+    let value = parse(&mut section)?;
+    if !section.is_empty() {
+        return Err(SnapshotError::Corrupt("section length"));
+    }
+    Ok(value)
 }
 
 #[cfg(test)]

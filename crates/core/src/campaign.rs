@@ -687,6 +687,8 @@ impl Rounds<'_> {
         let every = plan.checkpoint.map_or(1, |checkpoint| checkpoint.every_windows.max(1));
 
         let mut out_snapshot = None;
+        // Every periodic checkpoint encodes into this one buffer.
+        let mut encoded = Vec::new();
         let mut completed = resumed_from;
         let mut windows_done = 0u64;
         for round in windows.chunks(sync_windows) {
@@ -710,20 +712,18 @@ impl Rounds<'_> {
             let final_round = end == config.executions;
             let stop_here = plan.stop_after == Some(end)
                 || (!final_round && plan.service.is_some_and(ServiceHooks::stop_requested));
-            let write_checkpoint = plan.checkpoint.is_some()
-                && (windows_done / every > windows_before / every || final_round || stop_here);
-            let capture = stop_here || (plan.capture_final && final_round);
-            if write_checkpoint || capture {
-                let snapshot = engine.checkpoint(meta.clone(), end, &rng);
-                if let Some(checkpoint) = plan.checkpoint.filter(|_| write_checkpoint) {
-                    checkpoint.store(&snapshot)?;
-                    if let Some(service) = plan.service {
-                        service.checkpointed(end);
-                    }
+            let write_checkpoint = windows_done / every > windows_before / every
+                || final_round
+                || stop_here;
+            if let Some(checkpoint) = plan.checkpoint.filter(|_| write_checkpoint) {
+                engine.encode_checkpoint(&meta, end, &rng, &mut encoded);
+                checkpoint.store_encoded(end, &encoded)?;
+                if let Some(service) = plan.service {
+                    service.checkpointed(end);
                 }
-                if capture {
-                    out_snapshot = Some(snapshot);
-                }
+            }
+            if stop_here || (plan.capture_final && final_round) {
+                out_snapshot = Some(engine.checkpoint(meta.clone(), end, &rng));
             }
             if stop_here {
                 break;

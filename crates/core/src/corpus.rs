@@ -154,9 +154,9 @@ impl PuzzleCorpus {
     /// counters (which `insert` replays could not: `inserted` can exceed the
     /// stored donor count once capacity eviction has happened).
     ///
-    /// Callers must pre-validate `capacity > 0`; empty donor lists are
-    /// dropped so the rebuilt corpus compares equal to one that never held
-    /// the rule.
+    /// Callers must pre-validate `capacity > 0` and that every donor list
+    /// is non-empty, as the snapshot decoder does: a corpus never holds a
+    /// rule without donors.
     pub(crate) fn from_snapshot_parts(
         capacity: usize,
         entries: impl IntoIterator<Item = (RuleId, Vec<Arc<[u8]>>)>,
@@ -164,11 +164,7 @@ impl PuzzleCorpus {
         rejected_duplicates: u64,
     ) -> Self {
         let mut corpus = Self::with_capacity_per_rule(capacity);
-        for (rule, donors) in entries {
-            if !donors.is_empty() {
-                corpus.by_rule.insert(rule, donors);
-            }
-        }
+        corpus.by_rule.extend(entries);
         corpus.inserted = inserted;
         corpus.rejected_duplicates = rejected_duplicates;
         corpus

@@ -43,7 +43,7 @@ use peachstar_datamodel::DataModelSet;
 use rand::rngs::SmallRng;
 
 use crate::seed::SeedPool;
-use crate::snapshot::{CampaignSnapshot, SnapshotError, SnapshotMeta};
+use crate::snapshot::{CampaignSnapshot, SnapshotError, SnapshotMeta, SnapshotView};
 use crate::strategy::GeneratedPacket;
 
 /// The campaign's state, and the loop that advances it.
@@ -177,6 +177,36 @@ impl Engine {
         }
     }
 
+    /// Encodes the engine's resumable state into `out`, replacing its
+    /// contents: the bytes `self.checkpoint(…).encode()` returns, without
+    /// cloning the map, the seed pool or the monitor. Only the strategy
+    /// state is taken by value, and it is taken first.
+    pub(crate) fn encode_checkpoint(
+        &self,
+        meta: &SnapshotMeta,
+        completed: u64,
+        rng: &SmallRng,
+        out: &mut Vec<u8>,
+    ) {
+        let schedule = self.schedule.snapshot_state();
+        SnapshotView {
+            meta,
+            completed,
+            rng_state: rng.state(),
+            map: &self.coverage,
+            pool: &self.seeds,
+            series: self.monitor.series().points(),
+            bugs: self.monitor.bugs(),
+            tallies: [
+                self.monitor.responses(),
+                self.monitor.protocol_errors(),
+                self.monitor.fault_hits(),
+            ],
+            schedule: &schedule,
+        }
+        .encode_into(out);
+    }
+
     /// Restores a snapshot into this (freshly assembled) engine, leaving it
     /// ready to continue from `snapshot.completed + 1`.
     ///
@@ -235,6 +265,39 @@ mod tests {
         assert_eq!(engine.seeds.len(), 1, "the duplicate trace adds nothing");
         assert_eq!(engine.seeds.iter().next().map(|kept| &kept.seed.bytes[..]), Some(&[1][..]));
         assert_eq!(engine.monitor.responses(), 2);
+    }
+
+    #[test]
+    fn encode_checkpoint_writes_the_bytes_of_an_encoded_capture() {
+        let mut executor = TargetExecutor::new(TargetId::Modbus.create(), 100);
+        let models = executor.target().data_models();
+        let mut engine = Engine::new(
+            Schedule::new(StrategyKind::PeachStar.create()),
+            CampaignMonitor::new(300, 10),
+        );
+        let mut rng = SmallRng::seed_from_u64(5);
+        let (mut arena, mut results) = (PacketArena::default(), WindowResults::new());
+        let meta = SnapshotMeta::for_campaign(
+            "libmodbus",
+            &crate::campaign::CampaignConfig::new(StrategyKind::PeachStar).executions(300),
+        );
+        // One reused buffer across checkpoints, each at a window boundary.
+        let mut out = Vec::new();
+        for start in [1, 101, 201] {
+            engine.run_window(
+                &mut executor,
+                start,
+                start + 99,
+                1,
+                &models,
+                &mut rng,
+                &mut arena,
+                &mut results,
+            );
+            engine.encode_checkpoint(&meta, start + 99, &rng, &mut out);
+            assert_eq!(out, engine.checkpoint(meta.clone(), start + 99, &rng).encode());
+        }
+        assert!(engine.monitor.series().len() > 1 && !engine.seeds.is_empty());
     }
 
     #[test]

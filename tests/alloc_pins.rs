@@ -25,6 +25,7 @@ use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use peachstar::campaign::{
     Campaign, CampaignConfig, CampaignReport, RunPlan, ShardConfig, ShardedCampaign,
 };
+use peachstar::snapshot::{CampaignSnapshot, CheckpointConfig};
 use peachstar::strategy::StrategyKind;
 use peachstar_protocols::TargetId;
 
@@ -37,11 +38,20 @@ const PEACH_ONE_WORKER: u64 = 9_800;
 /// Allocations of the unbatched Peach\* campaign.
 const PEACHSTAR_UNBATCHED: u64 = 41_896;
 /// Allocations a final-snapshot capture adds to the Peach\* campaign.
+/// `capture_final` returns an owned snapshot, so it clones the map, the
+/// pool and the monitor; only checkpoints written to disk encode straight
+/// from the engine.
 const PEACHSTAR_CAPTURE: u64 = 573;
 /// Allocations of encoding that final snapshot.
-const PEACHSTAR_ENCODE: u64 = 63;
+const PEACHSTAR_ENCODE: u64 = 14;
 /// Length of the encoded final snapshot, in bytes.
-const PEACHSTAR_ENCODED_LEN: u64 = 19_006;
+const PEACHSTAR_ENCODED_LEN: u64 = 12_886;
+/// Length of the final snapshot of the same campaign sampled at every
+/// execution (2,000 series points), in bytes.
+const PEACHSTAR_SERIES_ENCODED_LEN: u64 = 13_404;
+/// Allocations that checkpointing after every window (8 checkpoints, each
+/// into a rotation of 4 slots) adds to the Peach\* campaign.
+const PEACHSTAR_CHECKPOINTS: u64 = 3_694;
 
 /// The system allocator, counting every `alloc` and `realloc` (the provided
 /// `alloc_zeroed` goes through `alloc`).
@@ -95,6 +105,18 @@ fn inline(config: CampaignConfig) -> u64 {
     campaign(|| Campaign::new(TargetId::Modbus.create(), config).run())
 }
 
+/// The final snapshot of an inline campaign, captured with `capture_final`.
+fn final_snapshot(config: CampaignConfig) -> CampaignSnapshot {
+    Campaign::new(TargetId::Modbus.create(), config)
+        .run_plan(RunPlan {
+            capture_final: true,
+            ..RunPlan::default()
+        })
+        .expect("a capture-only campaign performs no fallible snapshot operations")
+        .1
+        .expect("capture_final returns the final snapshot")
+}
+
 fn main() -> ExitCode {
     // The first campaign in a process makes one allocation more than every
     // later one, so a warm-up runs before any pin is measured.
@@ -112,17 +134,18 @@ fn main() -> ExitCode {
         .run()
     });
     let peachstar_unbatched = inline(config(StrategyKind::PeachStar));
-    let (captured, snapshot) = allocations(|| {
-        Campaign::new(TargetId::Modbus.create(), config(StrategyKind::PeachStar))
-            .run_plan(RunPlan {
-                capture_final: true,
-                ..RunPlan::default()
-            })
-            .expect("a capture-only campaign performs no fallible snapshot operations")
-            .1
-            .expect("capture_final returns the final snapshot")
-    });
+    let (captured, snapshot) = allocations(|| final_snapshot(config(StrategyKind::PeachStar)));
     let (encode, encoded) = allocations(|| snapshot.encode());
+    let series_encoded =
+        final_snapshot(config(StrategyKind::PeachStar).sample_interval(1)).encode();
+    let rotation =
+        std::env::temp_dir().join(format!("peachstar-alloc-pins-{}", std::process::id()));
+    let checkpointed = campaign(|| {
+        Campaign::new(TargetId::Modbus.create(), config(StrategyKind::PeachStar))
+            .run_checkpointed(&CheckpointConfig::new(&rotation, 1).rotation(4))
+            .expect("checkpoints write")
+    });
+    std::fs::remove_dir_all(&rotation).ok();
 
     let pins = [
         ("peach_unbatched", peach_unbatched, PEACH_UNBATCHED),
@@ -149,6 +172,16 @@ fn main() -> ExitCode {
             "peachstar_encoded_len",
             encoded.len() as u64,
             PEACHSTAR_ENCODED_LEN,
+        ),
+        (
+            "peachstar_series_encoded_len",
+            series_encoded.len() as u64,
+            PEACHSTAR_SERIES_ENCODED_LEN,
+        ),
+        (
+            "peachstar_checkpoints",
+            checkpointed - peachstar_unbatched,
+            PEACHSTAR_CHECKPOINTS,
         ),
     ];
     let mut failed = 0;
