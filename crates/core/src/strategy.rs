@@ -7,9 +7,7 @@ use std::sync::Arc;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-use peachstar_datamodel::emit::{
-    emit_into, emit_values_with, EmitScratch, LeafSource, ValueAssignment,
-};
+use peachstar_datamodel::emit::{emit_values_with, emit_with, EmitScratch, ValueAssignment};
 use peachstar_datamodel::{DataModel, DataModelSet};
 
 use crate::corpus::PuzzleCorpus;
@@ -63,8 +61,8 @@ pub type GeneratedPacket = Seed;
 /// A strategy's observable behaviour must be a function of this state plus
 /// the campaign RNG stream: restoring the state and the RNG position must
 /// reproduce the exact packet sequence an uninterrupted run would have
-/// produced. Scratch buffers (emit scratch, leaf-value buffers) are *not*
-/// part of the state — they only affect allocation, never output.
+/// produced. The emit scratch buffers are *not* part of the state — they
+/// only affect allocation, never output.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum StrategyState {
     /// No resumable state beyond the RNG stream (third-party strategies
@@ -140,79 +138,33 @@ pub trait GenerationStrategy {
     }
 }
 
-/// Reusable random-instantiation workspace: one content buffer per leaf
-/// position plus a presence mask, implementing [`LeafSource`] directly over
-/// the buffers. Together with [`emit_into`] this makes one iteration of
-/// Algorithm 1 allocation-free in the steady state — no per-packet
-/// assignment map, no per-leaf `Vec`/`Arc` conversions.
-#[derive(Debug, Default)]
-struct GenScratch {
-    bufs: Vec<Vec<u8>>,
-    used: Vec<bool>,
-}
-
-impl GenScratch {
-    /// Clears the presence mask for a model with `leaves` leaf positions,
-    /// keeping every content buffer for reuse.
-    fn reset(&mut self, leaves: usize) {
-        self.used.clear();
-        self.used.resize(leaves, false);
-        if self.bufs.len() < leaves {
-            self.bufs.resize_with(leaves, Vec::new);
-        }
-    }
-
-    /// Marks position `index` as generated and hands out its cleared buffer.
-    fn buf(&mut self, index: usize) -> &mut Vec<u8> {
-        self.used[index] = true;
-        let buf = &mut self.bufs[index];
-        buf.clear();
-        buf
-    }
-}
-
-impl LeafSource for GenScratch {
-    fn leaf(&self, index: usize) -> Option<&[u8]> {
-        self.used
-            .get(index)
-            .copied()
-            .unwrap_or(false)
-            .then(|| self.bufs[index].as_slice())
-    }
-}
-
-/// Instantiates `model` by generating every leaf with the type mutators and
-/// emitting with relations and fixups repaired — one iteration of
-/// Algorithm 1 — into a reusable output buffer.
+/// One iteration of Algorithm 1 into `slot`: instantiates `model` by
+/// generating every leaf with the type mutators and emitting with relations
+/// and fixups repaired.
 ///
-/// Uses the model's cached linear layout (no tree walk), the caller's
-/// [`EmitScratch`] (no per-packet span-table allocation) and the caller's
-/// [`GenScratch`] (no per-leaf content allocation). Consumes the RNG exactly
-/// as the historic allocating implementation did, so seeded packet streams
-/// are unchanged.
+/// One pass over the model's cached linear layout: each leaf either keeps
+/// its default (`gen_bool(0.15)`) or has its mutator append straight into
+/// the slot's buffer, and File Fixup then repairs the packet in place. The
+/// RNG draws are those of the two-pass form (draw every leaf into a buffer
+/// of its own, then emit), so seeded packet streams are unchanged;
+/// `tests/generator_contract.rs` holds the two against each other.
 fn instantiate_randomly_into(
     model: &DataModel,
     rng: &mut SmallRng,
-    repair: bool,
     scratch: &mut EmitScratch,
-    values: &mut GenScratch,
-    out: &mut Vec<u8>,
+    slot: &mut GeneratedPacket,
 ) {
-    let linear = model.linear();
-    values.reset(linear.len());
-    for (index, leaf) in linear.iter().enumerate() {
+    emit_with(model, true, scratch, &mut slot.bytes, |_, chunk, out| {
         // Keep the default value sometimes; otherwise run the mutator.
         if rng.gen_bool(0.15) {
-            continue;
+            return false;
         }
-        mutator::generate_leaf_into(&leaf.chunk, rng, values.buf(index));
-    }
-    // The only emit error is an out-of-range assignment, which a
-    // layout-sized scratch cannot produce; mirror the historic
-    // `unwrap_or_default` by emitting empty bytes anyway.
-    if emit_into(model, values, repair, scratch, out).is_err() {
-        out.clear();
-    }
+        mutator::generate_leaf_into(chunk, rng, out);
+        true
+    });
+    slot.model.clear();
+    slot.model.push_str(model.name());
+    slot.semantic = false;
 }
 
 /// Overwrites `slot` with the degenerate empty-model-set seed (the in-place
@@ -249,7 +201,6 @@ pub(crate) fn empty_set_seed() -> GeneratedPacket {
 pub struct RandomGenerationStrategy {
     generated: u64,
     scratch: EmitScratch,
-    values: GenScratch,
 }
 
 impl RandomGenerationStrategy {
@@ -282,17 +233,7 @@ impl GenerationStrategy for RandomGenerationStrategy {
             set_empty_seed(slot);
             return;
         };
-        instantiate_randomly_into(
-            model,
-            rng,
-            true,
-            &mut self.scratch,
-            &mut self.values,
-            &mut slot.bytes,
-        );
-        slot.model.clear();
-        slot.model.push_str(model.name());
-        slot.semantic = false;
+        instantiate_randomly_into(model, rng, &mut self.scratch, slot);
     }
 
     fn observe(&mut self, _packet: &GeneratedPacket, _valuable: bool, _models: &DataModelSet) {
@@ -362,7 +303,6 @@ pub struct SemanticAwareStrategy {
     semantic_generated: u64,
     random_generated: u64,
     scratch: EmitScratch,
-    values: GenScratch,
 }
 
 impl std::fmt::Debug for SemanticAwareStrategy {
@@ -388,7 +328,6 @@ impl SemanticAwareStrategy {
             semantic_generated: 0,
             random_generated: 0,
             scratch: EmitScratch::new(),
-            values: GenScratch::default(),
         }
     }
 
@@ -519,17 +458,7 @@ impl GenerationStrategy for SemanticAwareStrategy {
             set_empty_seed(slot);
             return;
         };
-        instantiate_randomly_into(
-            model,
-            rng,
-            true,
-            &mut self.scratch,
-            &mut self.values,
-            &mut slot.bytes,
-        );
-        slot.model.clear();
-        slot.model.push_str(model.name());
-        slot.semantic = false;
+        instantiate_randomly_into(model, rng, &mut self.scratch, slot);
     }
 
     fn observe(&mut self, packet: &GeneratedPacket, valuable: bool, models: &DataModelSet) {

@@ -68,6 +68,15 @@ proptest! {
     }
 
     #[test]
+    fn both_path_ids_equal_bytewise_fnv(edges in collection::vec(any::<u32>(), 0..300)) {
+        // The path hash folds the two zero high bytes of each slot into one
+        // multiply; both representations must still give the byte-wise id.
+        let trace = trace_of(&edges);
+        prop_assert_eq!(trace.path_id().raw(), dense_path_id(&trace));
+        prop_assert_eq!(trace.to_sparse().path_id().raw(), dense_path_id(&trace));
+    }
+
+    #[test]
     fn edges_hit_matches_dense_population_count(edges in collection::vec(any::<u32>(), 0..300)) {
         let trace = trace_of(&edges);
         prop_assert_eq!(trace.edges_hit(), dense_hits(&trace).len());

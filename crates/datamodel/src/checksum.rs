@@ -4,6 +4,38 @@
 //! CRC-32, CRC-16/Modbus, the DNP3 link-layer CRC, the Modbus ASCII LRC,
 //! plain summation checksums and the one's-complement internet checksum.
 
+/// The byte-at-a-time lookup table of a reflected CRC with polynomial
+/// `poly`: entry `i` is `i` put through the eight shift steps of the
+/// bitwise algorithm. A 16-bit polynomial keeps every entry below `2¹⁶`.
+const fn reflected_table(poly: u32) -> [u32; 256] {
+    let mut table = [0u32; 256];
+    let mut index = 0;
+    while index < 256 {
+        let mut crc = index as u32;
+        let mut step = 0;
+        while step < 8 {
+            crc = (crc >> 1) ^ (poly & (crc & 1).wrapping_neg());
+            step += 1;
+        }
+        table[index] = crc;
+        index += 1;
+    }
+    table
+}
+
+static CRC32_TABLE: [u32; 256] = reflected_table(0xedb8_8320);
+static CRC16_MODBUS_TABLE: [u32; 256] = reflected_table(0xa001);
+static CRC16_DNP_TABLE: [u32; 256] = reflected_table(0xa6bc);
+
+/// Runs a reflected CRC from register value `crc` over `data`, one table
+/// lookup per byte. With a 16-bit table the register stays below `2¹⁶`.
+fn reflected_crc(table: &[u32; 256], mut crc: u32, data: &[u8]) -> u32 {
+    for &byte in data {
+        crc = (crc >> 8) ^ table[((crc ^ u32::from(byte)) & 0xff) as usize];
+    }
+    crc
+}
+
 /// IEEE CRC-32 (reflected, polynomial `0xEDB88320`, init/final xor `0xFFFFFFFF`).
 ///
 /// This is the algorithm behind Peach's `Crc32Fixup` used in Figure 1 of the
@@ -15,15 +47,7 @@
 /// ```
 #[must_use]
 pub fn crc32(data: &[u8]) -> u32 {
-    let mut crc: u32 = 0xffff_ffff;
-    for &byte in data {
-        crc ^= u32::from(byte);
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xedb8_8320 & mask);
-        }
-    }
-    !crc
+    !reflected_crc(&CRC32_TABLE, 0xffff_ffff, data)
 }
 
 /// CRC-16/Modbus (reflected polynomial `0xA001`, init `0xFFFF`, no final xor).
@@ -35,15 +59,7 @@ pub fn crc32(data: &[u8]) -> u32 {
 /// ```
 #[must_use]
 pub fn crc16_modbus(data: &[u8]) -> u16 {
-    let mut crc: u16 = 0xffff;
-    for &byte in data {
-        crc ^= u16::from(byte);
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xa001 & mask);
-        }
-    }
-    crc
+    reflected_crc(&CRC16_MODBUS_TABLE, 0xffff, data) as u16
 }
 
 /// DNP3 link-layer CRC-16 (reflected polynomial `0xA6BC`, init `0x0000`,
@@ -54,15 +70,7 @@ pub fn crc16_modbus(data: &[u8]) -> u16 {
 /// ```
 #[must_use]
 pub fn crc16_dnp(data: &[u8]) -> u16 {
-    let mut crc: u16 = 0x0000;
-    for &byte in data {
-        crc ^= u16::from(byte);
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xa6bc & mask);
-        }
-    }
-    !crc
+    !(reflected_crc(&CRC16_DNP_TABLE, 0, data) as u16)
 }
 
 /// Longitudinal redundancy check as used by Modbus ASCII: the two's
@@ -147,6 +155,31 @@ pub fn dnp_block_with_crc(block: &[u8]) -> Vec<u8> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The bitwise form of a reflected CRC, eight dependent shift steps per
+    /// byte: the oracle the table-driven CRCs must equal.
+    fn bitwise_crc(poly: u32, mut crc: u32, data: &[u8]) -> u32 {
+        for &byte in data {
+            crc ^= u32::from(byte);
+            for _ in 0..8 {
+                let mask = (crc & 1).wrapping_neg();
+                crc = (crc >> 1) ^ (poly & mask);
+            }
+        }
+        crc
+    }
+
+    proptest! {
+        #[test]
+        fn table_driven_crcs_equal_the_bitwise_oracle(
+            data in proptest::collection::vec(any::<u8>(), 0..301),
+        ) {
+            prop_assert_eq!(crc32(&data), !bitwise_crc(0xedb8_8320, 0xffff_ffff, &data));
+            prop_assert_eq!(crc16_modbus(&data), bitwise_crc(0xa001, 0xffff, &data) as u16);
+            prop_assert_eq!(crc16_dnp(&data), !(bitwise_crc(0xa6bc, 0, &data) as u16));
+        }
+    }
 
     #[test]
     fn crc32_empty_is_zero() {

@@ -176,12 +176,28 @@ impl NumberSpec {
     /// the per-leaf emission path uses this so that emitting a packet never
     /// allocates one small vector per number field.
     pub fn encode_into(&self, value: u64, out: &mut Vec<u8>) {
-        let bytes = value.to_be_bytes();
-        let width = self.width.bytes();
-        let slice = &bytes[8 - width..];
-        match self.endian {
-            Endianness::Big => out.extend_from_slice(slice),
-            Endianness::Little => out.extend(slice.iter().rev().copied()),
+        self.with_wire(value, |wire| out.extend_from_slice(wire));
+    }
+
+    /// Overwrites `field`, which must be exactly the spec's width, with the
+    /// encoding of `value` — File Fixup's in-place write.
+    pub(crate) fn store(&self, value: u64, field: &mut [u8]) {
+        self.with_wire(value, |wire| field.copy_from_slice(wire));
+    }
+
+    /// Calls `write` with the encoding of `value`: its least significant
+    /// `width` bytes in this spec's byte order, as one fixed-size array per
+    /// width, so every write is a store of a length known at compile time.
+    fn with_wire<R>(&self, value: u64, write: impl FnOnce(&[u8]) -> R) -> R {
+        let big = matches!(self.endian, Endianness::Big);
+        match self.width {
+            NumberWidth::U8 => write(&[value as u8]),
+            NumberWidth::U16 if big => write(&(value as u16).to_be_bytes()),
+            NumberWidth::U16 => write(&(value as u16).to_le_bytes()),
+            NumberWidth::U32 if big => write(&(value as u32).to_be_bytes()),
+            NumberWidth::U32 => write(&(value as u32).to_le_bytes()),
+            NumberWidth::U64 if big => write(&value.to_be_bytes()),
+            NumberWidth::U64 => write(&value.to_le_bytes()),
         }
     }
 
@@ -203,34 +219,6 @@ impl NumberSpec {
             }
         }
         Some(u64::from_be_bytes(buf))
-    }
-
-    /// Decodes wire bytes of *any* length in this spec's endianness, keeping
-    /// the least significant eight bytes.
-    ///
-    /// This is the normalisation [`emit_values`](crate::emit::emit_values)
-    /// applies to provided number content: cracked trees and mutators both
-    /// hand over wire bytes, and re-encoding the decoded value repairs the
-    /// width without disturbing a correctly-sized field.
-    #[must_use]
-    pub fn decode_lossy(&self, bytes: &[u8]) -> u64 {
-        let take = bytes.len().min(8);
-        let mut value = 0u64;
-        match self.endian {
-            // Least significant wire bytes are the trailing ones.
-            Endianness::Big => {
-                for &byte in &bytes[bytes.len() - take..] {
-                    value = (value << 8) | u64::from(byte);
-                }
-            }
-            // Least significant wire bytes are the leading ones.
-            Endianness::Little => {
-                for (index, &byte) in bytes[..take].iter().enumerate() {
-                    value |= u64::from(byte) << (8 * index);
-                }
-            }
-        }
-        value
     }
 
     /// Whether `value` is legal for this field.
@@ -596,6 +584,33 @@ mod tests {
         let spec = NumberSpec::u16_le();
         assert_eq!(spec.encode(0x1234), vec![0x34, 0x12]);
         assert_eq!(spec.decode(&[0x34, 0x12]), Some(0x1234));
+    }
+
+    #[test]
+    fn encoding_keeps_the_low_bytes_of_wide_values() {
+        // Reference: the value's low `width` big-endian bytes, reversed for
+        // a little-endian field.
+        let values = [0, 1, 0x1234, 0xdead_beef, 0x0123_4567_89ab_cdef, u64::MAX];
+        for width in [
+            NumberWidth::U8,
+            NumberWidth::U16,
+            NumberWidth::U32,
+            NumberWidth::U64,
+        ] {
+            for endian in [Endianness::Big, Endianness::Little] {
+                let spec = NumberSpec::new(width).endian(endian);
+                for value in values {
+                    let mut expected = value.to_be_bytes()[8 - width.bytes()..].to_vec();
+                    if matches!(endian, Endianness::Little) {
+                        expected.reverse();
+                    }
+                    assert_eq!(spec.encode(value), expected, "{width} {value:#x}");
+                    let mut field = vec![0xee; width.bytes()];
+                    spec.store(value, &mut field);
+                    assert_eq!(field, expected, "{width} {value:#x}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -8,6 +8,7 @@ use crate::chunk::{Chunk, ChunkKind};
 use crate::error::ModelError;
 use crate::instree::{InsNode, InsTree};
 use crate::model::{DataModel, LinearLayout};
+use crate::types::{Endianness, LengthSpec};
 
 /// A leaf-value assignment for emission: raw bytes per leaf position of the
 /// model's [`LinearLayout`], in packet order.
@@ -19,7 +20,8 @@ use crate::model::{DataModel, LinearLayout};
 /// copying.
 ///
 /// Missing positions fall back to the leaf's default value; number values of
-/// the wrong width are left-truncated or zero-padded to the field width.
+/// the wrong width keep their least significant bytes and are zero-padded
+/// to the field width (see [`emit_with`]).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ValueAssignment {
     values: std::collections::HashMap<usize, Arc<[u8]>>,
@@ -106,21 +108,19 @@ impl LeafSource for ValueAssignment {
     }
 }
 
-/// Reusable emission workspace: the per-chunk span table and the checksum
-/// input buffer.
+/// Reusable emission workspace: the byte offset at which each leaf starts,
+/// and the checksum input buffer.
 ///
-/// One packet emission needs a span per named chunk plus a scratch buffer to
-/// concatenate fixup-covered ranges. Allocating those per packet dominates
-/// the cost of emitting small ICS frames, so the generation strategies hold
-/// one `EmitScratch` and pass it to [`emit_values_with`] for every packet.
+/// The generation strategies hold one `EmitScratch` and pass it to
+/// [`emit_with`] or [`emit_values_with`] for every packet, so emitting a
+/// packet allocates nothing once the buffers have warmed up.
 #[derive(Debug, Clone, Default)]
 pub struct EmitScratch {
-    /// Emitted byte range per chunk ordinal (see [`LinearLayout::ordinal`]).
-    spans: Vec<Option<Range<usize>>>,
-    /// Concatenation buffer for multi-field fixup coverage.
+    /// Start offset of every leaf in the packet, then the packet's length:
+    /// the bytes of leaf range `a..b` are `offsets[a]..offsets[b]`.
+    offsets: Vec<usize>,
+    /// Concatenation buffer for a fixup over several separate ranges.
     covered: Vec<u8>,
-    /// Encoding buffer for repaired relation/fixup fields.
-    encoded: Vec<u8>,
 }
 
 impl EmitScratch {
@@ -128,12 +128,6 @@ impl EmitScratch {
     #[must_use]
     pub fn new() -> Self {
         Self::default()
-    }
-
-    fn reset(&mut self, chunk_count: usize) {
-        self.spans.clear();
-        self.spans.resize(chunk_count, None);
-        self.covered.clear();
     }
 }
 
@@ -175,8 +169,7 @@ pub fn emit_values(
 }
 
 /// [`emit_values`] with a caller-provided [`EmitScratch`], so repeated
-/// emissions (one per generated packet) reuse the span table and checksum
-/// buffer instead of reallocating them.
+/// emissions reuse its buffers instead of reallocating them.
 ///
 /// # Errors
 ///
@@ -197,14 +190,10 @@ pub fn emit_values_with(
 /// a caller-provided buffer (cleared first), so a generation loop can emit
 /// every packet into one reused allocation.
 ///
-/// This is the allocation-free core of all `emit_*` entry points: together
-/// with a reused [`EmitScratch`] and a buffer-backed source, emitting a
-/// packet allocates nothing once the buffers have warmed up.
-///
 /// # Errors
 ///
 /// Returns [`ModelError::ValueIndexOutOfRange`] when the source assigns
-/// content to a position beyond the linear model.
+/// content to a position beyond the linear model; `out` is then untouched.
 pub fn emit_into<S: LeafSource + ?Sized>(
     model: &DataModel,
     source: &S,
@@ -212,58 +201,93 @@ pub fn emit_into<S: LeafSource + ?Sized>(
     scratch: &mut EmitScratch,
     out: &mut Vec<u8>,
 ) -> Result<(), ModelError> {
-    let layout = model.linear();
-    let leaves = layout.len();
+    let leaves = model.linear().len();
     if let Some(bad) = source.invalid_index(leaves) {
         return Err(ModelError::ValueIndexOutOfRange {
             index: bad,
             leaves,
         });
     }
-
-    scratch.reset(layout.chunk_count());
-    out.clear();
-    let mut emitter = Emitter {
-        bytes: out,
-        spans: &mut scratch.spans,
-        layout,
-        visit: 0,
-    };
-    let mut leaf_index = 0usize;
-    emitter.emit_chunk(model.root(), source, &mut leaf_index);
-    if repair {
-        repair_in_place(
-            layout,
-            &scratch.spans,
-            &mut scratch.covered,
-            &mut scratch.encoded,
-            out,
-        );
-    }
+    emit_with(model, repair, scratch, out, |index, _, out| {
+        source
+            .leaf(index)
+            .map(|bytes| out.extend_from_slice(bytes))
+            .is_some()
+    });
     Ok(())
+}
+
+/// The one emission loop, behind every `emit_*` function and the
+/// generators: writes the leaves of the model's [`LinearLayout`] into `out`
+/// (cleared first) in packet order, then, when `repair` is set, runs File
+/// Fixup over the result.
+///
+/// For each leaf, `content(index, chunk, out)` either appends the leaf's
+/// content to `out` and returns `true`, or appends nothing and returns
+/// `false`, and the leaf's default is emitted. Whatever it appends is
+/// fitted to the leaf: a number keeps its least significant bytes (in its
+/// own byte order) and is zero-padded to its width, and a fixed-length
+/// blob or string is padded or truncated to its length. `content` must not
+/// remove bytes from `out`.
+///
+/// ```
+/// use peachstar_datamodel::{emit::{emit_default, emit_with, EmitScratch}, examples};
+/// let model = examples::figure1_model();
+/// let mut packet = Vec::new();
+/// emit_with(&model, true, &mut EmitScratch::new(), &mut packet, |_, _, _| false);
+/// assert_eq!(packet, emit_default(&model)?);
+/// # Ok::<(), peachstar_datamodel::ModelError>(())
+/// ```
+pub fn emit_with<F>(
+    model: &DataModel,
+    repair: bool,
+    scratch: &mut EmitScratch,
+    out: &mut Vec<u8>,
+    mut content: F,
+) where
+    F: FnMut(usize, &Chunk, &mut Vec<u8>) -> bool,
+{
+    let layout = model.linear();
+    let offsets = &mut scratch.offsets;
+    offsets.clear();
+    out.clear();
+    for (index, leaf) in layout.iter().enumerate() {
+        let start = out.len();
+        offsets.push(start);
+        if !content(index, &leaf.chunk, out) {
+            push_default(&leaf.chunk, out);
+        }
+        fit_leaf(&leaf.chunk, start, out);
+    }
+    offsets.push(out.len());
+    if repair {
+        repair_in_place(layout, offsets, &mut scratch.covered, out);
+    }
 }
 
 /// Re-emits an instantiation tree, optionally repairing relations and fixups.
 ///
-/// The tree's leaf bytes are used as the assignment; structural nodes are
-/// ignored (their content is recomputed by concatenation). This is used by
-/// the fuzzer to repair a packet assembled from donated puzzles.
+/// The tree's leaf bytes are the leaf content, matched to the model's
+/// leaves by field name; structural nodes are ignored (their content is
+/// recomputed by concatenation), and a model leaf the tree lacks keeps its
+/// default. This is used to repair a packet assembled from donated puzzles.
 ///
 /// # Errors
 ///
-/// Returns an error if the tree does not structurally correspond to the
-/// model (e.g. it was cracked against a different model).
+/// None at present: a tree cracked against a different model emits the
+/// leaves whose names the two share.
 pub fn emit_tree(model: &DataModel, tree: &InsTree, repair: bool) -> Result<Vec<u8>, ModelError> {
-    let linear = model.linear();
-    let mut assignment = ValueAssignment::new();
-    let mut flat = Vec::new();
-    flatten_leaves(&tree.root, &mut flat);
-    for (index, leaf) in linear.iter().enumerate() {
-        if let Some(node) = flat.iter().find(|node| node.name == leaf.chunk.name) {
-            assignment.set(index, node.content.clone());
-        }
-    }
-    emit_values(model, &assignment, repair)
+    let mut leaves = Vec::new();
+    flatten_leaves(&tree.root, &mut leaves);
+    let (mut scratch, mut bytes) = (EmitScratch::new(), Vec::new());
+    emit_with(model, repair, &mut scratch, &mut bytes, |_, chunk, out| {
+        leaves
+            .iter()
+            .find(|node| node.name == chunk.name)
+            .map(|node| out.extend_from_slice(&node.content))
+            .is_some()
+    });
+    Ok(bytes)
 }
 
 fn flatten_leaves<'tree>(node: &'tree InsNode, out: &mut Vec<&'tree InsNode>) {
@@ -276,131 +300,85 @@ fn flatten_leaves<'tree>(node: &'tree InsNode, out: &mut Vec<&'tree InsNode>) {
     }
 }
 
-struct Emitter<'a> {
-    bytes: &'a mut Vec<u8>,
-    /// Emitted byte range per chunk ordinal (leaves and blocks).
-    spans: &'a mut Vec<Option<Range<usize>>>,
-    layout: &'a LinearLayout,
-    /// Index of the next chunk in the layout's precomputed visit order —
-    /// span ordinals come from an array lookup instead of hashing each
-    /// chunk's name per packet.
-    visit: usize,
+/// Appends a leaf's default content.
+fn push_default(chunk: &Chunk, out: &mut Vec<u8>) {
+    match &chunk.kind {
+        ChunkKind::Number(spec) => spec.encode_into(spec.default, out),
+        ChunkKind::Bytes(spec) => out.extend_from_slice(&spec.default),
+        ChunkKind::Str(spec) => out.extend_from_slice(spec.default.as_bytes()),
+        // A layout holds leaves only.
+        ChunkKind::Block(_) | ChunkKind::Choice(_) => {}
+    }
 }
 
-impl Emitter<'_> {
-    fn emit_chunk<S: LeafSource + ?Sized>(
-        &mut self,
-        chunk: &Chunk,
-        source: &S,
-        leaf_index: &mut usize,
-    ) {
-        let start = self.bytes.len();
-        let ordinal = self.layout.visit_ordinals()[self.visit];
-        self.visit += 1;
-        match &chunk.kind {
-            ChunkKind::Number(spec) => {
-                let provided = source.leaf(*leaf_index);
-                *leaf_index += 1;
-                let value = match provided {
-                    // Provided content is wire bytes in the field's own
-                    // endianness — the convention shared by the cracker and
-                    // the mutators. Round-tripping through the decoded value
-                    // normalises wrong-width content to the field width and
-                    // leaves correctly-sized content untouched.
-                    Some(bytes) => spec.decode_lossy(bytes),
-                    None => spec.default,
-                };
-                spec.encode_into(value, self.bytes);
-            }
-            ChunkKind::Bytes(spec) => {
-                let provided = source.leaf(*leaf_index);
-                *leaf_index += 1;
-                // Emit straight from the borrowed content; a fixed length
-                // pads/truncates in place on the output buffer, so neither
-                // provided content nor the default is ever cloned.
-                self.bytes
-                    .extend_from_slice(provided.unwrap_or(&spec.default));
-                if let crate::types::LengthSpec::Fixed(len) = spec.length {
-                    self.bytes.resize(start + len, 0);
+/// Fits the content appended at `start` to the leaf's wire size. Content is
+/// wire bytes in the field's own byte order — the convention shared by the
+/// cracker and the mutators — so a number keeps its least significant bytes:
+/// the trailing ones when big-endian, the leading ones when little-endian.
+/// Correctly sized content, all a mutator or a default ever produces, is
+/// left as it is.
+fn fit_leaf(chunk: &Chunk, start: usize, out: &mut Vec<u8>) {
+    let len = out.len() - start;
+    match &chunk.kind {
+        ChunkKind::Number(spec) => {
+            let width = spec.width.bytes();
+            match spec.endian {
+                _ if len == width => {}
+                Endianness::Big if len > width => {
+                    out.drain(start..start + len - width);
                 }
-            }
-            ChunkKind::Str(spec) => {
-                let provided = source.leaf(*leaf_index);
-                *leaf_index += 1;
-                self.bytes
-                    .extend_from_slice(provided.unwrap_or(spec.default.as_bytes()));
-                if let crate::types::LengthSpec::Fixed(len) = spec.length {
-                    self.bytes.resize(start + len, b' ');
+                Endianness::Big => {
+                    out.splice(start..start, std::iter::repeat_n(0, width - len));
                 }
-            }
-            ChunkKind::Block(children) => {
-                for child in children {
-                    self.emit_chunk(child, source, leaf_index);
-                }
-            }
-            ChunkKind::Choice(options) => {
-                if let Some(first) = options.first() {
-                    self.emit_chunk(first, source, leaf_index);
-                }
+                Endianness::Little => out.resize(start + width, 0),
             }
         }
-        self.spans[ordinal] = Some(start..self.bytes.len());
+        ChunkKind::Bytes(spec) => {
+            if let LengthSpec::Fixed(fixed) = spec.length {
+                out.resize(start + fixed, 0);
+            }
+        }
+        ChunkKind::Str(spec) => {
+            if let LengthSpec::Fixed(fixed) = spec.length {
+                out.resize(start + fixed, b' ');
+            }
+        }
+        ChunkKind::Block(_) | ChunkKind::Choice(_) => {}
     }
 }
 
 /// Recomputes relation fields first and fixup fields second, overwriting
 /// their emitted bytes in place.
 ///
-/// Both passes walk the layout's *precompiled* repair plans (built once per
-/// model) instead of re-walking the chunk tree and re-hashing field names
-/// per packet; the per-packet work is exactly the repairs themselves.
+/// Both passes walk the layout's precompiled repair plans, whose fields and
+/// ranges are leaf positions: `offsets` turns them into byte ranges, so the
+/// per-packet work is exactly the repairs themselves.
 fn repair_in_place(
     layout: &LinearLayout,
-    spans: &[Option<Range<usize>>],
+    offsets: &[usize],
     covered: &mut Vec<u8>,
-    encoded: &mut Vec<u8>,
     bytes: &mut [u8],
 ) {
+    let span = |leaves: &Range<usize>| offsets[leaves.start]..offsets[leaves.end];
+    let field = |own: usize| offsets[own]..offsets[own + 1];
     // Pass 1: relations (sizes and counts).
     for repair in layout.relation_repairs() {
-        let (Some(own), Some(target)) = (spans[repair.own].as_ref(), spans[repair.target].as_ref())
-        else {
-            continue;
-        };
-        let relation = repair
-            .spec
-            .relation
-            .as_ref()
-            .expect("precompiled from a relation field");
-        let value = relation.value_for_size(target.len());
-        encoded.clear();
-        repair
-            .spec
-            .encode_into(value & repair.spec.width.max_value(), encoded);
-        bytes[own.clone()].copy_from_slice(encoded);
+        let value = repair.relation.value_for_size(span(&repair.target).len());
+        repair.spec.store(value, &mut bytes[field(repair.own)]);
     }
     // Pass 2: fixups (checksums), computed over the repaired bytes.
     for repair in layout.fixup_repairs() {
-        let Some(own) = spans[repair.own].as_ref() else {
-            continue;
-        };
-        covered.clear();
-        for &target in &repair.over {
-            if let Some(span) = spans[target].as_ref() {
-                covered.extend_from_slice(&bytes[span.clone()]);
+        let value = match repair.over.as_slice() {
+            [only] => repair.kind.compute(&bytes[span(only)]),
+            over => {
+                covered.clear();
+                for leaves in over {
+                    covered.extend_from_slice(&bytes[span(leaves)]);
+                }
+                repair.kind.compute(covered)
             }
-        }
-        let fixup = repair
-            .spec
-            .fixup
-            .as_ref()
-            .expect("precompiled from a fixup field");
-        let value = fixup.kind.compute(covered);
-        encoded.clear();
-        repair
-            .spec
-            .encode_into(value & repair.spec.width.max_value(), encoded);
-        bytes[own.clone()].copy_from_slice(encoded);
+        };
+        repair.spec.store(value, &mut bytes[field(repair.own)]);
     }
 }
 
@@ -410,7 +388,7 @@ mod tests {
     use crate::builder::DataModelBuilder;
     use crate::chunk::{BytesSpec, NumberSpec};
     use crate::crack::crack;
-    use crate::types::{Endianness, Fixup, Relation};
+    use crate::types::{Fixup, Relation};
 
     fn framed_model() -> DataModel {
         DataModelBuilder::new("framed")

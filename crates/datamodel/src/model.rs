@@ -3,9 +3,11 @@
 
 use std::collections::{HashMap, HashSet};
 use std::fmt;
+use std::ops::Range;
 
 use crate::chunk::{Chunk, ChunkKind, NumberSpec, RuleId};
 use crate::error::ModelError;
+use crate::types::{ChecksumKind, Relation};
 
 /// A complete data model for one packet type, i.e. one `Mᵢ` of the paper.
 ///
@@ -191,26 +193,19 @@ pub struct LinearChunk {
     pub path: String,
 }
 
-/// Linearised view of a [`DataModel`]: the ordered leaf chunks, plus the
-/// per-position construction rules and a name → ordinal index over *all*
-/// named chunks of the tree (used by the emitter's span table).
+/// Linearised view of a [`DataModel`]: the ordered leaf chunks, their
+/// construction rules, and the File Fixup repairs precompiled against leaf
+/// positions.
 ///
 /// Computed once per model at construction — the per-packet generators and
-/// the emitter only read it.
+/// the emitter only read it. Every chunk the emitter writes covers a
+/// contiguous run of leaves, so each repair names its field and the chunks
+/// it measures as leaf indices and leaf ranges: the emitter needs only the
+/// byte offset at which each leaf starts to find them in a packet.
 #[derive(Debug, Clone, Default)]
 pub struct LinearLayout {
     leaves: Vec<LinearChunk>,
     rules: Vec<RuleId>,
-    /// Ordinal of every named chunk (leaves *and* structural nodes) in
-    /// depth-first order. Field names are unique (validated), so the map is
-    /// injective; the emitter indexes its span table with these ordinals
-    /// instead of allocating `String` keys per packet.
-    ordinals: HashMap<String, usize>,
-    /// Span-table ordinal of the n-th chunk the *emitter* visits (its DFS
-    /// descends only into the first option of a choice, so this is a strict
-    /// subsequence of `ordinals`). Precomputed so the per-packet emission
-    /// loop indexes an array instead of hashing a chunk name per node.
-    visit_ordinals: Vec<usize>,
     /// Relation fields to repair after emission, in tree order.
     relation_repairs: Vec<RelationRepair>,
     /// Fixup fields to repair after emission (after all relations), in tree
@@ -218,48 +213,50 @@ pub struct LinearLayout {
     fixup_repairs: Vec<FixupRepair>,
 }
 
-/// One precompiled relation repair: re-encode the field at span ordinal
-/// `own` from the emitted length of span ordinal `target`.
+/// One precompiled relation repair: re-encode leaf `own` from the emitted
+/// length of the leaves in `target`.
 #[derive(Debug, Clone)]
 pub(crate) struct RelationRepair {
     pub(crate) own: usize,
-    pub(crate) target: usize,
+    pub(crate) target: Range<usize>,
+    pub(crate) relation: Relation,
     pub(crate) spec: NumberSpec,
 }
 
-/// One precompiled fixup repair: re-encode the checksum at span ordinal
-/// `own` over the emitted bytes of the spans in `over`.
+/// One precompiled fixup repair: re-encode the checksum at leaf `own` over
+/// the emitted bytes of the leaf ranges in `over`, concatenated in order.
 #[derive(Debug, Clone)]
 pub(crate) struct FixupRepair {
     pub(crate) own: usize,
-    pub(crate) over: Vec<usize>,
+    pub(crate) over: Vec<Range<usize>>,
+    pub(crate) kind: ChecksumKind,
     pub(crate) spec: NumberSpec,
 }
 
 impl LinearLayout {
     fn compute(root: &Chunk) -> Self {
         let mut layout = Self::default();
-        let mut path = Vec::new();
-        layout.collect(root, &mut path);
-        for chunk in root.iter() {
-            let ordinal = layout.ordinals.len();
-            layout.ordinals.insert(chunk.name.clone(), ordinal);
-        }
-        layout.collect_visit_ordinals(root);
-        // Precompile the File Fixup passes (relations first, then fixups,
-        // both in tree order — the order `repair` historically applied
-        // them). Model validation guarantees every referenced field exists,
-        // so the ordinal lookups cannot fail here.
+        let mut ranges = HashMap::new();
+        layout.collect(root, &mut Vec::new(), &mut ranges);
+        // Precompile the File Fixup passes: relations first, then fixups,
+        // both in tree order. Only a choice's first option is emitted, so a
+        // field in a later option has no leaf range: a repair of such a
+        // field, a relation measuring one, and a fixup's share of one are
+        // dropped here, once, instead of per packet.
         for chunk in root.iter() {
             let ChunkKind::Number(spec) = &chunk.kind else {
                 continue;
             };
-            let own = layout.ordinals[&chunk.name];
+            let Some(own) = ranges.get(chunk.name.as_str()) else {
+                continue;
+            };
+            let own = own.start;
             if let Some(relation) = &spec.relation {
-                if let Some(&target) = layout.ordinals.get(relation.target().name()) {
+                if let Some(target) = ranges.get(relation.target().name()) {
                     layout.relation_repairs.push(RelationRepair {
                         own,
-                        target,
+                        target: target.clone(),
+                        relation: relation.clone(),
                         spec: spec.clone(),
                     });
                 }
@@ -268,11 +265,12 @@ impl LinearLayout {
                 let over = fixup
                     .over
                     .iter()
-                    .filter_map(|field| layout.ordinals.get(field.name()).copied())
+                    .filter_map(|field| ranges.get(field.name()).cloned())
                     .collect();
                 layout.fixup_repairs.push(FixupRepair {
                     own,
                     over,
+                    kind: fixup.kind,
                     spec: spec.clone(),
                 });
             }
@@ -280,37 +278,26 @@ impl LinearLayout {
         layout
     }
 
-    /// Mirrors the emitter's traversal (all block children, only the first
-    /// choice option), recording each visited chunk's span ordinal in visit
-    /// order.
-    fn collect_visit_ordinals(&mut self, chunk: &Chunk) {
-        self.visit_ordinals.push(self.ordinals[&chunk.name]);
+    /// Walks the chunks the emitter writes (all block children, only the
+    /// first choice option), collecting the leaves in packet order and
+    /// recording the leaf range of every chunk visited.
+    fn collect<'tree>(
+        &mut self,
+        chunk: &'tree Chunk,
+        path: &mut Vec<&'tree str>,
+        ranges: &mut HashMap<&'tree str, Range<usize>>,
+    ) {
+        let first = self.leaves.len();
+        path.push(&chunk.name);
         match &chunk.kind {
             ChunkKind::Block(children) => {
                 for child in children {
-                    self.collect_visit_ordinals(child);
+                    self.collect(child, path, ranges);
                 }
             }
             ChunkKind::Choice(options) => {
-                if let Some(first) = options.first() {
-                    self.collect_visit_ordinals(first);
-                }
-            }
-            _ => {}
-        }
-    }
-
-    fn collect(&mut self, chunk: &Chunk, path: &mut Vec<String>) {
-        path.push(chunk.name.clone());
-        match &chunk.kind {
-            ChunkKind::Block(children) => {
-                for child in children {
-                    self.collect(child, path);
-                }
-            }
-            ChunkKind::Choice(options) => {
-                if let Some(first) = options.first() {
-                    self.collect(first, path);
+                if let Some(option) = options.first() {
+                    self.collect(option, path, ranges);
                 }
             }
             _ => {
@@ -322,6 +309,7 @@ impl LinearLayout {
             }
         }
         path.pop();
+        ranges.insert(&chunk.name, first..self.leaves.len());
     }
 
     /// Number of leaf positions.
@@ -351,24 +339,6 @@ impl LinearLayout {
     #[must_use]
     pub fn rules(&self) -> &[RuleId] {
         &self.rules
-    }
-
-    /// Ordinal of the named chunk in the span table, if it exists.
-    #[must_use]
-    pub fn ordinal(&self, name: &str) -> Option<usize> {
-        self.ordinals.get(name).copied()
-    }
-
-    /// Number of named chunks (leaves and structural nodes) in the model —
-    /// the size of the emitter's span table.
-    #[must_use]
-    pub fn chunk_count(&self) -> usize {
-        self.ordinals.len()
-    }
-
-    /// Span ordinals in emitter visit order (see `visit_ordinals`).
-    pub(crate) fn visit_ordinals(&self) -> &[usize] {
-        &self.visit_ordinals
     }
 
     /// The precompiled relation repairs, in tree order.

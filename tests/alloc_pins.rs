@@ -30,13 +30,13 @@ use peachstar::strategy::StrategyKind;
 use peachstar_protocols::TargetId;
 
 /// Allocations of the unbatched Peach campaign, which runs as a batch of one.
-const PEACH_UNBATCHED: u64 = 1_201;
+const PEACH_UNBATCHED: u64 = 988;
 /// Allocations of the same campaign with `batch(64)`.
-const PEACH_BATCH_64: u64 = 1_887;
+const PEACH_BATCH_64: u64 = 1_674;
 /// Allocations of the same campaign on the worker topology, one worker.
-const PEACH_ONE_WORKER: u64 = 9_800;
+const PEACH_ONE_WORKER: u64 = 9_587;
 /// Allocations of the unbatched Peach\* campaign.
-const PEACHSTAR_UNBATCHED: u64 = 41_896;
+const PEACHSTAR_UNBATCHED: u64 = 41_693;
 /// Allocations a final-snapshot capture adds to the Peach\* campaign.
 /// `capture_final` returns an owned snapshot, so it clones the map, the
 /// pool and the monitor; only checkpoints written to disk encode straight
