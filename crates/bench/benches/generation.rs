@@ -1,6 +1,12 @@
 //! Micro-benchmark: packet generation throughput, random (Peach) vs
 //! semantic-aware (Peach\*), including the `leaves_only` and `repair`
 //! ablations called out in DESIGN.md.
+//!
+//! Each bench times what a campaign runs: `random_peach` is 100 packets of
+//! Algorithm 1 through `next_packet_into` into one reused slot, on a
+//! strategy whose buffers are warm; each `semantic_*` bench is one valuable
+//! `observe` (Algorithm 2's crack, then Algorithm 3's refill) plus handing
+//! out the batch it queued.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use rand::rngs::SmallRng;
@@ -11,16 +17,50 @@ use peachstar::strategy::{
 };
 use peachstar::Seed;
 use peachstar_datamodel::emit::emit_default;
+use peachstar_datamodel::DataModelSet;
 use peachstar_protocols::TargetId;
 
-fn primed_semantic(config: SemanticAwareConfig) -> SemanticAwareStrategy {
-    let models = TargetId::Modbus.create().data_models();
+/// A strategy that has observed every modbus default packet but the last
+/// and handed out what it queued, so its corpus holds donors and its
+/// buffers are warm, and the last default packet, whose observe is timed:
+/// it cracks into new puzzles, so it refills the queue.
+fn primed_semantic(
+    models: &DataModelSet,
+    config: SemanticAwareConfig,
+) -> (SemanticAwareStrategy, Seed, Seed) {
+    let mut packets: Vec<Seed> = models
+        .models()
+        .iter()
+        .map(|model| {
+            Seed::new(
+                emit_default(model).expect("default packet emits"),
+                model.name(),
+                false,
+            )
+        })
+        .collect();
+    let valuable = packets.pop().expect("modbus has models");
     let mut strategy = SemanticAwareStrategy::new(config);
-    for model in models.models() {
-        let packet = emit_default(model).expect("default packet emits");
-        strategy.observe(&Seed::new(packet, model.name(), false), true, &models);
+    let mut slot = Seed::new(Vec::new(), "", false);
+    for packet in &packets {
+        strategy.observe(packet, true, models);
+        drain(&mut strategy, models, &mut slot);
     }
-    strategy
+    (strategy, valuable, slot)
+}
+
+/// Hands out queued packets until the strategy falls back to Algorithm 1,
+/// returning how many were queued.
+fn drain(strategy: &mut SemanticAwareStrategy, models: &DataModelSet, slot: &mut Seed) -> usize {
+    let mut rng = SmallRng::seed_from_u64(1);
+    let mut queued = 0;
+    loop {
+        strategy.next_packet_into(models, &mut rng, slot);
+        if !slot.semantic {
+            return queued;
+        }
+        queued += 1;
+    }
 }
 
 fn bench_generation(c: &mut Criterion) {
@@ -28,20 +68,21 @@ fn bench_generation(c: &mut Criterion) {
     let mut group = c.benchmark_group("generation");
     group.sample_size(30);
 
+    let mut strategy = RandomGenerationStrategy::new();
+    let mut rng = SmallRng::seed_from_u64(1);
+    let mut slot = Seed::new(Vec::new(), "", false);
+    for _ in 0..1_000 {
+        strategy.next_packet_into(&models, &mut rng, &mut slot);
+    }
     group.bench_function("random_peach", |b| {
-        b.iter_batched(
-            || (RandomGenerationStrategy::new(), SmallRng::seed_from_u64(1)),
-            |(mut strategy, mut rng)| {
-                let mut bytes = 0usize;
-                for _ in 0..100 {
-                    bytes += strategy.next_packet(&models, &mut rng).len();
-                }
-                // Returning the strategy keeps its teardown (scratch
-                // buffers) out of the timed region.
-                (bytes, strategy)
-            },
-            BatchSize::SmallInput,
-        );
+        b.iter(|| {
+            let mut bytes = 0usize;
+            for _ in 0..100 {
+                strategy.next_packet_into(&models, &mut rng, &mut slot);
+                bytes += slot.len();
+            }
+            bytes
+        });
     });
 
     let configs = [
@@ -71,18 +112,13 @@ fn bench_generation(c: &mut Criterion) {
     for (name, config) in configs {
         group.bench_function(name, |b| {
             b.iter_batched(
-                || (primed_semantic(config), SmallRng::seed_from_u64(1)),
-                |(mut strategy, mut rng)| {
-                    let mut bytes = 0usize;
-                    for _ in 0..100 {
-                        bytes += strategy.next_packet(&models, &mut rng).len();
-                    }
+                || primed_semantic(&models, config),
+                |(mut strategy, valuable, mut slot)| {
+                    strategy.observe(&valuable, true, &models);
+                    let queued = drain(&mut strategy, &models, &mut slot);
                     // Returning the strategy keeps the teardown of its
-                    // corpus and remaining queue out of the timed region —
-                    // dropping a primed strategy costs several times the
-                    // 100 queue pops being measured and made these medians
-                    // bimodal.
-                    (bytes, strategy)
+                    // corpus out of the timed region.
+                    (queued, strategy, valuable, slot)
                 },
                 BatchSize::SmallInput,
             );

@@ -54,18 +54,22 @@ impl PuzzleCorpus {
 
     /// Inserts one puzzle; returns `true` when it was new for its rule.
     pub fn insert(&mut self, puzzle: Puzzle) -> bool {
-        let entry = self.by_rule.entry(puzzle.rule).or_default();
-        if entry
-            .iter()
-            .any(|existing| existing.as_ref() == puzzle.content.as_slice())
-        {
+        self.insert_bytes(puzzle.rule, &puzzle.content)
+    }
+
+    /// Inserts the puzzle `content` of `rule`, borrowed (the File Cracker
+    /// passes slices of the cracked packet); returns `true` when it was new
+    /// for its rule. Only a new puzzle is copied, into one `Arc<[u8]>`.
+    pub fn insert_bytes(&mut self, rule: RuleId, content: &[u8]) -> bool {
+        let entry = self.by_rule.entry(rule).or_default();
+        if entry.iter().any(|existing| existing.as_ref() == content) {
             self.rejected_duplicates += 1;
             return false;
         }
         if entry.len() == self.capacity_per_rule {
             entry.remove(0);
         }
-        entry.push(Arc::from(puzzle.content));
+        entry.push(Arc::from(content));
         self.inserted += 1;
         true
     }

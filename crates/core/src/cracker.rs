@@ -1,17 +1,23 @@
 //! The File Cracker (Algorithm 2): splitting valuable seeds into puzzles.
 
-use peachstar_datamodel::crack::{crack_with, CrackOptions};
-use peachstar_datamodel::{DataModelSet, InsTree, Puzzle};
+use peachstar_datamodel::crack::{CrackNode, CrackOptions, CrackTable};
+use peachstar_datamodel::{DataModel, DataModelSet, Puzzle};
 
 use crate::corpus::PuzzleCorpus;
 
 /// The File Cracker of Peach\*.
 ///
 /// Given the format specification (a [`DataModelSet`]) and a valuable seed,
-/// it tries to parse the seed with every data model, collects the
-/// instantiation trees of the models that match and extracts every sub-tree
-/// puzzle (Algorithm 2 of the paper). The puzzles feed the
+/// it tries to parse the seed with every data model and extracts every
+/// sub-tree puzzle of each model that matches (Algorithm 2 of the paper),
+/// in model order and, within a model, in the post-order of the
+/// instantiation tree's depth-first traversal. The puzzles feed the
 /// [`PuzzleCorpus`] consumed by semantic-aware generation.
+///
+/// The cracker keeps one [`CrackTable`], and a puzzle is a row of it: a rule
+/// and a range of the seed. [`FileCracker::crack_into`] offers each puzzle
+/// to the corpus as a slice of the seed, so cracking a seed allocates only
+/// for the puzzles that are new.
 #[derive(Debug, Clone)]
 pub struct FileCracker {
     options: CrackOptions,
@@ -20,6 +26,7 @@ pub struct FileCracker {
     leaves_only: bool,
     cracked_seeds: u64,
     failed_seeds: u64,
+    table: CrackTable,
 }
 
 impl FileCracker {
@@ -32,6 +39,7 @@ impl FileCracker {
             leaves_only: false,
             cracked_seeds: 0,
             failed_seeds: 0,
+            table: CrackTable::new(),
         }
     }
 
@@ -57,26 +65,16 @@ impl FileCracker {
     /// Cracks `seed` against every model of `models` and returns the puzzles
     /// of every legal instantiation tree.
     pub fn crack(&mut self, models: &DataModelSet, seed: &[u8]) -> Vec<Puzzle> {
-        let trees: Vec<InsTree> = models
-            .models()
-            .iter()
-            .filter_map(|model| crack_with(model, seed, self.options).ok())
-            .collect();
-        if trees.is_empty() {
-            self.failed_seeds += 1;
-            return Vec::new();
-        }
-        self.cracked_seeds += 1;
-        trees
-            .iter()
-            .flat_map(|tree| {
-                if self.leaves_only {
-                    tree.leaf_puzzles()
-                } else {
-                    tree.puzzles()
-                }
-            })
-            .collect()
+        let mut puzzles = Vec::new();
+        self.for_each_puzzle(models, seed, |model, node| {
+            let origin = &model.root().iter().nth(node.chunk).expect("a chunk").name;
+            puzzles.push(Puzzle::new(
+                node.rule,
+                origin,
+                seed[node.range.clone()].to_vec(),
+            ));
+        });
+        puzzles
     }
 
     /// Cracks `seed` and inserts the resulting puzzles into `corpus`,
@@ -87,8 +85,39 @@ impl FileCracker {
         seed: &[u8],
         corpus: &mut PuzzleCorpus,
     ) -> usize {
-        let puzzles = self.crack(models, seed);
-        corpus.insert_all(puzzles)
+        let mut added = 0;
+        self.for_each_puzzle(models, seed, |_, node| {
+            added += usize::from(corpus.insert_bytes(node.rule, &seed[node.range.clone()]));
+        });
+        added
+    }
+
+    /// Cracks `seed` against every model and passes each puzzle (a non-empty
+    /// row, and only a leaf's under `leaves_only`) to `visit`, then counts
+    /// the seed as cracked or failed.
+    fn for_each_puzzle(
+        &mut self,
+        models: &DataModelSet,
+        seed: &[u8],
+        mut visit: impl FnMut(&DataModel, &CrackNode),
+    ) {
+        let mut matched = false;
+        for model in models.models() {
+            let Ok(nodes) = self.table.crack(model, seed, self.options) else {
+                continue;
+            };
+            matched = true;
+            for node in nodes {
+                if !node.range.is_empty() && (node.leaf || !self.leaves_only) {
+                    visit(model, node);
+                }
+            }
+        }
+        if matched {
+            self.cracked_seeds += 1;
+        } else {
+            self.failed_seeds += 1;
+        }
     }
 }
 

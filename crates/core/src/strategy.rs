@@ -2,12 +2,13 @@
 //! (Algorithm 1) and the semantic-aware generation of Peach\* (Algorithm 3).
 
 use std::collections::VecDeque;
+use std::ops::Range;
 use std::sync::Arc;
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-use peachstar_datamodel::emit::{emit_values_with, emit_with, EmitScratch, ValueAssignment};
+use peachstar_datamodel::emit::{emit_with, EmitScratch};
 use peachstar_datamodel::{DataModel, DataModelSet};
 
 use crate::corpus::PuzzleCorpus;
@@ -61,8 +62,8 @@ pub type GeneratedPacket = Seed;
 /// A strategy's observable behaviour must be a function of this state plus
 /// the campaign RNG stream: restoring the state and the RNG position must
 /// reproduce the exact packet sequence an uninterrupted run would have
-/// produced. The emit scratch buffers are *not* part of the state — they
-/// only affect allocation, never output.
+/// produced. The emit, crack and refill scratch buffers are *not* part of
+/// the state — they only affect allocation, never output.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum StrategyState {
     /// No resumable state beyond the RNG stream (third-party strategies
@@ -303,6 +304,7 @@ pub struct SemanticAwareStrategy {
     semantic_generated: u64,
     random_generated: u64,
     scratch: EmitScratch,
+    refill: Refill,
 }
 
 impl std::fmt::Debug for SemanticAwareStrategy {
@@ -328,6 +330,7 @@ impl SemanticAwareStrategy {
             semantic_generated: 0,
             random_generated: 0,
             scratch: EmitScratch::new(),
+            refill: Refill::default(),
         }
     }
 
@@ -359,58 +362,6 @@ impl SemanticAwareStrategy {
         self.random_generated
     }
 
-    /// Recursive construction of Algorithm 3, generalised over the chunk
-    /// tree: a chunk with a donor in the corpus is initialised from one of
-    /// the donors; otherwise leaves fall back to the mutators and blocks
-    /// recurse into their children.
-    ///
-    /// Returns the leaf-value assignments (one per generated packet).
-    fn construct(&self, model: &DataModel, rng: &mut SmallRng) -> Vec<ValueAssignment> {
-        let linear = model.linear();
-        // Candidate content per leaf position. Donors are shared `Arc<[u8]>`
-        // slices straight out of the corpus: sampling one and placing it into
-        // an assignment is a reference-count bump, never a byte copy.
-        let mut per_position: Vec<Vec<Arc<[u8]>>> = Vec::with_capacity(linear.len());
-        for leaf in linear.iter() {
-            let rule = leaf.chunk.rule_id();
-            let donors = self.corpus.donors(rule);
-            let mut candidates: Vec<Arc<[u8]>> = Vec::new();
-            if !donors.is_empty() && rng.gen_bool(self.config.donor_probability) {
-                let take = donors.len().min(self.config.max_donors_per_field);
-                // Sample without replacement from the donor list.
-                let mut indices: Vec<usize> = (0..donors.len()).collect();
-                for _ in 0..take {
-                    let pick = rng.gen_range(0..indices.len());
-                    let donor_index = indices.swap_remove(pick);
-                    candidates.push(Arc::clone(&donors[donor_index]));
-                }
-            }
-            if candidates.is_empty() {
-                candidates.push(Arc::from(mutator::generate_leaf(&leaf.chunk, rng)));
-            }
-            per_position.push(candidates);
-        }
-
-        // Expand the cross product, capped at max_batch packets. Cloning an
-        // assignment clones Arc handles, so the p × q expansion stays cheap.
-        let mut assignments = vec![ValueAssignment::new()];
-        for (position, candidates) in per_position.iter().enumerate() {
-            let mut expanded = Vec::with_capacity(assignments.len() * candidates.len());
-            'outer: for assignment in &assignments {
-                for candidate in candidates {
-                    let mut next = assignment.clone();
-                    next.set(position, Arc::clone(candidate));
-                    expanded.push(next);
-                    if expanded.len() >= self.config.max_batch {
-                        break 'outer;
-                    }
-                }
-            }
-            assignments = expanded;
-        }
-        assignments
-    }
-
     /// Queues a batch of donor-built packets for every data model. Called
     /// right after a valuable seed was cracked, mirroring the paper's flow:
     /// the semantic-aware strategy is employed in the iteration following a
@@ -418,19 +369,135 @@ impl SemanticAwareStrategy {
     /// donated to the models of the other packet types.
     fn refill_queue(&mut self, models: &DataModelSet, rng: &mut SmallRng) {
         const MAX_QUEUE: usize = 256;
+        let Self {
+            config,
+            corpus,
+            queue,
+            scratch,
+            refill,
+            ..
+        } = self;
         for model in models.models() {
-            if self.queue.len() >= MAX_QUEUE {
+            if queue.len() >= MAX_QUEUE {
                 break;
             }
-            let assignments = self.construct(model, rng);
-            for assignment in assignments {
-                if let Ok(bytes) =
-                    emit_values_with(model, &assignment, self.config.repair, &mut self.scratch)
-                {
-                    self.queue.push_back(Seed::new(bytes, model.name(), true));
-                }
+            let batch = refill.draw(model, corpus, config, rng);
+            for index in 0..batch {
+                refill.emit(model, index, config.repair, scratch);
+                queue.push_back(Seed::new(refill.packet.clone(), model.name(), true));
             }
         }
+        // Release the donors, so none outlives its eviction from the corpus.
+        refill.candidates.clear();
+    }
+}
+
+/// One candidate content of a leaf in a refill: a corpus donor, or a range
+/// of [`Refill::drawn`] that a mutator wrote.
+#[derive(Debug)]
+enum Candidate {
+    Donor(Arc<[u8]>),
+    Drawn(Range<usize>),
+}
+
+/// The reusable workspace of Algorithm 3's refill, for one model at a time:
+/// every leaf's candidates in one flat table, and the buffers the batch is
+/// emitted through.
+///
+/// The batch is the cross product of the leaves' candidates, first leaf
+/// slowest, cut at `max_batch` packets. Packet `i` of it is the `i`-th
+/// tuple, whose digits are `i` written in the mixed radix of the candidate
+/// counts, last leaf fastest, so no tuple but the one being emitted is ever
+/// built.
+#[derive(Debug, Default)]
+struct Refill {
+    candidates: Vec<Candidate>,
+    /// Where each leaf's candidates start in `candidates`, then its length.
+    starts: Vec<usize>,
+    /// The mutator output of every leaf that took no donor, back to back.
+    drawn: Vec<u8>,
+    /// The donors of the current leaf not sampled yet.
+    unsampled: Vec<usize>,
+    /// The candidate each leaf takes in the packet being emitted.
+    picks: Vec<usize>,
+    /// The packet being emitted.
+    packet: Vec<u8>,
+}
+
+impl Refill {
+    /// Draws the candidates of every leaf of `model`, in leaf order: when
+    /// the leaf's rule has donors and `gen_bool(donor_probability)` says
+    /// so, up to `max_donors_per_field` of them sampled without
+    /// replacement, and otherwise one mutator output. Returns the batch
+    /// size: the product of the candidate counts, cut at `max_batch` (and
+    /// at least one packet, as the first tuple is always emitted).
+    fn draw(
+        &mut self,
+        model: &DataModel,
+        corpus: &PuzzleCorpus,
+        config: &SemanticAwareConfig,
+        rng: &mut SmallRng,
+    ) -> usize {
+        self.candidates.clear();
+        self.starts.clear();
+        self.drawn.clear();
+        let cap = config.max_batch.max(1);
+        let mut batch = 1usize;
+        let linear = model.linear();
+        for (leaf, &rule) in linear.iter().zip(linear.rules()) {
+            let start = self.candidates.len();
+            self.starts.push(start);
+            let donors = corpus.donors(rule);
+            if !donors.is_empty() && rng.gen_bool(config.donor_probability) {
+                self.unsampled.clear();
+                self.unsampled.extend(0..donors.len());
+                for _ in 0..donors.len().min(config.max_donors_per_field) {
+                    let pick = rng.gen_range(0..self.unsampled.len());
+                    let donor = &donors[self.unsampled.swap_remove(pick)];
+                    self.candidates.push(Candidate::Donor(Arc::clone(donor)));
+                }
+            }
+            if self.candidates.len() == start {
+                let from = self.drawn.len();
+                mutator::generate_leaf_into(&leaf.chunk, rng, &mut self.drawn);
+                self.candidates
+                    .push(Candidate::Drawn(from..self.drawn.len()));
+            }
+            batch = batch.saturating_mul(self.candidates.len() - start).min(cap);
+        }
+        self.starts.push(self.candidates.len());
+        batch
+    }
+
+    /// Emits packet `index` of the batch into [`Refill::packet`].
+    fn emit(
+        &mut self,
+        model: &DataModel,
+        mut index: usize,
+        repair: bool,
+        scratch: &mut EmitScratch,
+    ) {
+        let leaves = self.starts.len() - 1;
+        self.picks.resize(leaves, 0);
+        for leaf in (0..leaves).rev() {
+            let (start, count) = (self.starts[leaf], self.starts[leaf + 1] - self.starts[leaf]);
+            self.picks[leaf] = start + index % count;
+            index /= count;
+        }
+        let Self {
+            candidates,
+            drawn,
+            picks,
+            packet,
+            ..
+        } = self;
+        emit_with(model, repair, scratch, packet, |leaf, _, out| {
+            out.extend_from_slice(match &candidates[picks[leaf]] {
+                Candidate::Donor(donor) => donor,
+                Candidate::Drawn(range) => &drawn[range.clone()],
+            });
+            true
+        });
     }
 }
 
@@ -599,7 +666,7 @@ mod tests {
     }
 
     #[test]
-    fn construct_honours_the_batch_cap() {
+    fn refill_honours_the_batch_cap() {
         let models = toy_protocol();
         let config = SemanticAwareConfig {
             max_batch: 4,
@@ -612,9 +679,20 @@ mod tests {
             false,
         );
         strategy.observe(&valuable, true, &models);
-        let assignments = strategy.construct(models.find("echo").unwrap(), &mut rng());
-        assert!(assignments.len() <= 4);
-        assert!(!assignments.is_empty());
+        let StrategyState::PeachStar { queue, .. } = strategy.snapshot_state() else {
+            panic!("Peach* state");
+        };
+        for model in models.models() {
+            let batch = queue
+                .iter()
+                .filter(|seed| seed.model == model.name())
+                .count();
+            assert!(
+                (1..=4).contains(&batch),
+                "{}: {batch} packets",
+                model.name()
+            );
+        }
     }
 
     #[test]
@@ -626,9 +704,21 @@ mod tests {
         });
         // Crack an echo packet with a distinctive device address.
         let echo = models.find("echo").unwrap();
-        let mut assignment = ValueAssignment::new();
-        assignment.set(1, vec![0xBE, 0xEF]); // device field
-        let packet = emit_values_with(echo, &assignment, true, &mut EmitScratch::new()).unwrap();
+        let mut packet = Vec::new();
+        emit_with(
+            echo,
+            true,
+            &mut EmitScratch::new(),
+            &mut packet,
+            |index, _, out| {
+                // The device field.
+                let device = index == 1;
+                if device {
+                    out.extend_from_slice(&[0xBE, 0xEF]);
+                }
+                device
+            },
+        );
         strategy.observe(&Seed::new(packet, "echo", false), true, &models);
 
         // Generated read/write packets should frequently carry 0xBEEF in

@@ -1,9 +1,18 @@
-//! Packet cracking: parsing concrete bytes against a [`DataModel`] into an
-//! [`InsTree`] (the `PARSE` step of Algorithm 2 in the paper).
+//! Packet cracking: parsing concrete bytes against a [`DataModel`] (the
+//! `PARSE` step of Algorithm 2 in the paper).
+//!
+//! There is one parser, [`CrackTable::crack`]. It appends every chunk it
+//! matches to a reusable table, in post-order, as the chunk's construction
+//! rule and the byte range of the packet it covers: a node's content is
+//! always one contiguous slice of the packet, so the table owns no bytes.
+//! The facts the parser needs per chunk (rule id, minimal encoded size, the
+//! field a length is read from) come from a plan built once per model, at
+//! its first crack. [`crack_with`] builds its owned [`InsTree`], or its
+//! [`ModelError`], from that same table.
 
-use std::collections::HashMap;
+use std::ops::Range;
 
-use crate::chunk::{Chunk, ChunkKind};
+use crate::chunk::{Chunk, ChunkKind, RuleId};
 use crate::error::ModelError;
 use crate::instree::{InsNode, InsTree};
 use crate::model::{DataModel, DataModelSet};
@@ -64,21 +73,10 @@ pub fn crack_with(
     packet: &[u8],
     options: CrackOptions,
 ) -> Result<InsTree, ModelError> {
-    let mut cracker = Cracker {
-        packet,
-        cursor: 0,
-        values: HashMap::new(),
-    };
-    let root = cracker.parse_chunk(model.root(), packet.len())?;
-    if options.reject_trailing && cracker.cursor != packet.len() {
-        return Err(ModelError::TrailingBytes {
-            remaining: packet.len() - cracker.cursor,
-        });
+    match CrackTable::new().crack(model, packet, options) {
+        Ok(nodes) => Ok(build_tree(model, packet, nodes)),
+        Err(miss) => Err(miss.into_error(model)),
     }
-    if options.verify_checksums {
-        verify_checksums(model, &root)?;
-    }
-    Ok(InsTree::new(model.name(), root))
 }
 
 /// Cracks `packet` against every model of `set`, returning the trees of all
@@ -86,140 +84,387 @@ pub fn crack_with(
 /// keeps the legal instantiation trees).
 #[must_use]
 pub fn crack_against_set(set: &DataModelSet, packet: &[u8]) -> Vec<InsTree> {
+    let mut table = CrackTable::new();
     set.models()
         .iter()
-        .filter_map(|model| crack(model, packet).ok())
+        .filter_map(|model| {
+            let nodes = table.crack(model, packet, CrackOptions::default()).ok()?;
+            Some(build_tree(model, packet, nodes))
+        })
         .collect()
 }
 
-struct Cracker<'packet> {
-    packet: &'packet [u8],
-    cursor: usize,
-    /// Values of already-parsed number fields, used to resolve
-    /// [`LengthSpec::FromField`] lengths.
-    values: HashMap<String, u64>,
+/// One chunk a cracked packet matched: a row of the [`CrackTable`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct CrackNode {
+    /// The chunk's position in the model tree, in [`Chunk::iter`] order.
+    pub chunk: usize,
+    /// The chunk's construction rule.
+    pub rule: RuleId,
+    /// The bytes of the packet the chunk matched.
+    pub range: Range<usize>,
+    /// `true` for a leaf chunk (number, bytes or string).
+    pub leaf: bool,
 }
 
-impl<'packet> Cracker<'packet> {
-    fn remaining(&self) -> usize {
-        self.packet.len() - self.cursor
+/// The reusable workspace of the cracker: the matched chunks of the last
+/// packet cracked, in post-order (each chunk after its children, children
+/// in packet order), and the number values parsed so far.
+///
+/// A caller that cracks many packets, such as the File Cracker, keeps one
+/// table, so that cracking allocates nothing once its buffers have grown.
+#[derive(Debug, Clone, Default)]
+pub struct CrackTable {
+    nodes: Vec<CrackNode>,
+    /// The value of every number chunk parsed so far, by chunk position:
+    /// what a [`LengthSpec::FromField`] length is read from.
+    values: Vec<Option<u64>>,
+}
+
+impl CrackTable {
+    /// Creates an empty table.
+    #[must_use]
+    pub fn new() -> Self {
+        Self::default()
     }
 
-    fn take(&mut self, field: &str, len: usize) -> Result<&'packet [u8], ModelError> {
-        if len > self.remaining() {
-            return Err(ModelError::UnexpectedEnd {
-                field: field.to_string(),
-                needed: len,
-                available: self.remaining(),
-            });
+    /// Cracks `packet` against `model`, returning the matched chunks in
+    /// post-order: the sub-tree puzzles of Algorithm 2, in the order of its
+    /// depth-first traversal, are the rows with a non-empty range.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`CrackMiss`] when the packet does not match the model
+    /// under `options`; [`crack_with`] reports the same miss as a
+    /// [`ModelError`].
+    ///
+    /// ```
+    /// use peachstar_datamodel::crack::{CrackOptions, CrackTable};
+    /// use peachstar_datamodel::{emit::emit_default, examples};
+    ///
+    /// let model = examples::figure1_model();
+    /// let packet = emit_default(&model)?;
+    /// let mut table = CrackTable::new();
+    /// let nodes = table.crack(&model, &packet, CrackOptions::default()).unwrap();
+    /// // The root comes last and covers the whole packet.
+    /// assert_eq!(nodes.last().unwrap().range, 0..packet.len());
+    /// # Ok::<(), peachstar_datamodel::ModelError>(())
+    /// ```
+    pub fn crack(
+        &mut self,
+        model: &DataModel,
+        packet: &[u8],
+        options: CrackOptions,
+    ) -> Result<&[CrackNode], CrackMiss> {
+        let plan = model.crack_plan();
+        self.nodes.clear();
+        self.values.clear();
+        self.values.resize(plan.len(), None);
+        let mut parser = Parser {
+            plan,
+            packet,
+            cursor: 0,
+            nodes: &mut self.nodes,
+            values: &mut self.values,
+        };
+        parser.parse(model.root(), 0, packet.len())?;
+        if options.reject_trailing && parser.cursor != packet.len() {
+            return Err(CrackMiss(Miss::TrailingBytes {
+                remaining: packet.len() - parser.cursor,
+            }));
         }
-        let slice = &self.packet[self.cursor..self.cursor + len];
-        self.cursor += len;
-        Ok(slice)
+        if options.verify_checksums {
+            verify_checksums(model, packet, &self.nodes)?;
+        }
+        Ok(&self.nodes)
+    }
+}
+
+/// Why a packet did not match a model, unformatted: the chunk position and
+/// the numbers, without the field names a [`ModelError`] carries.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct CrackMiss(Miss);
+
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Miss {
+    UnexpectedEnd {
+        chunk: usize,
+        needed: usize,
+        available: usize,
+    },
+    TrailingBytes {
+        remaining: usize,
+    },
+    IllegalValue {
+        chunk: usize,
+        found: u64,
+    },
+    ChecksumMismatch {
+        chunk: usize,
+        found: u64,
+        expected: u64,
+    },
+    NoChoiceMatched {
+        chunk: usize,
+    },
+    /// The field chunk `chunk` reads its length from holds no parsed
+    /// number.
+    UnknownField {
+        chunk: usize,
+    },
+    LengthOutOfRange {
+        chunk: usize,
+        length: usize,
+    },
+}
+
+impl CrackMiss {
+    /// The miss as a [`ModelError`], naming the fields of `model`, the
+    /// model the packet was cracked against.
+    fn into_error(self, model: &DataModel) -> ModelError {
+        let chunk = |at: usize| model.root().iter().nth(at).expect("a chunk of the model");
+        let field = |at: usize| chunk(at).name.clone();
+        match self.0 {
+            Miss::UnexpectedEnd {
+                chunk,
+                needed,
+                available,
+            } => ModelError::UnexpectedEnd {
+                field: field(chunk),
+                needed,
+                available,
+            },
+            Miss::TrailingBytes { remaining } => ModelError::TrailingBytes { remaining },
+            Miss::IllegalValue { chunk, found } => ModelError::IllegalValue {
+                field: field(chunk),
+                found,
+            },
+            Miss::ChecksumMismatch {
+                chunk,
+                found,
+                expected,
+            } => ModelError::ChecksumMismatch {
+                field: field(chunk),
+                found,
+                expected,
+            },
+            Miss::NoChoiceMatched { chunk } => ModelError::NoChoiceMatched {
+                field: field(chunk),
+            },
+            Miss::UnknownField { chunk: at } => {
+                let Some(LengthSpec::FromField(reference)) = length_spec(chunk(at)) else {
+                    unreachable!("only a length read from a field misses its field");
+                };
+                ModelError::UnknownField {
+                    field: reference.name().to_string(),
+                }
+            }
+            Miss::LengthOutOfRange { chunk, length } => ModelError::LengthOutOfRange {
+                field: field(chunk),
+                length,
+            },
+        }
+    }
+}
+
+/// What the parser needs to know of every chunk of a model, by chunk
+/// position ([`Chunk::iter`] order). [`DataModel`] builds it at its first
+/// crack, so models that are never cracked never pay for the rule hashes.
+#[derive(Debug, Clone)]
+pub(crate) struct CrackPlan {
+    chunks: Vec<PlannedChunk>,
+}
+
+#[derive(Debug, Clone)]
+struct PlannedChunk {
+    rule: RuleId,
+    /// [`Chunk::min_encoded_size`].
+    min_size: usize,
+    /// The position after the chunk's sub-tree: its next sibling's.
+    end: usize,
+    /// For a length read from a field, that field's position.
+    length_from: Option<usize>,
+}
+
+impl CrackPlan {
+    pub(crate) fn new(root: &Chunk) -> Self {
+        fn walk<'tree>(
+            chunk: &'tree Chunk,
+            all: &mut Vec<&'tree Chunk>,
+            planned: &mut Vec<PlannedChunk>,
+        ) {
+            let at = planned.len();
+            all.push(chunk);
+            planned.push(PlannedChunk {
+                rule: chunk.rule_id(),
+                min_size: chunk.min_encoded_size(),
+                end: 0,
+                length_from: None,
+            });
+            for child in chunk.children() {
+                walk(child, all, planned);
+            }
+            planned[at].end = planned.len();
+        }
+        let (mut all, mut chunks) = (Vec::new(), Vec::new());
+        walk(root, &mut all, &mut chunks);
+        for (planned, chunk) in chunks.iter_mut().zip(&all) {
+            if let Some(LengthSpec::FromField(reference)) = length_spec(chunk) {
+                planned.length_from = all.iter().position(|c| c.name == reference.name());
+            }
+        }
+        Self { chunks }
     }
 
-    /// Parses one chunk. `scope_end` is the absolute offset this chunk's
-    /// enclosing scope ends at, bounding [`LengthSpec::Remainder`] chunks.
-    fn parse_chunk(&mut self, chunk: &Chunk, scope_end: usize) -> Result<InsNode, ModelError> {
+    fn len(&self) -> usize {
+        self.chunks.len()
+    }
+}
+
+/// The length of a bytes or string chunk.
+fn length_spec(chunk: &Chunk) -> Option<&LengthSpec> {
+    match &chunk.kind {
+        ChunkKind::Bytes(spec) => Some(&spec.length),
+        ChunkKind::Str(spec) => Some(&spec.length),
+        _ => None,
+    }
+}
+
+/// One crack in progress: the packet, the cursor and the table being
+/// filled.
+struct Parser<'a> {
+    plan: &'a CrackPlan,
+    packet: &'a [u8],
+    cursor: usize,
+    nodes: &'a mut Vec<CrackNode>,
+    values: &'a mut [Option<u64>],
+}
+
+impl<'a> Parser<'a> {
+    fn take(&mut self, at: usize, len: usize) -> Result<&'a [u8], CrackMiss> {
+        let available = self.packet.len() - self.cursor;
+        if len > available {
+            return Err(CrackMiss(Miss::UnexpectedEnd {
+                chunk: at,
+                needed: len,
+                available,
+            }));
+        }
+        self.cursor += len;
+        Ok(&self.packet[self.cursor - len..self.cursor])
+    }
+
+    /// Parses `chunk`, at position `at`, and appends it after its children.
+    /// `scope_end` is the absolute offset its enclosing scope ends at,
+    /// bounding [`LengthSpec::Remainder`] chunks.
+    fn parse(&mut self, chunk: &Chunk, at: usize, scope_end: usize) -> Result<(), CrackMiss> {
+        let start = self.cursor;
         match &chunk.kind {
             ChunkKind::Number(spec) => {
-                let bytes = self.take(&chunk.name, spec.width.bytes())?;
+                let bytes = self.take(at, spec.width.bytes())?;
                 let value = spec
                     .decode(bytes)
                     .expect("take() returned exactly width bytes");
-                if let Some(allowed) = &spec.allowed {
-                    if !allowed.contains(&value) {
-                        return Err(ModelError::IllegalValue {
-                            field: chunk.name.clone(),
-                            found: value,
-                        });
-                    }
+                if spec
+                    .allowed
+                    .as_ref()
+                    .is_some_and(|allowed| !allowed.contains(&value))
+                {
+                    return Err(CrackMiss(Miss::IllegalValue {
+                        chunk: at,
+                        found: value,
+                    }));
                 }
-                self.values.insert(chunk.name.clone(), value);
-                Ok(InsNode::leaf(&chunk.name, chunk.rule_id(), bytes.to_vec()))
+                self.values[at] = Some(value);
             }
             ChunkKind::Bytes(spec) => {
-                let len = self.resolve_length(&chunk.name, &spec.length, scope_end)?;
-                let bytes = self.take(&chunk.name, len)?;
-                Ok(InsNode::leaf(&chunk.name, chunk.rule_id(), bytes.to_vec()))
+                let len = self.resolve_length(at, &spec.length, scope_end)?;
+                self.take(at, len)?;
             }
             ChunkKind::Str(spec) => {
-                let len = self.resolve_length(&chunk.name, &spec.length, scope_end)?;
-                let bytes = self.take(&chunk.name, len)?;
-                if spec.ascii_only
-                    && !bytes.iter().all(|&b| b.is_ascii_graphic() || b == b' ')
-                {
-                    return Err(ModelError::IllegalValue {
-                        field: chunk.name.clone(),
-                        found: u64::from(*bytes.iter().find(|b| !b.is_ascii_graphic()).unwrap_or(&0)),
-                    });
-                }
-                Ok(InsNode::leaf(&chunk.name, chunk.rule_id(), bytes.to_vec()))
-            }
-            ChunkKind::Block(children) => {
-                let mut nodes = Vec::with_capacity(children.len());
-                // Reserve the minimal footprint of the siblings after each
-                // child, so a greedy remainder field cannot swallow a
-                // fixed-size trailer (e.g. a CRC after an opaque body).
-                let child_mins: Vec<usize> =
-                    children.iter().map(Chunk::min_encoded_size).collect();
-                let mut trailing: usize = child_mins.iter().sum();
-                for (child, &min) in children.iter().zip(&child_mins) {
-                    trailing -= min;
-                    let child_end = scope_end.saturating_sub(trailing).max(self.cursor);
-                    nodes.push(self.parse_chunk(child, child_end)?);
-                }
-                Ok(InsNode::internal(&chunk.name, chunk.rule_id(), nodes))
-            }
-            ChunkKind::Choice(options) => {
-                for option in options {
-                    let checkpoint_cursor = self.cursor;
-                    let checkpoint_values = self.values.clone();
-                    match self.parse_chunk(option, scope_end) {
-                        Ok(node) => {
-                            return Ok(InsNode::internal(
-                                &chunk.name,
-                                chunk.rule_id(),
-                                vec![node],
-                            ));
-                        }
-                        Err(_) => {
-                            self.cursor = checkpoint_cursor;
-                            self.values = checkpoint_values;
-                        }
+                let len = self.resolve_length(at, &spec.length, scope_end)?;
+                let bytes = self.take(at, len)?;
+                if spec.ascii_only {
+                    if let Some(&bad) = bytes
+                        .iter()
+                        .find(|&&b| !(b.is_ascii_graphic() || b == b' '))
+                    {
+                        return Err(CrackMiss(Miss::IllegalValue {
+                            chunk: at,
+                            found: u64::from(bad),
+                        }));
                     }
                 }
-                Err(ModelError::NoChoiceMatched {
-                    field: chunk.name.clone(),
-                })
+            }
+            ChunkKind::Block(children) => {
+                // Reserve the minimal footprint of the siblings after each
+                // child, so a greedy remainder field cannot swallow a
+                // fixed-size trailer (e.g. a CRC after an opaque body). A
+                // block's own minimal size is its children's sum.
+                let mut trailing = self.plan.chunks[at].min_size;
+                let mut child_at = at + 1;
+                for child in children {
+                    trailing -= self.plan.chunks[child_at].min_size;
+                    let child_end = scope_end.saturating_sub(trailing).max(self.cursor);
+                    self.parse(child, child_at, child_end)?;
+                    child_at = self.plan.chunks[child_at].end;
+                }
+            }
+            ChunkKind::Choice(options) => {
+                let mut option_at = at + 1;
+                let matched = options.iter().any(|option| {
+                    let rows = self.nodes.len();
+                    if self.parse(option, option_at, scope_end).is_ok() {
+                        return true;
+                    }
+                    // Undo the failed option: its rows, its bytes and the
+                    // values of the number fields inside it.
+                    let end = self.plan.chunks[option_at].end;
+                    self.nodes.truncate(rows);
+                    self.cursor = start;
+                    self.values[option_at..end].fill(None);
+                    option_at = end;
+                    false
+                });
+                if !matched {
+                    return Err(CrackMiss(Miss::NoChoiceMatched { chunk: at }));
+                }
             }
         }
+        self.nodes.push(CrackNode {
+            chunk: at,
+            rule: self.plan.chunks[at].rule,
+            range: start..self.cursor,
+            leaf: chunk.is_leaf(),
+        });
+        Ok(())
     }
 
     fn resolve_length(
         &self,
-        field: &str,
+        at: usize,
         spec: &LengthSpec,
         scope_end: usize,
-    ) -> Result<usize, ModelError> {
+    ) -> Result<usize, CrackMiss> {
         match spec {
             LengthSpec::Fixed(n) => Ok(*n),
             LengthSpec::Remainder => Ok(scope_end.saturating_sub(self.cursor)),
-            LengthSpec::FromField(reference) => {
-                let value = self.values.get(reference.name()).copied().ok_or_else(|| {
-                    ModelError::UnknownField {
-                        field: reference.name().to_string(),
-                    }
-                })?;
-                let len = usize::try_from(value).map_err(|_| ModelError::LengthOutOfRange {
-                    field: field.to_string(),
-                    length: usize::MAX,
+            LengthSpec::FromField(_) => {
+                let value = self.plan.chunks[at]
+                    .length_from
+                    .and_then(|field| self.values[field])
+                    .ok_or(CrackMiss(Miss::UnknownField { chunk: at }))?;
+                let len = usize::try_from(value).map_err(|_| {
+                    CrackMiss(Miss::LengthOutOfRange {
+                        chunk: at,
+                        length: usize::MAX,
+                    })
                 })?;
                 if len > self.packet.len() {
-                    return Err(ModelError::LengthOutOfRange {
-                        field: field.to_string(),
+                    return Err(CrackMiss(Miss::LengthOutOfRange {
+                        chunk: at,
                         length: len,
-                    });
+                    }));
                 }
                 Ok(len)
             }
@@ -227,41 +472,74 @@ impl<'packet> Cracker<'packet> {
     }
 }
 
-fn verify_checksums(model: &DataModel, root: &InsNode) -> Result<(), ModelError> {
-    for chunk in model.root().iter() {
+/// Checks every fixup field a cracked packet matched against the checksum
+/// of the fields it covers, concatenated in declaration order.
+fn verify_checksums(
+    model: &DataModel,
+    packet: &[u8],
+    nodes: &[CrackNode],
+) -> Result<(), CrackMiss> {
+    let matched = |at: usize| {
+        nodes
+            .iter()
+            .find(|node| node.chunk == at)
+            .map(|node| &packet[node.range.clone()])
+    };
+    for (at, chunk) in model.root().iter().enumerate() {
         let ChunkKind::Number(spec) = &chunk.kind else {
             continue;
         };
         let Some(fixup) = &spec.fixup else { continue };
-        let Some(node) = root.find(&chunk.name) else {
-            continue;
-        };
-        let Some(found) = spec.decode(&node.content) else {
+        let Some(found) = matched(at).and_then(|content| spec.decode(content)) else {
             continue;
         };
         let mut covered = Vec::new();
         for target in &fixup.over {
-            if let Some(target_node) = root.find(target.name()) {
-                covered.extend_from_slice(&target_node.content);
+            let position = model.root().iter().position(|c| c.name == target.name());
+            if let Some(content) = position.and_then(matched) {
+                covered.extend_from_slice(content);
             }
         }
         let expected = fixup.kind.compute(&covered);
         if expected != found {
-            return Err(ModelError::ChecksumMismatch {
-                field: chunk.name.clone(),
+            return Err(CrackMiss(Miss::ChecksumMismatch {
+                chunk: at,
                 found,
                 expected,
-            });
+            }));
         }
     }
     Ok(())
+}
+
+/// Builds the instantiation tree of a crack from its post-order table: each
+/// structural node takes the nodes its children left on the stack.
+fn build_tree(model: &DataModel, packet: &[u8], nodes: &[CrackNode]) -> InsTree {
+    let chunks: Vec<&Chunk> = model.root().iter().collect();
+    let mut stack: Vec<InsNode> = Vec::new();
+    for node in nodes {
+        let chunk = chunks[node.chunk];
+        let built = match &chunk.kind {
+            ChunkKind::Block(children) => {
+                let children = stack.split_off(stack.len() - children.len());
+                InsNode::internal(&chunk.name, node.rule, children)
+            }
+            ChunkKind::Choice(_) => {
+                let option = stack.split_off(stack.len() - 1);
+                InsNode::internal(&chunk.name, node.rule, option)
+            }
+            _ => InsNode::leaf(&chunk.name, node.rule, packet[node.range.clone()].to_vec()),
+        };
+        stack.push(built);
+    }
+    InsTree::new(model.name(), stack.pop().expect("the root is the last row"))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::builder::{BlockBuilder, DataModelBuilder};
-    use crate::chunk::{BytesSpec, NumberSpec};
+    use crate::chunk::{BytesSpec, NumberSpec, StrSpec};
     use crate::types::{Fixup, Relation};
 
     fn length_prefixed_model() -> DataModel {
@@ -404,6 +682,94 @@ mod tests {
         let one = crack_against_set(&set, &[0x02, 0xff]);
         assert_eq!(one.len(), 1);
         assert_eq!(one[0].model, "generic");
+    }
+
+    #[test]
+    fn ascii_error_reports_the_offending_byte() {
+        // The space before the offender is legal in an ASCII string.
+        let model = DataModelBuilder::new("ascii")
+            .str("name", StrSpec::fixed(4).ascii())
+            .build()
+            .unwrap();
+        assert_eq!(
+            crack(&model, b"a b\x01").unwrap_err(),
+            ModelError::IllegalValue {
+                field: "name".into(),
+                found: 0x01,
+            }
+        );
+        assert!(crack(&model, b"a b.").is_ok());
+    }
+
+    #[test]
+    fn a_failed_option_leaves_no_rows_and_no_values() {
+        // Option `a` parses `n` before it fails; `data` then finds no `n`
+        // to read its length from, as `n` was never part of the match.
+        let a = BlockBuilder::new("a")
+            .number("n", NumberSpec::u8())
+            .number("tag_a", NumberSpec::u8().fixed_value(1))
+            .build();
+        let b = BlockBuilder::new("b")
+            .number("k", NumberSpec::u8())
+            .number("tag_b", NumberSpec::u8().fixed_value(2))
+            .build();
+        let model = DataModelBuilder::new("rollback")
+            .choice("body", vec![a, b])
+            .bytes("data", BytesSpec::length_from("n"))
+            .build()
+            .unwrap();
+        assert_eq!(
+            crack(&model, &[3, 2, 9, 9, 9]).unwrap_err(),
+            ModelError::UnknownField { field: "n".into() }
+        );
+
+        let mut table = CrackTable::new();
+        let model = DataModelBuilder::new("choice_only")
+            .choice(
+                "body",
+                vec![
+                    BlockBuilder::new("a")
+                        .number("x", NumberSpec::u8())
+                        .number("tag_a", NumberSpec::u8().fixed_value(1))
+                        .build(),
+                    BlockBuilder::new("b")
+                        .number("y", NumberSpec::u8())
+                        .number("tag_b", NumberSpec::u8().fixed_value(2))
+                        .build(),
+                ],
+            )
+            .build()
+            .unwrap();
+        let nodes = table
+            .crack(&model, &[7, 2], CrackOptions::default())
+            .unwrap();
+        let names: Vec<&str> = nodes
+            .iter()
+            .map(|node| model.root().iter().nth(node.chunk).unwrap().name.as_str())
+            .collect();
+        assert_eq!(names, ["y", "tag_b", "b", "body", "choice_only_packet"]);
+        assert_eq!(nodes[2].range, 0..2);
+    }
+
+    #[test]
+    fn table_rows_are_the_tree_puzzles_in_order() {
+        let model = length_prefixed_model();
+        let mut packet = vec![0xAA, 0x00, 0x02, 0x10, 0x20];
+        packet.extend_from_slice(&crate::checksum::crc32(&[0x10, 0x20]).to_be_bytes());
+        let puzzles: Vec<(RuleId, Vec<u8>)> = crack(&model, &packet)
+            .unwrap()
+            .puzzles()
+            .into_iter()
+            .map(|puzzle| (puzzle.rule, puzzle.content))
+            .collect();
+        let mut table = CrackTable::new();
+        let rows: Vec<(RuleId, Vec<u8>)> = table
+            .crack(&model, &packet, CrackOptions::default())
+            .unwrap()
+            .iter()
+            .map(|node| (node.rule, packet[node.range.clone()].to_vec()))
+            .collect();
+        assert_eq!(rows, puzzles);
     }
 
     #[test]

@@ -2,7 +2,6 @@
 //! re-establishing integrity constraints (the "File Fixup" of the paper).
 
 use std::ops::Range;
-use std::sync::Arc;
 
 use crate::chunk::{Chunk, ChunkKind};
 use crate::error::ModelError;
@@ -10,110 +9,12 @@ use crate::instree::{InsNode, InsTree};
 use crate::model::{DataModel, LinearLayout};
 use crate::types::{Endianness, LengthSpec};
 
-/// A leaf-value assignment for emission: raw bytes per leaf position of the
-/// model's [`LinearLayout`], in packet order.
-///
-/// Values are stored as `Arc<[u8]>`, so cloning an assignment (the
-/// semantic-aware generator's cross-product expansion does this per
-/// candidate packet) bumps reference counts instead of deep-copying byte
-/// vectors, and corpus donors can be shared into assignments without
-/// copying.
-///
-/// Missing positions fall back to the leaf's default value; number values of
-/// the wrong width keep their least significant bytes and are zero-padded
-/// to the field width (see [`emit_with`]).
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct ValueAssignment {
-    values: std::collections::HashMap<usize, Arc<[u8]>>,
-}
-
-impl ValueAssignment {
-    /// Creates an empty assignment (all defaults).
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Sets the bytes for the leaf at linear position `index`.
-    ///
-    /// Accepts owned `Vec<u8>` (converted once) or a shared `Arc<[u8]>`
-    /// (no copy — this is how corpus donors are threaded through).
-    pub fn set(&mut self, index: usize, bytes: impl Into<Arc<[u8]>>) {
-        self.values.insert(index, bytes.into());
-    }
-
-    /// Returns the bytes assigned to position `index`, if any.
-    #[must_use]
-    pub fn get(&self, index: usize) -> Option<&[u8]> {
-        self.values.get(&index).map(AsRef::as_ref)
-    }
-
-    /// Number of explicitly assigned positions.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.values.len()
-    }
-
-    /// `true` when nothing has been assigned.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.values.is_empty()
-    }
-}
-
-impl FromIterator<(usize, Vec<u8>)> for ValueAssignment {
-    fn from_iter<T: IntoIterator<Item = (usize, Vec<u8>)>>(iter: T) -> Self {
-        Self {
-            values: iter
-                .into_iter()
-                .map(|(index, bytes)| (index, Arc::from(bytes)))
-                .collect(),
-        }
-    }
-}
-
-/// A source of leaf content for emission: one optional byte slice per leaf
-/// position of the model's [`LinearLayout`] (`None` falls back to the leaf's
-/// default value).
-///
-/// [`ValueAssignment`] is the shared-ownership implementation (corpus donors
-/// as `Arc<[u8]>`); generation hot paths can implement the trait over plain
-/// reusable buffers instead and emit via [`emit_into`] without building an
-/// assignment map per packet.
-pub trait LeafSource {
-    /// The content for the leaf at linear position `index`, if any.
-    fn leaf(&self, index: usize) -> Option<&[u8]>;
-
-    /// A position `>= leaves` this source explicitly assigns content to, if
-    /// any — emission rejects such sources with
-    /// [`ModelError::ValueIndexOutOfRange`]. Sources that cannot hold
-    /// out-of-range positions keep the default `None`.
-    fn invalid_index(&self, leaves: usize) -> Option<usize> {
-        let _ = leaves;
-        None
-    }
-}
-
-impl LeafSource for ValueAssignment {
-    fn leaf(&self, index: usize) -> Option<&[u8]> {
-        self.get(index)
-    }
-
-    fn invalid_index(&self, leaves: usize) -> Option<usize> {
-        self.values
-            .keys()
-            .copied()
-            .filter(|&index| index >= leaves)
-            .min()
-    }
-}
-
 /// Reusable emission workspace: the byte offset at which each leaf starts,
 /// and the checksum input buffer.
 ///
 /// The generation strategies hold one `EmitScratch` and pass it to
-/// [`emit_with`] or [`emit_values_with`] for every packet, so emitting a
-/// packet allocates nothing once the buffers have warmed up.
+/// [`emit_with`] for every packet, so emitting a packet allocates nothing
+/// once the buffers have warmed up.
 #[derive(Debug, Clone, Default)]
 pub struct EmitScratch {
     /// Start offset of every leaf in the packet, then the packet's length:
@@ -136,8 +37,7 @@ impl EmitScratch {
 ///
 /// # Errors
 ///
-/// Returns [`ModelError::ValueIndexOutOfRange`] only if the model is
-/// internally inconsistent (cannot happen for validated models).
+/// None at present: every validated model has a default instantiation.
 ///
 /// ```
 /// use peachstar_datamodel::{examples, emit::emit_default};
@@ -146,81 +46,23 @@ impl EmitScratch {
 /// # Ok::<(), peachstar_datamodel::ModelError>(())
 /// ```
 pub fn emit_default(model: &DataModel) -> Result<Vec<u8>, ModelError> {
-    emit_values(model, &ValueAssignment::new(), true)
-}
-
-/// Emits the model with the given leaf-value assignment.
-///
-/// When `repair` is `true`, relation fields (sizes, counts) and fixup fields
-/// (checksums) are recomputed after the raw bytes are laid out — this is the
-/// File Fixup module of Peach\*. When `false`, the assigned/default bytes are
-/// emitted verbatim, which is how the ablation without repair is run.
-///
-/// # Errors
-///
-/// Returns [`ModelError::ValueIndexOutOfRange`] when the assignment refers to
-/// a position beyond the linear model.
-pub fn emit_values(
-    model: &DataModel,
-    assignment: &ValueAssignment,
-    repair: bool,
-) -> Result<Vec<u8>, ModelError> {
-    emit_values_with(model, assignment, repair, &mut EmitScratch::new())
-}
-
-/// [`emit_values`] with a caller-provided [`EmitScratch`], so repeated
-/// emissions reuse its buffers instead of reallocating them.
-///
-/// # Errors
-///
-/// Returns [`ModelError::ValueIndexOutOfRange`] when the assignment refers to
-/// a position beyond the linear model.
-pub fn emit_values_with(
-    model: &DataModel,
-    assignment: &ValueAssignment,
-    repair: bool,
-    scratch: &mut EmitScratch,
-) -> Result<Vec<u8>, ModelError> {
     let mut bytes = Vec::new();
-    emit_into(model, assignment, repair, scratch, &mut bytes)?;
+    emit_with(
+        model,
+        true,
+        &mut EmitScratch::new(),
+        &mut bytes,
+        |_, _, _| false,
+    );
     Ok(bytes)
-}
-
-/// Emits the model with leaf content from any [`LeafSource`], appending into
-/// a caller-provided buffer (cleared first), so a generation loop can emit
-/// every packet into one reused allocation.
-///
-/// # Errors
-///
-/// Returns [`ModelError::ValueIndexOutOfRange`] when the source assigns
-/// content to a position beyond the linear model; `out` is then untouched.
-pub fn emit_into<S: LeafSource + ?Sized>(
-    model: &DataModel,
-    source: &S,
-    repair: bool,
-    scratch: &mut EmitScratch,
-    out: &mut Vec<u8>,
-) -> Result<(), ModelError> {
-    let leaves = model.linear().len();
-    if let Some(bad) = source.invalid_index(leaves) {
-        return Err(ModelError::ValueIndexOutOfRange {
-            index: bad,
-            leaves,
-        });
-    }
-    emit_with(model, repair, scratch, out, |index, _, out| {
-        source
-            .leaf(index)
-            .map(|bytes| out.extend_from_slice(bytes))
-            .is_some()
-    });
-    Ok(())
 }
 
 /// The one emission loop, behind every `emit_*` function and the
 /// generators: writes the leaves of the model's [`LinearLayout`] into `out`
 /// (cleared first) in packet order, then, when `repair` is set, runs File
-/// Fixup over the result.
+/// Fixup over the result. When `repair` is `false`, the provided and default
+/// bytes are emitted verbatim, which is how the ablation without repair is
+/// run.
 ///
 /// For each leaf, `content(index, chunk, out)` either appends the leaf's
 /// content to `out` and returns `true`, or appends nothing and returns
@@ -425,13 +267,31 @@ mod tests {
         assert_eq!(re_emitted, packet);
     }
 
+    /// Emits `model` with the given content for some leaf positions and
+    /// the default for the others.
+    fn emit_leaves(model: &DataModel, repair: bool, leaves: &[(usize, &[u8])]) -> Vec<u8> {
+        let mut packet = Vec::new();
+        emit_with(
+            model,
+            repair,
+            &mut EmitScratch::new(),
+            &mut packet,
+            |index, _, out| {
+                leaves
+                    .iter()
+                    .find(|(at, _)| *at == index)
+                    .map(|(_, bytes)| out.extend_from_slice(bytes))
+                    .is_some()
+            },
+        );
+        packet
+    }
+
     #[test]
     fn repair_recomputes_length_after_payload_change() {
         let model = framed_model();
-        let mut assignment = ValueAssignment::new();
         // Linear order: magic(0), len(1), payload(2), crc(3).
-        assignment.set(2, vec![0xAB; 10]);
-        let packet = emit_values(&model, &assignment, true).unwrap();
+        let packet = emit_leaves(&model, true, &[(2, &[0xAB; 10])]);
         assert_eq!(&packet[1..3], &[0x00, 0x0A], "length repaired to 10");
         let crc = crate::checksum::crc32(&[0xAB; 10]);
         assert_eq!(&packet[13..17], &crc.to_be_bytes());
@@ -440,10 +300,8 @@ mod tests {
     #[test]
     fn without_repair_constraints_stay_broken() {
         let model = framed_model();
-        let mut assignment = ValueAssignment::new();
-        assignment.set(1, vec![0xFF, 0xFF]); // bogus length
-        assignment.set(2, vec![0x01]);
-        let packet = emit_values(&model, &assignment, false).unwrap();
+        // A bogus length over a one-byte payload.
+        let packet = emit_leaves(&model, false, &[(1, &[0xFF, 0xFF]), (2, &[0x01])]);
         assert_eq!(&packet[1..3], &[0xFF, 0xFF]);
     }
 
@@ -455,11 +313,15 @@ mod tests {
             .number("little", NumberSpec::u16_be().endian(Endianness::Little))
             .build()
             .unwrap();
-        let mut assignment = ValueAssignment::new();
-        assignment.set(0, vec![0x12]); // too short → zero-padded
-        assignment.set(1, vec![0xAA, 0xBB]); // too long → least-significant kept
-        assignment.set(2, vec![0x12, 0x34]); // correctly sized wire bytes → verbatim
-        let packet = emit_values(&model, &assignment, false).unwrap();
+        let packet = emit_leaves(
+            &model,
+            false,
+            &[
+                (0, &[0x12]),       // too short → zero-padded
+                (1, &[0xAA, 0xBB]), // too long → least-significant kept
+                (2, &[0x12, 0x34]), // correctly sized wire bytes → verbatim
+            ],
+        );
         assert_eq!(&packet[0..4], &[0x00, 0x00, 0x00, 0x12]);
         assert_eq!(packet[4], 0xBB);
         assert_eq!(&packet[5..7], &[0x12, 0x34]);
@@ -471,27 +333,11 @@ mod tests {
             .bytes("body", BytesSpec::fixed(4))
             .build()
             .unwrap();
-        let mut short = ValueAssignment::new();
-        short.set(0, vec![0x01]);
-        assert_eq!(emit_values(&model, &short, false).unwrap(), vec![0x01, 0, 0, 0]);
-
-        let mut long = ValueAssignment::new();
-        long.set(0, vec![9; 10]);
-        assert_eq!(emit_values(&model, &long, false).unwrap().len(), 4);
-    }
-
-    #[test]
-    fn out_of_range_assignment_is_rejected() {
-        let model = DataModelBuilder::new("tiny")
-            .number("only", NumberSpec::u8())
-            .build()
-            .unwrap();
-        let mut assignment = ValueAssignment::new();
-        assignment.set(5, vec![0x01]);
-        assert!(matches!(
-            emit_values(&model, &assignment, true),
-            Err(ModelError::ValueIndexOutOfRange { .. })
-        ));
+        assert_eq!(
+            emit_leaves(&model, false, &[(0, &[0x01])]),
+            vec![0x01, 0, 0, 0]
+        );
+        assert_eq!(emit_leaves(&model, false, &[(0, &[9; 10])]).len(), 4);
     }
 
     #[test]

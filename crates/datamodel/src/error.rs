@@ -87,14 +87,6 @@ pub enum ModelError {
         /// The missing model name.
         model: String,
     },
-    /// A value assignment for emission referenced a leaf index outside the
-    /// linear model.
-    ValueIndexOutOfRange {
-        /// The out-of-range index.
-        index: usize,
-        /// Number of leaves in the linear model.
-        leaves: usize,
-    },
 }
 
 impl fmt::Display for ModelError {
@@ -142,12 +134,6 @@ impl fmt::Display for ModelError {
             }
             ModelError::UnknownModel { model } => {
                 write!(f, "unknown data model `{model}`")
-            }
-            ModelError::ValueIndexOutOfRange { index, leaves } => {
-                write!(
-                    f,
-                    "value index {index} out of range for linear model with {leaves} leaves"
-                )
             }
         }
     }

@@ -4,8 +4,10 @@
 use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::ops::Range;
+use std::sync::OnceLock;
 
 use crate::chunk::{Chunk, ChunkKind, NumberSpec, RuleId};
+use crate::crack::CrackPlan;
 use crate::error::ModelError;
 use crate::types::{ChecksumKind, Relation};
 
@@ -35,12 +37,16 @@ pub struct DataModel {
     /// Linearised view, computed once at construction. Models are immutable
     /// after [`DataModel::new`], so the cache can never go stale.
     layout: LinearLayout,
+    /// The cracker's per-chunk plan, built at the model's first crack, so
+    /// that models that are never cracked (the Peach baseline's) never pay
+    /// for it.
+    crack_plan: OnceLock<CrackPlan>,
 }
 
 impl PartialEq for DataModel {
     fn eq(&self, other: &Self) -> bool {
-        // The layout is derived from the root, so comparing it would only
-        // re-compare the leaves.
+        // The layout and the crack plan are derived from the root, so
+        // comparing them would only re-compare the tree.
         self.name == other.name && self.root == other.root
     }
 }
@@ -63,6 +69,7 @@ impl DataModel {
             name,
             root,
             layout: LinearLayout::default(),
+            crack_plan: OnceLock::new(),
         };
         model.validate()?;
         model.layout = LinearLayout::compute(&model.root);
@@ -148,6 +155,11 @@ impl DataModel {
     #[must_use]
     pub fn linear(&self) -> &LinearLayout {
         &self.layout
+    }
+
+    /// The cracker's plan of this model, built on first use.
+    pub(crate) fn crack_plan(&self) -> &CrackPlan {
+        self.crack_plan.get_or_init(|| CrackPlan::new(&self.root))
     }
 
     /// All construction-rule identifiers appearing in this model (leaves and

@@ -4,8 +4,28 @@
 //! names a field of a later option has nothing to measure or write there.
 
 use peachstar_datamodel::checksum::crc16_modbus;
-use peachstar_datamodel::emit::{emit_default, emit_values, ValueAssignment};
+use peachstar_datamodel::emit::{emit_default, emit_with, EmitScratch};
 use peachstar_datamodel::{BytesSpec, ChecksumKind, Chunk, DataModel, Fixup, NumberSpec, Relation};
+
+/// Emits `model` with `content` at leaf position `at` and the default
+/// everywhere else.
+fn emit_one(model: &DataModel, repair: bool, at: usize, content: &[u8]) -> Vec<u8> {
+    let mut packet = Vec::new();
+    emit_with(
+        model,
+        repair,
+        &mut EmitScratch::new(),
+        &mut packet,
+        |index, _, out| {
+            let hit = index == at;
+            if hit {
+                out.extend_from_slice(content);
+            }
+            hit
+        },
+    );
+    packet
+}
 
 fn sum8_over(fields: &[&str]) -> Fixup {
     Fixup::new(
@@ -41,12 +61,7 @@ fn relation_targeting_a_later_option_stays_unrepaired() {
     )
     .unwrap();
     assert_eq!(emit_default(&model).unwrap(), vec![0x55, 0, 0]);
-    let mut assignment = ValueAssignment::new();
-    assignment.set(0, vec![0x07]);
-    assert_eq!(
-        emit_values(&model, &assignment, true).unwrap(),
-        vec![0x07, 0, 0]
-    );
+    assert_eq!(emit_one(&model, true, 0, &[0x07]), vec![0x07, 0, 0]);
 }
 
 #[test]
@@ -100,9 +115,7 @@ fn relation_and_fixup_over_a_choice_measure_its_first_option() {
         ),
     )
     .unwrap();
-    let mut assignment = ValueAssignment::new();
-    assignment.set(1, vec![9; 7]);
-    let packet = emit_values(&model, &assignment, true).unwrap();
+    let packet = emit_one(&model, true, 1, &[9; 7]);
     let mut expected = vec![7];
     expected.extend_from_slice(&[9; 7]);
     expected.extend_from_slice(&crc16_modbus(&[9; 7]).to_be_bytes());
@@ -161,6 +174,13 @@ fn leaf_root_with_a_relation_to_itself() {
     )
     .unwrap();
     assert_eq!(emit_default(&model).unwrap(), vec![0x02, 0x00]);
-    let raw = emit_values(&model, &ValueAssignment::new(), false).unwrap();
+    let mut raw = Vec::new();
+    emit_with(
+        &model,
+        false,
+        &mut EmitScratch::new(),
+        &mut raw,
+        |_, _, _| false,
+    );
     assert_eq!(raw, vec![0xff, 0xff]);
 }

@@ -25,8 +25,15 @@ use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use peachstar::campaign::{
     Campaign, CampaignConfig, CampaignReport, RunPlan, ShardConfig, ShardedCampaign,
 };
+use rand::rngs::SmallRng;
+use rand::SeedableRng;
+
 use peachstar::snapshot::{CampaignSnapshot, CheckpointConfig};
-use peachstar::strategy::StrategyKind;
+use peachstar::strategy::{
+    GenerationStrategy, SemanticAwareConfig, SemanticAwareStrategy, StrategyKind, StrategyState,
+};
+use peachstar::Seed;
+use peachstar_datamodel::emit::emit_default;
 use peachstar_protocols::TargetId;
 
 /// Allocations of the unbatched Peach campaign, which runs as a batch of one.
@@ -36,7 +43,7 @@ const PEACH_BATCH_64: u64 = 1_674;
 /// Allocations of the same campaign on the worker topology, one worker.
 const PEACH_ONE_WORKER: u64 = 9_587;
 /// Allocations of the unbatched Peach\* campaign.
-const PEACHSTAR_UNBATCHED: u64 = 41_693;
+const PEACHSTAR_UNBATCHED: u64 = 5_779;
 /// Allocations a final-snapshot capture adds to the Peach\* campaign.
 /// `capture_final` returns an owned snapshot, so it clones the map, the
 /// pool and the monitor; only checkpoints written to disk encode straight
@@ -52,6 +59,13 @@ const PEACHSTAR_SERIES_ENCODED_LEN: u64 = 13_404;
 /// Allocations that checkpointing after every window (8 checkpoints, each
 /// into a rotation of 4 slots) adds to the Peach\* campaign.
 const PEACHSTAR_CHECKPOINTS: u64 = 3_694;
+/// Allocations of the valuable-seed path beyond one per new puzzle and two
+/// per queued packet (its bytes and its model name): a fresh Peach\*
+/// strategy observes every modbus model's default packet as valuable, then
+/// its queue is drained. What remains is one-time growth: the models' crack
+/// plans, the corpus's rule map and donor lists, the queue, and the
+/// cracker's, refill's and emitter's reusable buffers.
+const PEACHSTAR_OBSERVE_OVERHEAD: u64 = 112;
 
 /// The system allocator, counting every `alloc` and `realloc` (the provided
 /// `alloc_zeroed` goes through `alloc`).
@@ -117,6 +131,39 @@ fn final_snapshot(config: CampaignConfig) -> CampaignSnapshot {
         .expect("capture_final returns the final snapshot")
 }
 
+/// The valuable-seed path on its own: the allocations of a fresh Peach\*
+/// strategy observing every modbus model's default packet as valuable and
+/// then handing out its whole queue, with the new puzzles and the queued
+/// packets those observes made.
+fn valuable_observes() -> (u64, u64, u64) {
+    let models = TargetId::Modbus.create().data_models();
+    let packets: Vec<Seed> = models
+        .models()
+        .iter()
+        .map(|model| Seed::new(emit_default(model).expect("emits"), model.name(), false))
+        .collect();
+    let mut strategy = SemanticAwareStrategy::new(SemanticAwareConfig::default());
+    let (observes, ()) = allocations(|| {
+        for packet in &packets {
+            strategy.observe(packet, true, &models);
+        }
+    });
+    let StrategyState::PeachStar { corpus, queue, .. } = strategy.snapshot_state() else {
+        unreachable!("a Peach* strategy");
+    };
+    let (puzzles, queued) = (corpus.inserted(), queue.len());
+    drop((corpus, queue));
+    let mut rng = SmallRng::seed_from_u64(3);
+    let mut slot = Seed::new(Vec::new(), "", false);
+    let (drain, ()) = allocations(|| {
+        for _ in 0..queued {
+            strategy.next_packet_into(&models, &mut rng, &mut slot);
+        }
+    });
+    assert!(slot.semantic, "the drained packets are the queued ones");
+    (observes + drain, puzzles, queued as u64)
+}
+
 fn main() -> ExitCode {
     // The first campaign in a process makes one allocation more than every
     // later one, so a warm-up runs before any pin is measured.
@@ -146,6 +193,7 @@ fn main() -> ExitCode {
             .expect("checkpoints write")
     });
     std::fs::remove_dir_all(&rotation).ok();
+    let (observed, puzzles, queued) = valuable_observes();
 
     let pins = [
         ("peach_unbatched", peach_unbatched, PEACH_UNBATCHED),
@@ -182,6 +230,11 @@ fn main() -> ExitCode {
             "peachstar_checkpoints",
             checkpointed - peachstar_unbatched,
             PEACHSTAR_CHECKPOINTS,
+        ),
+        (
+            "peachstar_valuable_observes",
+            observed,
+            puzzles + 2 * queued + PEACHSTAR_OBSERVE_OVERHEAD,
         ),
     ];
     let mut failed = 0;
