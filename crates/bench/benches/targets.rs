@@ -62,7 +62,7 @@ fn bench_process_batch(c: &mut Criterion) {
                     let mut results = WindowResults::new();
                     b.iter(|| {
                         target.process_batch(&refs, &mut ctx, &mut results, sink);
-                        results.drain().count()
+                        results.len()
                     });
                 },
             );

@@ -8,9 +8,9 @@
 //! *single* [`TargetExecutor::execute_window`] call (one virtual dispatch
 //! per slice via [`Target::process_batch`], decoding with the summary
 //! sink), and then reduced through [`Engine::reduce`] in global execution
-//! order. The worker topology ([`shard`](crate::engine::shard)) generates
-//! its windows into the same arena type and executes them through the same
-//! executor call on its workers.
+//! order. The worker topology ([`shard`](crate::engine::shard)) executes
+//! its windows through the same executor call on its workers, with the
+//! same pooled table of packet slices.
 //!
 //! # Equivalence
 //!
@@ -30,8 +30,6 @@
 //!
 //! [`Target::process_batch`]: peachstar_protocols::Target::process_batch
 //! [`CampaignConfig::batch`]: crate::campaign::CampaignConfig::batch
-
-use std::ops::Range;
 
 use peachstar_datamodel::DataModelSet;
 use peachstar_protocols::WindowResults;
@@ -76,13 +74,11 @@ pub(crate) fn windows_for_policy(executions: u64, policy: ResetPolicy) -> Vec<(u
 /// Slots are [`GeneratedPacket`]s overwritten in place through
 /// [`Schedule::next_packet_into`], so a reused arena recycles the packet
 /// byte buffers and model-name strings of earlier slices instead of
-/// allocating one fresh seed per execution. The ref table is pooled too:
-/// it is emptied after every call and keeps its allocation.
+/// allocating one fresh seed per execution.
 #[derive(Debug, Default)]
 pub(crate) struct PacketArena {
     pub(crate) packets: Vec<GeneratedPacket>,
-    /// Always empty between calls; only its allocation is kept.
-    refs: Vec<&'static [u8]>,
+    refs: RefTable,
 }
 
 impl PacketArena {
@@ -102,13 +98,35 @@ impl PacketArena {
         }
     }
 
-    /// Executes packets `range` as executions `first_execution ..` in one
+    /// Executes every packet as executions `first_execution ..` in one
     /// [`TargetExecutor::execute_window`] call, replacing `out`'s contents.
     pub(crate) fn execute(
         &mut self,
         executor: &mut TargetExecutor,
         first_execution: u64,
-        range: Range<usize>,
+        out: &mut WindowResults,
+    ) {
+        let packets = self.packets.iter().map(|packet| packet.bytes.as_slice());
+        self.refs.execute(executor, first_execution, packets, out);
+    }
+}
+
+/// The table of packet slices one [`TargetExecutor::execute_window`] call
+/// takes, pooled: it is emptied after every call and keeps its allocation.
+#[derive(Debug, Default)]
+pub(crate) struct RefTable {
+    /// Always empty between calls; only its allocation is kept.
+    refs: Vec<&'static [u8]>,
+}
+
+impl RefTable {
+    /// Executes `packets` as executions `first_execution ..` in one
+    /// [`TargetExecutor::execute_window`] call, replacing `out`'s contents.
+    pub(crate) fn execute<'p>(
+        &mut self,
+        executor: &mut TargetExecutor,
+        first_execution: u64,
+        packets: impl Iterator<Item = &'p [u8]>,
         out: &mut WindowResults,
     ) {
         // Collecting an empty vector through `map` into a vector of the
@@ -118,11 +136,7 @@ impl PacketArena {
             .into_iter()
             .map(|_| unreachable!("the pooled ref table is empty"))
             .collect();
-        refs.extend(
-            self.packets[range]
-                .iter()
-                .map(|packet| packet.bytes.as_slice()),
-        );
+        refs.extend(packets);
         executor.execute_window(first_execution, &refs, out);
         refs.clear();
         self.refs = refs
@@ -166,7 +180,7 @@ impl Engine {
             arena.fill(&mut self.schedule, models, rng, count);
 
             // Phase 2 — execute the whole slice in one executor call.
-            arena.execute(executor, start, 0..count, results);
+            arena.execute(executor, start, results);
             debug_assert_eq!(results.len(), count, "one result per packet");
 
             // Phase 3 — reduce in global execution order.

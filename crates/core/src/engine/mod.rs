@@ -15,9 +15,12 @@
 //! windows of a round on parallel workers behind a deterministic merge
 //! barrier — the two topologies of
 //! [`Campaign`](crate::campaign::Campaign), whose round loop drives both.
-//! Both generate into the same packet arena, and both fold every executed
-//! packet back through [`Engine::reduce`], so their reduce order can never
-//! drift apart (`tests/pinned_report.rs` pins the resulting reports).
+//! Both generate through [`Schedule::next_packet_into`] in execution
+//! order, and both fold every executed packet back through the steps of
+//! [`Engine::reduce`] (the worker barrier merges each trace from its
+//! window's flat hit buffer, then shares the rest of the reduce), so their
+//! reduce order can never drift apart (`tests/pinned_report.rs` pins the
+//! resulting reports).
 //! [`session`] builds stateful session fuzzing (handshake → mutated
 //! payload → teardown, with session-scoped resets) as the session mode of
 //! the [`Schedule`].
@@ -38,7 +41,7 @@ pub use session::{PhaseMask, SessionConfig, SessionPlan, SessionSchedule};
 pub use shard::ShardConfig;
 pub use transport::{error_class, FramedTcpTarget, ReconnectPolicy, TransportMode};
 
-use peachstar_coverage::{CoverageMap, SparseTrace};
+use peachstar_coverage::{CoverageMap, MergeOutcome, SparseTrace};
 use peachstar_datamodel::DataModelSet;
 use rand::rngs::SmallRng;
 
@@ -108,8 +111,10 @@ impl Engine {
     /// hit-count bucket) → strategy feedback → series sample, and a
     /// valuable packet is cloned into [`seeds`](Engine::seeds).
     ///
-    /// Every driver reduces through here, per slice or at a merge barrier,
-    /// so their reduce order can never drift apart.
+    /// The inline topology reduces through here after every slice; the
+    /// worker topology's merge barrier merges each trace from its window's
+    /// flat hit buffer and then runs the same steps, so the two reduce
+    /// orders can never drift apart.
     ///
     /// # Example
     ///
@@ -145,6 +150,23 @@ impl Engine {
         models: &DataModelSet,
     ) {
         let merge = self.coverage.merge_sparse(trace);
+        self.fold(execution, packet, outcome, merge, models);
+    }
+
+    /// The rest of [`reduce`](Engine::reduce) once the trace is merged:
+    /// tally/bug record → valuable verdict → strategy feedback → series
+    /// sample → retain a valuable packet. The worker topology's merge
+    /// barrier calls it after merging each trace from its window's flat hit
+    /// buffer, so the two reduce paths share every step after the merge.
+    #[inline(always)]
+    fn fold(
+        &mut self,
+        execution: u64,
+        packet: &GeneratedPacket,
+        outcome: OutcomeSummary,
+        merge: MergeOutcome,
+        models: &DataModelSet,
+    ) {
         self.monitor.record(execution, packet, outcome);
         let valuable = merge.is_interesting();
         self.schedule.feedback(execution, packet, valuable, models);

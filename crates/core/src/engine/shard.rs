@@ -12,18 +12,25 @@
 //! loop runs [`sync_windows`](ShardConfig::sync_windows) windows in three
 //! phases:
 //!
-//! 1. **Generate** (sequential): the strategy fills one packet arena per
-//!    window of the round, in global execution order, consuming the
-//!    campaign RNG exactly as the inline topology would.
+//! 1. **Generate** (sequential): the strategy generates every packet of the
+//!    round into one reused slot, in global execution order, consuming the
+//!    campaign RNG exactly as the inline topology would, and each packet is
+//!    appended to its window's flat buffers: one of bytes, one of model
+//!    names, and two end offsets and the `semantic` flag per packet. The
+//!    pool keeps the windows, and every buffer, across rounds.
 //! 2. **Execute** (parallel): `workers` threads pull windows from a queue
 //!    and run them through their own [`TargetExecutor`] (over their own
 //!    [`Target::clone_fresh`] copy), the same fault-tolerant path the
-//!    inline topology takes, buffering each execution's [`OutcomeSummary`]
-//!    and [`SparseTrace`] snapshot.
-//! 3. **Reduce** (sequential, the merge barrier): window results are merged
-//!    back in global execution order through
-//!    [`Engine::reduce`](crate::engine::Engine::reduce), the same reduce the
-//!    inline topology uses.
+//!    inline topology takes. Each execution's [`OutcomeSummary`] goes to
+//!    the window's records and its trace's hits to the window's one flat
+//!    hit buffer.
+//! 3. **Reduce** (sequential, the merge barrier): windows are folded back
+//!    in global execution order. Each packet is loaded back into the one
+//!    slot, its hits merge through
+//!    [`CoverageMap::merge_sparse_hits`](peachstar_coverage::CoverageMap::merge_sparse_hits),
+//!    and the rest goes through the fold that
+//!    [`Engine::reduce`](crate::engine::Engine::reduce), the inline
+//!    topology's reduce, shares.
 //!
 //! Under [`TransportMode::FramedTcp`] every worker's target is its own live
 //! connection to the spawned socket server, so the worker count is the
@@ -49,20 +56,20 @@
 //! [`Topology::Workers`]: crate::campaign::Topology::Workers
 //! [`TransportMode::FramedTcp`]: crate::campaign::TransportMode::FramedTcp
 
-use std::collections::VecDeque;
 use std::sync::Mutex;
 
 use rand::rngs::SmallRng;
 
-use peachstar_coverage::SparseTrace;
 use peachstar_datamodel::DataModelSet;
 use peachstar_protocols::containment::contained;
 use peachstar_protocols::{FaultKind, Target, WindowResults};
 
 use crate::campaign::CampaignConfig;
-use crate::engine::batch::PacketArena;
+use crate::engine::batch::RefTable;
 use crate::engine::transport::is_connection_loss;
-use crate::engine::{Engine, OutcomeSummary, ResetPolicy, TargetExecutor};
+use crate::engine::{Engine, OutcomeSummary, ResetPolicy, Schedule, TargetExecutor};
+use crate::seed::Seed;
+use crate::strategy::GeneratedPacket;
 
 /// The terminal failure when every connection of a framed-TCP campaign has
 /// exhausted its reconnect budget while windows remain unexecuted. Stable
@@ -112,13 +119,101 @@ impl Default for ShardConfig {
     }
 }
 
-/// One window of a round: its packets travel to a worker, and come back to
-/// the merge barrier with one `(summary, snapshot)` per packet, in
-/// execution order.
+/// One window of a round. The pool keeps its windows across rounds, so
+/// every buffer here grows to the largest window it held and is then
+/// reused: the round loop fills the packets, a worker the results.
+#[derive(Debug, Default)]
 struct Window {
+    /// The window's first execution.
     start: u64,
-    arena: PacketArena,
-    results: Vec<(OutcomeSummary, SparseTrace)>,
+    /// Every packet's bytes, back to back.
+    bytes: Vec<u8>,
+    /// Every packet's model name, back to back.
+    models: String,
+    /// Per packet: where its bytes and its model name end, and whether the
+    /// semantic-aware strategy produced it.
+    packets: Vec<(usize, usize, bool)>,
+    /// Per execution, in order: its outcome and where its trace's hits end
+    /// in `hits` (they start where the previous execution's end).
+    records: Vec<(OutcomeSummary, usize)>,
+    /// Every execution's trace hits, back to back.
+    hits: Vec<(u16, u8)>,
+}
+
+impl Window {
+    /// Generates the window `start..=end` from the schedule, in execution
+    /// order, through the one reused `slot`.
+    fn fill(
+        &mut self,
+        (start, end): (u64, u64),
+        schedule: &mut Schedule,
+        models: &DataModelSet,
+        rng: &mut SmallRng,
+        slot: &mut GeneratedPacket,
+    ) {
+        self.start = start;
+        self.bytes.clear();
+        self.models.clear();
+        self.packets.clear();
+        self.packets
+            .reserve(usize::try_from(end - start + 1).expect("window fits usize"));
+        for _ in start..=end {
+            schedule.next_packet_into(models, rng, slot);
+            self.bytes.extend_from_slice(&slot.bytes);
+            self.models.push_str(&slot.model);
+            self.packets
+                .push((self.bytes.len(), self.models.len(), slot.semantic));
+        }
+    }
+
+    /// The bytes of packets `first..end`.
+    fn packet_bytes(&self, first: usize, end: usize) -> impl Iterator<Item = &[u8]> {
+        let mut from = first.checked_sub(1).map_or(0, |last| self.packets[last].0);
+        self.packets[first..end].iter().map(move |&(to, _, _)| {
+            let bytes = &self.bytes[from..to];
+            from = to;
+            bytes
+        })
+    }
+
+    /// Appends `results`: every outcome, and every trace's hits.
+    fn record(&mut self, results: &WindowResults) {
+        for (summary, trace) in results.iter() {
+            self.hits.extend_from_slice(trace.hits());
+            self.records.push((*summary, self.hits.len()));
+        }
+    }
+
+    /// Folds the window's executions into `engine` in execution order,
+    /// loading each packet back into `slot`.
+    fn reduce(&self, engine: &mut Engine, slot: &mut GeneratedPacket, models: &DataModelSet) {
+        let (mut bytes, mut names, mut hits) = (0, 0, 0);
+        let executed = self.packets.iter().zip(&self.records);
+        for (execution, (&(bytes_end, names_end, semantic), &(outcome, hits_end))) in
+            (self.start..).zip(executed)
+        {
+            slot.bytes.clear();
+            slot.bytes.extend_from_slice(&self.bytes[bytes..bytes_end]);
+            slot.model.clear();
+            slot.model.push_str(&self.models[names..names_end]);
+            slot.semantic = semantic;
+            let merge = engine.coverage.merge_sparse_hits(&self.hits[hits..hits_end]);
+            (bytes, names, hits) = (bytes_end, names_end, hits_end);
+            engine.fold(execution, slot, outcome, merge, models);
+        }
+    }
+}
+
+/// A started worker: its executor, and the buffers it reuses for every
+/// window of every round.
+struct Runner {
+    /// Owns the worker's target, the spare it is rebuilt from after a
+    /// contained panic and, with `--exec-timeout-ms`, the hang watchdog.
+    executor: TargetExecutor,
+    /// One chunk's `(summary, snapshot)` pairs.
+    results: WindowResults,
+    /// One chunk's packet slices.
+    refs: RefTable,
 }
 
 /// One worker, across the rounds of a campaign.
@@ -128,10 +223,8 @@ enum ShardWorker {
     /// trace buffers are allocated there, and a campaign that runs no round
     /// never builds it.
     Idle(Box<dyn Target>),
-    /// The executor the worker runs its windows through, which owns the
-    /// worker's target, the spare it is rebuilt from after a contained panic
-    /// and, with `--exec-timeout-ms`, the hang watchdog.
-    Ready(TargetExecutor),
+    /// Started: runs its windows through its [`Runner`].
+    Ready(Box<Runner>),
     /// Retired because its connection exhausted its reconnect budget
     /// (framed-TCP transport): its windows degrade onto the survivors.
     Dead,
@@ -145,10 +238,10 @@ fn lost_connection(summary: &OutcomeSummary) -> bool {
 }
 
 /// Runs one window through the worker's executor, one
-/// [`TargetExecutor::execute_window`] call per `chunk` packets of its
-/// arena — the worker face of the `--batch` knob. Chunks of one window
-/// share the worker's target back to back, so the chunk size never changes
-/// the report.
+/// [`TargetExecutor::execute_window`] call per `chunk` packets — the worker
+/// face of the `--batch` knob — and records each chunk's results in the
+/// window. Chunks of one window share the worker's target back to back, so
+/// the chunk size never changes the report.
 ///
 /// The window starts from exactly one reset: the executor's policy resets
 /// before every window but the campaign's first, which gets an explicit
@@ -160,31 +253,32 @@ fn lost_connection(summary: &OutcomeSummary) -> bool {
 ///
 /// `false` means the worker's connection exhausted its reconnect budget on
 /// the unsupervised path: the caller requeues the window, whose partial
-/// results the next run discards. Under a watchdog every execution is
+/// results the next run clears. Under a watchdog every execution is
 /// contained per packet, so there a lost connection stays a recorded fault.
-fn run_window(
-    executor: &mut TargetExecutor,
-    chunk: usize,
-    window: &mut Window,
-    scratch: &mut WindowResults,
-) -> bool {
+fn run_window(runner: &mut Runner, chunk: usize, window: &mut Window) -> bool {
+    let Runner {
+        executor,
+        results,
+        refs,
+    } = runner;
     let degradable = executor.deadline().is_none();
-    window.results.clear();
+    window.records.clear();
+    window.records.reserve(window.packets.len());
+    window.hits.clear();
     let attempt = contained(|| {
         if !executor.policy().resets_before(window.start) {
             executor.reset_before_next();
         }
-        let len = window.arena.packets.len();
+        let len = window.packets.len();
         for first in (0..len).step_by(chunk) {
             let end = len.min(first.saturating_add(chunk));
             let execution = window.start + first as u64;
-            window
-                .arena
-                .execute(executor, execution, first..end, scratch);
-            if degradable && scratch.iter().any(|(summary, _)| lost_connection(summary)) {
+            let packets = window.packet_bytes(first, end);
+            refs.execute(executor, execution, packets, results);
+            if degradable && results.iter().any(|(summary, _)| lost_connection(summary)) {
                 return false;
             }
-            window.results.extend(scratch.drain());
+            window.record(results);
         }
         true
     });
@@ -197,43 +291,70 @@ fn run_window(
     }
 }
 
-/// Worker loop: pull windows off the queue, run them, push the results.
-fn shard_worker(
-    worker: &mut ShardWorker,
-    (config, policy, chunk): (&CampaignConfig, ResetPolicy, usize),
-    queue: &Mutex<VecDeque<Window>>,
-    done: &Mutex<Vec<Window>>,
-) {
-    let mut executor = match std::mem::replace(worker, ShardWorker::Dead) {
-        ShardWorker::Idle(target) => config.executor(target, policy),
-        ShardWorker::Ready(executor) => executor,
+/// The windows of a round that no worker has taken yet.
+struct Queue<'w> {
+    /// Windows handed back by a retired worker; they run first.
+    requeued: Vec<&'w mut Window>,
+    fresh: std::slice::IterMut<'w, Window>,
+}
+
+impl<'w> Queue<'w> {
+    fn pop(&mut self) -> Option<&'w mut Window> {
+        self.requeued.pop().or_else(|| self.fresh.next())
+    }
+
+    fn is_empty(&self) -> bool {
+        self.requeued.is_empty() && self.fresh.len() == 0
+    }
+}
+
+/// What every worker of a round needs besides its windows: the campaign
+/// configuration and reset policy its executor is built from, and the
+/// dispatch chunk.
+type Setup<'a> = (&'a CampaignConfig, ResetPolicy, usize);
+
+/// Worker loop: take windows off the queue and run them in place.
+fn shard_worker(worker: &mut ShardWorker, setup: Setup<'_>, queue: &Mutex<Queue<'_>>) {
+    let (config, policy, chunk) = setup;
+    let mut runner = match std::mem::replace(worker, ShardWorker::Dead) {
+        ShardWorker::Idle(target) => Box::new(Runner {
+            executor: config.executor(target, policy),
+            results: WindowResults::new(),
+            refs: RefTable::default(),
+        }),
+        ShardWorker::Ready(runner) => runner,
         ShardWorker::Dead => return,
     };
-    let mut scratch = WindowResults::new();
     loop {
         // `let … else` drops the queue guard before the window runs.
-        let Some(mut window) = queue.lock().expect("window queue poisoned").pop_front() else {
+        let Some(window) = queue.lock().expect("window queue poisoned").pop() else {
             break;
         };
-        if !run_window(&mut executor, chunk, &mut window, &mut scratch) {
+        if !run_window(&mut runner, chunk, window) {
             // The packets are intact, and every window starts from a reset,
-            // so any surviving connection can run it from scratch: put it
-            // back at the head of the queue and leave this worker retired.
+            // so any surviving connection can run it from its start: hand it
+            // back to the queue and leave this worker retired.
             queue
                 .lock()
                 .expect("window queue poisoned")
-                .push_front(window);
+                .requeued
+                .push(window);
             return;
         }
-        done.lock().expect("window results poisoned").push(window);
     }
-    *worker = ShardWorker::Ready(executor);
+    *worker = ShardWorker::Ready(runner);
 }
 
-/// The worker topology's executor: one [`ShardWorker`] per worker, and
-/// what each needs to build its [`TargetExecutor`].
+/// The worker topology's executor: one [`ShardWorker`] per worker, what
+/// each needs to build its [`TargetExecutor`], and the buffers every round
+/// reuses.
 pub(crate) struct WorkerPool {
     workers: Vec<ShardWorker>,
+    /// The windows of the largest round so far, kept with their buffers.
+    windows: Vec<Window>,
+    /// The one packet slot the round loop generates into and the merge barrier
+    /// loads packets back into.
+    slot: GeneratedPacket,
     config: CampaignConfig,
     policy: ResetPolicy,
     /// The per-worker dispatch granularity: `--batch N` caps each
@@ -248,7 +369,7 @@ impl WorkerPool {
     /// chunk and watchdog deadline `config` asks for. The first worker runs
     /// `target` itself and the others fresh clones of it, so a framed-TCP
     /// campaign opens no connection it does not execute on (besides each
-    /// executor's spare).
+    /// executor's spare). Windows are allocated by the first round.
     pub(crate) fn new(
         target: Box<dyn Target>,
         policy: ResetPolicy,
@@ -267,14 +388,16 @@ impl WorkerPool {
         });
         Self {
             workers,
+            windows: Vec::new(),
+            slot: Seed::new(Vec::new(), "", false),
             config: *config,
             policy,
             chunk,
         }
     }
 
-    /// One round of the worker topology: generate → execute on the workers
-    /// → reduce at the merge barrier.
+    /// One round of the worker topology: generate → execute on the
+    /// workers → reduce at the merge barrier.
     pub(crate) fn run_round(
         &mut self,
         engine: &mut Engine,
@@ -282,69 +405,58 @@ impl WorkerPool {
         models: &DataModelSet,
         rng: &mut SmallRng,
     ) {
+        if self.windows.len() < round.len() {
+            self.windows.resize_with(round.len(), Window::default);
+        }
+        let windows = &mut self.windows[..round.len()];
+
         // Phase 1 — generate: replay the strategy sequentially, in global
-        // execution order, into one fresh arena per window. (The arenas
-        // die with the round: pooled across rounds, every slot would keep
-        // the largest packet it ever held.)
-        let work: VecDeque<Window> = round
-            .iter()
-            .map(|&(start, end)| {
-                let mut arena = PacketArena::default();
-                let count = usize::try_from(end - start + 1).expect("window fits usize");
-                arena.fill(&mut engine.schedule, models, rng, count);
-                Window {
-                    start,
-                    arena,
-                    results: Vec::with_capacity(count),
-                }
-            })
-            .collect();
+        // execution order, into the windows' flat buffers.
+        for (window, &bounds) in windows.iter_mut().zip(round) {
+            window.fill(bounds, &mut engine.schedule, models, rng, &mut self.slot);
+        }
 
         // Phase 2 — execute on the workers, in parallel.
-        let mut windows = self.execute(work);
+        let setup = (&self.config, self.policy, self.chunk);
+        execute(&mut self.workers, setup, windows);
 
         // Phase 3 — reduce (the merge barrier): fold every window back in
-        // global execution order through `Engine::reduce`.
-        windows.sort_by_key(|window| window.start);
-        for window in &windows {
-            let executed = window.arena.packets.iter().zip(&window.results);
-            for (offset, (packet, (outcome, trace))) in executed.enumerate() {
-                let execution = window.start + offset as u64;
-                engine.reduce(execution, packet, *outcome, trace, models);
-            }
+        // global execution order.
+        for window in &*windows {
+            window.reduce(engine, &mut self.slot, models);
         }
     }
+}
 
-    /// Workers drain the window queue in parallel. Which worker runs which
-    /// window is scheduling noise; the caller re-orders the buffered results.
-    /// A worker whose connection exhausts its reconnect budget requeues its
-    /// window and retires; the loop re-enters the scope so surviving workers
-    /// drain whatever the casualties left behind (normally the survivors
-    /// pick the window up within the first scope already). The campaign
-    /// fails only when no live connection remains and windows are still
-    /// queued.
-    fn execute(&mut self, work: VecDeque<Window>) -> Vec<Window> {
-        let done: Mutex<Vec<Window>> = Mutex::new(Vec::with_capacity(work.len()));
-        let queue = Mutex::new(work);
-        let setup = (&self.config, self.policy, self.chunk);
-        let (queue_ref, done_ref) = (&queue, &done);
-        loop {
-            std::thread::scope(|scope| {
-                for worker in &mut self.workers {
-                    scope.spawn(move || shard_worker(worker, setup, queue_ref, done_ref));
-                }
-            });
-            if queue.lock().expect("window queue poisoned").is_empty() {
-                break;
+/// Workers drain the window queue in parallel, each window running in
+/// place. Which worker runs which window is scheduling noise: the windows
+/// stay in execution order. A worker whose connection exhausts its
+/// reconnect budget requeues its window and retires; the loop re-enters the
+/// scope so surviving workers run whatever the casualties left behind
+/// (normally the survivors pick the window up within the first scope
+/// already). The campaign fails only when no live connection remains and
+/// windows are still queued.
+fn execute(workers: &mut [ShardWorker], setup: Setup<'_>, windows: &mut [Window]) {
+    let queue = Mutex::new(Queue {
+        requeued: Vec::new(),
+        fresh: windows.iter_mut(),
+    });
+    let queue = &queue;
+    loop {
+        std::thread::scope(|scope| {
+            for worker in workers.iter_mut() {
+                scope.spawn(move || shard_worker(worker, setup, queue));
             }
-            assert!(
-                self.workers
-                    .iter()
-                    .any(|worker| !matches!(worker, ShardWorker::Dead)),
-                "{ALL_CONNECTIONS_LOST}"
-            );
+        });
+        if queue.lock().expect("window queue poisoned").is_empty() {
+            break;
         }
-        done.into_inner().expect("window results poisoned")
+        assert!(
+            workers
+                .iter()
+                .any(|worker| !matches!(worker, ShardWorker::Dead)),
+            "{ALL_CONNECTIONS_LOST}"
+        );
     }
 }
 

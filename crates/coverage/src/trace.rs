@@ -270,7 +270,7 @@ const FNV_PRIME_CUBED: u64 = FNV_PRIME.wrapping_mul(FNV_PRIME).wrapping_mul(FNV_
 /// the bucket. A slot is a `u16`, so bytes 2 and 3 are zero and their two
 /// steps fold into the high byte's multiply: three multiplies per hit, and
 /// the same id as hashing all five bytes.
-fn fnv_path_id<I: Iterator<Item = (u16, u8)>>(sorted_hits: I) -> PathId {
+pub(crate) fn fnv_path_id<I: Iterator<Item = (u16, u8)>>(sorted_hits: I) -> PathId {
     let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
     for (slot, count) in sorted_hits {
         let [low, high] = slot.to_le_bytes();
@@ -286,12 +286,11 @@ fn fnv_path_id<I: Iterator<Item = (u16, u8)>>(sorted_hits: I) -> PathId {
 /// slots with their saturating counts, in ascending slot order.
 ///
 /// A trace map owns a 64 KiB bitmap, so buffering one per execution (as a
-/// sharded campaign worker does between merge barriers) would cost megabytes;
-/// a snapshot costs a few bytes per edge actually hit. Snapshots are what
-/// workers ship to the merge barrier, where
-/// [`CoverageMap::merge_sparse`](crate::CoverageMap::merge_sparse) folds them
-/// into the campaign-global map with outcomes bit-identical to merging the
-/// live trace.
+/// batched window does) would cost megabytes; a snapshot costs a few bytes
+/// per edge actually hit.
+/// [`CoverageMap::merge_sparse`](crate::CoverageMap::merge_sparse) folds a
+/// snapshot into the campaign-global map with outcomes bit-identical to
+/// merging the live trace.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SparseTrace {
     /// `(slot, hit count)` pairs, ascending by slot.
@@ -323,6 +322,15 @@ impl SparseTrace {
         self.hits
             .iter()
             .map(|&(slot, count)| (slot as usize, count))
+    }
+
+    /// The `(slot, hit count)` pairs as one slice, in ascending slot order,
+    /// with no zero count and no repeated slot — for callers that copy the
+    /// hits of many executions into one flat buffer and merge them back
+    /// with [`CoverageMap::merge_sparse_hits`](crate::CoverageMap::merge_sparse_hits).
+    #[must_use]
+    pub fn hits(&self) -> &[(u16, u8)] {
+        &self.hits
     }
 
     /// The stable path identifier — bit-identical to

@@ -284,17 +284,6 @@ impl WindowResults {
             .iter()
             .zip(&self.traces[..self.len])
     }
-
-    /// Moves the recorded results out of the buffer, in execution order,
-    /// surrendering their snapshot allocations to the caller — for
-    /// consumers that must ship owned snapshots elsewhere (a sharded
-    /// worker's merge barrier). Snapshots pooled beyond the recorded length
-    /// stay behind for the next window.
-    pub fn drain(&mut self) -> impl Iterator<Item = (OutcomeSummary, SparseTrace)> + '_ {
-        let len = self.len;
-        self.len = 0;
-        self.summaries.drain(..len).zip(self.traces.drain(..len))
-    }
 }
 
 /// One fixed packet of a [`SessionTemplate`]: known-good wire bytes plus a

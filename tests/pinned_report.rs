@@ -9,8 +9,9 @@
 //! implementation; any drift here means an optimisation changed observable
 //! fuzzing behaviour, not just its speed.
 
-use peachstar::campaign::{Campaign, CampaignConfig};
+use peachstar::campaign::{Campaign, CampaignConfig, ShardConfig, ShardedCampaign};
 use peachstar::strategy::StrategyKind;
+use peachstar::CampaignReport;
 use peachstar_protocols::TargetId;
 
 /// The deterministic fields of a `CampaignReport`, in one comparable bundle.
@@ -27,7 +28,10 @@ struct PinnedReport {
 }
 
 fn run_config(target: TargetId, config: CampaignConfig) -> PinnedReport {
-    let report = Campaign::new(target.create(), config).run();
+    pinned(&Campaign::new(target.create(), config).run())
+}
+
+fn pinned(report: &CampaignReport) -> PinnedReport {
     let last = report
         .series
         .points()
@@ -146,6 +150,37 @@ fn iec104_peachstar_report_is_pinned() {
             unique_bugs: 0,
             valuable_seeds: 32,
             corpus_size: 192,
+        }
+    );
+}
+
+#[test]
+fn sharded_modbus_peachstar_report_is_pinned() {
+    // The worker topology's Peach* stream: two workers, a merge barrier
+    // every 8 windows of 2,000 executions (one full round and a partial
+    // one). Peach* digests its feedback at the barrier, so this stream is
+    // its own, pinned nowhere else.
+    let config = CampaignConfig::new(StrategyKind::PeachStar)
+        .executions(20_000)
+        .rng_seed(11)
+        .sample_interval(200);
+    let report = ShardedCampaign::new(
+        TargetId::Modbus.create(),
+        config,
+        ShardConfig::with_workers(2),
+    )
+    .run();
+    assert_eq!(
+        pinned(&report),
+        PinnedReport {
+            final_paths: 192,
+            final_edges: 219,
+            responses: 6_344,
+            protocol_errors: 13_574,
+            fault_hits: 82,
+            unique_bugs: 2,
+            valuable_seeds: 172,
+            corpus_size: 639,
         }
     );
 }
