@@ -256,6 +256,12 @@ fn deploy_tcp(
 /// [`Target::clone_fresh`] opens a new connection to the same server, which
 /// on the server side means a brand-new target instance — exactly the
 /// semantics `clone_fresh` promises in-process.
+///
+/// A window's exchange allocates nothing once the buffers have grown: the
+/// request is encoded straight from the caller's packet slices into one
+/// reused buffer, the journal appends the packets to one flat buffer, and
+/// the reply is decoded straight into the caller's pooled
+/// [`WindowResults`]. The buffers grow on first use, not at connect time.
 pub struct FramedTcpTarget {
     /// Never executed: answers `name`/`data_models`/`session_template`
     /// locally (they are static per target) and seeds reconnect clones.
@@ -264,12 +270,43 @@ pub struct FramedTcpTarget {
     policy: ReconnectPolicy,
     stream: TcpStream,
     messages: MessageStream,
-    payload: Vec<u8>,
-    /// Every packet sent since the last successful `Reset`, in order —
-    /// replayed onto a fresh connection so the replacement server-side
-    /// target re-derives the lost one's state. Cleared on reset, so the
-    /// executor's window cadence bounds its size.
-    journal: Vec<Vec<u8>>,
+    /// The encoded request of the exchange in flight.
+    request: Vec<u8>,
+    journal: Journal,
+}
+
+/// Every packet sent since the last successful `Reset`, in order — replayed
+/// onto a fresh connection so the replacement server-side target re-derives
+/// the lost one's state. Cleared on reset, so the executor's window cadence
+/// bounds its size.
+///
+/// The packets lie back to back in one buffer; `ends[i]` is where packet `i`
+/// ends.
+#[derive(Debug, Default)]
+struct Journal {
+    bytes: Vec<u8>,
+    ends: Vec<usize>,
+}
+
+impl Journal {
+    fn extend<'p>(&mut self, packets: impl IntoIterator<Item = &'p [u8]>) {
+        for packet in packets {
+            self.bytes.extend_from_slice(packet);
+            self.ends.push(self.bytes.len());
+        }
+    }
+
+    fn clear(&mut self) {
+        self.bytes.clear();
+        self.ends.clear();
+    }
+
+    fn packets(&self) -> impl ExactSizeIterator<Item = &[u8]> {
+        (0..self.ends.len()).map(|i| {
+            let start = if i == 0 { 0 } else { self.ends[i - 1] };
+            &self.bytes[start..self.ends[i]]
+        })
+    }
 }
 
 impl std::fmt::Debug for FramedTcpTarget {
@@ -317,30 +354,8 @@ impl FramedTcpTarget {
             policy,
             stream,
             messages: MessageStream::new(framing),
-            payload: Vec::new(),
-            journal: Vec::new(),
-        }
-    }
-
-    /// One send/recv/decode round on the current connection. A socket or
-    /// framing-stream error comes back as its dedup class for the recovery
-    /// loop; a *decodable but malformed* response still panics — that is a
-    /// protocol bug, not a flapping wire.
-    fn try_exchange(&mut self, request: &Request) -> Result<Response, &'static str> {
-        request.encode_into(&mut self.payload);
-        self.messages
-            .send(&mut self.stream, &self.payload)
-            .map_err(|error| error_class(error.kind()))?;
-        let reply = match self.messages.recv(&mut self.stream) {
-            Ok(Some(reply)) => reply,
-            // A clean server-side close mid-campaign is still a lost
-            // connection; class it with the EOF family.
-            Ok(None) => return Err("eof"),
-            Err(error) => return Err(error_class(error.kind())),
-        };
-        match Response::decode(&reply) {
-            Ok(response) => Ok(response),
-            Err(error) => panic!("framed-tcp transport: {error}"),
+            request: Vec::new(),
+            journal: Journal::default(),
         }
     }
 
@@ -354,61 +369,65 @@ impl FramedTcpTarget {
         stream.set_nodelay(true).map_err(|e| error_class(e.kind()))?;
         self.stream = stream;
         self.messages = MessageStream::new(WireFraming::for_target(self.blueprint.name()));
-        if self.journal.is_empty() {
+        if self.journal.ends.is_empty() {
             return Ok(());
         }
-        let replay = Request::Batch {
-            sink: DecodeSink::Summary,
-            packets: self.journal.clone(),
-        };
-        match self.try_exchange(&replay)? {
-            Response::Batch(_) => Ok(()),
-            other => panic!("framed-tcp transport: unexpected reply {other:?}"),
+        let mut replay = Vec::new();
+        Request::encode_batch(DecodeSink::Summary, self.journal.packets(), &mut replay);
+        match Response::decode(round_trip(&mut self.stream, &mut self.messages, &replay)?) {
+            Ok(Response::Batch(records)) if records.len() == self.journal.ends.len() => Ok(()),
+            other => panic!("framed-tcp transport: unexpected replay reply {other:?}"),
         }
     }
 
-    /// One request/response exchange with recovery: a lost connection is
-    /// re-dialled under the backoff schedule, the journal replayed, and the
-    /// request retried. Only an exhausted retry budget panics — with the
-    /// stable errno-classed message the containment layer records and the
-    /// sharded engine recognises ([`is_connection_loss`]).
-    fn exchange(&mut self, request: &Request) -> Response {
-        let mut class = match self.try_exchange(request) {
-            Ok(response) => {
-                self.journal_success(request);
-                return response;
-            }
-            Err(class) => class,
-        };
+    /// Sends the encoded request and hands the reply to `decode`, with
+    /// recovery: a lost connection is re-dialled under the backoff
+    /// schedule, the journal replayed, and the request retried. Only an
+    /// exhausted retry budget panics — with the stable errno-classed
+    /// message the containment layer records and the sharded engine
+    /// recognises ([`is_connection_loss`]). A *decodable but malformed*
+    /// reply is `decode`'s to reject: that is a protocol bug, not a
+    /// flapping wire.
+    fn exchange<R>(&mut self, decode: impl FnOnce(&[u8]) -> R) -> R {
         let mut attempt = 0u32;
         loop {
-            if attempt >= self.policy.retries {
-                panic!("{}", connection_loss_message(class));
-            }
-            std::thread::sleep(self.policy.delay_before(attempt));
-            attempt += 1;
-            let retried = self
-                .reopen_and_replay()
-                .and_then(|()| self.try_exchange(request));
-            match retried {
-                Ok(response) => {
-                    self.journal_success(request);
-                    return response;
+            let reply = if attempt == 0 {
+                round_trip(&mut self.stream, &mut self.messages, &self.request)
+            } else {
+                std::thread::sleep(self.policy.delay_before(attempt - 1));
+                match self.reopen_and_replay() {
+                    Ok(()) => round_trip(&mut self.stream, &mut self.messages, &self.request),
+                    Err(class) => Err(class),
                 }
-                Err(next) => class = next,
+            };
+            match reply {
+                Ok(reply) => return decode(reply),
+                Err(class) if attempt >= self.policy.retries => {
+                    panic!("{}", connection_loss_message(class))
+                }
+                Err(_) => attempt += 1,
             }
         }
     }
+}
 
-    /// Journal bookkeeping after a request was answered: processed packets
-    /// append (they advanced the server-side state), a reset clears (the
-    /// server-side target is back at its origin).
-    fn journal_success(&mut self, request: &Request) {
-        match request {
-            Request::Process(packet) => self.journal.push(packet.clone()),
-            Request::Batch { packets, .. } => self.journal.extend(packets.iter().cloned()),
-            Request::Reset => self.journal.clear(),
-        }
+/// One send/recv round on the current connection, lending the reply. A
+/// socket or framing-stream error comes back as its dedup class for the
+/// recovery loop.
+fn round_trip<'m>(
+    stream: &mut TcpStream,
+    messages: &'m mut MessageStream,
+    request: &[u8],
+) -> Result<&'m [u8], &'static str> {
+    messages
+        .send(stream, request)
+        .map_err(|error| error_class(error.kind()))?;
+    match messages.recv(stream) {
+        Ok(Some(reply)) => Ok(reply),
+        // A clean server-side close mid-campaign is still a lost
+        // connection; class it with the EOF family.
+        Ok(None) => Err("eof"),
+        Err(error) => Err(error_class(error.kind())),
     }
 }
 
@@ -448,15 +467,16 @@ impl Target for FramedTcpTarget {
     }
 
     fn process(&mut self, packet: &[u8], ctx: &mut TraceContext) -> Outcome {
-        match self.exchange(&Request::Process(packet.to_vec())) {
-            Response::Process(outcome, trace) => {
-                // Rematerialise the server-side trace so the executor reads
-                // it from `ctx` exactly as it would after a direct call.
-                ctx.load_sparse(&trace);
-                outcome
-            }
+        Request::Process(packet).encode_into(&mut self.request);
+        let (outcome, trace) = self.exchange(|reply| match Response::decode(reply) {
+            Ok(Response::Process(outcome, trace)) => (outcome, trace),
             other => panic!("framed-tcp transport: unexpected reply {other:?}"),
-        }
+        });
+        self.journal.extend([packet]);
+        // Rematerialise the server-side trace so the executor reads it from
+        // `ctx` exactly as it would after a direct call.
+        ctx.load_sparse(&trace);
+        outcome
     }
 
     fn process_batch(
@@ -466,36 +486,36 @@ impl Target for FramedTcpTarget {
         out: &mut WindowResults,
         sink: DecodeSink,
     ) {
-        let request = Request::Batch {
-            sink,
-            packets: packets.iter().map(|p| p.to_vec()).collect(),
-        };
-        match self.exchange(&request) {
-            Response::Batch(records) => {
-                assert_eq!(
-                    records.len(),
-                    packets.len(),
-                    "framed-tcp transport: window record count mismatch"
-                );
-                out.begin();
-                for (summary, trace) in &records {
-                    out.record_sparse(*summary, trace);
-                }
-                // The in-process default leaves the last execution's trace
-                // in `ctx`; mirror that.
-                if let Some((_, last)) = records.last() {
-                    ctx.load_sparse(last);
-                }
-            }
+        // Rewound before the exchange, so a window whose connection is lost
+        // holds no records of an earlier one.
+        out.begin();
+        Request::encode_batch(sink, packets.iter().copied(), &mut self.request);
+        self.exchange(|reply| match Response::decode(reply) {
+            Ok(Response::Batch(records)) => records
+                .decode_into(out)
+                .unwrap_or_else(|error| panic!("framed-tcp transport: {error}")),
             other => panic!("framed-tcp transport: unexpected reply {other:?}"),
+        });
+        assert_eq!(
+            out.len(),
+            packets.len(),
+            "framed-tcp transport: window record count mismatch"
+        );
+        self.journal.extend(packets.iter().copied());
+        // The in-process default leaves the last execution's trace in
+        // `ctx`; mirror that.
+        if let Some((_, last)) = out.iter().next_back() {
+            ctx.load_sparse(last);
         }
     }
 
     fn reset(&mut self) {
-        match self.exchange(&Request::Reset) {
-            Response::ResetDone => {}
+        Request::Reset.encode_into(&mut self.request);
+        self.exchange(|reply| match Response::decode(reply) {
+            Ok(Response::ResetDone) => {}
             other => panic!("framed-tcp transport: unexpected reply {other:?}"),
-        }
+        });
+        self.journal.clear();
     }
 
     fn clone_fresh(&self) -> Box<dyn Target + Send> {

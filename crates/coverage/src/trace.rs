@@ -348,26 +348,26 @@ impl SparseTrace {
         self.hits.clone_from(&other.hits);
     }
 
-    /// Rebuilds a snapshot from `(slot, hit count)` pairs — the
-    /// deserialisation counterpart of [`iter_hits`](SparseTrace::iter_hits)
-    /// for consumers that receive a trace over a wire (a framed-TCP
-    /// transport reply) rather than from a live [`TraceMap`].
+    /// Overwrites this snapshot with `(slot, hit count)` pairs received from
+    /// elsewhere (a framed-TCP transport reply), reusing its buffer — the
+    /// deserialisation counterpart of [`hits`](SparseTrace::hits).
     ///
-    /// Pairs are sorted into ascending slot order, zero-count entries are
-    /// dropped and duplicate slots keep their first count, so a round trip
-    /// through `iter_hits` → `from_hits` is exactly the identity: the
-    /// rebuilt snapshot is `==` to the original, with the same
-    /// [`path_id`](SparseTrace::path_id). (A `u16` slot is always in range —
-    /// the map holds `1 << 16` slots.)
-    #[must_use]
-    pub fn from_hits(pairs: impl IntoIterator<Item = (u16, u8)>) -> Self {
-        let mut hits: Vec<(u16, u8)> = pairs
-            .into_iter()
-            .filter(|&(_, count)| count != 0)
-            .collect();
-        hits.sort_by_key(|&(slot, _)| slot);
-        hits.dedup_by_key(|&mut (slot, _)| slot);
-        Self { hits }
+    /// The pairs must already be in the form `hits` hands out: slots
+    /// strictly ascending and no zero count. Anything else returns `false`
+    /// and leaves the snapshot empty, so a corrupted trace is refused
+    /// rather than repaired into a different one. (A `u16` slot is always
+    /// in range — the map holds `1 << 16` slots.)
+    pub fn assign_hits(&mut self, pairs: impl IntoIterator<Item = (u16, u8)>) -> bool {
+        self.hits.clear();
+        for (slot, count) in pairs {
+            let ascending = self.hits.last().is_none_or(|&(last, _)| last < slot);
+            if !ascending || count == 0 {
+                self.hits.clear();
+                return false;
+            }
+            self.hits.push((slot, count));
+        }
+        true
     }
 }
 
@@ -665,24 +665,28 @@ mod tests {
     }
 
     #[test]
-    fn from_hits_round_trips_iter_hits() {
+    fn assign_hits_round_trips_hits_and_refuses_any_other_form() {
         let mut ctx = TraceContext::new();
         for id in [900u32, 3, 77, 3, 12, 65_535] {
             ctx.edge(EdgeId::new(id));
         }
         let original = ctx.trace().to_sparse();
-        let pairs: Vec<(u16, u8)> = original
-            .iter_hits()
-            .map(|(slot, count)| (slot as u16, count))
-            .collect();
-        let rebuilt = SparseTrace::from_hits(pairs);
+        let mut rebuilt = SparseTrace::new();
+        assert!(rebuilt.assign_hits(original.hits().iter().copied()));
         assert_eq!(rebuilt, original);
         assert_eq!(rebuilt.path_id(), original.path_id());
-        // Unsorted input, zero counts and duplicate slots are normalised.
-        let messy = SparseTrace::from_hits([(9, 2), (1, 0), (4, 1), (4, 7), (2, 1)]);
-        let hits: Vec<(usize, u8)> = messy.iter_hits().collect();
-        assert_eq!(hits, vec![(2, 1), (4, 1), (9, 2)]);
-        assert!(SparseTrace::from_hits([]).is_empty());
+        // Unsorted slots, a repeated slot and a zero count are refused,
+        // leaving the snapshot empty.
+        for messy in [
+            vec![(9u16, 2u8), (4, 1)],
+            vec![(4, 1), (4, 7)],
+            vec![(1, 1), (2, 0)],
+        ] {
+            assert!(!rebuilt.assign_hits(messy.iter().copied()), "{messy:?}");
+            assert!(rebuilt.is_empty(), "{messy:?}");
+        }
+        assert!(rebuilt.assign_hits([]));
+        assert!(rebuilt.is_empty());
     }
 
     #[test]

@@ -264,6 +264,27 @@ impl WindowResults {
         self.len += 1;
     }
 
+    /// [`record`](WindowResults::record) for an execution whose trace
+    /// arrives as `(slot, hit count)` pairs — a framed-TCP client decodes
+    /// each reply record straight into its pooled snapshot. The pairs must
+    /// be in snapshot form (see [`SparseTrace::assign_hits`]); when they are
+    /// not, nothing is recorded and this returns `false`.
+    pub fn record_hits(
+        &mut self,
+        summary: OutcomeSummary,
+        pairs: impl IntoIterator<Item = (u16, u8)>,
+    ) -> bool {
+        if self.len == self.traces.len() {
+            self.traces.push(SparseTrace::new());
+        }
+        if !self.traces[self.len].assign_hits(pairs) {
+            return false;
+        }
+        self.summaries.push(summary);
+        self.len += 1;
+        true
+    }
+
     /// Number of executions recorded since the last
     /// [`begin`](WindowResults::begin).
     #[must_use]
@@ -279,7 +300,9 @@ impl WindowResults {
     }
 
     /// The recorded `(summary, snapshot)` pairs, in execution order.
-    pub fn iter(&self) -> impl Iterator<Item = (&OutcomeSummary, &SparseTrace)> {
+    pub fn iter(
+        &self,
+    ) -> impl DoubleEndedIterator<Item = (&OutcomeSummary, &SparseTrace)> + ExactSizeIterator {
         self.summaries[..self.len]
             .iter()
             .zip(&self.traces[..self.len])

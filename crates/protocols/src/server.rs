@@ -38,7 +38,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
-use peachstar_coverage::TraceContext;
+use peachstar_coverage::{SparseTrace, TraceContext};
 
 use crate::containment::contained_step;
 use crate::wire::{MessageStream, Request, Response, WireFraming};
@@ -245,7 +245,9 @@ pub fn serve_with_chaos(
 }
 
 /// Serves one connection until EOF: the request/reply loop described in the
-/// module docs.
+/// module docs. A batch's packets are executed as borrowed slices of the
+/// received message, and each record's summary and sorted hits are written
+/// straight into the reused reply buffer, so an exchange allocates nothing.
 fn handle_connection(
     mut stream: TcpStream,
     mut target: Box<dyn Target>,
@@ -257,8 +259,8 @@ fn handle_connection(
     let framing = WireFraming::for_target(target.name());
     let mut messages = MessageStream::new(framing);
     let mut ctx = TraceContext::new();
-    let mut payload = Vec::new();
-    let mut records: Vec<(OutcomeSummary, peachstar_coverage::SparseTrace)> = Vec::new();
+    let mut reply = Vec::new();
+    let mut snapshot = SparseTrace::new();
     while let Some(message) = messages.recv(&mut stream)? {
         if chaos_state.should_drop(&chaos) {
             // Drop BEFORE processing: the request was never executed, so the
@@ -266,28 +268,26 @@ fn handle_connection(
             // sequence with no at-least-once ambiguity.
             return Ok(());
         }
-        let request = Request::decode(&message)?;
-        let response = match request {
+        match Request::decode(message)? {
             Request::Process(packet) => {
-                let outcome = contained_step(&mut target, spare.as_ref(), &mut ctx, &packet);
-                Response::Process(outcome, ctx.trace().to_sparse())
+                let outcome = contained_step(&mut target, spare.as_ref(), &mut ctx, packet);
+                Response::Process(outcome, ctx.trace().to_sparse()).encode_into(&mut reply);
             }
             Request::Batch { sink, packets } => {
                 let _armed = sink.arm();
-                records.clear();
-                for packet in &packets {
+                Response::begin_batch(packets.len(), &mut reply);
+                for packet in packets.iter() {
                     let outcome = contained_step(&mut target, spare.as_ref(), &mut ctx, packet);
-                    records.push((OutcomeSummary::from(&outcome), ctx.trace().to_sparse()));
+                    ctx.trace().snapshot_into(&mut snapshot);
+                    Response::push_record(OutcomeSummary::from(&outcome), &snapshot, &mut reply);
                 }
-                Response::Batch(std::mem::take(&mut records))
             }
             Request::Reset => {
                 target.reset();
-                Response::ResetDone
+                Response::ResetDone.encode_into(&mut reply);
             }
-        };
-        response.encode_into(&mut payload);
-        messages.send(&mut stream, &payload)?;
+        }
+        messages.send(&mut stream, &reply)?;
     }
     Ok(())
 }
@@ -298,12 +298,24 @@ mod tests {
     use crate::modbus::ModbusServer;
     use crate::wire::FrameReassembler;
 
-    fn roundtrip(stream: &mut TcpStream, messages: &mut MessageStream, request: &Request) -> Response {
+    fn exchange<'m>(
+        stream: &mut TcpStream,
+        messages: &'m mut MessageStream,
+        payload: &[u8],
+    ) -> Response<'m> {
+        messages.send(stream, payload).expect("send");
+        let reply = messages.recv(stream).expect("recv").expect("reply");
+        Response::decode(reply).expect("valid response")
+    }
+
+    fn roundtrip<'m>(
+        stream: &mut TcpStream,
+        messages: &'m mut MessageStream,
+        request: &Request,
+    ) -> Response<'m> {
         let mut payload = Vec::new();
         request.encode_into(&mut payload);
-        messages.send(stream, &payload).expect("send");
-        let reply = messages.recv(stream).expect("recv").expect("reply");
-        Response::decode(&reply).expect("valid response")
+        exchange(stream, messages, &payload)
     }
 
     #[test]
@@ -323,7 +335,7 @@ mod tests {
         let expected = reference.process(&[0x01], &mut ctx);
         let expected_trace = ctx.trace().to_sparse();
         let Response::Process(outcome, trace) =
-            roundtrip(&mut stream, &mut messages, &Request::Process(vec![0x01]))
+            roundtrip(&mut stream, &mut messages, &Request::Process(&[0x01]))
         else {
             panic!("expected a process response");
         };
@@ -332,19 +344,20 @@ mod tests {
 
         // Batch: per-packet summaries in order, matching the sequential
         // reference loop.
-        let packets = vec![vec![0x01u8], vec![0x02], vec![0x01]];
-        let Response::Batch(records) = roundtrip(
-            &mut stream,
-            &mut messages,
-            &Request::Batch {
-                sink: crate::DecodeSink::Full,
-                packets: packets.clone(),
-            },
-        ) else {
+        let packets: [&[u8]; 3] = [&[0x01], &[0x02], &[0x01]];
+        let mut payload = Vec::new();
+        Request::encode_batch(
+            crate::DecodeSink::Full,
+            packets.iter().copied(),
+            &mut payload,
+        );
+        let Response::Batch(batch) = exchange(&mut stream, &mut messages, &payload) else {
             panic!("expected a batch response");
         };
+        let mut records = crate::WindowResults::new();
+        batch.decode_into(&mut records).expect("valid records");
         assert_eq!(records.len(), packets.len());
-        for (packet, (summary, trace)) in packets.iter().zip(&records) {
+        for (packet, (summary, trace)) in packets.iter().zip(records.iter()) {
             ctx.reset();
             let outcome = reference.process(packet, &mut ctx);
             assert_eq!(*summary, OutcomeSummary::from(&outcome));
@@ -372,11 +385,11 @@ mod tests {
         // Frames 1 and 2 are answered; frame 3 hits the injector and the
         // connection dies without a reply.
         for _ in 0..2 {
-            let reply = roundtrip(&mut stream, &mut messages, &Request::Process(vec![0x01]));
+            let reply = roundtrip(&mut stream, &mut messages, &Request::Process(&[0x01]));
             assert!(matches!(reply, Response::Process(..)));
         }
         let mut payload = Vec::new();
-        Request::Process(vec![0x01]).encode_into(&mut payload);
+        Request::Process(&[0x01]).encode_into(&mut payload);
         messages.send(&mut stream, &payload).expect("send");
         assert_eq!(
             messages.recv(&mut stream).expect("clean close"),
@@ -387,7 +400,7 @@ mod tests {
         // `limit(1)` spent the budget: a fresh connection serves normally.
         let mut retry = TcpStream::connect(server.addr()).expect("reconnect");
         let mut retry_messages = MessageStream::new(WireFraming::Raw);
-        let reply = roundtrip(&mut retry, &mut retry_messages, &Request::Process(vec![0x01]));
+        let reply = roundtrip(&mut retry, &mut retry_messages, &Request::Process(&[0x01]));
         assert!(matches!(reply, Response::Process(..)));
     }
 
@@ -405,7 +418,7 @@ mod tests {
 
         // The very first frame is dropped and arms two accept-rejections.
         let mut payload = Vec::new();
-        Request::Process(vec![0x01]).encode_into(&mut payload);
+        Request::Process(&[0x01]).encode_into(&mut payload);
         messages.send(&mut stream, &payload).expect("send");
         assert_eq!(messages.recv(&mut stream).expect("clean close"), None);
 
@@ -424,7 +437,7 @@ mod tests {
         // The third attempt is served again (and chaos is out of budget).
         let mut healthy = TcpStream::connect(server.addr()).expect("connect");
         let mut healthy_messages = MessageStream::new(WireFraming::Raw);
-        let reply = roundtrip(&mut healthy, &mut healthy_messages, &Request::Process(vec![0x01]));
+        let reply = roundtrip(&mut healthy, &mut healthy_messages, &Request::Process(&[0x01]));
         assert!(matches!(reply, Response::Process(..)));
     }
 
@@ -441,8 +454,8 @@ mod tests {
         let mut messages_first = MessageStream::new(WireFraming::Raw);
         let mut messages_second = MessageStream::new(WireFraming::Raw);
         let packet = vec![0x00u8, 0x01, 0x00, 0x00, 0x00, 0x06, 0x11, 0x03, 0x00, 0x6B, 0x00, 0x03];
-        let a = roundtrip(&mut first, &mut messages_first, &Request::Process(packet.clone()));
-        let b = roundtrip(&mut second, &mut messages_second, &Request::Process(packet));
+        let a = roundtrip(&mut first, &mut messages_first, &Request::Process(&packet));
+        let b = roundtrip(&mut second, &mut messages_second, &Request::Process(&packet));
         assert_eq!(a, b, "independent fresh instances answer identically");
         let _ = FrameReassembler::new(WireFraming::Raw);
     }

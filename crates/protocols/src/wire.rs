@@ -23,16 +23,22 @@
 //!    both sides. Fault sites cross the wire as strings and are re-interned
 //!    on decode ([`crate::intern_site`]), so a fault that travelled through
 //!    a socket deduplicates against the same fault recorded in process.
+//!    Decoding borrows: a batch request's packets are slices of the
+//!    received payload, and a batch reply's records are decoded straight
+//!    into the caller's [`WindowResults`]. A trace is accepted only in the
+//!    form a snapshot has — slots strictly ascending, no zero count — so a
+//!    corrupted reply fails instead of decoding into another trace.
 //!
 //! [`FrameReassembler`] is the streaming decoder: bytes arrive in arbitrary
 //! splits (TCP guarantees nothing about read boundaries) and messages pop
-//! out whole once their final byte lands.
+//! out whole, lent from its receive buffer, once their final byte lands.
 
 use std::io::{self, Read, Write};
+use std::ops::Range;
 
 use peachstar_coverage::SparseTrace;
 
-use crate::{intern_site, DecodeSink, Fault, FaultKind, Outcome, OutcomeSummary};
+use crate::{intern_site, DecodeSink, Fault, FaultKind, Outcome, OutcomeSummary, WindowResults};
 
 /// TPKT version byte (RFC 1006).
 const TPKT_VERSION: u8 = 0x03;
@@ -131,18 +137,28 @@ impl From<WireError> for io::Error {
     }
 }
 
+/// The receive buffer's first size; it doubles whenever a message outgrows
+/// it.
+const INITIAL_BUFFER_LEN: usize = 16 * 1024;
+
 /// Streaming frame decoder: feed bytes in arbitrary splits with
 /// [`push`](FrameReassembler::push), pop whole messages with
 /// [`next_message`](FrameReassembler::next_message).
+///
+/// A popped message is lent straight out of the receive buffer: a raw frame
+/// is its payload in place, and a TPKT chain has its DT user data joined in
+/// place (a single-TPDU message moves nothing). The buffer keeps its bytes
+/// initialised and is only compacted or grown when the room behind the
+/// buffered bytes runs short, so steady-state reassembly neither allocates
+/// nor zeroes.
 #[derive(Debug)]
 pub struct FrameReassembler {
     framing: WireFraming,
-    /// Unconsumed stream bytes; `consumed` marks the parse position so
-    /// steady-state reassembly never shifts the buffer per frame.
+    /// Received, unconsumed stream bytes are `buffer[start..end]`;
+    /// `buffer[end..]` is room for the next bytes.
     buffer: Vec<u8>,
-    consumed: usize,
-    /// User data of the in-flight TPKT message (DT TPDUs seen so far).
-    partial: Vec<u8>,
+    start: usize,
+    end: usize,
 }
 
 impl FrameReassembler {
@@ -152,51 +168,89 @@ impl FrameReassembler {
         Self {
             framing,
             buffer: Vec::new(),
-            consumed: 0,
-            partial: Vec::new(),
+            start: 0,
+            end: 0,
         }
     }
 
     /// Appends raw stream bytes.
     pub fn push(&mut self, bytes: &[u8]) {
-        if self.consumed == self.buffer.len() {
-            self.buffer.clear();
-            self.consumed = 0;
-        }
-        self.buffer.extend_from_slice(bytes);
+        self.room(bytes.len())[..bytes.len()].copy_from_slice(bytes);
+        self.end += bytes.len();
     }
 
-    /// `true` when unconsumed bytes or a partial message are pending — a
-    /// clean connection shutdown must not leave any.
+    /// One `read` from `reader` straight into the buffer's room; returns the
+    /// byte count (0 at end of stream).
+    fn read_from(&mut self, reader: &mut impl Read) -> io::Result<usize> {
+        let read = reader.read(self.room(1))?;
+        self.end += read;
+        Ok(read)
+    }
+
+    /// At least `needed` bytes of room behind the buffered bytes: moves the
+    /// unconsumed bytes to the front, and grows the buffer, only when the
+    /// room is short. The buffer doubles, so how often it grows depends on
+    /// the sizes of the messages, not on how the stream was split into
+    /// reads.
+    fn room(&mut self, needed: usize) -> &mut [u8] {
+        if self.start == self.end {
+            self.start = 0;
+            self.end = 0;
+        }
+        if self.buffer.len() - self.end < needed {
+            self.buffer.copy_within(self.start..self.end, 0);
+            self.end -= self.start;
+            self.start = 0;
+            if self.buffer.len() - self.end < needed {
+                let grown = (self.end + needed)
+                    .max(2 * self.buffer.len())
+                    .max(INITIAL_BUFFER_LEN);
+                self.buffer.resize(grown, 0);
+            }
+        }
+        &mut self.buffer[self.end..]
+    }
+
+    /// `true` when unconsumed bytes are pending — a clean connection
+    /// shutdown must not leave any.
     #[must_use]
     pub fn is_mid_message(&self) -> bool {
-        self.consumed < self.buffer.len() || !self.partial.is_empty()
+        self.start < self.end
     }
 
-    /// Pops the next complete message, if one is fully buffered.
+    /// Pops the next complete message, if one is fully buffered. The message
+    /// is lent from the receive buffer until the next call.
     ///
     /// # Errors
     ///
     /// Returns a [`WireError`] when the buffered bytes violate the framing
     /// (bad TPKT version, non-DT TPDU, impossible length).
-    pub fn next_message(&mut self) -> Result<Option<Vec<u8>>, WireError> {
-        loop {
-            let pending = &self.buffer[self.consumed..];
-            match self.framing {
-                WireFraming::Raw => {
-                    let Some(header) = pending.get(..4) else {
-                        return Ok(None);
-                    };
-                    let len = u32::from_be_bytes(header.try_into().expect("4 bytes")) as usize;
-                    let Some(payload) = pending.get(4..4 + len) else {
-                        return Ok(None);
-                    };
-                    let message = payload.to_vec();
-                    self.consumed += 4 + len;
-                    return Ok(Some(message));
+    pub fn next_message(&mut self) -> Result<Option<&[u8]>, WireError> {
+        Ok(self.pop()?.map(|message| &self.buffer[message]))
+    }
+
+    /// [`next_message`](Self::next_message) as a range of the buffer.
+    fn pop(&mut self) -> Result<Option<Range<usize>>, WireError> {
+        let pending = &self.buffer[self.start..self.end];
+        match self.framing {
+            WireFraming::Raw => {
+                let Some(header) = pending.get(..4) else {
+                    return Ok(None);
+                };
+                let len = u32::from_be_bytes(header.try_into().expect("4 bytes")) as usize;
+                if pending.get(4..4 + len).is_none() {
+                    return Ok(None);
                 }
-                WireFraming::Tpkt => {
-                    let Some(header) = pending.get(..4) else {
+                let message = self.start + 4..self.start + 4 + len;
+                self.start = message.end;
+                Ok(Some(message))
+            }
+            WireFraming::Tpkt => {
+                // Walk the DT chain up to its EOT TPDU without consuming
+                // anything: a message pops only once it is whole.
+                let mut chain = 0;
+                loop {
+                    let Some(header) = pending.get(chain..chain + 4) else {
                         return Ok(None);
                     };
                     if header[0] != TPKT_VERSION || header[1] != 0x00 {
@@ -206,7 +260,7 @@ impl FrameReassembler {
                     if total < TPKT_HEADER {
                         return Err(WireError("TPKT length below the COTP DT header"));
                     }
-                    let Some(frame) = pending.get(..total) else {
+                    let Some(frame) = pending.get(chain..chain + total) else {
                         return Ok(None);
                     };
                     if frame[4] != COTP_DT_LI || frame[5] != COTP_DT_CODE {
@@ -216,13 +270,28 @@ impl FrameReassembler {
                     if eot != COTP_EOT && eot != 0x00 {
                         return Err(WireError("bad COTP end-of-TSDU flag"));
                     }
-                    self.partial.extend_from_slice(&frame[TPKT_HEADER..]);
-                    self.consumed += total;
+                    chain += total;
                     if eot == COTP_EOT {
-                        return Ok(Some(std::mem::take(&mut self.partial)));
+                        break;
                     }
-                    // Continuation TPDU: keep consuming buffered frames.
                 }
+                // Join the user data in place: each continuation's data
+                // moves down over the headers before it.
+                let (first, last) = (self.start, self.start + chain);
+                let mut joined = first + TPKT_HEADER;
+                let mut frame = first;
+                while frame < last {
+                    let total =
+                        u16::from_be_bytes([self.buffer[frame + 2], self.buffer[frame + 3]]);
+                    let data = frame + TPKT_HEADER..frame + usize::from(total);
+                    if data.start != joined {
+                        self.buffer.copy_within(data.clone(), joined);
+                    }
+                    joined += data.len();
+                    frame = data.end;
+                }
+                self.start = last;
+                Ok(Some(first + TPKT_HEADER..joined))
             }
         }
     }
@@ -261,22 +330,21 @@ impl MessageStream {
         writer.write_all(&self.scratch)
     }
 
-    /// Reads until one whole message is reassembled. Returns `Ok(None)` on a
-    /// clean end-of-stream at a message boundary.
+    /// Reads until one whole message is reassembled and lends it out of the
+    /// receive buffer until the next call. Returns `Ok(None)` on a clean
+    /// end-of-stream at a message boundary.
     ///
     /// # Errors
     ///
     /// Propagates read errors; end-of-stream mid-message and framing
     /// violations surface as [`io::ErrorKind::InvalidData`] /
     /// [`io::ErrorKind::UnexpectedEof`].
-    pub fn recv(&mut self, reader: &mut impl Read) -> io::Result<Option<Vec<u8>>> {
-        let mut chunk = [0u8; 16 * 1024];
-        loop {
-            if let Some(message) = self.reassembler.next_message()? {
-                return Ok(Some(message));
+    pub fn recv(&mut self, reader: &mut impl Read) -> io::Result<Option<&[u8]>> {
+        let message = loop {
+            if let Some(message) = self.reassembler.pop()? {
+                break message;
             }
-            let read = reader.read(&mut chunk)?;
-            if read == 0 {
+            if self.reassembler.read_from(reader)? == 0 {
                 if self.reassembler.is_mid_message() {
                     return Err(io::Error::new(
                         io::ErrorKind::UnexpectedEof,
@@ -285,8 +353,8 @@ impl MessageStream {
                 }
                 return Ok(None);
             }
-            self.reassembler.push(&chunk[..read]);
-        }
+        };
+        Ok(Some(&self.reassembler.buffer[message]))
     }
 }
 
@@ -299,46 +367,129 @@ const RESP_PROCESS: u8 = 0x81;
 const RESP_BATCH: u8 = 0x82;
 const RESP_RESET: u8 = 0x83;
 
-/// One transport request, client → server.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Request {
+/// One transport request, client → server, borrowed from its payload.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Request<'a> {
     /// Process one packet ([`Target::process`](crate::Target::process)).
-    Process(Vec<u8>),
+    Process(&'a [u8]),
     /// Process one reset-aligned window of packets under the given decode
     /// sink ([`Target::process_batch`](crate::Target::process_batch)).
+    /// Clients encode it with [`Request::encode_batch`].
     Batch {
         /// Output fidelity the server decodes under.
         sink: DecodeSink,
         /// The window's packets, in execution order.
-        packets: Vec<Vec<u8>>,
+        packets: Packets<'a>,
     },
     /// Reset the connection's target to the just-started state
     /// ([`Target::reset`](crate::Target::reset)).
     Reset,
 }
 
-/// One transport response, server → client.
+/// The packets of a decoded [`Request::Batch`]: borrowed slices of the
+/// received payload, checked by [`Request::decode`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Packets<'a> {
+    len: usize,
+    /// `len` length-prefixed packets, back to back.
+    bytes: &'a [u8],
+}
+
+impl<'a> Packets<'a> {
+    /// Number of packets in the window.
+    #[must_use]
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// `true` for an empty window.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// The packets, in execution order.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = &'a [u8]> {
+        let mut reader = Reader::new(self.bytes);
+        (0..self.len).map(move |_| reader.bytes().expect("checked by Request::decode"))
+    }
+}
+
+/// One transport reply, server → client, borrowed from its payload.
 #[derive(Debug, Clone, PartialEq)]
-pub enum Response {
+pub enum Response<'a> {
     /// Outcome and coverage trace of one processed packet.
     Process(Outcome, SparseTrace),
-    /// Per-packet summaries and traces of one processed window.
-    Batch(Vec<(OutcomeSummary, SparseTrace)>),
+    /// Per-packet summaries and traces of one processed window. Servers
+    /// write it record by record with [`Response::begin_batch`] and
+    /// [`Response::push_record`].
+    Batch(Records<'a>),
     /// Acknowledges a [`Request::Reset`].
     ResetDone,
 }
 
-fn put_bytes(out: &mut Vec<u8>, bytes: &[u8]) {
-    let len = u32::try_from(bytes.len()).expect("wire payloads fit in u32");
+/// The records of a [`Response::Batch`], undecoded: [`Response::decode`]
+/// reads only their count, and [`decode_into`](Records::decode_into)
+/// checks each record as it decodes it into the caller's buffer.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Records<'a> {
+    len: usize,
+    bytes: &'a [u8],
+}
+
+impl Records<'_> {
+    /// Number of records the reply announces.
+    #[must_use]
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// `true` for the reply to an empty window.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Decodes every record into `out` (rewound first), in execution order,
+    /// re-interning fault sites.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`WireError`] on a truncated or malformed record, on a
+    /// trace whose slots are not strictly ascending or that holds a zero
+    /// count, and on bytes after the last record; `out` then holds the
+    /// records before the bad one.
+    pub fn decode_into(&self, out: &mut WindowResults) -> Result<(), WireError> {
+        out.begin();
+        let mut reader = Reader::new(self.bytes);
+        for _ in 0..self.len {
+            let summary = reader.summary()?;
+            if !out.record_hits(summary, reader.hits()?) {
+                return Err(UNSORTED_TRACE);
+            }
+        }
+        reader.finish()
+    }
+}
+
+/// The error of a trace that is not in snapshot form.
+const UNSORTED_TRACE: WireError =
+    WireError("trace slots not strictly ascending, or a zero hit count");
+
+fn put_len(out: &mut Vec<u8>, len: usize) {
+    let len = u32::try_from(len).expect("wire lengths fit in u32");
     out.extend_from_slice(&len.to_le_bytes());
+}
+
+fn put_bytes(out: &mut Vec<u8>, bytes: &[u8]) {
+    put_len(out, bytes.len());
     out.extend_from_slice(bytes);
 }
 
 fn put_trace(out: &mut Vec<u8>, trace: &SparseTrace) {
-    let hits = u32::try_from(trace.edges_hit()).expect("trace fits in u32");
-    out.extend_from_slice(&hits.to_le_bytes());
-    for (slot, count) in trace.iter_hits() {
-        out.extend_from_slice(&(slot as u16).to_le_bytes());
+    put_len(out, trace.edges_hit());
+    for &(slot, count) in trace.hits() {
+        out.extend_from_slice(&slot.to_le_bytes());
         out.push(count);
     }
 }
@@ -403,21 +554,24 @@ impl<'a> Reader<'a> {
     }
 
     fn u32(&mut self) -> Result<u32, WireError> {
-        let raw = self
-            .bytes
-            .get(self.at..self.at + 4)
-            .ok_or(WireError("truncated message"))?;
-        self.at += 4;
+        let raw = self.take(4)?;
         Ok(u32::from_le_bytes(raw.try_into().expect("4 bytes")))
     }
 
     fn take(&mut self, len: usize) -> Result<&'a [u8], WireError> {
         let raw = self
             .bytes
-            .get(self.at..self.at + len)
+            .get(self.at..)
+            .and_then(|rest| rest.get(..len))
             .ok_or(WireError("truncated message"))?;
         self.at += len;
         Ok(raw)
+    }
+
+    fn rest(&mut self) -> &'a [u8] {
+        let rest = &self.bytes[self.at..];
+        self.at = self.bytes.len();
+        rest
     }
 
     fn bytes(&mut self) -> Result<&'a [u8], WireError> {
@@ -429,12 +583,22 @@ impl<'a> Reader<'a> {
         std::str::from_utf8(self.bytes()?).map_err(|_| WireError("non-UTF-8 string"))
     }
 
-    fn trace(&mut self) -> Result<SparseTrace, WireError> {
+    /// A trace's `(slot, hit count)` pairs, as they lie in the payload.
+    fn hits(&mut self) -> Result<impl Iterator<Item = (u16, u8)> + 'a, WireError> {
         let hits = self.u32()? as usize;
-        let raw = self.take(hits * 3)?;
-        Ok(SparseTrace::from_hits(raw.chunks_exact(3).map(|hit| {
-            (u16::from_le_bytes([hit[0], hit[1]]), hit[2])
-        })))
+        let raw = self.take(hits.checked_mul(3).ok_or(WireError("truncated message"))?)?;
+        Ok(raw
+            .chunks_exact(3)
+            .map(|hit| (u16::from_le_bytes([hit[0], hit[1]]), hit[2])))
+    }
+
+    fn trace(&mut self) -> Result<SparseTrace, WireError> {
+        let mut trace = SparseTrace::new();
+        if trace.assign_hits(self.hits()?) {
+            Ok(trace)
+        } else {
+            Err(UNSORTED_TRACE)
+        }
     }
 
     fn fault(&mut self) -> Result<Fault, WireError> {
@@ -477,52 +641,67 @@ impl<'a> Reader<'a> {
     }
 }
 
-impl Request {
+impl<'a> Request<'a> {
     /// Serialises the request into a message payload.
     pub fn encode_into(&self, out: &mut Vec<u8>) {
-        out.clear();
-        match self {
+        match *self {
             Request::Process(packet) => {
+                out.clear();
                 out.push(REQ_PROCESS);
                 put_bytes(out, packet);
             }
-            Request::Batch { sink, packets } => {
-                out.push(REQ_BATCH);
-                out.push(match sink {
-                    DecodeSink::Full => 0,
-                    DecodeSink::Summary => 1,
-                });
-                let count = u32::try_from(packets.len()).expect("window fits in u32");
-                out.extend_from_slice(&count.to_le_bytes());
-                for packet in packets {
-                    put_bytes(out, packet);
-                }
+            Request::Batch { sink, packets } => Self::encode_batch(sink, packets.iter(), out),
+            Request::Reset => {
+                out.clear();
+                out.push(REQ_RESET);
             }
-            Request::Reset => out.push(REQ_RESET),
         }
     }
 
-    /// Deserialises a request from a message payload.
+    /// Serialises a [`Request::Batch`] of `packets` into a message payload,
+    /// copying each packet once, straight from the caller's slices.
+    pub fn encode_batch<'p>(
+        sink: DecodeSink,
+        packets: impl ExactSizeIterator<Item = &'p [u8]>,
+        out: &mut Vec<u8>,
+    ) {
+        out.clear();
+        out.push(REQ_BATCH);
+        out.push(match sink {
+            DecodeSink::Full => 0,
+            DecodeSink::Summary => 1,
+        });
+        put_len(out, packets.len());
+        for packet in packets {
+            put_bytes(out, packet);
+        }
+    }
+
+    /// Deserialises a request from a message payload, borrowing its packets.
     ///
     /// # Errors
     ///
     /// Returns a [`WireError`] on truncated or malformed payloads.
-    pub fn decode(payload: &[u8]) -> Result<Self, WireError> {
+    pub fn decode(payload: &'a [u8]) -> Result<Self, WireError> {
         let mut reader = Reader::new(payload);
         let request = match reader.u8()? {
-            REQ_PROCESS => Request::Process(reader.bytes()?.to_vec()),
+            REQ_PROCESS => Request::Process(reader.bytes()?),
             REQ_BATCH => {
                 let sink = match reader.u8()? {
                     0 => DecodeSink::Full,
                     1 => DecodeSink::Summary,
                     _ => return Err(WireError("unknown decode sink")),
                 };
-                let count = reader.u32()? as usize;
-                let mut packets = Vec::with_capacity(count.min(1 << 16));
-                for _ in 0..count {
-                    packets.push(reader.bytes()?.to_vec());
+                let len = reader.u32()? as usize;
+                let first = reader.at;
+                for _ in 0..len {
+                    reader.bytes()?;
                 }
-                Request::Batch { sink, packets }
+                let bytes = &payload[first..reader.at];
+                Request::Batch {
+                    sink,
+                    packets: Packets { len, bytes },
+                }
             }
             REQ_RESET => Request::Reset,
             _ => return Err(WireError("unknown request tag")),
@@ -532,35 +711,52 @@ impl Request {
     }
 }
 
-impl Response {
+impl<'a> Response<'a> {
     /// Serialises the response into a message payload.
     pub fn encode_into(&self, out: &mut Vec<u8>) {
-        out.clear();
         match self {
             Response::Process(outcome, trace) => {
+                out.clear();
                 out.push(RESP_PROCESS);
                 put_outcome(out, outcome);
                 put_trace(out, trace);
             }
             Response::Batch(records) => {
-                out.push(RESP_BATCH);
-                let count = u32::try_from(records.len()).expect("window fits in u32");
-                out.extend_from_slice(&count.to_le_bytes());
-                for (summary, trace) in records {
-                    put_summary(out, *summary);
-                    put_trace(out, trace);
-                }
+                Self::begin_batch(records.len, out);
+                out.extend_from_slice(records.bytes);
             }
-            Response::ResetDone => out.push(RESP_RESET),
+            Response::ResetDone => {
+                out.clear();
+                out.push(RESP_RESET);
+            }
         }
     }
 
-    /// Deserialises a response from a message payload.
+    /// Starts a [`Response::Batch`] of `len` records in `out` (cleared
+    /// first); exactly `len` [`push_record`](Response::push_record) calls
+    /// complete it.
+    pub fn begin_batch(len: usize, out: &mut Vec<u8>) {
+        out.clear();
+        out.push(RESP_BATCH);
+        put_len(out, len);
+    }
+
+    /// Appends one execution's record to a batch reply begun with
+    /// [`begin_batch`](Response::begin_batch).
+    pub fn push_record(summary: OutcomeSummary, trace: &SparseTrace, out: &mut Vec<u8>) {
+        put_summary(out, summary);
+        put_trace(out, trace);
+    }
+
+    /// Deserialises a response from a message payload. A batch reply's
+    /// records stay undecoded until [`Records::decode_into`].
     ///
     /// # Errors
     ///
-    /// Returns a [`WireError`] on truncated or malformed payloads.
-    pub fn decode(payload: &[u8]) -> Result<Self, WireError> {
+    /// Returns a [`WireError`] on truncated or malformed payloads, and on a
+    /// trace whose slots are not strictly ascending or that holds a zero
+    /// count.
+    pub fn decode(payload: &'a [u8]) -> Result<Self, WireError> {
         let mut reader = Reader::new(payload);
         let response = match reader.u8()? {
             RESP_PROCESS => {
@@ -569,14 +765,11 @@ impl Response {
                 Response::Process(outcome, trace)
             }
             RESP_BATCH => {
-                let count = reader.u32()? as usize;
-                let mut records = Vec::with_capacity(count.min(1 << 16));
-                for _ in 0..count {
-                    let summary = reader.summary()?;
-                    let trace = reader.trace()?;
-                    records.push((summary, trace));
-                }
-                Response::Batch(records)
+                let len = reader.u32()? as usize;
+                return Ok(Response::Batch(Records {
+                    len,
+                    bytes: reader.rest(),
+                }));
             }
             RESP_RESET => Response::ResetDone,
             _ => return Err(WireError("unknown response tag")),
@@ -619,7 +812,7 @@ mod tests {
         assert_eq!(framed.len(), big.len() + 3 * TPKT_HEADER);
         let mut reassembler = FrameReassembler::new(WireFraming::Tpkt);
         reassembler.push(&framed);
-        assert_eq!(reassembler.next_message().unwrap().as_deref(), Some(&big[..]));
+        assert_eq!(reassembler.next_message().unwrap(), Some(&big[..]));
     }
 
     /// The stateless RFC 1006 header oracle, written independently of the
@@ -668,34 +861,46 @@ mod tests {
 
     #[test]
     fn request_codec_round_trips() {
-        let requests = [
-            Request::Process(vec![1, 2, 3]),
-            Request::Process(Vec::new()),
-            Request::Batch {
-                sink: DecodeSink::Summary,
-                packets: vec![vec![0xFF; 9], Vec::new(), vec![7]],
-            },
-            Request::Reset,
-        ];
         let mut buffer = Vec::new();
-        for request in requests {
+        for request in [
+            Request::Process(&[1, 2, 3]),
+            Request::Process(&[]),
+            Request::Reset,
+        ] {
             request.encode_into(&mut buffer);
             assert_eq!(Request::decode(&buffer), Ok(request));
         }
+        let packets: [&[u8]; 3] = [&[0xFF; 9], &[], &[7]];
+        Request::encode_batch(DecodeSink::Summary, packets.iter().copied(), &mut buffer);
+        let request = Request::decode(&buffer).expect("valid payload");
+        let Request::Batch {
+            sink,
+            packets: decoded,
+        } = request
+        else {
+            panic!("expected a batch request, got {request:?}");
+        };
+        assert_eq!(sink, DecodeSink::Summary);
+        assert!(decoded.iter().eq(packets), "packets lent in order");
+        let mut again = Vec::new();
+        request.encode_into(&mut again);
+        assert_eq!(again, buffer);
+    }
+
+    fn trace(pairs: &[(u16, u8)]) -> SparseTrace {
+        let mut trace = SparseTrace::new();
+        assert!(trace.assign_hits(pairs.iter().copied()));
+        trace
     }
 
     #[test]
     fn response_codec_round_trips_and_reinterns_fault_sites() {
         let fault = Fault::new(FaultKind::HeapUseAfterFree, intern_site("mms.c:parse"));
-        let trace = SparseTrace::from_hits([(3, 1), (9, 200), (65_000, 2)]);
+        let trace = trace(&[(3, 1), (9, 200), (65_000, 2)]);
         let responses = [
             Response::Process(Outcome::Response(vec![5, 6]), trace.clone()),
             Response::Process(Outcome::ProtocolError("bad frame".into()), SparseTrace::new()),
             Response::Process(Outcome::Fault(fault), trace.clone()),
-            Response::Batch(vec![
-                (OutcomeSummary::Response, trace.clone()),
-                (OutcomeSummary::Fault(fault), SparseTrace::new()),
-            ]),
             Response::ResetDone,
         ];
         let mut buffer = Vec::new();
@@ -709,6 +914,58 @@ mod tests {
                 assert!(std::ptr::eq(decoded_fault.site, fault.site));
             }
         }
+        let records = [
+            (OutcomeSummary::Response, trace.clone()),
+            (OutcomeSummary::Fault(fault), SparseTrace::new()),
+        ];
+        Response::begin_batch(records.len(), &mut buffer);
+        for (summary, trace) in &records {
+            Response::push_record(*summary, trace, &mut buffer);
+        }
+        let Ok(Response::Batch(batch)) = Response::decode(&buffer) else {
+            panic!("expected a batch reply");
+        };
+        let mut window = WindowResults::new();
+        batch.decode_into(&mut window).expect("valid records");
+        let decoded: Vec<(OutcomeSummary, SparseTrace)> =
+            window.iter().map(|(s, t)| (*s, t.clone())).collect();
+        assert_eq!(decoded, records);
+        let Some((OutcomeSummary::Fault(decoded_fault), _)) = window.iter().next_back() else {
+            panic!("the last record is the fault");
+        };
+        assert!(std::ptr::eq(decoded_fault.site, fault.site));
+    }
+
+    #[test]
+    fn reply_decoding_refuses_traces_it_would_have_to_repair() {
+        // A trace crosses the wire in snapshot form; anything else is a
+        // corrupted reply, not a trace to sort or filter.
+        for hits in [&[(9u16, 1u8), (3, 1)][..], &[(3, 1), (3, 2)], &[(3, 0)]] {
+            let mut trace = Vec::new();
+            put_len(&mut trace, hits.len());
+            for &(slot, count) in hits {
+                trace.extend_from_slice(&slot.to_le_bytes());
+                trace.push(count);
+            }
+            let mut payload = vec![RESP_PROCESS, 1];
+            put_bytes(&mut payload, b"");
+            payload.extend_from_slice(&trace);
+            assert_eq!(Response::decode(&payload), Err(UNSORTED_TRACE), "{hits:?}");
+            let mut batch = Vec::new();
+            Response::begin_batch(1, &mut batch);
+            batch.push(0);
+            batch.extend_from_slice(&trace);
+            let Ok(Response::Batch(records)) = Response::decode(&batch) else {
+                panic!("a batch header decodes on its own");
+            };
+            let mut window = WindowResults::new();
+            assert_eq!(
+                records.decode_into(&mut window),
+                Err(UNSORTED_TRACE),
+                "{hits:?}"
+            );
+            assert!(window.is_empty());
+        }
     }
 
     #[test]
@@ -719,9 +976,9 @@ mod tests {
         sender.send(&mut wire, b"second message").unwrap();
         let mut receiver = MessageStream::new(WireFraming::Tpkt);
         let mut cursor = io::Cursor::new(wire);
-        assert_eq!(receiver.recv(&mut cursor).unwrap().as_deref(), Some(&b"first"[..]));
+        assert_eq!(receiver.recv(&mut cursor).unwrap(), Some(&b"first"[..]));
         assert_eq!(
-            receiver.recv(&mut cursor).unwrap().as_deref(),
+            receiver.recv(&mut cursor).unwrap(),
             Some(&b"second message"[..])
         );
         assert_eq!(receiver.recv(&mut cursor).unwrap(), None, "clean EOF");

@@ -11,8 +11,11 @@ use std::io::Cursor;
 
 use proptest::prelude::*;
 
-use peachstar_protocols::wire::{FrameReassembler, MessageStream, WireFraming};
-use peachstar_protocols::TargetId;
+use peachstar_coverage::{EdgeId, SparseTrace, TraceContext};
+use peachstar_protocols::wire::{FrameReassembler, MessageStream, Request, Response, WireFraming};
+use peachstar_protocols::{
+    intern_site, DecodeSink, Fault, FaultKind, Outcome, OutcomeSummary, TargetId, WindowResults,
+};
 
 // Shared with `decoder_framing.rs`; only the TPKT/COTP check is used here.
 #[allow(dead_code)]
@@ -30,7 +33,7 @@ fn reassemble(framing: WireFraming, chunks: &[&[u8]]) -> Vec<Vec<u8>> {
     for chunk in chunks {
         reassembler.push(chunk);
         while let Some(message) = reassembler.next_message().expect("well-formed stream") {
-            messages.push(message);
+            messages.push(message.to_vec());
         }
     }
     assert!(
@@ -83,8 +86,136 @@ fn reassembler_rejects_corrupted_tpkt_headers() {
     }
 }
 
+/// The trace of an execution that walked `edges`.
+fn trace_of(edges: &[u16]) -> SparseTrace {
+    let mut ctx = TraceContext::new();
+    for &edge in edges {
+        ctx.edge(EdgeId::new(u32::from(edge)));
+    }
+    ctx.trace().to_sparse()
+}
+
+/// A well-formed message of one of the six kinds (three requests, three
+/// replies), built from the drawn packets and edges by the encoders.
+fn well_formed(kind: u8, packets: &[Vec<u8>], edges: &[u16]) -> Vec<u8> {
+    let fault = Fault::new(
+        FaultKind::HeapBufferOverflow,
+        intern_site("wire_framing.rs:hostile"),
+    );
+    let first = packets.first().map_or(&[][..], Vec::as_slice);
+    let mut out = Vec::new();
+    match kind % 6 {
+        0 => Request::Process(first).encode_into(&mut out),
+        1 => Request::encode_batch(
+            DecodeSink::Summary,
+            packets.iter().map(Vec::as_slice),
+            &mut out,
+        ),
+        2 => Request::Reset.encode_into(&mut out),
+        3 => {
+            let outcome = match packets.len() % 3 {
+                0 => Outcome::Response(first.to_vec()),
+                1 => Outcome::ProtocolError(String::from_utf8_lossy(first).into_owned()),
+                _ => Outcome::Fault(fault),
+            };
+            Response::Process(outcome, trace_of(edges)).encode_into(&mut out);
+        }
+        4 => {
+            Response::begin_batch(packets.len(), &mut out);
+            for (i, packet) in packets.iter().enumerate() {
+                let summary = match packet.len() % 3 {
+                    0 => OutcomeSummary::Response,
+                    1 => OutcomeSummary::ProtocolError,
+                    _ => OutcomeSummary::Fault(fault),
+                };
+                Response::push_record(summary, &trace_of(&edges[i.min(edges.len())..]), &mut out);
+            }
+        }
+        _ => Response::ResetDone.encode_into(&mut out),
+    }
+    out
+}
+
+/// Decodes `message` as a request; when it is accepted, it must re-encode
+/// to its own bytes.
+fn request_accepts(message: &[u8]) -> bool {
+    let Ok(request) = Request::decode(message) else {
+        return false;
+    };
+    let mut again = Vec::new();
+    request.encode_into(&mut again);
+    assert_eq!(again, message, "{request:?} re-encodes to other bytes");
+    true
+}
+
+/// Decodes `message` as a reply, a batch reply's records included; when it
+/// is accepted, it must re-encode to its own bytes.
+fn reply_accepts(message: &[u8]) -> bool {
+    let mut again = Vec::new();
+    match Response::decode(message) {
+        Err(_) => return false,
+        Ok(Response::Batch(records)) => {
+            let mut window = WindowResults::new();
+            if records.decode_into(&mut window).is_err() {
+                return false;
+            }
+            Response::begin_batch(window.len(), &mut again);
+            for (summary, trace) in window.iter() {
+                Response::push_record(*summary, trace, &mut again);
+            }
+        }
+        Ok(reply) => reply.encode_into(&mut again),
+    }
+    assert_eq!(
+        again, message,
+        "an accepted reply re-encodes to other bytes"
+    );
+    true
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// Hostile bytes never make the request or the reply decoder panic, and
+    /// every message either accepts re-encodes to its own bytes. A reply's
+    /// trace is accepted only in snapshot form, so a corrupted one cannot
+    /// decode into a different trace. The inputs are well-formed messages
+    /// of every kind — accepted untouched — then flipped, cut, extended or
+    /// replaced by drawn bytes behind a valid tag, so both the accepting and
+    /// the refusing paths run.
+    #[test]
+    fn decoders_survive_hostile_bytes_and_accepted_messages_re_encode(
+        kind in any::<u8>(),
+        edit in any::<u8>(),
+        at in any::<usize>(),
+        byte in any::<u8>(),
+        packets in proptest::collection::vec(
+            proptest::collection::vec(any::<u8>(), 0..12),
+            0..5,
+        ),
+        edges in proptest::collection::vec(any::<u16>(), 0..12),
+        raw in proptest::collection::vec(any::<u8>(), 0..48),
+    ) {
+        let mut message = well_formed(kind, &packets, &edges);
+        let is_request = kind % 6 < 3;
+        match edit % 5 {
+            0 => {
+                prop_assert!(
+                    if is_request { request_accepts(&message) } else { reply_accepts(&message) },
+                    "a well-formed message of kind {} is refused", kind % 6
+                );
+            }
+            1 => {
+                let at = at % message.len();
+                message[at] ^= byte.max(1);
+            }
+            2 => message.truncate(at % (message.len() + 1)),
+            3 => message.push(byte),
+            _ => message.splice(1.., raw).for_each(drop),
+        }
+        request_accepts(&message);
+        reply_accepts(&message);
+    }
 
     /// Frame → reassemble is the identity for arbitrary payloads under both
     /// framings, including the empty message.
@@ -190,7 +321,7 @@ proptest! {
             let mut receiver = MessageStream::new(framing);
             for payload in &payloads {
                 let received = receiver.recv(&mut reader).expect("in-memory recv");
-                prop_assert_eq!(received.as_ref(), Some(payload));
+                prop_assert_eq!(received, Some(&payload[..]));
             }
             prop_assert_eq!(
                 receiver.recv(&mut reader).expect("clean EOF"),

@@ -25,13 +25,23 @@
 //! merge barrier after every window runs 8 rounds and must not cost more:
 //! besides its exact pin, it is held to the one-round count as a ceiling,
 //! so a change that allocates per round again fails either way.
+//!
+//! The framed-TCP transport is measured as what it adds to the same inline
+//! campaign in process, counting both ends (the socket server's threads
+//! too), at `batch(1)` and at `batch(250)`. Once its buffers have grown, no
+//! exchange and no packet allocates at either end: the 2,000
+//! single-packet exchanges are held to the windowed campaign's count as a
+//! ceiling, and the windowed campaign to fewer allocations than it has
+//! executions. The two counts are not pinned: a connection's handler
+//! thread starts on its own time, and under load a few of its allocations
+//! fell outside the measurement.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::process::ExitCode;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 
 use peachstar::campaign::{
-    Campaign, CampaignConfig, CampaignReport, RunPlan, ShardConfig, ShardedCampaign,
+    Campaign, CampaignConfig, CampaignReport, RunPlan, ShardConfig, ShardedCampaign, TransportMode,
 };
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -130,6 +140,14 @@ fn inline(config: CampaignConfig) -> u64 {
     campaign(|| Campaign::new(TargetId::Modbus.create(), config).run())
 }
 
+/// What the wire adds to an inline campaign: its allocations over a framed
+/// loopback TCP connection beyond the same campaign in process. Both sides
+/// count, the socket server's threads included.
+fn wire(config: CampaignConfig) -> u64 {
+    let over_tcp = inline(config.transport(TransportMode::FramedTcp));
+    over_tcp.saturating_sub(inline(config))
+}
+
 /// The Peach campaign on the worker topology.
 fn one_worker(shard: ShardConfig) -> u64 {
     campaign(|| {
@@ -211,6 +229,10 @@ fn main() -> ExitCode {
     });
     std::fs::remove_dir_all(&rotation).ok();
     let (observed, puzzles, queued) = valuable_observes();
+    // Last, so that no server thread of theirs can still be allocating
+    // while an exact pin is measured.
+    let peach_wire_batch_1 = wire(config(StrategyKind::Peach).batch(1));
+    let peach_wire_batch_250 = wire(config(StrategyKind::Peach).batch(250));
 
     let pins = [
         ("peach_unbatched", peach_unbatched, PEACH_UNBATCHED),
@@ -267,6 +289,20 @@ fn main() -> ExitCode {
             "peach_one_worker_8_rounds_within_1_round",
             peach_one_worker_8_rounds,
             peach_one_worker,
+        ),
+        // No exchange allocates, so 2,000 single-packet exchanges (and 8
+        // resets) cost the wire no more than 9 windows of up to 250.
+        (
+            "peach_wire_batch_1_within_batch_250",
+            peach_wire_batch_1,
+            peach_wire_batch_250,
+        ),
+        // Nor does any packet: the wire adds fewer allocations than the
+        // campaign has executions.
+        (
+            "peach_wire_batch_250_within_the_executions",
+            peach_wire_batch_250,
+            2_000,
         ),
     ];
     let checks = pins

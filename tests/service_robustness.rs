@@ -283,6 +283,52 @@ fn a_flapping_server_yields_the_healthy_report_at_equal_budget() {
 }
 
 #[test]
+fn a_flapping_server_yields_the_healthy_report_when_drops_land_mid_window() {
+    // Batched, each window of 250 crosses as a reset plus four 64-packet
+    // chunks, so a replayed journal holds several multi-packet exchanges:
+    // every 8th frame drops the third chunk of window 2 (two exchanges,
+    // 128 packets, journalled), the fourth chunk of window 3 (three, 192)
+    // and the reset before the last window (four, 250).
+    let cfg = config(3).batch(64);
+    let healthy = deterministic(&Campaign::new(TargetId::Iec104.create(), cfg).run());
+    let flapping = cfg
+        .transport(TransportMode::FramedTcp)
+        .reconnect(ReconnectPolicy::immediate(5))
+        .wire_chaos(WireChaos::drop_every(8).limit(3));
+    let report = Campaign::new(TargetId::Iec104.create(), flapping).run();
+    assert_eq!(report.executions, cfg.executions);
+    assert_eq!(healthy, deterministic(&report), "flapping wire changed the campaign");
+}
+
+#[test]
+fn an_exhausted_connection_on_the_inline_engine_keeps_one_record_per_packet() {
+    // The inline engine contains an exhausted reconnect budget like any
+    // target panic: the chunk's first packet records the connection-loss
+    // fault and the rest run packet by packet on a rebuilt connection. The
+    // dropped frame carries the third 50-packet chunk (executions
+    // 101–150), so a window buffer still holding the second chunk's
+    // records would give the engine 51 records for 50 packets.
+    let cfg = config(13).batch(50);
+    let chaotic = cfg
+        .reconnect(ReconnectPolicy::immediate(2))
+        .wire_chaos(WireChaos::drop_every(3).limit(1).reject_after_drop(2))
+        .transport(TransportMode::FramedTcp);
+    let report = Campaign::new(TargetId::Modbus.create(), chaotic).run();
+    assert_eq!(report.executions, cfg.executions);
+    assert_eq!(
+        report.responses + report.protocol_errors + report.fault_hits,
+        cfg.executions,
+        "one outcome per execution"
+    );
+    let lost = report
+        .bugs
+        .iter()
+        .find(|bug| bug.fault.site.starts_with("framed-tcp transport: connection lost"))
+        .expect("the budget is exhausted once");
+    assert_eq!(lost.first_execution, 101);
+}
+
+#[test]
 fn an_exhausted_connection_degrades_onto_the_survivors() {
     // One of two connections hits a server-side drop whose follow-up
     // accept-and-close rejections outlast its reconnect budget: the
