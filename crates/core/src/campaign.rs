@@ -819,64 +819,6 @@ pub fn run_repetitions_shared(
     (CoverageSeries::average(&series), reports)
 }
 
-/// Measures how many executions each fuzzer needs to reach the final path
-/// count the baseline achieves — the "same code coverage at 1.2X–25X speed"
-/// comparison of the paper.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SpeedComparison {
-    /// Paths the baseline reached with the full budget.
-    pub baseline_paths: usize,
-    /// Executions the baseline needed to first reach that count.
-    pub baseline_executions: u64,
-    /// Executions Peach\* needed to reach the same count (`None` when it
-    /// never did within the budget).
-    pub peachstar_executions: Option<u64>,
-}
-
-impl SpeedComparison {
-    /// The speed-up factor (baseline executions / Peach\* executions).
-    #[must_use]
-    pub fn speedup(&self) -> Option<f64> {
-        self.peachstar_executions
-            .map(|execs| self.baseline_executions as f64 / execs.max(1) as f64)
-    }
-}
-
-/// Runs both fuzzers against fresh instances of the same target and compares
-/// how quickly they reach the baseline's final coverage.
-#[must_use]
-pub fn speed_to_coverage(
-    make_target: impl Fn() -> Box<dyn Target>,
-    config: CampaignConfig,
-) -> SpeedComparison {
-    let baseline_report = Campaign::new(
-        make_target(),
-        CampaignConfig {
-            strategy: StrategyKind::Peach,
-            ..config
-        },
-    )
-    .run();
-    let peachstar_report = Campaign::new(
-        make_target(),
-        CampaignConfig {
-            strategy: StrategyKind::PeachStar,
-            ..config
-        },
-    )
-    .run();
-
-    let baseline_paths = baseline_report.final_paths();
-    SpeedComparison {
-        baseline_paths,
-        baseline_executions: baseline_report
-            .series
-            .executions_to_reach(baseline_paths)
-            .unwrap_or(config.executions),
-        peachstar_executions: peachstar_report.series.executions_to_reach(baseline_paths),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -938,19 +880,6 @@ mod tests {
         );
         assert_eq!(reports.len(), 3);
         assert!(!series.is_empty());
-    }
-
-    #[test]
-    fn speed_comparison_reports_a_speedup() {
-        let comparison = speed_to_coverage(
-            || TargetId::Modbus.create(),
-            small_config(StrategyKind::Peach).executions(4_000),
-        );
-        assert!(comparison.baseline_paths > 0);
-        assert!(comparison.baseline_executions > 0);
-        if let Some(speedup) = comparison.speedup() {
-            assert!(speedup > 0.0);
-        }
     }
 
     #[test]

@@ -2,7 +2,7 @@
 
 use std::time::Duration;
 
-use peachstar_coverage::{TraceContext, TraceMap};
+use peachstar_coverage::TraceContext;
 use peachstar_protocols::containment::{contained, contained_step, panic_fault};
 use peachstar_protocols::{DecodeSink, Outcome, Target, WindowResults};
 
@@ -64,21 +64,26 @@ impl ResetPolicy {
 /// [`TraceContext`] (reset clears only the slots the previous execution
 /// dirtied), and a [`ResetPolicy`] deciding when session state is wiped.
 ///
-/// Campaigns never touch the target directly: the inline topology runs
-/// every window through one executor, and every worker of the worker
-/// topology owns one.
+/// Packets reach the target only in reset-aligned windows
+/// ([`execute_window`](TargetExecutor::execute_window)). Campaigns never
+/// touch the target directly: the inline topology runs every window through
+/// one executor, and every worker of the worker topology owns one.
 ///
 /// # Example
 ///
 /// ```
 /// use peachstar::engine::TargetExecutor;
-/// use peachstar_protocols::TargetId;
+/// use peachstar_protocols::{OutcomeSummary, TargetId, WindowResults};
 ///
-/// // Reset the Modbus target's session state every 100 executions.
+/// // Reset the Modbus target's session state every 100 executions, so
+/// // executions 1..=99 may run as one window.
 /// let mut executor = TargetExecutor::new(TargetId::Modbus.create(), 100);
 /// let request = [0x00, 0x01, 0x00, 0x00, 0x00, 0x06, 0x01, 0x03, 0x00, 0x00, 0x00, 0x02];
-/// let (outcome, trace) = executor.execute(1, &request);
-/// assert!(outcome.response().is_some());
+/// let mut results = WindowResults::new();
+/// executor.execute_window(1, &[&request, &[0xFF], &request], &mut results);
+/// assert_eq!(results.len(), 3, "one record per packet");
+/// let (summary, trace) = results.iter().next().expect("the first record");
+/// assert_eq!(*summary, OutcomeSummary::Response);
 /// assert!(trace.edges_hit() > 0, "every execution is instrumented");
 /// ```
 ///
@@ -116,8 +121,8 @@ pub struct TargetExecutor {
     /// next execution starts from a reset whatever the policy says.
     reset_pending: bool,
     /// Armed by [`with_deadline`](TargetExecutor::with_deadline): executions
-    /// are delegated to the supervised worker, and `ctx` re-materialises
-    /// the sparse reply traces.
+    /// are delegated to the supervised worker, whose sparse reply traces are
+    /// recorded as they arrive.
     watchdog: Option<Watchdog>,
 }
 
@@ -199,64 +204,47 @@ impl std::fmt::Debug for TargetExecutor {
 }
 
 impl TargetExecutor {
-    /// Runs one packet as execution number `execution` (1-based): applies
-    /// the reset policy, feeds the packet to the target, restarts the target
-    /// after a fault, and returns the outcome together with the execution's
-    /// coverage trace.
-    pub fn execute(&mut self, execution: u64, packet: &[u8]) -> (Outcome, &TraceMap) {
-        let resets = self.take_reset(execution);
-        if let Some(watchdog) = &mut self.watchdog {
-            // Supervised mode: the worker thread owns the authoritative
-            // target and runs the same contained step as the in-thread path
-            // below; the reply trace is re-materialised into `ctx` so
-            // callers keep seeing a dense `TraceMap`.
-            let (outcome, trace) = watchdog.execute(resets, packet);
-            self.ctx.load_sparse(&trace);
-            return (outcome, self.ctx.trace());
-        }
-        if resets {
-            self.target.reset();
-        }
-        let outcome = contained_step(&mut self.target, self.spare.as_ref(), &mut self.ctx, packet);
-        (outcome, self.ctx.trace())
-    }
-
-    /// Runs one *window* of packets — executions `first_execution ..` in
-    /// order — in a single call, replacing `out`'s previous contents with
-    /// one `(summary, snapshot)` pair per packet: the window crosses into
-    /// the target once, through [`Target::process_batch`], instead of once
-    /// per execution.
+    /// Runs one reset-aligned *window* of packets — executions
+    /// `first_execution ..` in order — replacing `out`'s previous contents
+    /// with one `(summary, snapshot)` pair per packet. A reset the policy
+    /// puts before the first execution runs first; then the window crosses
+    /// into the target once, through [`Target::process_batch`]. Under the
+    /// watchdog it runs packet by packet on the supervised worker instead,
+    /// each packet under its own deadline.
     ///
-    /// The per-packet outcomes and traces are identical to calling
-    /// [`execute`](Self::execute) for each packet — batched campaigns are
-    /// required to be bit-identical to sequential ones.
+    /// Either way the records are those of one [`contained_step`] per
+    /// packet after the policy's resets — batched campaigns are required to
+    /// be bit-identical to sequential ones.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the policy resets before any execution of the window
+    /// but its first. Both topologies cut their windows at the policy's
+    /// resets, so no campaign gets here.
     pub fn execute_window(
         &mut self,
         first_execution: u64,
         packets: &[&[u8]],
         out: &mut WindowResults,
     ) {
-        // A window with a reset boundary strictly inside it cannot be handed
-        // to the target wholesale (the target would miss a mid-window
-        // reset); fall back to the per-execution path, which applies the
-        // policy at every step. Reset-aligned drivers never hit this branch.
-        // The supervised (watchdog) path is per-packet by construction: each
-        // execution needs its own deadline.
-        let interior_reset = (1..packets.len() as u64)
-            .any(|offset| self.policy.resets_before(first_execution + offset));
-        if interior_reset || self.watchdog.is_some() {
+        assert!(
+            !(1..packets.len() as u64)
+                .any(|offset| self.policy.resets_before(first_execution + offset)),
+            "executions {first_execution}..+{} cross a reset boundary",
+            packets.len()
+        );
+        let resets = self.take_reset(first_execution);
+        if let Some(watchdog) = &mut self.watchdog {
+            // The worker thread owns the authoritative target and runs one
+            // `contained_step` per packet, like the finish below.
             out.begin();
             for (offset, packet) in packets.iter().enumerate() {
-                let (outcome, trace) = self.execute(first_execution + offset as u64, packet);
-                out.record(&outcome, trace);
+                let (summary, trace) = watchdog.execute(resets && offset == 0, packet);
+                out.record_sparse(summary, &trace);
             }
             return;
         }
-        // The whole window runs inside one target call: the per-execution
-        // policy check collapses to a single window-start check, and the
-        // target's `process_batch` owns the packet loop — one virtual
-        // dispatch per window instead of one per packet.
-        if self.take_reset(first_execution) {
+        if resets {
             self.target.reset();
         }
         // Window results keep only outcome summaries and traces, so the
@@ -269,15 +257,15 @@ impl TargetExecutor {
             // The batch panicked while processing packet `out.len()` (every
             // `process_batch` implementation records incrementally): record
             // the synthetic fault with the partial trace of the panicking
-            // packet, rebuild the target, and finish the window on the
-            // per-execution path — which contains any further panics and is
-            // exactly what a sequential run of the same packets would do.
+            // packet, rebuild the target, and finish the window packet by
+            // packet — which contains any further panics and is exactly what
+            // a sequential run of the same packets would do.
             out.record(&Outcome::Fault(panic_fault(&message)), self.ctx.trace());
             self.target = self.spare.clone_fresh();
-            let completed = out.len();
-            for (offset, packet) in packets.iter().enumerate().skip(completed) {
-                let (outcome, trace) = self.execute(first_execution + offset as u64, packet);
-                out.record(&outcome, trace);
+            for packet in packets.iter().skip(out.len()) {
+                let outcome =
+                    contained_step(&mut self.target, self.spare.as_ref(), &mut self.ctx, packet);
+                out.record(&outcome, self.ctx.trace());
             }
         }
     }
@@ -286,7 +274,9 @@ impl TargetExecutor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use peachstar_protocols::TargetId;
+    use crate::engine::batch::windows_for_policy;
+    use peachstar_coverage::SparseTrace;
+    use peachstar_protocols::{OutcomeSummary, TargetId};
 
     #[test]
     fn interval_policy_matches_the_historic_reset_cadence() {
@@ -332,39 +322,82 @@ mod tests {
         assert_eq!(executor.policy(), ResetPolicy::Interval(100));
     }
 
+    /// The per-packet reference: from execution 1, the policy's reset
+    /// where it falls, then one `contained_step` per packet on a target from
+    /// `make`, as the paper's harness runs them.
+    fn per_packet(
+        make: impl Fn() -> Box<dyn Target>,
+        policy: ResetPolicy,
+        packets: &[&[u8]],
+    ) -> Vec<(OutcomeSummary, SparseTrace)> {
+        let (mut target, spare) = (make(), make());
+        let mut ctx = TraceContext::new();
+        (1..)
+            .zip(packets)
+            .map(|(execution, packet)| {
+                if policy.resets_before(execution) {
+                    target.reset();
+                }
+                let outcome = contained_step(&mut target, spare.as_ref(), &mut ctx, packet);
+                (OutcomeSummary::from(&outcome), ctx.trace().to_sparse())
+            })
+            .collect()
+    }
+
+    /// Runs `packets` from execution 1 through `executor`, one
+    /// `execute_window` call per window of the policy.
+    fn windowed(
+        executor: &mut TargetExecutor,
+        packets: &[&[u8]],
+    ) -> Vec<(OutcomeSummary, SparseTrace)> {
+        let mut results = WindowResults::new();
+        let mut records = Vec::new();
+        for (start, end) in windows_for_policy(packets.len() as u64, executor.policy()) {
+            let window = &packets[start as usize - 1..end as usize];
+            executor.execute_window(start, window, &mut results);
+            assert_eq!(results.len(), window.len(), "one record per packet");
+            records.extend(
+                results
+                    .iter()
+                    .map(|(summary, trace)| (*summary, trace.clone())),
+            );
+        }
+        records
+    }
+
+    const REQUEST: [u8; 12] = [
+        0x00, 0x01, 0x00, 0x00, 0x00, 0x06, 0x01, 0x03, 0x00, 0x00, 0x00, 0x02,
+    ];
+    const GARBAGE: [u8; 3] = [0xFF, 0x00, 0x01];
+
     #[test]
     fn execute_window_matches_the_per_execution_path() {
-        // Ground truth: the per-execution `execute` loop with its
-        // every-step reset-policy check. `execute_window` must match it both
-        // on reset-aligned windows (fast path: one `process_batch` call) and
-        // on windows with an interior reset boundary (fallback path).
-        let request = vec![0x00, 0x01, 0x00, 0x00, 0x00, 0x06, 0x01, 0x03, 0x00, 0x00, 0x00, 0x02];
-        let garbage = vec![0xFF, 0x00, 0x01];
-        let window: Vec<&[u8]> = vec![&request, &garbage, &request, &request, &garbage];
-        for first_execution in [1u64, 3, 6, 7] {
-            let mut reference = TargetExecutor::new(TargetId::Modbus.create(), 3);
-            let expected: Vec<_> = window
-                .iter()
-                .enumerate()
-                .map(|(offset, packet)| {
-                    let (outcome, trace) =
-                        reference.execute(first_execution + offset as u64, packet);
-                    (
-                        peachstar_protocols::OutcomeSummary::from(&outcome),
-                        trace.to_sparse(),
-                    )
-                })
-                .collect();
-
-            let mut batched = TargetExecutor::new(TargetId::Modbus.create(), 3);
-            let mut results = WindowResults::new();
-            batched.execute_window(first_execution, &window, &mut results);
-            assert_eq!(results.len(), window.len());
-            for (offset, (summary, trace)) in results.iter().enumerate() {
-                assert_eq!(*summary, expected[offset].0, "start {first_execution} offset {offset}");
-                assert_eq!(*trace, expected[offset].1, "start {first_execution} offset {offset}");
-            }
+        // Ground truth: the per-packet loop with its every-step reset-policy
+        // check. `execute_window` over the policy's windows (one
+        // `process_batch` call each) must match it packet for packet.
+        let packets: Vec<&[u8]> = (0..14)
+            .map(|i| {
+                if i % 3 == 1 {
+                    &GARBAGE[..]
+                } else {
+                    &REQUEST[..]
+                }
+            })
+            .collect();
+        for policy in [ResetPolicy::Interval(3), ResetPolicy::PerSession(4)] {
+            let expected = per_packet(|| TargetId::Modbus.create(), policy, &packets);
+            let mut executor = TargetExecutor::with_policy(TargetId::Modbus.create(), policy);
+            assert_eq!(windowed(&mut executor, &packets), expected, "{policy:?}");
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "cross a reset boundary")]
+    fn a_window_that_crosses_a_reset_panics() {
+        // Executions 2..=4 under a reset every 3 hold the reset before 3.
+        let mut executor = TargetExecutor::new(TargetId::Modbus.create(), 3);
+        let window: [&[u8]; 3] = [&REQUEST, &GARBAGE, &REQUEST];
+        executor.execute_window(2, &window, &mut WindowResults::new());
     }
 
     #[test]
@@ -375,22 +408,30 @@ mod tests {
         let target = Box::new(ChaosTarget::new(TargetId::Modbus.create_send(), chaos));
         let mut executor = TargetExecutor::new(target, 0);
         let packets: Vec<Vec<u8>> = (0u8..24).map(|i| vec![i, 0x68, i ^ 0x3C]).collect();
-        let mut panics = 0;
-        for (index, packet) in packets.iter().enumerate() {
-            let (outcome, _) = executor.execute(index as u64 + 1, packet);
-            if let Some(fault) = outcome.fault() {
-                if fault.kind == FaultKind::Panic {
-                    panics += 1;
-                    assert!(fault.site.starts_with("chaos: injected panic #"));
-                }
-            }
-        }
+        let window: Vec<&[u8]> = packets.iter().map(Vec::as_slice).collect();
+        let mut results = WindowResults::new();
+        executor.execute_window(1, &window, &mut results);
+        assert_eq!(
+            results.len(),
+            window.len(),
+            "a panic never cuts a window short"
+        );
+        let panics = results
+            .iter()
+            .filter_map(|(summary, _)| match summary {
+                OutcomeSummary::Fault(fault) if fault.kind == FaultKind::Panic => Some(fault),
+                _ => None,
+            })
+            .inspect(|fault| assert!(fault.site.starts_with("chaos: injected panic #")))
+            .count();
         assert!(panics > 0, "panic_every=2 must fire in 24 packets");
         // The executor survived every panic and still works.
-        let request = [0x00, 0x01, 0x00, 0x00, 0x00, 0x06, 0x01, 0x03, 0x00, 0x00, 0x00, 0x02];
-        let (outcome, trace) = executor.execute(100, &request);
-        assert!(outcome.fault().is_none_or(|f| f.kind == FaultKind::Panic));
-        assert!(trace.edges_hit() > 0 || outcome.is_fault());
+        executor.execute_window(100, &[&REQUEST], &mut results);
+        let (summary, trace) = results.iter().next().expect("one record");
+        assert!(match summary {
+            OutcomeSummary::Fault(fault) => fault.kind == FaultKind::Panic,
+            _ => trace.edges_hit() > 0,
+        });
     }
 
     #[test]
@@ -399,98 +440,75 @@ mod tests {
         // sequential contained path: same synthetic faults at the same
         // offsets, same traces for the surviving packets.
         use peachstar_protocols::chaos::{ChaosConfig, ChaosTarget};
-        let chaos = ChaosConfig::new(11).panic_every(3).garbage_every(5).sites(3);
-        let make = || {
-            Box::new(ChaosTarget::new(TargetId::Modbus.create_send(), chaos))
-                as Box<dyn peachstar_protocols::Target>
-        };
+        let chaos = ChaosConfig::new(11)
+            .panic_every(3)
+            .garbage_every(5)
+            .sites(3);
+        let make =
+            || Box::new(ChaosTarget::new(TargetId::Modbus.create_send(), chaos)) as Box<dyn Target>;
         let packets: Vec<Vec<u8>> = (0u8..16).map(|i| vec![i, i ^ 0x77]).collect();
         let window: Vec<&[u8]> = packets.iter().map(Vec::as_slice).collect();
-
-        let mut reference = TargetExecutor::new(make(), 0);
-        let expected: Vec<_> = window
-            .iter()
-            .enumerate()
-            .map(|(offset, packet)| {
-                let (outcome, trace) = reference.execute(offset as u64 + 1, packet);
-                (
-                    peachstar_protocols::OutcomeSummary::from(&outcome),
-                    trace.to_sparse(),
-                )
-            })
-            .collect();
-
+        let expected = per_packet(make, ResetPolicy::Interval(0), &window);
         let mut batched = TargetExecutor::new(make(), 0);
-        let mut results = WindowResults::new();
-        batched.execute_window(1, &window, &mut results);
-        assert_eq!(results.len(), window.len());
-        for (offset, (summary, trace)) in results.iter().enumerate() {
-            assert_eq!(*summary, expected[offset].0, "offset {offset}");
-            assert_eq!(*trace, expected[offset].1, "offset {offset}");
-        }
+        assert_eq!(windowed(&mut batched, &window), expected);
     }
 
     #[test]
     fn deadline_executor_matches_undeadlined_stream_when_nothing_hangs() {
         // Arming the watchdog must be observationally transparent for
-        // well-behaved targets: same outcomes, same traces.
-        let request = vec![0x00, 0x01, 0x00, 0x00, 0x00, 0x06, 0x01, 0x03, 0x00, 0x00, 0x00, 0x02];
-        let garbage = vec![0xFF, 0x00, 0x01];
-        let window: Vec<&[u8]> = vec![&request, &garbage, &request, &garbage, &request];
+        // well-behaved targets: same outcomes, same traces, window by
+        // window, resets included.
+        let packets: [&[u8]; 7] = [
+            &REQUEST,
+            &GARBAGE,
+            &REQUEST,
+            &GARBAGE,
+            &REQUEST,
+            &REQUEST,
+            &[],
+        ];
         let mut plain = TargetExecutor::new(TargetId::Iec104.create(), 3);
         let mut supervised = TargetExecutor::new(TargetId::Iec104.create(), 3)
             .with_deadline(Duration::from_secs(10));
         assert_eq!(supervised.deadline(), Some(Duration::from_secs(10)));
-        for (offset, packet) in window.iter().enumerate() {
-            let execution = offset as u64 + 1;
-            let (expected, expected_trace) = plain.execute(execution, packet);
-            let expected_trace = expected_trace.to_sparse();
-            let (actual, actual_trace) = supervised.execute(execution, packet);
-            assert_eq!(expected, actual, "execution {execution}");
-            assert_eq!(expected_trace, actual_trace.to_sparse(), "execution {execution}");
-        }
-        // The windowed entry point agrees too (it goes per-packet under a
-        // deadline).
-        let mut plain = TargetExecutor::new(TargetId::Iec104.create(), 3);
-        let mut supervised = TargetExecutor::new(TargetId::Iec104.create(), 3)
-            .with_deadline(Duration::from_secs(10));
-        let mut expected = WindowResults::new();
-        let mut actual = WindowResults::new();
-        plain.execute_window(4, &window, &mut expected);
-        supervised.execute_window(4, &window, &mut actual);
-        let expected: Vec<_> = expected.iter().map(|(s, t)| (*s, t.clone())).collect();
-        let actual: Vec<_> = actual.iter().map(|(s, t)| (*s, t.clone())).collect();
-        assert_eq!(expected, actual);
+        assert_eq!(
+            windowed(&mut supervised, &packets),
+            windowed(&mut plain, &packets)
+        );
     }
 
     #[test]
     fn deadline_executor_converts_hangs_into_faults() {
         use peachstar_protocols::chaos::{ChaosConfig, ChaosTarget};
-        use peachstar_protocols::FaultKind;
+        use peachstar_protocols::{Fault, FaultKind};
         let chaos = ChaosConfig::new(0)
             .panic_every(0)
             .garbage_every(0)
             .hang_every(1)
             .hang_ms(2_000);
         let target = Box::new(ChaosTarget::new(TargetId::Modbus.create_send(), chaos));
-        let mut executor =
-            TargetExecutor::new(target, 0).with_deadline(Duration::from_millis(25));
-        let (outcome, trace) = executor.execute(1, &[0x01]);
-        assert_eq!(outcome.fault().map(|f| f.kind), Some(FaultKind::Hang));
+        let mut executor = TargetExecutor::new(target, 0).with_deadline(Duration::from_millis(25));
+        let mut results = WindowResults::new();
+        executor.execute_window(1, &[&[0x01]], &mut results);
+        let (summary, trace) = results.iter().next().expect("one record");
+        let hang = Fault::new(FaultKind::Hang, crate::engine::supervisor::HANG_SITE);
+        assert_eq!(*summary, OutcomeSummary::Fault(hang));
         assert!(trace.is_empty());
     }
 
     #[test]
     fn execute_records_a_trace() {
         let mut executor = TargetExecutor::new(TargetId::Modbus.create(), 0);
-        let request = [
-            0x00, 0x01, 0x00, 0x00, 0x00, 0x06, 0x01, 0x03, 0x00, 0x00, 0x00, 0x02,
-        ];
-        let (outcome, trace) = executor.execute(1, &request);
-        assert!(outcome.response().is_some());
-        assert!(trace.edges_hit() > 0);
+        let mut results = WindowResults::new();
+        executor.execute_window(1, &[&REQUEST, &[]], &mut results);
+        let records: Vec<_> = results.iter().collect();
+        assert_eq!(*records[0].0, OutcomeSummary::Response);
+        assert!(records[0].1.edges_hit() > 0);
         // The next execution starts from a clean trace.
-        let (_, trace) = executor.execute(2, &[]);
-        assert!(trace.edges_hit() > 0, "rejection path is instrumented");
+        assert_ne!(records[1].1, records[0].1);
+        assert!(
+            records[1].1.edges_hit() > 0,
+            "rejection path is instrumented"
+        );
     }
 }

@@ -282,8 +282,9 @@ fn run_window(runner: &mut Runner, chunk: usize, window: &mut Window) -> bool {
         }
         true
     });
-    // Outside a contained `process`, a lost connection surfaces as an
-    // uncontained panic: in the window-start reset or in a rebuild.
+    // Outside a contained `process_batch`, a lost connection surfaces as an
+    // uncontained panic: in the window-start reset (a worker clone's first
+    // dial among them) or in a rebuild.
     match attempt {
         Ok(completed) => completed,
         Err(message) if degradable && is_connection_loss(&message) => false,
@@ -367,9 +368,11 @@ pub(crate) struct WorkerPool {
 impl WorkerPool {
     /// `workers` (at least 1) workers under `policy`, with the dispatch
     /// chunk and watchdog deadline `config` asks for. The first worker runs
-    /// `target` itself and the others fresh clones of it, so a framed-TCP
-    /// campaign opens no connection it does not execute on (besides each
-    /// executor's spare). Windows are allocated by the first round.
+    /// `target` itself and the others fresh clones of it. A framed-TCP
+    /// clone dials at its first exchange, so a campaign opens no connection
+    /// it does not execute on, and an unreachable server meets a clone
+    /// inside its first window's containment. Windows are allocated by the
+    /// first round.
     pub(crate) fn new(
         target: Box<dyn Target>,
         policy: ResetPolicy,

@@ -7,15 +7,16 @@
 //! channel is dropped, the worker thread is left to finish (or sleep
 //! forever) detached, and a fresh worker is built from the pristine factory
 //! target — and recorded as a [`FaultKind::Hang`] fault. The worker runs
-//! the same [`contained_step`] the in-thread executor runs, so a supervised
-//! campaign in which nothing hangs is bit-identical to an unsupervised one.
+//! one [`contained_step`] per packet, whose records the in-thread
+//! executor's windows reproduce, so a supervised campaign in which nothing
+//! hangs is bit-identical to an unsupervised one.
 
 use std::sync::mpsc::{self, RecvTimeoutError};
 use std::thread;
 use std::time::Duration;
 
 use peachstar_coverage::{SparseTrace, TraceContext};
-use peachstar_protocols::{Fault, FaultKind, Outcome, Target};
+use peachstar_protocols::{Fault, FaultKind, OutcomeSummary, Target};
 
 use peachstar_protocols::containment::contained_step;
 
@@ -31,7 +32,8 @@ struct Job {
     reset_before: bool,
 }
 
-type Reply = (Outcome, SparseTrace);
+/// One execution's outcome summary and trace, as a window records them.
+type Reply = (OutcomeSummary, SparseTrace);
 
 struct WatchdogWorker {
     jobs: mpsc::Sender<Job>,
@@ -76,7 +78,8 @@ fn spawn_worker(factory: &dyn Target) -> WatchdogWorker {
                     target.reset();
                 }
                 let outcome = contained_step(&mut target, spare.as_ref(), &mut ctx, &job.packet);
-                if replies_tx.send((outcome, ctx.trace().to_sparse())).is_err() {
+                let reply = (OutcomeSummary::from(&outcome), ctx.trace().to_sparse());
+                if replies_tx.send(reply).is_err() {
                     // The supervisor abandoned us (deadline missed on an
                     // earlier packet) — nothing left to do.
                     return;
@@ -130,7 +133,7 @@ impl Watchdog {
                     // lets the worker exit whenever (if ever) it comes back.
                     self.worker = None;
                     return (
-                        Outcome::Fault(Fault::new(FaultKind::Hang, HANG_SITE)),
+                        OutcomeSummary::Fault(Fault::new(FaultKind::Hang, HANG_SITE)),
                         SparseTrace::new(),
                     );
                 }
@@ -140,7 +143,7 @@ impl Watchdog {
             }
         }
         (
-            Outcome::Fault(Fault::new(FaultKind::Hang, WORKER_LOST_SITE)),
+            OutcomeSummary::Fault(Fault::new(FaultKind::Hang, WORKER_LOST_SITE)),
             SparseTrace::new(),
         )
     }
@@ -160,7 +163,7 @@ mod tests {
         );
         let request = [0x00, 0x01, 0x00, 0x00, 0x00, 0x06, 0x01, 0x03, 0x00, 0x00, 0x00, 0x02];
         let (outcome, trace) = watchdog.execute(false, &request);
-        assert!(outcome.response().is_some());
+        assert_eq!(outcome, OutcomeSummary::Response);
         assert!(!trace.is_empty(), "supervised executions still record coverage");
     }
 
@@ -179,15 +182,13 @@ mod tests {
             started.elapsed() < Duration::from_millis(1_500),
             "the deadline, not the hang, bounds the wall time"
         );
-        assert_eq!(
-            outcome.fault().map(|f| (f.kind, f.site)),
-            Some((FaultKind::Hang, HANG_SITE))
-        );
+        let hang = OutcomeSummary::Fault(Fault::new(FaultKind::Hang, HANG_SITE));
+        assert_eq!(outcome, hang);
         assert!(trace.is_empty(), "an abandoned execution has no trace");
         // The rebuilt worker keeps serving — with hang_every(1) it hangs
         // again, proving replacement workers are armed too.
         let (outcome, _) = watchdog.execute(false, &[0x03]);
-        assert_eq!(outcome.fault().map(|f| f.kind), Some(FaultKind::Hang));
+        assert_eq!(outcome, hang);
     }
 
     #[test]
@@ -196,11 +197,16 @@ mod tests {
         let panicking = Box::new(ChaosTarget::new(TargetId::Modbus.create_send(), chaos));
         let mut watchdog = Watchdog::new(panicking, Duration::from_secs(5));
         let (outcome, _) = watchdog.execute(true, &[0x01, 0x02, 0x03]);
-        let fault = outcome.fault().expect("injected panic becomes a fault");
+        let OutcomeSummary::Fault(fault) = outcome else {
+            panic!("an injected panic becomes a fault, got {outcome:?}");
+        };
         assert_eq!(fault.kind, FaultKind::Panic);
         assert!(fault.site.starts_with("chaos: injected panic #"), "{}", fault.site);
         // The worker survives its own contained panic.
         let (outcome, _) = watchdog.execute(false, &[0x04]);
-        assert_eq!(outcome.fault().map(|f| f.kind), Some(FaultKind::Panic));
+        assert!(
+            matches!(outcome, OutcomeSummary::Fault(fault) if fault.kind == FaultKind::Panic),
+            "{outcome:?}"
+        );
     }
 }

@@ -9,17 +9,18 @@
 //! * [`TransportMode::FramedTcp`] — the target runs behind a real TCP
 //!   listener (the [`peachstar_protocols::server`] socket-server mode, one
 //!   fresh target instance per connection) and the executor holds a
-//!   [`FramedTcpTarget`]: a `Target` implementation whose `process` /
-//!   `process_batch` / `reset` are length-framed request/response exchanges
-//!   over a loopback socket — TPKT/COTP-framed (RFC 1006) for the ISO-stack
-//!   targets (iec61850, iccp), raw `u32`-length-framed for the rest
+//!   [`FramedTcpTarget`]: a `Target` implementation whose `process_batch`
+//!   and `reset` are the wire's two length-framed request/response
+//!   exchanges over a loopback socket (`process` is a window of one) —
+//!   TPKT/COTP-framed (RFC 1006) for the ISO-stack targets (iec61850,
+//!   iccp), raw `u32`-length-framed for the rest
 //!   ([`WireFraming::for_target`]).
 //!
 //! The seam is deliberately *below* the executor: every reset-policy
 //! decision, panic rebuild, watchdog deadline and window walk runs
-//! client-side exactly as in-process, and the wire relays `(outcome, sparse
-//! trace)` pairs verbatim (fault sites re-interned on receipt, so dedup is
-//! pointer-compatible). That is what makes a loopback-TCP campaign
+//! client-side exactly as in-process, and the wire relays `(outcome summary,
+//! sparse trace)` pairs verbatim (fault sites re-interned on receipt, so
+//! dedup is pointer-compatible). That is what makes a loopback-TCP campaign
 //! bit-identical to an in-process one — `tests/transport_equivalence.rs`
 //! holds the proof across all six targets and both strategies.
 //!
@@ -54,7 +55,7 @@ use peachstar_coverage::TraceContext;
 use peachstar_datamodel::DataModelSet;
 use peachstar_protocols::server::{serve_with_chaos, ServerHandle, WireChaos};
 use peachstar_protocols::wire::{MessageStream, Request, Response, WireFraming};
-use peachstar_protocols::{DecodeSink, Outcome, Target, WindowResults};
+use peachstar_protocols::{DecodeSink, Outcome, OutcomeSummary, Target, WindowResults};
 
 /// Which transport carries packets from the executor to the target.
 ///
@@ -253,9 +254,11 @@ fn deploy_tcp(
 
 /// A [`Target`] whose calls cross a real TCP connection to a socket server
 /// (see the module docs). One instance owns one connection;
-/// [`Target::clone_fresh`] opens a new connection to the same server, which
-/// on the server side means a brand-new target instance — exactly the
-/// semantics `clone_fresh` promises in-process.
+/// [`Target::clone_fresh`] returns a target that opens a new connection to
+/// the same server at its first exchange, which on the server side means a
+/// brand-new target instance — exactly the semantics `clone_fresh` promises
+/// in-process. A spare that is never executed (the executor's rebuild
+/// source, the watchdog's factory) therefore never dials.
 ///
 /// A window's exchange allocates nothing once the buffers have grown: the
 /// request is encoded straight from the caller's packet slices into one
@@ -268,10 +271,13 @@ pub struct FramedTcpTarget {
     blueprint: Box<dyn Target + Send>,
     addr: SocketAddr,
     policy: ReconnectPolicy,
-    stream: TcpStream,
+    /// `None` until the first exchange of a [`Target::clone_fresh`] copy.
+    stream: Option<TcpStream>,
     messages: MessageStream,
     /// The encoded request of the exchange in flight.
     request: Vec<u8>,
+    /// The one record of a [`Target::process`] call.
+    window: WindowResults,
     journal: Journal,
 }
 
@@ -347,34 +353,46 @@ impl FramedTcpTarget {
             Ok(stream) => stream,
             Err(class) => panic!("{}", connection_loss_message(class)),
         };
+        Self {
+            stream: Some(stream),
+            ..Self::unconnected(blueprint, addr, policy)
+        }
+    }
+
+    /// A target for the server at `addr` that dials at its first exchange,
+    /// under `policy` like any reconnect.
+    fn unconnected(
+        blueprint: Box<dyn Target + Send>,
+        addr: SocketAddr,
+        policy: ReconnectPolicy,
+    ) -> Self {
         let framing = WireFraming::for_target(blueprint.name());
         Self {
             blueprint,
             addr,
             policy,
-            stream,
+            stream: None,
             messages: MessageStream::new(framing),
             request: Vec::new(),
+            window: WindowResults::new(),
             journal: Journal::default(),
         }
     }
 
-    /// Opens a replacement connection and replays the journal so the fresh
-    /// server-side target re-derives the lost connection's state. The
-    /// replayed window uses the summary sink — decode output is discarded,
-    /// only the state transitions matter, and the summary path is pinned
-    /// bit-identical to the full one.
+    /// Opens a connection and replays the journal so the fresh server-side
+    /// target re-derives the lost connection's state. Decode output of the
+    /// replayed window is discarded: only the state transitions matter.
     fn reopen_and_replay(&mut self) -> Result<(), &'static str> {
         let stream = TcpStream::connect(self.addr).map_err(|e| error_class(e.kind()))?;
         stream.set_nodelay(true).map_err(|e| error_class(e.kind()))?;
-        self.stream = stream;
+        let stream = self.stream.insert(stream);
         self.messages = MessageStream::new(WireFraming::for_target(self.blueprint.name()));
         if self.journal.ends.is_empty() {
             return Ok(());
         }
         let mut replay = Vec::new();
-        Request::encode_batch(DecodeSink::Summary, self.journal.packets(), &mut replay);
-        match Response::decode(round_trip(&mut self.stream, &mut self.messages, &replay)?) {
+        Request::encode_batch(self.journal.packets(), &mut replay);
+        match Response::decode(round_trip(stream, &mut self.messages, &replay)?) {
             Ok(Response::Batch(records)) if records.len() == self.journal.ends.len() => Ok(()),
             other => panic!("framed-tcp transport: unexpected replay reply {other:?}"),
         }
@@ -382,22 +400,29 @@ impl FramedTcpTarget {
 
     /// Sends the encoded request and hands the reply to `decode`, with
     /// recovery: a lost connection is re-dialled under the backoff
-    /// schedule, the journal replayed, and the request retried. Only an
-    /// exhausted retry budget panics — with the stable errno-classed
-    /// message the containment layer records and the sharded engine
-    /// recognises ([`is_connection_loss`]). A *decodable but malformed*
-    /// reply is `decode`'s to reject: that is a protocol bug, not a
-    /// flapping wire.
+    /// schedule, the journal replayed, and the request retried; a target
+    /// that never connected dials the same way. Only an exhausted retry
+    /// budget panics — with the stable errno-classed message the
+    /// containment layer records and the sharded engine recognises
+    /// ([`is_connection_loss`]). A *decodable but malformed* reply is
+    /// `decode`'s to reject: that is a protocol bug, not a flapping wire.
     fn exchange<R>(&mut self, decode: impl FnOnce(&[u8]) -> R) -> R {
         let mut attempt = 0u32;
         loop {
-            let reply = if attempt == 0 {
-                round_trip(&mut self.stream, &mut self.messages, &self.request)
-            } else {
-                std::thread::sleep(self.policy.delay_before(attempt - 1));
-                match self.reopen_and_replay() {
-                    Ok(()) => round_trip(&mut self.stream, &mut self.messages, &self.request),
-                    Err(class) => Err(class),
+            let reply = match (&mut self.stream, attempt) {
+                (Some(stream), 0) => round_trip(stream, &mut self.messages, &self.request),
+                _ => {
+                    if attempt > 0 {
+                        std::thread::sleep(self.policy.delay_before(attempt - 1));
+                    }
+                    match self.reopen_and_replay() {
+                        Ok(()) => round_trip(
+                            self.stream.as_mut().expect("reopened"),
+                            &mut self.messages,
+                            &self.request,
+                        ),
+                        Err(class) => Err(class),
+                    }
                 }
             };
             match reply {
@@ -466,30 +491,34 @@ impl Target for FramedTcpTarget {
         self.blueprint.session_template()
     }
 
+    /// A window of one. Its record carries the outcome's summary, so the
+    /// returned outcome's payloads are empty.
     fn process(&mut self, packet: &[u8], ctx: &mut TraceContext) -> Outcome {
-        Request::Process(packet).encode_into(&mut self.request);
-        let (outcome, trace) = self.exchange(|reply| match Response::decode(reply) {
-            Ok(Response::Process(outcome, trace)) => (outcome, trace),
-            other => panic!("framed-tcp transport: unexpected reply {other:?}"),
-        });
-        self.journal.extend([packet]);
-        // Rematerialise the server-side trace so the executor reads it from
-        // `ctx` exactly as it would after a direct call.
-        ctx.load_sparse(&trace);
-        outcome
+        let mut window = std::mem::take(&mut self.window);
+        self.process_batch(&[packet], ctx, &mut window, DecodeSink::Summary);
+        let (&summary, _) = window.iter().next().expect("one record per packet");
+        self.window = window;
+        match summary {
+            OutcomeSummary::Response => Outcome::Response(Vec::new()),
+            OutcomeSummary::ProtocolError => Outcome::ProtocolError(String::new()),
+            OutcomeSummary::Fault(fault) => Outcome::Fault(fault),
+        }
     }
 
+    /// The server decodes every window under [`DecodeSink::Summary`],
+    /// whatever `_sink` says: a record carries no payload either way.
     fn process_batch(
         &mut self,
         packets: &[&[u8]],
         ctx: &mut TraceContext,
         out: &mut WindowResults,
-        sink: DecodeSink,
+        _sink: DecodeSink,
     ) {
         // Rewound before the exchange, so a window whose connection is lost
-        // holds no records of an earlier one.
+        // holds no records, and `ctx` no trace, of an earlier one.
+        ctx.reset();
         out.begin();
-        Request::encode_batch(sink, packets.iter().copied(), &mut self.request);
+        Request::encode_batch(packets.iter().copied(), &mut self.request);
         self.exchange(|reply| match Response::decode(reply) {
             Ok(Response::Batch(records)) => records
                 .decode_into(out)
@@ -519,7 +548,7 @@ impl Target for FramedTcpTarget {
     }
 
     fn clone_fresh(&self) -> Box<dyn Target + Send> {
-        Box::new(FramedTcpTarget::connect_with(
+        Box::new(FramedTcpTarget::unconnected(
             self.blueprint.clone_fresh(),
             self.addr,
             self.policy,
@@ -530,7 +559,14 @@ impl Target for FramedTcpTarget {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use peachstar_protocols::{OutcomeSummary, TargetId};
+    use peachstar_protocols::containment::contained;
+    use peachstar_protocols::TargetId;
+
+    /// The address of a loopback port that refuses connections.
+    fn closed_port() -> SocketAddr {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        listener.local_addr().expect("addr")
+    }
 
     #[test]
     fn framed_tcp_target_matches_the_in_process_target() {
@@ -544,7 +580,11 @@ mod tests {
                 ref_ctx.reset();
                 let over_wire = tcp.process(packet, &mut tcp_ctx);
                 let direct = reference.process(packet, &mut ref_ctx);
-                assert_eq!(over_wire, direct, "{id:?}");
+                assert_eq!(
+                    OutcomeSummary::from(&over_wire),
+                    OutcomeSummary::from(&direct),
+                    "{id:?}"
+                );
                 assert_eq!(
                     tcp_ctx.trace().to_sparse(),
                     ref_ctx.trace().to_sparse(),
@@ -630,13 +670,10 @@ mod tests {
 
     #[test]
     fn a_dead_server_exhausts_the_budget_with_a_classed_panic() {
-        // Bind then drop a listener: the port is closed, so every dial is
-        // refused and the zero-backoff policy exhausts instantly.
-        let addr = {
-            let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
-            listener.local_addr().expect("addr")
-        };
-        let result = peachstar_protocols::containment::contained(|| {
+        // The port is closed, so every dial is refused and the zero-backoff
+        // policy exhausts instantly.
+        let addr = closed_port();
+        let result = contained(|| {
             FramedTcpTarget::connect_with(
                 TargetId::Modbus.create_send(),
                 addr,
@@ -645,6 +682,44 @@ mod tests {
         });
         let message = result.expect_err("connect must fail against a closed port");
         assert_eq!(message, connection_loss_message("connection-refused"));
+    }
+
+    #[test]
+    fn a_fresh_clone_dials_at_its_first_exchange() {
+        // A clone of a target whose server is gone is built without a dial;
+        // its first exchange dials under the policy and is refused.
+        let addr = closed_port();
+        let spare = FramedTcpTarget::unconnected(
+            TargetId::Modbus.create_send(),
+            addr,
+            ReconnectPolicy::immediate(1),
+        );
+        let mut clone = spare.clone_fresh();
+        assert_eq!(clone.name(), "libmodbus", "answered locally, no dial");
+        let message = contained(|| clone.reset()).expect_err("the dial is refused");
+        assert_eq!(message, connection_loss_message("connection-refused"));
+    }
+
+    #[test]
+    fn a_lost_window_leaves_no_trace_in_the_context() {
+        // A window whose exchange exhausts the budget must not leave the
+        // previous execution's trace in `ctx`: the executor records the
+        // connection-loss fault with whatever `ctx` holds.
+        let mut tcp = FramedTcpTarget::unconnected(
+            TargetId::Modbus.create_send(),
+            closed_port(),
+            ReconnectPolicy::none(),
+        );
+        let mut ctx = TraceContext::new();
+        ctx.edge(peachstar_coverage::EdgeId::new(7));
+        assert!(!ctx.trace().is_empty());
+        let mut out = WindowResults::new();
+        let lost = contained(|| {
+            tcp.process_batch(&[&[0x01]], &mut ctx, &mut out, DecodeSink::Summary);
+        });
+        assert!(lost.is_err(), "the dial is refused");
+        assert!(ctx.trace().is_empty(), "a lost window records no edge");
+        assert!(out.is_empty());
     }
 
     #[test]
@@ -682,7 +757,11 @@ mod tests {
             tcp_ctx.reset();
             let over_wire = tcp.process(packet, &mut tcp_ctx);
             let direct = reference.process(packet, &mut ref_ctx);
-            assert_eq!(over_wire, direct, "journal replay restores session state");
+            assert_eq!(
+                OutcomeSummary::from(&over_wire),
+                OutcomeSummary::from(&direct),
+                "journal replay restores session state"
+            );
             assert_eq!(tcp_ctx.trace().to_sparse(), ref_ctx.trace().to_sparse());
         }
     }

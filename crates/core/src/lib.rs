@@ -43,7 +43,6 @@ pub mod campaign;
 pub mod corpus;
 pub mod cracker;
 pub mod engine;
-pub mod error;
 pub mod mutator;
 pub mod seed;
 pub mod service;
@@ -56,7 +55,6 @@ pub use campaign::{Campaign, CampaignConfig, CampaignReport, RunPlan, ShardedCam
 pub use engine::{Engine, ShardConfig};
 pub use corpus::PuzzleCorpus;
 pub use cracker::FileCracker;
-pub use error::FuzzError;
 pub use seed::{Seed, SeedPool};
 pub use service::{ControlServer, ServiceHooks, ServiceStatus};
 pub use snapshot::{CampaignSnapshot, CheckpointConfig, SnapshotError, SnapshotMeta};

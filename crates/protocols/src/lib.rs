@@ -399,8 +399,10 @@ pub trait Target: Send {
     /// `sink` selects the output fidelity for the whole window (see
     /// [`DecodeSink`]): [`DecodeSink::Summary`] skips response assembly and
     /// error-string formatting, which `out` never records anyway. An
-    /// override must arm the sink around its packet loop exactly like the
-    /// default implementation does.
+    /// override that decodes the packets in this process must arm the sink
+    /// around its packet loop like the default implementation does. A
+    /// framed-TCP client ignores it: its server decodes every window under
+    /// the summary sink, because a wire record carries no payload.
     ///
     /// # Contract
     ///

@@ -5,20 +5,19 @@
 //! [`Target::clone_fresh`] from the server's blueprint), its own spare for
 //! panic rebuilds, and its own [`TraceContext`] — exactly the ownership
 //! model of one in-process executor lane. The handler speaks the
-//! [`wire`](crate::wire) protocol: [`Request::Process`] / [`Request::Batch`]
-//! / [`Request::Reset`] in, [`Response`] with outcomes and sparse traces out,
-//! framed per [`WireFraming::for_target`].
+//! [`wire`](crate::wire) protocol: [`Request::Batch`] / [`Request::Reset`]
+//! in, [`Response`] with outcome summaries and sparse traces out, framed per
+//! [`WireFraming::for_target`].
 //!
 //! Server-side semantics replicate the in-process executor bit for bit:
 //!
-//! * **Process**: one [`contained_step`], the single-packet step the
-//!   in-process `TargetExecutor` and its watchdog thread run too.
-//! * **Batch**: the requested [`DecodeSink`](crate::DecodeSink) is armed
-//!   around a *per-packet* loop of [`contained_step`] (never a whole-window
-//!   `process_batch` call). This is deliberate: the in-process executor
-//!   finishes a window on exactly this per-packet step after a panic, and
-//!   for windows that *don't* panic the per-packet results are identical
-//!   to the batched ones (proven by the batch-equivalence tests).
+//! * **Batch**: [`DecodeSink::Summary`] is armed around a *per-packet*
+//!   loop of [`contained_step`] (never a whole-window `process_batch`
+//!   call) — a batch record carries no payload, so nothing a full decode
+//!   builds could cross the wire. The per-packet step is deliberate: the
+//!   in-process executor finishes a window on exactly this step after a
+//!   panic, and for windows that *don't* panic the per-packet results are
+//!   identical to the batched ones (proven by the batch-equivalence tests).
 //!   Containing per packet server-side means a client-visible window never
 //!   fails, which is what makes TCP campaigns reduce to the same records as
 //!   in-process ones.
@@ -42,7 +41,7 @@ use peachstar_coverage::{SparseTrace, TraceContext};
 
 use crate::containment::contained_step;
 use crate::wire::{MessageStream, Request, Response, WireFraming};
-use crate::{OutcomeSummary, Target};
+use crate::{DecodeSink, OutcomeSummary, Target};
 
 /// Deterministic server-side failure injection for [`serve_with_chaos`]:
 /// the wire-level counterpart of [`ChaosTarget`](crate::chaos::ChaosTarget).
@@ -269,12 +268,8 @@ fn handle_connection(
             return Ok(());
         }
         match Request::decode(message)? {
-            Request::Process(packet) => {
-                let outcome = contained_step(&mut target, spare.as_ref(), &mut ctx, packet);
-                Response::Process(outcome, ctx.trace().to_sparse()).encode_into(&mut reply);
-            }
-            Request::Batch { sink, packets } => {
-                let _armed = sink.arm();
+            Request::Batch(packets) => {
+                let _armed = DecodeSink::Summary.arm();
                 Response::begin_batch(packets.len(), &mut reply);
                 for packet in packets.iter() {
                     let outcome = contained_step(&mut target, spare.as_ref(), &mut ctx, packet);
@@ -308,14 +303,11 @@ mod tests {
         Response::decode(reply).expect("valid response")
     }
 
-    fn roundtrip<'m>(
-        stream: &mut TcpStream,
-        messages: &'m mut MessageStream,
-        request: &Request,
-    ) -> Response<'m> {
+    /// The payload of a batch request for `packets`.
+    fn batch(packets: &[&[u8]]) -> Vec<u8> {
         let mut payload = Vec::new();
-        request.encode_into(&mut payload);
-        exchange(stream, messages, &payload)
+        Request::encode_batch(packets.iter().copied(), &mut payload);
+        payload
     }
 
     #[test]
@@ -327,45 +319,36 @@ mod tests {
         assert_eq!(framing, WireFraming::Raw);
         let mut messages = MessageStream::new(framing);
 
-        // A syntactically hopeless packet must come back as the same
-        // protocol error the in-process target produces.
-        let mut reference = ModbusServer::new();
-        let mut ctx = TraceContext::new();
-        ctx.reset();
-        let expected = reference.process(&[0x01], &mut ctx);
-        let expected_trace = ctx.trace().to_sparse();
-        let Response::Process(outcome, trace) =
-            roundtrip(&mut stream, &mut messages, &Request::Process(&[0x01]))
-        else {
-            panic!("expected a process response");
-        };
-        assert_eq!(outcome, expected);
-        assert_eq!(trace, expected_trace);
-
         // Batch: per-packet summaries in order, matching the sequential
-        // reference loop.
+        // reference loop. The syntactically hopeless first packet comes back
+        // as the protocol error the in-process target records.
         let packets: [&[u8]; 3] = [&[0x01], &[0x02], &[0x01]];
-        let mut payload = Vec::new();
-        Request::encode_batch(
-            crate::DecodeSink::Full,
-            packets.iter().copied(),
-            &mut payload,
-        );
-        let Response::Batch(batch) = exchange(&mut stream, &mut messages, &payload) else {
+        let Response::Batch(records) = exchange(&mut stream, &mut messages, &batch(&packets))
+        else {
             panic!("expected a batch response");
         };
-        let mut records = crate::WindowResults::new();
-        batch.decode_into(&mut records).expect("valid records");
-        assert_eq!(records.len(), packets.len());
-        for (packet, (summary, trace)) in packets.iter().zip(records.iter()) {
+        let mut window = crate::WindowResults::new();
+        records.decode_into(&mut window).expect("valid records");
+        assert_eq!(window.len(), packets.len());
+        let mut reference = ModbusServer::new();
+        let mut ctx = TraceContext::new();
+        for (packet, (summary, trace)) in packets.iter().zip(window.iter()) {
             ctx.reset();
             let outcome = reference.process(packet, &mut ctx);
             assert_eq!(*summary, OutcomeSummary::from(&outcome));
             assert_eq!(*trace, ctx.trace().to_sparse());
         }
+        assert_eq!(
+            window.iter().next().map(|(s, _)| *s),
+            Some(OutcomeSummary::ProtocolError)
+        );
 
-        let reply = roundtrip(&mut stream, &mut messages, &Request::Reset);
-        assert_eq!(reply, Response::ResetDone);
+        let mut reset = Vec::new();
+        Request::Reset.encode_into(&mut reset);
+        assert_eq!(
+            exchange(&mut stream, &mut messages, &reset),
+            Response::ResetDone
+        );
 
         server.shutdown();
     }
@@ -381,15 +364,14 @@ mod tests {
         .expect("serve");
         let mut stream = TcpStream::connect(server.addr()).expect("connect");
         let mut messages = MessageStream::new(WireFraming::Raw);
+        let payload = batch(&[&[0x01]]);
 
         // Frames 1 and 2 are answered; frame 3 hits the injector and the
         // connection dies without a reply.
         for _ in 0..2 {
-            let reply = roundtrip(&mut stream, &mut messages, &Request::Process(&[0x01]));
-            assert!(matches!(reply, Response::Process(..)));
+            let reply = exchange(&mut stream, &mut messages, &payload);
+            assert!(matches!(reply, Response::Batch(..)));
         }
-        let mut payload = Vec::new();
-        Request::Process(&[0x01]).encode_into(&mut payload);
         messages.send(&mut stream, &payload).expect("send");
         assert_eq!(
             messages.recv(&mut stream).expect("clean close"),
@@ -400,8 +382,8 @@ mod tests {
         // `limit(1)` spent the budget: a fresh connection serves normally.
         let mut retry = TcpStream::connect(server.addr()).expect("reconnect");
         let mut retry_messages = MessageStream::new(WireFraming::Raw);
-        let reply = roundtrip(&mut retry, &mut retry_messages, &Request::Process(&[0x01]));
-        assert!(matches!(reply, Response::Process(..)));
+        let reply = exchange(&mut retry, &mut retry_messages, &payload);
+        assert!(matches!(reply, Response::Batch(..)));
     }
 
     #[test]
@@ -417,8 +399,7 @@ mod tests {
         let mut messages = MessageStream::new(WireFraming::Raw);
 
         // The very first frame is dropped and arms two accept-rejections.
-        let mut payload = Vec::new();
-        Request::Process(&[0x01]).encode_into(&mut payload);
+        let payload = batch(&[&[0x01]]);
         messages.send(&mut stream, &payload).expect("send");
         assert_eq!(messages.recv(&mut stream).expect("clean close"), None);
 
@@ -437,8 +418,8 @@ mod tests {
         // The third attempt is served again (and chaos is out of budget).
         let mut healthy = TcpStream::connect(server.addr()).expect("connect");
         let mut healthy_messages = MessageStream::new(WireFraming::Raw);
-        let reply = roundtrip(&mut healthy, &mut healthy_messages, &Request::Process(&[0x01]));
-        assert!(matches!(reply, Response::Process(..)));
+        let reply = exchange(&mut healthy, &mut healthy_messages, &payload);
+        assert!(matches!(reply, Response::Batch(..)));
     }
 
     #[test]
@@ -453,9 +434,12 @@ mod tests {
         let mut second = TcpStream::connect(server.addr()).expect("connect");
         let mut messages_first = MessageStream::new(WireFraming::Raw);
         let mut messages_second = MessageStream::new(WireFraming::Raw);
-        let packet = vec![0x00u8, 0x01, 0x00, 0x00, 0x00, 0x06, 0x11, 0x03, 0x00, 0x6B, 0x00, 0x03];
-        let a = roundtrip(&mut first, &mut messages_first, &Request::Process(&packet));
-        let b = roundtrip(&mut second, &mut messages_second, &Request::Process(&packet));
+        let packet = [
+            0x00u8, 0x01, 0x00, 0x00, 0x00, 0x06, 0x11, 0x03, 0x00, 0x6B, 0x00, 0x03,
+        ];
+        let payload = batch(&[&packet]);
+        let a = exchange(&mut first, &mut messages_first, &payload);
+        let b = exchange(&mut second, &mut messages_second, &payload);
         assert_eq!(a, b, "independent fresh instances answer identically");
         let _ = FrameReassembler::new(WireFraming::Raw);
     }

@@ -18,9 +18,9 @@
 //!    check (`crates/protocols/tests/wire_framing.rs` proves it by property
 //!    test).
 //! 2. **Messages** ([`Request`], [`Response`]): the transport protocol
-//!    itself — process one packet, process a batch, reset — with outcomes,
-//!    fault records and sparse coverage traces serialised symmetrically on
-//!    both sides. Fault sites cross the wire as strings and are re-interned
+//!    itself — process a reset-aligned window of packets, reset — with
+//!    outcome summaries, fault records and sparse coverage traces
+//!    serialised symmetrically on both sides. Fault sites cross the wire as strings and are re-interned
 //!    on decode ([`crate::intern_site`]), so a fault that travelled through
 //!    a socket deduplicates against the same fault recorded in process.
 //!    Decoding borrows: a batch request's packets are slices of the
@@ -38,7 +38,7 @@ use std::ops::Range;
 
 use peachstar_coverage::SparseTrace;
 
-use crate::{intern_site, DecodeSink, Fault, FaultKind, Outcome, OutcomeSummary, WindowResults};
+use crate::{intern_site, Fault, FaultKind, OutcomeSummary, WindowResults};
 
 /// TPKT version byte (RFC 1006).
 const TPKT_VERSION: u8 = 0x03;
@@ -360,27 +360,18 @@ impl MessageStream {
 
 // === Message payload codec =================================================
 
-const REQ_PROCESS: u8 = 0x01;
 const REQ_BATCH: u8 = 0x02;
 const REQ_RESET: u8 = 0x03;
-const RESP_PROCESS: u8 = 0x81;
 const RESP_BATCH: u8 = 0x82;
 const RESP_RESET: u8 = 0x83;
 
 /// One transport request, client → server, borrowed from its payload.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Request<'a> {
-    /// Process one packet ([`Target::process`](crate::Target::process)).
-    Process(&'a [u8]),
-    /// Process one reset-aligned window of packets under the given decode
-    /// sink ([`Target::process_batch`](crate::Target::process_batch)).
-    /// Clients encode it with [`Request::encode_batch`].
-    Batch {
-        /// Output fidelity the server decodes under.
-        sink: DecodeSink,
-        /// The window's packets, in execution order.
-        packets: Packets<'a>,
-    },
+    /// Process one reset-aligned window of packets, in execution order
+    /// ([`Target::process_batch`](crate::Target::process_batch)). Clients
+    /// encode it with [`Request::encode_batch`].
+    Batch(Packets<'a>),
     /// Reset the connection's target to the just-started state
     /// ([`Target::reset`](crate::Target::reset)).
     Reset,
@@ -416,10 +407,8 @@ impl<'a> Packets<'a> {
 }
 
 /// One transport reply, server → client, borrowed from its payload.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Response<'a> {
-    /// Outcome and coverage trace of one processed packet.
-    Process(Outcome, SparseTrace),
     /// Per-packet summaries and traces of one processed window. Servers
     /// write it record by record with [`Response::begin_batch`] and
     /// [`Response::push_record`].
@@ -491,23 +480,6 @@ fn put_trace(out: &mut Vec<u8>, trace: &SparseTrace) {
     for &(slot, count) in trace.hits() {
         out.extend_from_slice(&slot.to_le_bytes());
         out.push(count);
-    }
-}
-
-fn put_outcome(out: &mut Vec<u8>, outcome: &Outcome) {
-    match outcome {
-        Outcome::Response(bytes) => {
-            out.push(0);
-            put_bytes(out, bytes);
-        }
-        Outcome::ProtocolError(reason) => {
-            out.push(1);
-            put_bytes(out, reason.as_bytes());
-        }
-        Outcome::Fault(fault) => {
-            out.push(2);
-            put_fault(out, *fault);
-        }
     }
 }
 
@@ -592,15 +564,6 @@ impl<'a> Reader<'a> {
             .map(|hit| (u16::from_le_bytes([hit[0], hit[1]]), hit[2])))
     }
 
-    fn trace(&mut self) -> Result<SparseTrace, WireError> {
-        let mut trace = SparseTrace::new();
-        if trace.assign_hits(self.hits()?) {
-            Ok(trace)
-        } else {
-            Err(UNSORTED_TRACE)
-        }
-    }
-
     fn fault(&mut self) -> Result<Fault, WireError> {
         let kind = match self.u8()? {
             0 => FaultKind::Segv,
@@ -612,15 +575,6 @@ impl<'a> Reader<'a> {
         };
         // Re-interning restores pointer-stable dedup across the wire.
         Ok(Fault::new(kind, intern_site(self.string()?)))
-    }
-
-    fn outcome(&mut self) -> Result<Outcome, WireError> {
-        match self.u8()? {
-            0 => Ok(Outcome::Response(self.bytes()?.to_vec())),
-            1 => Ok(Outcome::ProtocolError(self.string()?.to_owned())),
-            2 => Ok(Outcome::Fault(self.fault()?)),
-            _ => Err(WireError("unknown outcome variant")),
-        }
     }
 
     fn summary(&mut self) -> Result<OutcomeSummary, WireError> {
@@ -645,12 +599,7 @@ impl<'a> Request<'a> {
     /// Serialises the request into a message payload.
     pub fn encode_into(&self, out: &mut Vec<u8>) {
         match *self {
-            Request::Process(packet) => {
-                out.clear();
-                out.push(REQ_PROCESS);
-                put_bytes(out, packet);
-            }
-            Request::Batch { sink, packets } => Self::encode_batch(sink, packets.iter(), out),
+            Request::Batch(packets) => Self::encode_batch(packets.iter(), out),
             Request::Reset => {
                 out.clear();
                 out.push(REQ_RESET);
@@ -660,17 +609,9 @@ impl<'a> Request<'a> {
 
     /// Serialises a [`Request::Batch`] of `packets` into a message payload,
     /// copying each packet once, straight from the caller's slices.
-    pub fn encode_batch<'p>(
-        sink: DecodeSink,
-        packets: impl ExactSizeIterator<Item = &'p [u8]>,
-        out: &mut Vec<u8>,
-    ) {
+    pub fn encode_batch<'p>(packets: impl ExactSizeIterator<Item = &'p [u8]>, out: &mut Vec<u8>) {
         out.clear();
         out.push(REQ_BATCH);
-        out.push(match sink {
-            DecodeSink::Full => 0,
-            DecodeSink::Summary => 1,
-        });
         put_len(out, packets.len());
         for packet in packets {
             put_bytes(out, packet);
@@ -685,23 +626,14 @@ impl<'a> Request<'a> {
     pub fn decode(payload: &'a [u8]) -> Result<Self, WireError> {
         let mut reader = Reader::new(payload);
         let request = match reader.u8()? {
-            REQ_PROCESS => Request::Process(reader.bytes()?),
             REQ_BATCH => {
-                let sink = match reader.u8()? {
-                    0 => DecodeSink::Full,
-                    1 => DecodeSink::Summary,
-                    _ => return Err(WireError("unknown decode sink")),
-                };
                 let len = reader.u32()? as usize;
                 let first = reader.at;
                 for _ in 0..len {
                     reader.bytes()?;
                 }
                 let bytes = &payload[first..reader.at];
-                Request::Batch {
-                    sink,
-                    packets: Packets { len, bytes },
-                }
+                Request::Batch(Packets { len, bytes })
             }
             REQ_RESET => Request::Reset,
             _ => return Err(WireError("unknown request tag")),
@@ -715,12 +647,6 @@ impl<'a> Response<'a> {
     /// Serialises the response into a message payload.
     pub fn encode_into(&self, out: &mut Vec<u8>) {
         match self {
-            Response::Process(outcome, trace) => {
-                out.clear();
-                out.push(RESP_PROCESS);
-                put_outcome(out, outcome);
-                put_trace(out, trace);
-            }
             Response::Batch(records) => {
                 Self::begin_batch(records.len, out);
                 out.extend_from_slice(records.bytes);
@@ -749,21 +675,15 @@ impl<'a> Response<'a> {
     }
 
     /// Deserialises a response from a message payload. A batch reply's
-    /// records stay undecoded until [`Records::decode_into`].
+    /// records stay undecoded until [`Records::decode_into`], which checks
+    /// them.
     ///
     /// # Errors
     ///
-    /// Returns a [`WireError`] on truncated or malformed payloads, and on a
-    /// trace whose slots are not strictly ascending or that holds a zero
-    /// count.
+    /// Returns a [`WireError`] on truncated or malformed payloads.
     pub fn decode(payload: &'a [u8]) -> Result<Self, WireError> {
         let mut reader = Reader::new(payload);
         let response = match reader.u8()? {
-            RESP_PROCESS => {
-                let outcome = reader.outcome()?;
-                let trace = reader.trace()?;
-                Response::Process(outcome, trace)
-            }
             RESP_BATCH => {
                 let len = reader.u32()? as usize;
                 return Ok(Response::Batch(Records {
@@ -862,25 +782,14 @@ mod tests {
     #[test]
     fn request_codec_round_trips() {
         let mut buffer = Vec::new();
-        for request in [
-            Request::Process(&[1, 2, 3]),
-            Request::Process(&[]),
-            Request::Reset,
-        ] {
-            request.encode_into(&mut buffer);
-            assert_eq!(Request::decode(&buffer), Ok(request));
-        }
+        Request::Reset.encode_into(&mut buffer);
+        assert_eq!(Request::decode(&buffer), Ok(Request::Reset));
         let packets: [&[u8]; 3] = [&[0xFF; 9], &[], &[7]];
-        Request::encode_batch(DecodeSink::Summary, packets.iter().copied(), &mut buffer);
+        Request::encode_batch(packets.iter().copied(), &mut buffer);
         let request = Request::decode(&buffer).expect("valid payload");
-        let Request::Batch {
-            sink,
-            packets: decoded,
-        } = request
-        else {
+        let Request::Batch(decoded) = request else {
             panic!("expected a batch request, got {request:?}");
         };
-        assert_eq!(sink, DecodeSink::Summary);
         assert!(decoded.iter().eq(packets), "packets lent in order");
         let mut again = Vec::new();
         request.encode_into(&mut again);
@@ -897,26 +806,13 @@ mod tests {
     fn response_codec_round_trips_and_reinterns_fault_sites() {
         let fault = Fault::new(FaultKind::HeapUseAfterFree, intern_site("mms.c:parse"));
         let trace = trace(&[(3, 1), (9, 200), (65_000, 2)]);
-        let responses = [
-            Response::Process(Outcome::Response(vec![5, 6]), trace.clone()),
-            Response::Process(Outcome::ProtocolError("bad frame".into()), SparseTrace::new()),
-            Response::Process(Outcome::Fault(fault), trace.clone()),
-            Response::ResetDone,
-        ];
         let mut buffer = Vec::new();
-        for response in responses {
-            response.encode_into(&mut buffer);
-            let decoded = Response::decode(&buffer).expect("valid payload");
-            assert_eq!(decoded, response);
-            // Decoded fault sites are pointer-identical to the interned
-            // originals, so wire faults dedup against in-process ones.
-            if let Response::Process(Outcome::Fault(decoded_fault), _) = &decoded {
-                assert!(std::ptr::eq(decoded_fault.site, fault.site));
-            }
-        }
+        Response::ResetDone.encode_into(&mut buffer);
+        assert_eq!(Response::decode(&buffer), Ok(Response::ResetDone));
         let records = [
             (OutcomeSummary::Response, trace.clone()),
-            (OutcomeSummary::Fault(fault), SparseTrace::new()),
+            (OutcomeSummary::ProtocolError, SparseTrace::new()),
+            (OutcomeSummary::Fault(fault), trace.clone()),
         ];
         Response::begin_batch(records.len(), &mut buffer);
         for (summary, trace) in &records {
@@ -930,6 +826,8 @@ mod tests {
         let decoded: Vec<(OutcomeSummary, SparseTrace)> =
             window.iter().map(|(s, t)| (*s, t.clone())).collect();
         assert_eq!(decoded, records);
+        // Decoded fault sites are pointer-identical to the interned
+        // originals, so wire faults dedup against in-process ones.
         let Some((OutcomeSummary::Fault(decoded_fault), _)) = window.iter().next_back() else {
             panic!("the last record is the fault");
         };
@@ -947,10 +845,6 @@ mod tests {
                 trace.extend_from_slice(&slot.to_le_bytes());
                 trace.push(count);
             }
-            let mut payload = vec![RESP_PROCESS, 1];
-            put_bytes(&mut payload, b"");
-            payload.extend_from_slice(&trace);
-            assert_eq!(Response::decode(&payload), Err(UNSORTED_TRACE), "{hits:?}");
             let mut batch = Vec::new();
             Response::begin_batch(1, &mut batch);
             batch.push(0);

@@ -13,9 +13,7 @@ use proptest::prelude::*;
 
 use peachstar_coverage::{EdgeId, SparseTrace, TraceContext};
 use peachstar_protocols::wire::{FrameReassembler, MessageStream, Request, Response, WireFraming};
-use peachstar_protocols::{
-    intern_site, DecodeSink, Fault, FaultKind, Outcome, OutcomeSummary, TargetId, WindowResults,
-};
+use peachstar_protocols::{intern_site, Fault, FaultKind, OutcomeSummary, TargetId, WindowResults};
 
 // Shared with `decoder_framing.rs`; only the TPKT/COTP check is used here.
 #[allow(dead_code)]
@@ -95,32 +93,21 @@ fn trace_of(edges: &[u16]) -> SparseTrace {
     ctx.trace().to_sparse()
 }
 
-/// A well-formed message of one of the six kinds (three requests, three
+/// The number of message kinds: two requests, then two replies.
+const KINDS: u8 = 4;
+
+/// A well-formed message of one of the four kinds (two requests, two
 /// replies), built from the drawn packets and edges by the encoders.
 fn well_formed(kind: u8, packets: &[Vec<u8>], edges: &[u16]) -> Vec<u8> {
     let fault = Fault::new(
         FaultKind::HeapBufferOverflow,
         intern_site("wire_framing.rs:hostile"),
     );
-    let first = packets.first().map_or(&[][..], Vec::as_slice);
     let mut out = Vec::new();
-    match kind % 6 {
-        0 => Request::Process(first).encode_into(&mut out),
-        1 => Request::encode_batch(
-            DecodeSink::Summary,
-            packets.iter().map(Vec::as_slice),
-            &mut out,
-        ),
-        2 => Request::Reset.encode_into(&mut out),
-        3 => {
-            let outcome = match packets.len() % 3 {
-                0 => Outcome::Response(first.to_vec()),
-                1 => Outcome::ProtocolError(String::from_utf8_lossy(first).into_owned()),
-                _ => Outcome::Fault(fault),
-            };
-            Response::Process(outcome, trace_of(edges)).encode_into(&mut out);
-        }
-        4 => {
+    match kind % KINDS {
+        0 => Request::encode_batch(packets.iter().map(Vec::as_slice), &mut out),
+        1 => Request::Reset.encode_into(&mut out),
+        2 => {
             Response::begin_batch(packets.len(), &mut out);
             for (i, packet) in packets.iter().enumerate() {
                 let summary = match packet.len() % 3 {
@@ -197,12 +184,12 @@ proptest! {
         raw in proptest::collection::vec(any::<u8>(), 0..48),
     ) {
         let mut message = well_formed(kind, &packets, &edges);
-        let is_request = kind % 6 < 3;
+        let is_request = kind % KINDS < 2;
         match edit % 5 {
             0 => {
                 prop_assert!(
                     if is_request { request_accepts(&message) } else { reply_accepts(&message) },
-                    "a well-formed message of kind {} is refused", kind % 6
+                    "a well-formed message of kind {} is refused", kind % KINDS
                 );
             }
             1 => {
