@@ -100,10 +100,10 @@ pub struct CliOptions {
     /// Worker threads *inside* each campaign (1 = the classic sequential
     /// loop; >= 2 = the worker topology with that many workers).
     pub shards: usize,
-    /// Window slice size: at most this many packets per executor dispatch
-    /// (`None` = slices of one packet inline, whole windows per worker).
-    /// Composes with `--shards` (caps the per-worker dispatch chunk) and
-    /// `--sessions` (windows are whole sessions).
+    /// The inline slice size: at most this many packets per executor
+    /// dispatch (`None` = slices of one packet). Composes with `--sessions`
+    /// (windows are whole sessions); `--shards N` workers run whole windows,
+    /// so the two are refused together.
     pub batch: Option<u64>,
     /// Run stateful session campaigns (handshake → mutated payload →
     /// teardown, with session-scoped resets) instead of the single-packet
@@ -270,16 +270,15 @@ OPTIONS:
                              classic sequential loop, >= 2 runs the sharded
                              engine (reset-aligned windows executed in
                              parallel, merged deterministically) [default: 1]
-    --batch <N>              Batched window execution: generate up to N
-                             packets, execute them in one target call, then
-                             reduce — amortising per-packet dispatch on one
-                             core. Without it every window runs in slices of
-                             one packet. Peach reports are identical for
-                             every N; for N > 1 Peach* digests feedback at
-                             batch ends (deterministic, barrier-fed like
-                             --shards). With --shards, caps the per-worker
-                             dispatch chunk instead (never changes results;
-                             without it a worker sends whole windows).
+    --batch <N>              The inline slice size: generate up to N packets,
+                             execute them in one target call, then reduce —
+                             amortising per-packet dispatch on one core.
+                             Without it every window runs in slices of one
+                             packet. Peach reports are identical for every
+                             N; for N > 1 Peach* digests feedback at batch
+                             ends (deterministic, barrier-fed like --shards).
+                             Not with --shards N >= 2, whose workers run
+                             every window in one call.
     --sessions               Stateful session fuzzing: every session replays
                              the target's handshake (e.g. STARTDT act), runs
                              mutated payload packets against the opened
@@ -406,7 +405,7 @@ EXAMPLES:
         --resume run.snap                          # finish the campaign
     peachstar-cli --target modbus --strategy peach --chaos 7 \\
         --artifacts crashes/ --fail-on-fault       # chaos run + reproducers
-    peachstar-cli --target modbus --transport tcp --shards 4 \\
+    peachstar-cli --target modbus --transport tcp \\
         --batch 250                                # real-wire campaign
     peachstar-cli serve --target modbus --strategy peach --checkpoint rot/ \\
         --keep-checkpoints 4 --control 127.0.0.1:4455   # supervised service
@@ -785,6 +784,13 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
                     .into(),
             );
         }
+    }
+    if options.batch.is_some() && options.shards >= 2 {
+        return Err(
+            "--batch is the inline slice size; --shards workers run every window in one \
+             call, so drop --batch"
+                .into(),
+        );
     }
     if options.reconnect_retries.is_some() && options.transport != TransportMode::FramedTcp {
         return Err(
@@ -1938,16 +1944,23 @@ mod tests {
         assert!(parse_args(&args(&["--batch", "0"])).is_err());
         assert!(parse_args(&args(&["--batch"])).is_err());
         assert!(parse_args(&args(&["--batch", "many"])).is_err());
-        // Composes with --shards and --sessions.
+        // Composes with --sessions, and with one shard: the inline loop.
         let Command::Run(options) = parse_args(&args(&[
-            "--target", "iec104", "--batch", "64", "--shards", "2", "--sessions",
+            "--target", "iec104", "--batch", "64", "--shards", "1", "--sessions",
         ]))
         .unwrap() else {
             panic!("expected a run command");
         };
         assert_eq!(options.batch, Some(64));
-        assert_eq!(options.shards, 2);
+        assert_eq!(options.shards, 1);
         assert!(options.sessions);
+        // Workers run whole windows, so --batch is refused with --shards.
+        let error = parse_args(&args(&["--batch", "64", "--shards", "2"]))
+            .expect_err("--batch with --shards 2");
+        assert!(
+            error.contains("--batch is the inline slice size"),
+            "{error}"
+        );
     }
 
     #[test]
@@ -2060,16 +2073,15 @@ mod tests {
             };
             assert_eq!(options.transport, TransportMode::FramedTcp);
         }
-        // Composes with the batch/session/chaos/artifact machinery.
+        // Composes with the worker/session/chaos/artifact machinery.
         let Command::Run(options) = parse_args(&args(&[
             "--target", "iec104", "--transport", "tcp", "--shards", "2",
-            "--batch", "64", "--sessions", "--chaos", "7", "--artifacts", "crashes",
+            "--sessions", "--chaos", "7", "--artifacts", "crashes",
         ]))
         .unwrap() else {
             panic!("expected a run command");
         };
         assert_eq!(options.shards, 2);
-        assert_eq!(options.batch, Some(64));
         assert!(options.sessions);
     }
 

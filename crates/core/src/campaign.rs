@@ -59,17 +59,17 @@ pub struct CampaignConfig {
     /// [`session_template`](peachstar_protocols::Target::session_template);
     /// sessionless targets fall back to the classic campaign.
     pub session: Option<SessionConfig>,
-    /// Execute each reset-aligned window in slices of at most this many
-    /// packets, one
+    /// The inline slice size: an inline campaign executes each
+    /// reset-aligned window in slices of at most this many packets, one
     /// [`TargetExecutor::execute_window`](crate::engine::TargetExecutor::execute_window)
-    /// call each. Unset, an inline campaign runs slices of one packet, so
-    /// Peach\* digests every verdict before it generates the next packet.
+    /// call each. Unset, it runs slices of one packet, so Peach\* digests
+    /// every verdict before it generates the next packet.
     ///
     /// Peach campaigns are bit-identical for any batch size; Peach\* with a
     /// batch above 1 receives feedback at batch ends, so its stream is
-    /// deterministic but barrier-fed like a sharded campaign's. Under
-    /// [`Topology::Workers`] this instead caps the per-worker dispatch chunk
-    /// (unset: one call per window), which never changes the report.
+    /// deterministic but barrier-fed like a sharded campaign's.
+    /// [`Topology::Workers`] ignores it: a worker runs every window in one
+    /// call. (It still enters the snapshot fingerprint.)
     pub batch: Option<u64>,
     /// Per-execution deadline in milliseconds (`--exec-timeout-ms`): each
     /// packet runs on a supervised watchdog thread and an execution that

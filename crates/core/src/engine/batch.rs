@@ -8,9 +8,10 @@
 //! *single* [`TargetExecutor::execute_window`] call (one virtual dispatch
 //! per slice via [`Target::process_batch`], decoding with the summary
 //! sink), and then reduced through [`Engine::reduce`] in global execution
-//! order. The worker topology ([`shard`](crate::engine::shard)) executes
-//! its windows through the same executor call on its workers, with the
-//! same pooled table of packet slices.
+//! order, straight from the slice's [`WindowResults`]. The worker topology
+//! ([`shard`](crate::engine::shard)) executes each of its windows whole
+//! through the same executor call on its workers, with the same pooled
+//! table of packet slices ([`RefTable`]).
 //!
 //! # Equivalence
 //!
@@ -32,6 +33,7 @@
 //! [`CampaignConfig::batch`]: crate::campaign::CampaignConfig::batch
 
 use peachstar_datamodel::DataModelSet;
+use peachstar_protocols::containment::RefTable;
 use peachstar_protocols::WindowResults;
 use rand::rngs::SmallRng;
 
@@ -98,52 +100,6 @@ impl PacketArena {
         }
     }
 
-    /// Executes every packet as executions `first_execution ..` in one
-    /// [`TargetExecutor::execute_window`] call, replacing `out`'s contents.
-    pub(crate) fn execute(
-        &mut self,
-        executor: &mut TargetExecutor,
-        first_execution: u64,
-        out: &mut WindowResults,
-    ) {
-        let packets = self.packets.iter().map(|packet| packet.bytes.as_slice());
-        self.refs.execute(executor, first_execution, packets, out);
-    }
-}
-
-/// The table of packet slices one [`TargetExecutor::execute_window`] call
-/// takes, pooled: it is emptied after every call and keeps its allocation.
-#[derive(Debug, Default)]
-pub(crate) struct RefTable {
-    /// Always empty between calls; only its allocation is kept.
-    refs: Vec<&'static [u8]>,
-}
-
-impl RefTable {
-    /// Executes `packets` as executions `first_execution ..` in one
-    /// [`TargetExecutor::execute_window`] call, replacing `out`'s contents.
-    pub(crate) fn execute<'p>(
-        &mut self,
-        executor: &mut TargetExecutor,
-        first_execution: u64,
-        packets: impl Iterator<Item = &'p [u8]>,
-        out: &mut WindowResults,
-    ) {
-        // Collecting an empty vector through `map` into a vector of the
-        // same layout reuses its allocation in place, so the table changes
-        // lifetime here and back below without allocating.
-        let mut refs: Vec<&[u8]> = std::mem::take(&mut self.refs)
-            .into_iter()
-            .map(|_| unreachable!("the pooled ref table is empty"))
-            .collect();
-        refs.extend(packets);
-        executor.execute_window(first_execution, &refs, out);
-        refs.clear();
-        self.refs = refs
-            .into_iter()
-            .map(|_| unreachable!("the ref table was just cleared"))
-            .collect();
-    }
 }
 
 impl Engine {
@@ -180,13 +136,17 @@ impl Engine {
             arena.fill(&mut self.schedule, models, rng, count);
 
             // Phase 2 — execute the whole slice in one executor call.
-            arena.execute(executor, start, results);
+            let packets = arena.packets.iter().map(|packet| packet.bytes.as_slice());
+            arena.refs.with(packets, |packets| {
+                executor.execute_window(start, packets, results);
+            });
             debug_assert_eq!(results.len(), count, "one result per packet");
 
             // Phase 3 — reduce in global execution order.
-            for (offset, (summary, trace)) in results.iter().enumerate() {
-                let execution = start + offset as u64;
-                self.reduce(execution, &arena.packets[offset], *summary, trace, models);
+            for ((execution, packet), (summary, hits)) in
+                (start..).zip(&arena.packets).zip(results.iter())
+            {
+                self.reduce(execution, packet, summary, hits, models);
             }
             start = end + 1;
         }

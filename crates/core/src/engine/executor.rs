@@ -3,8 +3,8 @@
 use std::time::Duration;
 
 use peachstar_coverage::TraceContext;
-use peachstar_protocols::containment::{contained, contained_step, panic_fault};
-use peachstar_protocols::{DecodeSink, Outcome, Target, WindowResults};
+use peachstar_protocols::containment::contained_window;
+use peachstar_protocols::{Target, WindowResults};
 
 use super::supervisor::Watchdog;
 
@@ -82,9 +82,9 @@ impl ResetPolicy {
 /// let mut results = WindowResults::new();
 /// executor.execute_window(1, &[&request, &[0xFF], &request], &mut results);
 /// assert_eq!(results.len(), 3, "one record per packet");
-/// let (summary, trace) = results.iter().next().expect("the first record");
-/// assert_eq!(*summary, OutcomeSummary::Response);
-/// assert!(trace.edges_hit() > 0, "every execution is instrumented");
+/// let (summary, hits) = results.iter().next().expect("the first record");
+/// assert_eq!(summary, OutcomeSummary::Response);
+/// assert!(!hits.is_empty(), "every execution is instrumented");
 /// ```
 ///
 /// # Fault tolerance
@@ -109,6 +109,10 @@ impl ResetPolicy {
 /// traces are bit-identical to the uncontained path — which is what keeps
 /// the pinned campaign reports byte-stable.
 pub struct TargetExecutor {
+    /// The target packets run on; under the watchdog, an unexecuted
+    /// [`Target::clone_fresh`] copy that only answers
+    /// [`target`](TargetExecutor::target), the watchdog's worker running
+    /// the one it replaced.
     target: Box<dyn Target>,
     /// Pristine copy taken at construction, never executed: the rebuild
     /// source after a contained panic (the panicked instance may be left in
@@ -121,8 +125,8 @@ pub struct TargetExecutor {
     /// next execution starts from a reset whatever the policy says.
     reset_pending: bool,
     /// Armed by [`with_deadline`](TargetExecutor::with_deadline): executions
-    /// are delegated to the supervised worker, whose sparse reply traces are
-    /// recorded as they arrive.
+    /// are delegated to the supervised worker, whose replies are recorded
+    /// as they arrive.
     watchdog: Option<Watchdog>,
 }
 
@@ -155,9 +159,15 @@ impl TargetExecutor {
     /// [`FaultKind::Hang`](peachstar_protocols::FaultKind::Hang) fault with
     /// an empty trace — if it exceeds `timeout`. When nothing hangs, the
     /// supervised stream is bit-identical to the unsupervised one.
+    ///
+    /// The executor's own target becomes the first worker's, so a
+    /// framed-TCP target's connection carries the supervised executions;
+    /// the executor keeps an unexecuted copy (which never dials) to answer
+    /// [`target`](TargetExecutor::target).
     #[must_use]
     pub fn with_deadline(mut self, timeout: Duration) -> Self {
-        self.watchdog = Some(Watchdog::new(self.spare.clone_fresh(), timeout));
+        let target = std::mem::replace(&mut self.target, self.spare.clone_fresh());
+        self.watchdog = Some(Watchdog::new(target, self.spare.clone_fresh(), timeout));
         self
     }
 
@@ -206,15 +216,16 @@ impl std::fmt::Debug for TargetExecutor {
 impl TargetExecutor {
     /// Runs one reset-aligned *window* of packets — executions
     /// `first_execution ..` in order — replacing `out`'s previous contents
-    /// with one `(summary, snapshot)` pair per packet. A reset the policy
-    /// puts before the first execution runs first; then the window crosses
-    /// into the target once, through [`Target::process_batch`]. Under the
-    /// watchdog it runs packet by packet on the supervised worker instead,
-    /// each packet under its own deadline.
+    /// with one record per packet. A reset the policy puts before the first
+    /// execution runs first; then the window crosses into the target once,
+    /// through [`contained_window`], the window step the socket server
+    /// shares. Under the watchdog it runs packet by packet on the supervised
+    /// worker instead, each packet under its own deadline.
     ///
-    /// Either way the records are those of one [`contained_step`] per
-    /// packet after the policy's resets — batched campaigns are required to
-    /// be bit-identical to sequential ones.
+    /// Either way the records are those of one
+    /// [`contained_step`](peachstar_protocols::containment::contained_step)
+    /// per packet after the policy's resets — batched campaigns are
+    /// required to be bit-identical to sequential ones.
     ///
     /// # Panics
     ///
@@ -235,39 +246,24 @@ impl TargetExecutor {
         );
         let resets = self.take_reset(first_execution);
         if let Some(watchdog) = &mut self.watchdog {
-            // The worker thread owns the authoritative target and runs one
-            // `contained_step` per packet, like the finish below.
             out.begin();
             for (offset, packet) in packets.iter().enumerate() {
                 let (summary, trace) = watchdog.execute(resets && offset == 0, packet);
-                out.record_sparse(summary, &trace);
+                let recorded = out.record_hits(summary, trace.hits().iter().copied());
+                debug_assert!(recorded, "a snapshot's hits are in snapshot form");
             }
             return;
         }
         if resets {
             self.target.reset();
         }
-        // Window results keep only outcome summaries and traces, so the
-        // decoders skip response assembly and error-string formatting
-        // (`DecodeSink::Summary`): same control flow, state and traces.
-        if let Err(message) = contained(|| {
-            self.target
-                .process_batch(packets, &mut self.ctx, out, DecodeSink::Summary)
-        }) {
-            // The batch panicked while processing packet `out.len()` (every
-            // `process_batch` implementation records incrementally): record
-            // the synthetic fault with the partial trace of the panicking
-            // packet, rebuild the target, and finish the window packet by
-            // packet — which contains any further panics and is exactly what
-            // a sequential run of the same packets would do.
-            out.record(&Outcome::Fault(panic_fault(&message)), self.ctx.trace());
-            self.target = self.spare.clone_fresh();
-            for packet in packets.iter().skip(out.len()) {
-                let outcome =
-                    contained_step(&mut self.target, self.spare.as_ref(), &mut self.ctx, packet);
-                out.record(&outcome, self.ctx.trace());
-            }
-        }
+        contained_window(
+            &mut self.target,
+            self.spare.as_ref(),
+            &mut self.ctx,
+            packets,
+            out,
+        );
     }
 }
 
@@ -275,8 +271,11 @@ impl TargetExecutor {
 mod tests {
     use super::*;
     use crate::engine::batch::windows_for_policy;
-    use peachstar_coverage::SparseTrace;
+    use peachstar_protocols::containment::contained_step;
     use peachstar_protocols::{OutcomeSummary, TargetId};
+
+    /// One execution's outcome summary and trace hits.
+    type Record = (OutcomeSummary, Vec<(u16, u8)>);
 
     #[test]
     fn interval_policy_matches_the_historic_reset_cadence() {
@@ -329,7 +328,7 @@ mod tests {
         make: impl Fn() -> Box<dyn Target>,
         policy: ResetPolicy,
         packets: &[&[u8]],
-    ) -> Vec<(OutcomeSummary, SparseTrace)> {
+    ) -> Vec<Record> {
         let (mut target, spare) = (make(), make());
         let mut ctx = TraceContext::new();
         (1..)
@@ -339,17 +338,17 @@ mod tests {
                     target.reset();
                 }
                 let outcome = contained_step(&mut target, spare.as_ref(), &mut ctx, packet);
-                (OutcomeSummary::from(&outcome), ctx.trace().to_sparse())
+                (
+                    OutcomeSummary::from(&outcome),
+                    ctx.trace().to_sparse().hits().to_vec(),
+                )
             })
             .collect()
     }
 
     /// Runs `packets` from execution 1 through `executor`, one
     /// `execute_window` call per window of the policy.
-    fn windowed(
-        executor: &mut TargetExecutor,
-        packets: &[&[u8]],
-    ) -> Vec<(OutcomeSummary, SparseTrace)> {
+    fn windowed(executor: &mut TargetExecutor, packets: &[&[u8]]) -> Vec<Record> {
         let mut results = WindowResults::new();
         let mut records = Vec::new();
         for (start, end) in windows_for_policy(packets.len() as u64, executor.policy()) {
@@ -359,7 +358,7 @@ mod tests {
             records.extend(
                 results
                     .iter()
-                    .map(|(summary, trace)| (*summary, trace.clone())),
+                    .map(|(summary, hits)| (summary, hits.to_vec())),
             );
         }
         records
@@ -427,10 +426,10 @@ mod tests {
         assert!(panics > 0, "panic_every=2 must fire in 24 packets");
         // The executor survived every panic and still works.
         executor.execute_window(100, &[&REQUEST], &mut results);
-        let (summary, trace) = results.iter().next().expect("one record");
+        let (summary, hits) = results.iter().next().expect("one record");
         assert!(match summary {
             OutcomeSummary::Fault(fault) => fault.kind == FaultKind::Panic,
-            _ => trace.edges_hit() > 0,
+            _ => !hits.is_empty(),
         });
     }
 
@@ -490,10 +489,10 @@ mod tests {
         let mut executor = TargetExecutor::new(target, 0).with_deadline(Duration::from_millis(25));
         let mut results = WindowResults::new();
         executor.execute_window(1, &[&[0x01]], &mut results);
-        let (summary, trace) = results.iter().next().expect("one record");
+        let (summary, hits) = results.iter().next().expect("one record");
         let hang = Fault::new(FaultKind::Hang, crate::engine::supervisor::HANG_SITE);
-        assert_eq!(*summary, OutcomeSummary::Fault(hang));
-        assert!(trace.is_empty());
+        assert_eq!(summary, OutcomeSummary::Fault(hang));
+        assert!(hits.is_empty());
     }
 
     #[test]
@@ -502,13 +501,10 @@ mod tests {
         let mut results = WindowResults::new();
         executor.execute_window(1, &[&REQUEST, &[]], &mut results);
         let records: Vec<_> = results.iter().collect();
-        assert_eq!(*records[0].0, OutcomeSummary::Response);
-        assert!(records[0].1.edges_hit() > 0);
+        assert_eq!(records[0].0, OutcomeSummary::Response);
+        assert!(!records[0].1.is_empty());
         // The next execution starts from a clean trace.
         assert_ne!(records[1].1, records[0].1);
-        assert!(
-            records[1].1.edges_hit() > 0,
-            "rejection path is instrumented"
-        );
+        assert!(!records[1].1.is_empty(), "rejection path is instrumented");
     }
 }

@@ -16,11 +16,11 @@
 //! barrier — the two topologies of
 //! [`Campaign`](crate::campaign::Campaign), whose round loop drives both.
 //! Both generate through [`Schedule::next_packet_into`] in execution
-//! order, and both fold every executed packet back through the steps of
-//! [`Engine::reduce`] (the worker barrier merges each trace from its
-//! window's flat hit buffer, then shares the rest of the reduce), so their
-//! reduce order can never drift apart (`tests/pinned_report.rs` pins the
-//! resulting reports).
+//! order, and both fold every executed packet back through
+//! [`Engine::reduce`], straight from a window's
+//! [`WindowResults`](peachstar_protocols::WindowResults), so their reduce
+//! order can never drift apart (`tests/pinned_report.rs` pins the resulting
+//! reports).
 //! [`session`] builds stateful session fuzzing (handshake → mutated
 //! payload → teardown, with session-scoped resets) as the session mode of
 //! the [`Schedule`].
@@ -41,7 +41,7 @@ pub use session::{PhaseMask, SessionConfig, SessionPlan, SessionSchedule};
 pub use shard::ShardConfig;
 pub use transport::{error_class, FramedTcpTarget, ReconnectPolicy, TransportMode};
 
-use peachstar_coverage::{CoverageMap, MergeOutcome, SparseTrace};
+use peachstar_coverage::CoverageMap;
 use peachstar_datamodel::DataModelSet;
 use rand::rngs::SmallRng;
 
@@ -73,8 +73,8 @@ use crate::strategy::GeneratedPacket;
 /// for execution in 1..=200 {
 ///     let packet = engine.schedule.next_packet(&models, &mut rng);
 ///     executor.execute_window(execution, &[&packet.bytes], &mut results);
-///     for (summary, trace) in results.iter() {
-///         engine.reduce(execution, &packet, *summary, trace, &models);
+///     for (summary, hits) in results.iter() {
+///         engine.reduce(execution, &packet, summary, hits, &models);
 ///     }
 /// }
 /// // The first execution always adds coverage, so it is a valuable seed.
@@ -107,13 +107,14 @@ impl Engine {
     }
 
     /// Folds one executed packet back into the state: coverage merge of its
-    /// `trace` → tally/bug record → valuable verdict (new edge or
-    /// hit-count bucket) → strategy feedback → series sample, and a
-    /// valuable packet is cloned into [`seeds`](Engine::seeds).
+    /// trace's `hits` (in snapshot form, as a
+    /// [`WindowResults`](peachstar_protocols::WindowResults) record holds
+    /// them) → tally/bug record → valuable verdict (new edge or hit-count
+    /// bucket) → strategy feedback → series sample, and a valuable packet
+    /// is cloned into [`seeds`](Engine::seeds).
     ///
-    /// The inline topology reduces through here after every slice; the
-    /// worker topology's merge barrier merges each trace from its window's
-    /// flat hit buffer and then runs the same steps, so the two reduce
+    /// The inline topology reduces through here after every slice, and the
+    /// worker topology's merge barrier for every window, so the two reduce
     /// orders can never drift apart.
     ///
     /// # Example
@@ -136,7 +137,7 @@ impl Engine {
     /// let packet = Seed::new(vec![0x42], "demo", false);
     /// // The same trace twice: only its first execution adds coverage.
     /// for execution in 1..=2 {
-    ///     engine.reduce(execution, &packet, OutcomeSummary::Response, &trace, &models);
+    ///     engine.reduce(execution, &packet, OutcomeSummary::Response, trace.hits(), &models);
     /// }
     /// assert_eq!(engine.seeds.len(), 1);
     /// assert_eq!(engine.monitor.responses(), 2);
@@ -146,27 +147,10 @@ impl Engine {
         execution: u64,
         packet: &GeneratedPacket,
         outcome: OutcomeSummary,
-        trace: &SparseTrace,
+        hits: &[(u16, u8)],
         models: &DataModelSet,
     ) {
-        let merge = self.coverage.merge_sparse(trace);
-        self.fold(execution, packet, outcome, merge, models);
-    }
-
-    /// The rest of [`reduce`](Engine::reduce) once the trace is merged:
-    /// tally/bug record → valuable verdict → strategy feedback → series
-    /// sample → retain a valuable packet. The worker topology's merge
-    /// barrier calls it after merging each trace from its window's flat hit
-    /// buffer, so the two reduce paths share every step after the merge.
-    #[inline(always)]
-    fn fold(
-        &mut self,
-        execution: u64,
-        packet: &GeneratedPacket,
-        outcome: OutcomeSummary,
-        merge: MergeOutcome,
-        models: &DataModelSet,
-    ) {
+        let merge = self.coverage.merge_sparse(hits);
         self.monitor.record(execution, packet, outcome);
         let valuable = merge.is_interesting();
         self.schedule.feedback(execution, packet, valuable, models);
@@ -261,7 +245,7 @@ mod tests {
     use peachstar_protocols::{TargetId, WindowResults};
     use rand::SeedableRng;
 
-    fn trace_of(ids: &[u32]) -> SparseTrace {
+    fn trace_of(ids: &[u32]) -> peachstar_coverage::SparseTrace {
         let mut ctx = TraceContext::new();
         for &id in ids {
             ctx.edge(EdgeId::new(id));
@@ -282,7 +266,13 @@ mod tests {
         let mut engine = peach_engine();
         for (execution, trace) in (1..).zip(&[trace_of(&[1, 2]), trace_of(&[1, 2])]) {
             let packet = Seed::new(vec![execution as u8], "m", false);
-            engine.reduce(execution, &packet, OutcomeSummary::Response, trace, &models);
+            engine.reduce(
+                execution,
+                &packet,
+                OutcomeSummary::Response,
+                trace.hits(),
+                &models,
+            );
         }
         assert_eq!(engine.seeds.len(), 1, "the duplicate trace adds nothing");
         assert_eq!(engine.seeds.iter().next().map(|kept| &kept.seed.bytes[..]), Some(&[1][..]));

@@ -19,18 +19,16 @@
 //!    names, and two end offsets and the `semantic` flag per packet. The
 //!    pool keeps the windows, and every buffer, across rounds.
 //! 2. **Execute** (parallel): `workers` threads pull windows from a queue
-//!    and run them through their own [`TargetExecutor`] (over their own
-//!    [`Target::clone_fresh`] copy), the same fault-tolerant path the
-//!    inline topology takes. Each execution's [`OutcomeSummary`] goes to
-//!    the window's records and its trace's hits to the window's one flat
-//!    hit buffer.
+//!    and run each through their own [`TargetExecutor`] (over their own
+//!    [`Target::clone_fresh`] copy) in one
+//!    [`execute_window`](TargetExecutor::execute_window) call, the same
+//!    fault-tolerant path the inline topology takes. The executor records
+//!    straight into the window's [`WindowResults`]: no copy.
 //! 3. **Reduce** (sequential, the merge barrier): windows are folded back
 //!    in global execution order. Each packet is loaded back into the one
-//!    slot, its hits merge through
-//!    [`CoverageMap::merge_sparse_hits`](peachstar_coverage::CoverageMap::merge_sparse_hits),
-//!    and the rest goes through the fold that
+//!    slot, and its record goes through
 //!    [`Engine::reduce`](crate::engine::Engine::reduce), the inline
-//!    topology's reduce, shares.
+//!    topology's reduce.
 //!
 //! Under [`TransportMode::FramedTcp`] every worker's target is its own live
 //! connection to the spawned socket server, so the worker count is the
@@ -64,8 +62,9 @@ use peachstar_datamodel::DataModelSet;
 use peachstar_protocols::containment::contained;
 use peachstar_protocols::{FaultKind, Target, WindowResults};
 
+use peachstar_protocols::containment::RefTable;
+
 use crate::campaign::CampaignConfig;
-use crate::engine::batch::RefTable;
 use crate::engine::transport::is_connection_loss;
 use crate::engine::{Engine, OutcomeSummary, ResetPolicy, Schedule, TargetExecutor};
 use crate::seed::Seed;
@@ -133,11 +132,8 @@ struct Window {
     /// Per packet: where its bytes and its model name end, and whether the
     /// semantic-aware strategy produced it.
     packets: Vec<(usize, usize, bool)>,
-    /// Per execution, in order: its outcome and where its trace's hits end
-    /// in `hits` (they start where the previous execution's end).
-    records: Vec<(OutcomeSummary, usize)>,
-    /// Every execution's trace hits, back to back.
-    hits: Vec<(u16, u8)>,
+    /// One record per executed packet.
+    results: WindowResults,
 }
 
 impl Window {
@@ -166,30 +162,12 @@ impl Window {
         }
     }
 
-    /// The bytes of packets `first..end`.
-    fn packet_bytes(&self, first: usize, end: usize) -> impl Iterator<Item = &[u8]> {
-        let mut from = first.checked_sub(1).map_or(0, |last| self.packets[last].0);
-        self.packets[first..end].iter().map(move |&(to, _, _)| {
-            let bytes = &self.bytes[from..to];
-            from = to;
-            bytes
-        })
-    }
-
-    /// Appends `results`: every outcome, and every trace's hits.
-    fn record(&mut self, results: &WindowResults) {
-        for (summary, trace) in results.iter() {
-            self.hits.extend_from_slice(trace.hits());
-            self.records.push((*summary, self.hits.len()));
-        }
-    }
-
     /// Folds the window's executions into `engine` in execution order,
     /// loading each packet back into `slot`.
     fn reduce(&self, engine: &mut Engine, slot: &mut GeneratedPacket, models: &DataModelSet) {
-        let (mut bytes, mut names, mut hits) = (0, 0, 0);
-        let executed = self.packets.iter().zip(&self.records);
-        for (execution, (&(bytes_end, names_end, semantic), &(outcome, hits_end))) in
+        let (mut bytes, mut names) = (0, 0);
+        let executed = self.packets.iter().zip(self.results.iter());
+        for (execution, (&(bytes_end, names_end, semantic), (outcome, hits))) in
             (self.start..).zip(executed)
         {
             slot.bytes.clear();
@@ -197,22 +175,18 @@ impl Window {
             slot.model.clear();
             slot.model.push_str(&self.models[names..names_end]);
             slot.semantic = semantic;
-            let merge = engine.coverage.merge_sparse_hits(&self.hits[hits..hits_end]);
-            (bytes, names, hits) = (bytes_end, names_end, hits_end);
-            engine.fold(execution, slot, outcome, merge, models);
+            (bytes, names) = (bytes_end, names_end);
+            engine.reduce(execution, slot, outcome, hits, models);
         }
     }
 }
 
-/// A started worker: its executor, and the buffers it reuses for every
-/// window of every round.
+/// A started worker: its executor, and the packet-slice table it reuses for
+/// every window of every round.
 struct Runner {
     /// Owns the worker's target, the spare it is rebuilt from after a
     /// contained panic and, with `--exec-timeout-ms`, the hang watchdog.
     executor: TargetExecutor,
-    /// One chunk's `(summary, snapshot)` pairs.
-    results: WindowResults,
-    /// One chunk's packet slices.
     refs: RefTable,
 }
 
@@ -232,61 +206,55 @@ enum ShardWorker {
 
 /// Whether a recorded outcome is an exhausted reconnect budget, contained
 /// by the executor like any other panic.
-fn lost_connection(summary: &OutcomeSummary) -> bool {
+fn lost_connection(summary: OutcomeSummary) -> bool {
     matches!(summary, OutcomeSummary::Fault(fault)
         if fault.kind == FaultKind::Panic && is_connection_loss(fault.site))
 }
 
-/// Runs one window through the worker's executor, one
-/// [`TargetExecutor::execute_window`] call per `chunk` packets — the worker
-/// face of the `--batch` knob — and records each chunk's results in the
-/// window. Chunks of one window share the worker's target back to back, so
-/// the chunk size never changes the report.
+/// Runs one window through the worker's executor in one
+/// [`TargetExecutor::execute_window`] call, recording into the window.
 ///
 /// The window starts from exactly one reset: the executor's policy resets
 /// before every window but the campaign's first, which gets an explicit
 /// one, so a requeued window runs from the just-started state even on a
 /// target that already ran other windows. Everything else is the inline
-/// topology's path: a panic inside a chunk is recorded as a fault, the
-/// target is rebuilt and the chunk finishes packet by packet, so a window
+/// topology's path: a panic inside the window is recorded as a fault, the
+/// target is rebuilt and the window finishes packet by packet, so a window
 /// always completes in place.
 ///
 /// `false` means the worker's connection exhausted its reconnect budget on
-/// the unsupervised path: the caller requeues the window, whose partial
-/// results the next run clears. Under a watchdog every execution is
-/// contained per packet, so there a lost connection stays a recorded fault.
-fn run_window(runner: &mut Runner, chunk: usize, window: &mut Window) -> bool {
-    let Runner {
-        executor,
+/// the unsupervised path: the caller requeues the window, whose results the
+/// next run replaces. Under a watchdog every execution is contained per
+/// packet, so there a lost connection stays a recorded fault.
+fn run_window(runner: &mut Runner, window: &mut Window) -> bool {
+    let Runner { executor, refs } = runner;
+    let Window {
+        start,
+        bytes,
+        packets,
         results,
-        refs,
-    } = runner;
+        ..
+    } = window;
     let degradable = executor.deadline().is_none();
-    window.records.clear();
-    window.records.reserve(window.packets.len());
-    window.hits.clear();
     let attempt = contained(|| {
-        if !executor.policy().resets_before(window.start) {
+        if !executor.policy().resets_before(*start) {
             executor.reset_before_next();
         }
-        let len = window.packets.len();
-        for first in (0..len).step_by(chunk) {
-            let end = len.min(first.saturating_add(chunk));
-            let execution = window.start + first as u64;
-            let packets = window.packet_bytes(first, end);
-            refs.execute(executor, execution, packets, results);
-            if degradable && results.iter().any(|(summary, _)| lost_connection(summary)) {
-                return false;
-            }
-            window.record(results);
-        }
-        true
+        let mut from = 0;
+        let packets = packets.iter().map(|&(to, _, _)| {
+            let packet = &bytes[from..to];
+            from = to;
+            packet
+        });
+        refs.with(packets, |packets| {
+            executor.execute_window(*start, packets, results)
+        });
     });
     // Outside a contained `process_batch`, a lost connection surfaces as an
     // uncontained panic: in the window-start reset (a worker clone's first
     // dial among them) or in a rebuild.
     match attempt {
-        Ok(completed) => completed,
+        Ok(()) => !(degradable && results.iter().any(|(summary, _)| lost_connection(summary))),
         Err(message) if degradable && is_connection_loss(&message) => false,
         Err(message) => panic!("{message}"),
     }
@@ -310,17 +278,15 @@ impl<'w> Queue<'w> {
 }
 
 /// What every worker of a round needs besides its windows: the campaign
-/// configuration and reset policy its executor is built from, and the
-/// dispatch chunk.
-type Setup<'a> = (&'a CampaignConfig, ResetPolicy, usize);
+/// configuration and reset policy its executor is built from.
+type Setup<'a> = (&'a CampaignConfig, ResetPolicy);
 
 /// Worker loop: take windows off the queue and run them in place.
 fn shard_worker(worker: &mut ShardWorker, setup: Setup<'_>, queue: &Mutex<Queue<'_>>) {
-    let (config, policy, chunk) = setup;
+    let (config, policy) = setup;
     let mut runner = match std::mem::replace(worker, ShardWorker::Dead) {
         ShardWorker::Idle(target) => Box::new(Runner {
             executor: config.executor(target, policy),
-            results: WindowResults::new(),
             refs: RefTable::default(),
         }),
         ShardWorker::Ready(runner) => runner,
@@ -331,7 +297,7 @@ fn shard_worker(worker: &mut ShardWorker, setup: Setup<'_>, queue: &Mutex<Queue<
         let Some(window) = queue.lock().expect("window queue poisoned").pop() else {
             break;
         };
-        if !run_window(&mut runner, chunk, window) {
+        if !run_window(&mut runner, window) {
             // The packets are intact, and every window starts from a reset,
             // so any surviving connection can run it from its start: hand it
             // back to the queue and leave this worker retired.
@@ -358,16 +324,12 @@ pub(crate) struct WorkerPool {
     slot: GeneratedPacket,
     config: CampaignConfig,
     policy: ResetPolicy,
-    /// The per-worker dispatch granularity: `--batch N` caps each
-    /// `execute_window` call at N packets; without it a whole window goes
-    /// into one call. Never affects the report — only how often a worker
-    /// crosses the target seam.
-    chunk: usize,
 }
 
 impl WorkerPool {
-    /// `workers` (at least 1) workers under `policy`, with the dispatch
-    /// chunk and watchdog deadline `config` asks for. The first worker runs
+    /// `workers` (at least 1) workers under `policy`, with the watchdog
+    /// deadline `config` asks for; its `batch` plays no part, since every
+    /// window runs in one executor call. The first worker runs
     /// `target` itself and the others fresh clones of it. A framed-TCP
     /// clone dials at its first exchange, so a campaign opens no connection
     /// it does not execute on, and an unreachable server meets a clone
@@ -386,16 +348,12 @@ impl WorkerPool {
             .chain(clones)
             .map(ShardWorker::Idle)
             .collect();
-        let chunk = config.batch.map_or(usize::MAX, |batch| {
-            usize::try_from(batch.max(1)).unwrap_or(usize::MAX)
-        });
         Self {
             workers,
             windows: Vec::new(),
             slot: Seed::new(Vec::new(), "", false),
             config: *config,
             policy,
-            chunk,
         }
     }
 
@@ -420,7 +378,7 @@ impl WorkerPool {
         }
 
         // Phase 2 — execute on the workers, in parallel.
-        let setup = (&self.config, self.policy, self.chunk);
+        let setup = (&self.config, self.policy);
         execute(&mut self.workers, setup, windows);
 
         // Phase 3 — reduce (the merge barrier): fold every window back in
@@ -479,11 +437,9 @@ mod tests {
     }
 
     #[test]
-    fn worker_chunk_size_never_changes_the_report() {
-        // The per-worker dispatch granularity (`--batch` under `--shards`)
-        // must be invisible in the result: chunks of one window run back to
-        // back on the same worker target, so any chunking is equivalent to
-        // the historic per-packet loop.
+    fn workers_ignore_batch() {
+        // `batch` is the inline slice size: a worker runs every window in
+        // one executor call whatever it says, so it cannot reach the report.
         let run = |batch: Option<u64>| {
             let config = CampaignConfig {
                 batch,
@@ -501,9 +457,9 @@ mod tests {
                 report.corpus_size,
             )
         };
-        let whole_window = run(None);
+        let unset = run(None);
         for batch in [1, 16, 250, 10_000] {
-            assert_eq!(run(Some(batch)), whole_window, "chunk {batch} diverged");
+            assert_eq!(run(Some(batch)), unset, "batch {batch} diverged");
         }
     }
 
@@ -650,7 +606,7 @@ mod tests {
     fn every_worker_window_starts_from_exactly_one_reset() {
         // The interval policy resets before every window but the first, and
         // after every fault; a worker adds exactly one reset to that, at the
-        // start of the first window, whatever the worker count or chunking.
+        // start of the first window, whatever the worker count or batch.
         let resets = |workers: Option<usize>, batch: Option<u64>| {
             let resets = std::sync::Arc::default();
             let target = Box::new(CountingResets {

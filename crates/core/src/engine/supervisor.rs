@@ -42,12 +42,15 @@ struct WatchdogWorker {
 
 /// Per-execution deadline enforcement (see the module docs).
 ///
-/// Owns a pristine *factory* copy of the target (never executed) from which
-/// every worker — the first one, and every replacement after an abandoned
-/// hang — is freshly built, so a rebuilt worker is indistinguishable from a
+/// The first worker runs the target the watchdog was given. Owns a
+/// pristine *factory* copy of the target (never executed) from which every
+/// worker's spare, and every replacement worker after an abandoned hang, is
+/// freshly built, so a rebuilt worker is indistinguishable from a
 /// restarted target.
 pub(crate) struct Watchdog {
     timeout: Duration,
+    /// The target of the first worker, until it is spawned.
+    first: Option<Box<dyn Target>>,
     factory: Box<dyn Target>,
     worker: Option<WatchdogWorker>,
 }
@@ -61,9 +64,7 @@ impl std::fmt::Debug for Watchdog {
     }
 }
 
-fn spawn_worker(factory: &dyn Target) -> WatchdogWorker {
-    let mut target: Box<dyn Target> = factory.clone_fresh();
-    let spare = factory.clone_fresh();
+fn spawn_worker(mut target: Box<dyn Target>, spare: Box<dyn Target>) -> WatchdogWorker {
     let (jobs, jobs_rx) = mpsc::channel::<Job>();
     let (replies_tx, replies) = mpsc::channel::<Reply>();
     // The thread is deliberately not joined anywhere: an abandoned worker
@@ -91,11 +92,17 @@ fn spawn_worker(factory: &dyn Target) -> WatchdogWorker {
 }
 
 impl Watchdog {
-    /// Creates a watchdog enforcing `timeout` per execution, building its
-    /// workers from fresh copies of `factory`.
-    pub(crate) fn new(factory: Box<dyn Target>, timeout: Duration) -> Self {
+    /// Creates a watchdog enforcing `timeout` per execution, whose first
+    /// worker runs `target` and whose spares and replacement workers are
+    /// fresh copies of `factory`.
+    pub(crate) fn new(
+        target: Box<dyn Target>,
+        factory: Box<dyn Target>,
+        timeout: Duration,
+    ) -> Self {
         Self {
             timeout,
+            first: Some(target),
             factory,
             worker: None,
         }
@@ -116,7 +123,14 @@ impl Watchdog {
         for _ in 0..2 {
             let worker = match &self.worker {
                 Some(worker) => worker,
-                None => self.worker.insert(spawn_worker(self.factory.as_ref())),
+                None => {
+                    let target = self
+                        .first
+                        .take()
+                        .unwrap_or_else(|| self.factory.clone_fresh());
+                    self.worker
+                        .insert(spawn_worker(target, self.factory.clone_fresh()))
+                }
             };
             let job = Job {
                 packet: packet.to_vec(),
@@ -159,12 +173,13 @@ mod tests {
     fn watchdog_passes_through_fast_executions() {
         let mut watchdog = Watchdog::new(
             TargetId::Modbus.create_send(),
+            TargetId::Modbus.create_send(),
             Duration::from_secs(5),
         );
         let request = [0x00, 0x01, 0x00, 0x00, 0x00, 0x06, 0x01, 0x03, 0x00, 0x00, 0x00, 0x02];
         let (outcome, trace) = watchdog.execute(false, &request);
         assert_eq!(outcome, OutcomeSummary::Response);
-        assert!(!trace.is_empty(), "supervised executions still record coverage");
+        assert!(!trace.hits().is_empty(), "supervised executions still record coverage");
     }
 
     #[test]
@@ -174,8 +189,8 @@ mod tests {
             .garbage_every(0)
             .hang_every(1)
             .hang_ms(2_000);
-        let hanging = Box::new(ChaosTarget::new(TargetId::Modbus.create_send(), chaos));
-        let mut watchdog = Watchdog::new(hanging, Duration::from_millis(25));
+        let hanging = || Box::new(ChaosTarget::new(TargetId::Modbus.create_send(), chaos));
+        let mut watchdog = Watchdog::new(hanging(), hanging(), Duration::from_millis(25));
         let started = std::time::Instant::now();
         let (outcome, trace) = watchdog.execute(true, &[0x01, 0x02]);
         assert!(
@@ -184,7 +199,7 @@ mod tests {
         );
         let hang = OutcomeSummary::Fault(Fault::new(FaultKind::Hang, HANG_SITE));
         assert_eq!(outcome, hang);
-        assert!(trace.is_empty(), "an abandoned execution has no trace");
+        assert!(trace.hits().is_empty(), "an abandoned execution has no trace");
         // The rebuilt worker keeps serving — with hang_every(1) it hangs
         // again, proving replacement workers are armed too.
         let (outcome, _) = watchdog.execute(false, &[0x03]);
@@ -194,8 +209,8 @@ mod tests {
     #[test]
     fn watchdog_contains_worker_panics() {
         let chaos = ChaosConfig::new(0).panic_every(1).sites(2);
-        let panicking = Box::new(ChaosTarget::new(TargetId::Modbus.create_send(), chaos));
-        let mut watchdog = Watchdog::new(panicking, Duration::from_secs(5));
+        let panicking = || Box::new(ChaosTarget::new(TargetId::Modbus.create_send(), chaos));
+        let mut watchdog = Watchdog::new(panicking(), panicking(), Duration::from_secs(5));
         let (outcome, _) = watchdog.execute(true, &[0x01, 0x02, 0x03]);
         let OutcomeSummary::Fault(fault) = outcome else {
             panic!("an injected panic becomes a fault, got {outcome:?}");

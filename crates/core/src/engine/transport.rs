@@ -496,7 +496,7 @@ impl Target for FramedTcpTarget {
     fn process(&mut self, packet: &[u8], ctx: &mut TraceContext) -> Outcome {
         let mut window = std::mem::take(&mut self.window);
         self.process_batch(&[packet], ctx, &mut window, DecodeSink::Summary);
-        let (&summary, _) = window.iter().next().expect("one record per packet");
+        let (summary, _) = window.iter().next().expect("one record per packet");
         self.window = window;
         match summary {
             OutcomeSummary::Response => Outcome::Response(Vec::new()),
@@ -532,7 +532,7 @@ impl Target for FramedTcpTarget {
         );
         self.journal.extend(packets.iter().copied());
         // The in-process default leaves the last execution's trace in
-        // `ctx`; mirror that.
+        // `ctx`; mirror that from its hits.
         if let Some((_, last)) = out.iter().next_back() {
             ctx.load_sparse(last);
         }
@@ -609,10 +609,7 @@ mod tests {
         tcp.process_batch(&window, &mut tcp_ctx, &mut over_wire, DecodeSink::Full);
         reference.process_batch(&window, &mut ref_ctx, &mut direct, DecodeSink::Full);
         assert_eq!(over_wire.len(), direct.len());
-        let collect = |results: &WindowResults| -> Vec<(OutcomeSummary, peachstar_coverage::SparseTrace)> {
-            results.iter().map(|(s, t)| (*s, t.clone())).collect()
-        };
-        assert_eq!(collect(&over_wire), collect(&direct));
+        assert!(over_wire.iter().eq(direct.iter()));
     }
 
     #[test]

@@ -3,7 +3,7 @@
 use std::fmt;
 
 use crate::stats::{bucket_for, CoverageStats, HitBucket};
-use crate::trace::{fnv_path_id, PathId, SparseTrace, TraceMap};
+use crate::trace::{fnv_path_id, PathId, TraceMap};
 
 /// Number of slots in the coverage bitmap (64 KiB, the classic AFL size).
 pub const MAP_SIZE: usize = 1 << 16;
@@ -86,11 +86,10 @@ impl CoverageMap {
         }
     }
 
-    /// The one accumulation body behind [`merge`](CoverageMap::merge),
-    /// [`merge_sparse`](CoverageMap::merge_sparse) and
-    /// [`merge_sparse_hits`](CoverageMap::merge_sparse_hits): the worker
-    /// topology's bit-identical guarantee depends on the representations
-    /// never drifting apart, so they must share this code.
+    /// The one accumulation body behind [`merge`](CoverageMap::merge) and
+    /// [`merge_sparse`](CoverageMap::merge_sparse): batched and worker
+    /// campaigns are bit-identical to the paper's per-packet loop only while
+    /// the two representations never drift apart, so they share this code.
     fn merge_hits(
         &mut self,
         hits: impl Iterator<Item = (usize, u8)>,
@@ -127,22 +126,16 @@ impl CoverageMap {
         self.merge_hits(trace.iter_hits(), path_id, trace.is_empty())
     }
 
-    /// Merges a buffered [`SparseTrace`] snapshot, returning what (if
-    /// anything) it added to global coverage.
+    /// Merges one execution's trace given as its hits in snapshot form
+    /// (see [`SparseTrace::hits`](crate::SparseTrace::hits)), returning
+    /// what (if anything) it added to global coverage.
     ///
     /// Bit-identical to [`merge`](CoverageMap::merge) of the live
-    /// [`TraceMap`] the snapshot was captured from: same counters, same
-    /// [`MergeOutcome`], same path id. Batched campaigns merge every
-    /// execution through here, from snapshots pooled per window instead of
-    /// one 64 KiB trace map per execution.
-    pub fn merge_sparse(&mut self, trace: &SparseTrace) -> MergeOutcome {
-        self.merge_hits(trace.iter_hits(), trace.path_id(), trace.is_empty())
-    }
-
-    /// [`merge_sparse`](CoverageMap::merge_sparse) of the trace whose
-    /// [`SparseTrace::hits`] are `hits`: bit-identical, for callers that
-    /// keep the hits of many executions in one flat buffer.
-    pub fn merge_sparse_hits(&mut self, hits: &[(u16, u8)]) -> MergeOutcome {
+    /// [`TraceMap`] the hits were taken from: same counters, same
+    /// [`MergeOutcome`], same path id. Every campaign merges its executions
+    /// through here, from the flat hit buffer of a window's results instead
+    /// of one 64 KiB trace map per execution.
+    pub fn merge_sparse(&mut self, hits: &[(u16, u8)]) -> MergeOutcome {
         debug_assert!(
             hits.windows(2).all(|pair| pair[0].0 < pair[1].0),
             "hits ascend by slot"
@@ -435,19 +428,15 @@ mod tests {
         ];
         let mut dense = CoverageMap::new();
         let mut sparse = CoverageMap::new();
-        let mut flat = CoverageMap::new();
         for trace in &traces {
-            let a = dense.merge(trace);
-            let b = sparse.merge_sparse(&trace.to_sparse());
-            let c = flat.merge_sparse_hits(trace.to_sparse().hits());
-            assert_eq!(a, b);
-            assert_eq!(a, c);
+            assert_eq!(
+                dense.merge(trace),
+                sparse.merge_sparse(trace.to_sparse().hits())
+            );
         }
-        for map in [&sparse, &flat] {
-            assert_eq!(dense.edges_covered(), map.edges_covered());
-            assert_eq!(dense.paths_covered(), map.paths_covered());
-            assert_eq!(dense.executions(), map.executions());
-        }
+        assert_eq!(dense.edges_covered(), sparse.edges_covered());
+        assert_eq!(dense.paths_covered(), sparse.paths_covered());
+        assert_eq!(dense.executions(), sparse.executions());
     }
 
     #[test]

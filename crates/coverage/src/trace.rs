@@ -186,35 +186,19 @@ impl TraceMap {
     /// Captures a compact, self-contained snapshot of this trace.
     ///
     /// The snapshot's [`path_id`](SparseTrace::path_id) and
-    /// [`iter_hits`](SparseTrace::iter_hits) agree exactly with this map's,
+    /// [`hits`](SparseTrace::hits) agree exactly with this map's,
     /// so a [`CoverageMap::merge_sparse`](crate::CoverageMap::merge_sparse)
-    /// of the snapshot is bit-identical to a
+    /// of its [`hits`](SparseTrace::hits) is bit-identical to a
     /// [`merge`](crate::CoverageMap::merge) of the live trace.
     #[must_use]
     pub fn to_sparse(&self) -> SparseTrace {
-        let mut sparse = SparseTrace::default();
-        self.snapshot_into(&mut sparse);
-        sparse
-    }
-
-    /// [`to_sparse`](TraceMap::to_sparse) into a caller-provided snapshot,
-    /// reusing its buffer — the batched execution hot path snapshots one
-    /// trace per execution and pools the snapshots across windows, so the
-    /// steady state allocates nothing.
-    ///
-    /// Note the snapshot's sort is not added cost relative to the live-merge
-    /// path: [`CoverageMap::merge`](crate::CoverageMap::merge) sorts the same
-    /// hit list per execution to compute the path id, while
-    /// [`merge_sparse`](crate::CoverageMap::merge_sparse) consumes the
-    /// already-sorted snapshot without sorting again.
-    pub fn snapshot_into(&self, out: &mut SparseTrace) {
-        out.hits.clear();
-        out.hits.extend(
-            self.dirty
-                .iter()
-                .map(|&slot| (slot, self.bytes[slot as usize])),
-        );
-        out.hits.sort_unstable_by_key(|&(slot, _)| slot);
+        let mut hits: Vec<(u16, u8)> = self
+            .dirty
+            .iter()
+            .map(|&slot| (slot, self.bytes[slot as usize]))
+            .collect();
+        hits.sort_unstable_by_key(|&(slot, _)| slot);
+        SparseTrace { hits }
     }
 
     /// Resets the map to the all-zero state by clearing only the slots that
@@ -224,22 +208,6 @@ impl TraceMap {
             self.bytes[slot as usize] = 0;
         }
         self.dirty.clear();
-    }
-
-    /// Replaces this map's contents with a [`SparseTrace`] snapshot, so a
-    /// trace recorded elsewhere (a supervised execution on a watchdog worker
-    /// thread ships its trace back as a snapshot) can be re-materialised
-    /// into the dense representation the per-execution pipeline consumes.
-    ///
-    /// The round trip is lossless: `map.load_sparse(&s)` makes
-    /// `map.to_sparse() == s`, and `path_id`/`iter_hits` agree with the
-    /// original trace the snapshot was taken from.
-    pub fn load_sparse(&mut self, sparse: &SparseTrace) {
-        self.clear();
-        for &(slot, count) in &sparse.hits {
-            self.bytes[slot as usize] = count;
-            self.dirty.push(slot);
-        }
     }
 
     pub(crate) fn record(&mut self, slot: usize) {
@@ -289,8 +257,8 @@ pub(crate) fn fnv_path_id<I: Iterator<Item = (u16, u8)>>(sorted_hits: I) -> Path
 /// batched window does) would cost megabytes; a snapshot costs a few bytes
 /// per edge actually hit.
 /// [`CoverageMap::merge_sparse`](crate::CoverageMap::merge_sparse) folds a
-/// snapshot into the campaign-global map with outcomes bit-identical to
-/// merging the live trace.
+/// snapshot's [`hits`](SparseTrace::hits) into the campaign-global map with
+/// outcomes bit-identical to merging the live trace.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SparseTrace {
     /// `(slot, hit count)` pairs, ascending by slot.
@@ -298,36 +266,17 @@ pub struct SparseTrace {
 }
 
 impl SparseTrace {
-    /// Creates an empty snapshot (a reusable buffer for
-    /// [`TraceMap::snapshot_into`]).
+    /// Creates an empty snapshot: the trace of an execution that hit no
+    /// edge.
     #[must_use]
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Number of distinct map slots hit during the execution.
-    #[must_use]
-    pub fn edges_hit(&self) -> usize {
-        self.hits.len()
-    }
-
-    /// `true` if no edge was recorded.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.hits.is_empty()
-    }
-
-    /// Iterator over `(slot, hit_count)` pairs, in ascending slot order.
-    pub fn iter_hits(&self) -> impl Iterator<Item = (usize, u8)> + '_ {
-        self.hits
-            .iter()
-            .map(|&(slot, count)| (slot as usize, count))
-    }
-
     /// The `(slot, hit count)` pairs as one slice, in ascending slot order,
-    /// with no zero count and no repeated slot — for callers that copy the
-    /// hits of many executions into one flat buffer and merge them back
-    /// with [`CoverageMap::merge_sparse_hits`](crate::CoverageMap::merge_sparse_hits).
+    /// with no zero count and no repeated slot: the *snapshot form* that
+    /// [`CoverageMap::merge_sparse`](crate::CoverageMap::merge_sparse) and
+    /// [`TraceContext::load_sparse`] take.
     #[must_use]
     pub fn hits(&self) -> &[(u16, u8)] {
         &self.hits
@@ -338,36 +287,6 @@ impl SparseTrace {
     #[must_use]
     pub fn path_id(&self) -> PathId {
         fnv_path_id(self.hits.iter().copied())
-    }
-
-    /// Overwrites this snapshot with the contents of `other`, reusing the
-    /// existing buffer — the pooled-copy counterpart of
-    /// [`TraceMap::snapshot_into`] for consumers that already hold a
-    /// snapshot (a watchdog reply) rather than a live trace.
-    pub fn copy_from(&mut self, other: &SparseTrace) {
-        self.hits.clone_from(&other.hits);
-    }
-
-    /// Overwrites this snapshot with `(slot, hit count)` pairs received from
-    /// elsewhere (a framed-TCP transport reply), reusing its buffer — the
-    /// deserialisation counterpart of [`hits`](SparseTrace::hits).
-    ///
-    /// The pairs must already be in the form `hits` hands out: slots
-    /// strictly ascending and no zero count. Anything else returns `false`
-    /// and leaves the snapshot empty, so a corrupted trace is refused
-    /// rather than repaired into a different one. (A `u16` slot is always
-    /// in range — the map holds `1 << 16` slots.)
-    pub fn assign_hits(&mut self, pairs: impl IntoIterator<Item = (u16, u8)>) -> bool {
-        self.hits.clear();
-        for (slot, count) in pairs {
-            let ascending = self.hits.last().is_none_or(|&(last, _)| last < slot);
-            if !ascending || count == 0 {
-                self.hits.clear();
-                return false;
-            }
-            self.hits.push((slot, count));
-        }
-        true
     }
 }
 
@@ -448,15 +367,23 @@ impl TraceContext {
         self.trace.clear();
     }
 
-    /// Replaces the context's trace with a snapshot recorded elsewhere —
-    /// the dense-side counterpart of [`TraceMap::load_sparse`] for executors
-    /// whose edges were recorded remotely (a framed-TCP transport client
-    /// re-materialising the server's reply trace). The previous-location
-    /// register is cleared: the loaded trace represents a *finished*
-    /// execution, not one to be extended.
-    pub fn load_sparse(&mut self, sparse: &SparseTrace) {
+    /// Replaces the context's trace with one recorded elsewhere, given as
+    /// its hits in snapshot form (see [`SparseTrace::hits`]): a framed-TCP
+    /// client mirrors the server's last reply trace this way, reusing the
+    /// dirty list's allocation. The previous-location register is cleared:
+    /// the loaded trace represents a *finished* execution, not one to be
+    /// extended.
+    ///
+    /// The round trip is lossless: after `ctx.load_sparse(s.hits())`,
+    /// `ctx.trace().to_sparse() == s`, and `path_id`/`iter_hits` agree with
+    /// the original trace the snapshot was taken from.
+    pub fn load_sparse(&mut self, hits: &[(u16, u8)]) {
         self.prev_location = 0;
-        self.trace.load_sparse(sparse);
+        self.trace.clear();
+        for &(slot, count) in hits {
+            self.trace.bytes[slot as usize] = count;
+            self.trace.dirty.push(slot);
+        }
     }
 }
 
@@ -595,98 +522,47 @@ mod tests {
         }
         let trace = ctx.trace();
         let sparse = trace.to_sparse();
-        assert_eq!(sparse.edges_hit(), trace.edges_hit());
+        assert_eq!(sparse.hits().len(), trace.edges_hit());
         assert_eq!(sparse.path_id(), trace.path_id());
-        assert!(!sparse.is_empty());
         // Same (slot, count) multiset; the snapshot is sorted by slot.
         let mut from_trace: Vec<(usize, u8)> = trace.iter_hits().collect();
         from_trace.sort_unstable();
-        let from_sparse: Vec<(usize, u8)> = sparse.iter_hits().collect();
+        let from_sparse: Vec<(usize, u8)> = sparse
+            .hits()
+            .iter()
+            .map(|&(slot, count)| (usize::from(slot), count))
+            .collect();
         assert_eq!(from_sparse, from_trace);
-        let slots: Vec<usize> = sparse.iter_hits().map(|(slot, _)| slot).collect();
-        assert!(slots.windows(2).all(|w| w[0] < w[1]), "ascending slot order");
-    }
-
-    #[test]
-    fn snapshot_into_reuses_the_buffer_and_matches_to_sparse() {
-        let mut reused = SparseTrace::new();
-        for ids in [vec![1u32, 2, 3], vec![900, 3, 77, 3], vec![5]] {
-            let mut ctx = TraceContext::new();
-            for id in &ids {
-                ctx.edge(EdgeId::new(*id));
-            }
-            ctx.trace().snapshot_into(&mut reused);
-            assert_eq!(reused, ctx.trace().to_sparse(), "ids {ids:?}");
-            assert_eq!(reused.path_id(), ctx.trace().path_id());
-        }
+        let ascending = sparse.hits().windows(2).all(|w| w[0].0 < w[1].0);
+        assert!(ascending, "ascending slot order");
     }
 
     #[test]
     fn load_sparse_roundtrips_and_replaces_previous_contents() {
-        let mut ctx = TraceContext::new();
+        let mut recorder = TraceContext::new();
         for id in [900u32, 3, 77, 3, 12] {
-            ctx.edge(EdgeId::new(id));
+            recorder.edge(EdgeId::new(id));
         }
-        let sparse = ctx.trace().to_sparse();
-        let mut map = TraceMap::new();
-        // Dirty the destination first: load_sparse must fully replace it.
-        map.record(5000);
-        map.record(1);
-        map.load_sparse(&sparse);
-        assert_eq!(map.to_sparse(), sparse);
-        assert_eq!(map.path_id(), ctx.trace().path_id());
-        assert_eq!(map.edges_hit(), ctx.trace().edges_hit());
-        // Loading an empty snapshot empties the map.
-        map.load_sparse(&SparseTrace::new());
-        assert!(map.is_empty());
-        assert!(map.as_bytes().iter().all(|&b| b == 0));
-    }
-
-    #[test]
-    fn sparse_copy_from_matches_clone() {
+        let sparse = recorder.trace().to_sparse();
         let mut ctx = TraceContext::new();
-        for id in [7u32, 11, 13] {
-            ctx.edge(EdgeId::new(id));
-        }
-        let source = ctx.trace().to_sparse();
-        let mut pooled = TraceMap::new().to_sparse();
-        pooled.copy_from(&source);
-        assert_eq!(pooled, source);
-        pooled.copy_from(&SparseTrace::new());
-        assert!(pooled.is_empty());
+        // Dirty the destination first: load_sparse must fully replace it.
+        ctx.edge(EdgeId::new(5000));
+        ctx.edge(EdgeId::new(1));
+        ctx.load_sparse(sparse.hits());
+        assert_eq!(ctx.trace().to_sparse(), sparse);
+        assert_eq!(ctx.trace().path_id(), recorder.trace().path_id());
+        assert_eq!(ctx.trace().edges_hit(), recorder.trace().edges_hit());
+        // Loading an empty snapshot empties the map.
+        ctx.load_sparse(&[]);
+        assert!(ctx.trace().is_empty());
+        assert!(ctx.trace().as_bytes().iter().all(|&b| b == 0));
     }
 
     #[test]
     fn empty_sparse_snapshot() {
         let sparse = TraceMap::new().to_sparse();
-        assert!(sparse.is_empty());
-        assert_eq!(sparse.edges_hit(), 0);
+        assert!(sparse.hits().is_empty());
         assert_eq!(sparse.path_id(), TraceMap::new().path_id());
-    }
-
-    #[test]
-    fn assign_hits_round_trips_hits_and_refuses_any_other_form() {
-        let mut ctx = TraceContext::new();
-        for id in [900u32, 3, 77, 3, 12, 65_535] {
-            ctx.edge(EdgeId::new(id));
-        }
-        let original = ctx.trace().to_sparse();
-        let mut rebuilt = SparseTrace::new();
-        assert!(rebuilt.assign_hits(original.hits().iter().copied()));
-        assert_eq!(rebuilt, original);
-        assert_eq!(rebuilt.path_id(), original.path_id());
-        // Unsorted slots, a repeated slot and a zero count are refused,
-        // leaving the snapshot empty.
-        for messy in [
-            vec![(9u16, 2u8), (4, 1)],
-            vec![(4, 1), (4, 7)],
-            vec![(1, 1), (2, 0)],
-        ] {
-            assert!(!rebuilt.assign_hits(messy.iter().copied()), "{messy:?}");
-            assert!(rebuilt.is_empty(), "{messy:?}");
-        }
-        assert!(rebuilt.assign_hits([]));
-        assert!(rebuilt.is_empty());
     }
 
     #[test]
@@ -698,7 +574,7 @@ mod tests {
         let sparse = recorder.trace().to_sparse();
         let mut ctx = TraceContext::new();
         ctx.edge(EdgeId::new(5)); // stale state the load must replace
-        ctx.load_sparse(&sparse);
+        ctx.load_sparse(sparse.hits());
         assert_eq!(ctx.trace().to_sparse(), sparse);
         assert_eq!(ctx.trace().path_id(), recorder.trace().path_id());
         // The prev-location register was cleared: a subsequent edge starts
@@ -706,7 +582,7 @@ mod tests {
         let mut fresh = TraceContext::new();
         fresh.edge(EdgeId::new(123));
         let mut loaded = TraceContext::new();
-        loaded.load_sparse(&SparseTrace::new());
+        loaded.load_sparse(&[]);
         loaded.edge(EdgeId::new(123));
         assert_eq!(loaded.trace().to_sparse(), fresh.trace().to_sparse());
     }

@@ -12,7 +12,7 @@
 //! path records. Keeping one module also keeps one process-global panic
 //! hook, so contained and uncontained threads never fight over it.
 //!
-//! Three primitives:
+//! Four primitives:
 //!
 //! * [`contained`] wraps a closure in `catch_unwind` with a process-global
 //!   panic hook that (only while a contained call is on the stack of the
@@ -22,16 +22,20 @@
 //!   the campaign records: kind [`FaultKind::Panic`],
 //!   site = the interned message, so identical panics dedup into one unique
 //!   bug exactly like planted faults do.
-//! * [`contained_step`] is the one single-packet execution step all three
-//!   paths above share: a contained [`Target::process`], a rebuild after a
-//!   panic, and a restart after any fault.
+//! * [`contained_step`] is the one single-packet execution step: a
+//!   contained [`Target::process`], a rebuild after a panic, and a restart
+//!   after any fault. The watchdog's thread runs it per packet.
+//! * [`contained_window`] is the one window step, which the executor and
+//!   the socket server share: a contained [`Target::process_batch`], and
+//!   after a panic the rest of the window packet by packet. A
+//!   [`RefTable`] lends it the window's packets as one table of slices.
 
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::Once;
 
 use peachstar_coverage::TraceContext;
 
-use crate::{intern_site, Fault, FaultKind, Outcome, Target};
+use crate::{intern_site, DecodeSink, Fault, FaultKind, Outcome, Target, WindowResults};
 
 std::thread_local! {
     static CONTAINING: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
@@ -121,6 +125,73 @@ pub fn contained_step(
         target.reset();
     }
     outcome
+}
+
+/// Runs one reset-aligned window of packets, replacing `out`'s contents
+/// with one record per packet. The window crosses into `target` once,
+/// through a contained [`Target::process_batch`] that decodes under
+/// [`DecodeSink::Summary`] (a record keeps no payload). When that panics
+/// while processing packet `out.len()` (every `process_batch` records
+/// incrementally), the panicking packet records the [`panic_fault`] with
+/// its partial trace, `target` is rebuilt from `spare`, and the rest of the
+/// window runs one [`contained_step`] per packet. Either way the records are
+/// those of one `contained_step` per packet: what the paper's harness
+/// records.
+///
+/// A reset the caller's policy schedules before the window is the
+/// caller's to apply; `spare` must be a pristine instance that is never
+/// executed.
+pub fn contained_window(
+    target: &mut Box<dyn Target>,
+    spare: &dyn Target,
+    ctx: &mut TraceContext,
+    packets: &[&[u8]],
+    out: &mut WindowResults,
+) {
+    let batch = contained(|| target.process_batch(packets, ctx, out, DecodeSink::Summary));
+    if let Err(message) = batch {
+        out.record(&Outcome::Fault(panic_fault(&message)), ctx.trace());
+        *target = spare.clone_fresh();
+        for packet in packets.iter().skip(out.len()) {
+            let outcome = contained_step(target, spare, ctx, packet);
+            out.record(&outcome, ctx.trace());
+        }
+    }
+}
+
+/// The table of packet slices a [`contained_window`] takes, pooled for
+/// callers that hold a window's packets in another form (a generated
+/// arena, a flat buffer, a received request). It is empty between calls
+/// and keeps only its allocation.
+#[derive(Debug, Default)]
+pub struct RefTable {
+    /// Always empty between calls; only its allocation is kept.
+    refs: Vec<&'static [u8]>,
+}
+
+impl RefTable {
+    /// Calls `f` with the slices `packets` yields, in order, as one table.
+    pub fn with<'p, R>(
+        &mut self,
+        packets: impl Iterator<Item = &'p [u8]>,
+        f: impl FnOnce(&[&'p [u8]]) -> R,
+    ) -> R {
+        // Collecting an empty vector through `map` into a vector of the
+        // same layout reuses its allocation in place, so the table changes
+        // lifetime here and back below without allocating.
+        let mut refs: Vec<&[u8]> = std::mem::take(&mut self.refs)
+            .into_iter()
+            .map(|_| unreachable!("the pooled ref table is empty"))
+            .collect();
+        refs.extend(packets);
+        let result = f(&refs);
+        refs.clear();
+        self.refs = refs
+            .into_iter()
+            .map(|_| unreachable!("the ref table was just cleared"))
+            .collect();
+        result
+    }
 }
 
 #[cfg(test)]

@@ -54,7 +54,7 @@ pub mod wire;
 use std::fmt;
 use std::sync::{Mutex, OnceLock};
 
-use peachstar_coverage::{SparseTrace, TraceContext, TraceMap};
+use peachstar_coverage::{TraceContext, TraceMap};
 use peachstar_datamodel::DataModelSet;
 
 pub use server::{serve, serve_with_chaos, ServerHandle, WireChaos};
@@ -211,77 +211,74 @@ impl From<&Outcome> for OutcomeSummary {
     }
 }
 
-/// One window's buffered execution results: an [`OutcomeSummary`] and a
-/// [`SparseTrace`] snapshot per packet, in execution order.
+/// The one record of an executed window: per execution, in execution
+/// order, its [`OutcomeSummary`] and its trace's hits in snapshot form
+/// (slots strictly ascending, no zero count; see
+/// [`SparseTrace::hits`](peachstar_coverage::SparseTrace::hits)).
 ///
-/// This is the result sink of [`Target::process_batch`]. The buffer is
-/// *pooled*: [`begin`](WindowResults::begin) rewinds it without freeing, and
-/// [`record`](WindowResults::record) reuses the snapshot allocations of
-/// earlier windows, so in the steady state a batched campaign records a
-/// whole window of executions without allocating.
+/// This is what every path a window's results take carries: the result
+/// sink of [`Target::process_batch`], the body of a framed-TCP reply on
+/// both ends, and the buffer a worker's window merges from at the barrier.
+/// The hits of all executions lie back to back in one flat buffer, so
+/// [`begin`](WindowResults::begin) rewinds the record without freeing, and
+/// in the steady state a window of any length records without allocating.
 #[derive(Debug, Default)]
 pub struct WindowResults {
-    summaries: Vec<OutcomeSummary>,
-    traces: Vec<SparseTrace>,
-    len: usize,
+    /// Per execution: its summary and where its hits end in `hits` (they
+    /// start where the previous execution's end).
+    records: Vec<(OutcomeSummary, usize)>,
+    /// Every execution's hits, back to back.
+    hits: Vec<(u16, u8)>,
 }
 
 impl WindowResults {
-    /// Creates an empty result buffer.
+    /// Creates an empty record.
     #[must_use]
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Rewinds the buffer for the next window, keeping every allocation.
+    /// Rewinds the record for the next window, keeping every allocation.
     pub fn begin(&mut self) {
-        self.summaries.clear();
-        self.len = 0;
+        self.records.clear();
+        self.hits.clear();
     }
 
-    /// Records one execution's outcome and trace snapshot, in execution
-    /// order, reusing a pooled snapshot buffer when one is available.
+    /// Records one execution's outcome and live trace, in execution order.
     pub fn record(&mut self, outcome: &Outcome, trace: &TraceMap) {
-        if self.len == self.traces.len() {
-            self.traces.push(SparseTrace::new());
-        }
-        trace.snapshot_into(&mut self.traces[self.len]);
-        self.summaries.push(OutcomeSummary::from(outcome));
-        self.len += 1;
+        let start = self.hits.len();
+        // A trace map's slots fit in a `u16` (its dirty list stores them so).
+        self.hits
+            .extend(trace.iter_hits().map(|(slot, count)| (slot as u16, count)));
+        self.hits[start..].sort_unstable_by_key(|&(slot, _)| slot);
+        self.records
+            .push((OutcomeSummary::from(outcome), self.hits.len()));
     }
 
-    /// [`record`](WindowResults::record) for an execution whose trace is
-    /// already a [`SparseTrace`] snapshot — a supervised execution ships its
-    /// trace back from the watchdog worker thread in sparse form, so the
-    /// fault-tolerant window path records it without re-materialising a
-    /// dense map first. Pools snapshot buffers exactly like `record`.
-    pub fn record_sparse(&mut self, summary: OutcomeSummary, trace: &SparseTrace) {
-        if self.len == self.traces.len() {
-            self.traces.push(SparseTrace::new());
-        }
-        self.traces[self.len].copy_from(trace);
-        self.summaries.push(summary);
-        self.len += 1;
-    }
-
-    /// [`record`](WindowResults::record) for an execution whose trace
-    /// arrives as `(slot, hit count)` pairs — a framed-TCP client decodes
-    /// each reply record straight into its pooled snapshot. The pairs must
-    /// be in snapshot form (see [`SparseTrace::assign_hits`]); when they are
-    /// not, nothing is recorded and this returns `false`.
+    /// Records one execution whose trace arrives as `(slot, hit count)`
+    /// pairs: a watchdog reply, or a framed-TCP reply record decoded
+    /// straight from the wire. The pairs must be in snapshot form; when
+    /// they are not, nothing is recorded (the record is left as it was)
+    /// and this returns `false`, so a corrupted trace is refused rather
+    /// than repaired into a different one.
+    #[must_use]
     pub fn record_hits(
         &mut self,
         summary: OutcomeSummary,
         pairs: impl IntoIterator<Item = (u16, u8)>,
     ) -> bool {
-        if self.len == self.traces.len() {
-            self.traces.push(SparseTrace::new());
+        let start = self.hits.len();
+        for (slot, count) in pairs {
+            let ascending = self.hits[start..]
+                .last()
+                .is_none_or(|&(last, _)| last < slot);
+            if !ascending || count == 0 {
+                self.hits.truncate(start);
+                return false;
+            }
+            self.hits.push((slot, count));
         }
-        if !self.traces[self.len].assign_hits(pairs) {
-            return false;
-        }
-        self.summaries.push(summary);
-        self.len += 1;
+        self.records.push((summary, self.hits.len()));
         true
     }
 
@@ -289,23 +286,25 @@ impl WindowResults {
     /// [`begin`](WindowResults::begin).
     #[must_use]
     pub fn len(&self) -> usize {
-        self.len
+        self.records.len()
     }
 
     /// `true` when nothing has been recorded since the last
     /// [`begin`](WindowResults::begin).
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.records.is_empty()
     }
 
-    /// The recorded `(summary, snapshot)` pairs, in execution order.
+    /// The recorded `(summary, hits)` pairs, in execution order.
     pub fn iter(
         &self,
-    ) -> impl DoubleEndedIterator<Item = (&OutcomeSummary, &SparseTrace)> + ExactSizeIterator {
-        self.summaries[..self.len]
-            .iter()
-            .zip(&self.traces[..self.len])
+    ) -> impl DoubleEndedIterator<Item = (OutcomeSummary, &[(u16, u8)])> + ExactSizeIterator {
+        (0..self.records.len()).map(|index| {
+            let start = index.checked_sub(1).map_or(0, |last| self.records[last].1);
+            let (summary, end) = self.records[index];
+            (summary, &self.hits[start..end])
+        })
     }
 }
 
@@ -384,8 +383,8 @@ pub trait Target: Send {
     fn process(&mut self, packet: &[u8], ctx: &mut TraceContext) -> Outcome;
 
     /// Processes one reset-aligned *window* of packets in a single call,
-    /// replacing `out`'s previous contents with one `(summary, snapshot)`
-    /// pair per packet in execution order.
+    /// replacing `out`'s previous contents with one record per packet, in
+    /// execution order: its outcome summary and its trace's hits.
     ///
     /// The default implementation loops [`process`](Target::process) —
     /// resetting `ctx` before each packet and restarting the target after a
@@ -705,14 +704,14 @@ mod tests {
             let mut ctx = TraceContext::new();
             let mut results = WindowResults::new();
             // Two rounds through the same pooled buffer: the second proves
-            // `begin` + pooled snapshots leave no stale state behind.
+            // `begin` leaves no stale record behind.
             batched.process_batch(&refs, &mut ctx, &mut results, DecodeSink::Full);
             batched.reset();
             batched.process_batch(&refs, &mut ctx, &mut results, DecodeSink::Full);
             assert_eq!(results.len(), window.len(), "{id}");
-            for (index, (summary, trace)) in results.iter().enumerate() {
-                assert_eq!(*summary, expected[index].0, "{id}: packet {index} outcome");
-                assert_eq!(*trace, expected[index].1, "{id}: packet {index} trace");
+            for (index, (summary, hits)) in results.iter().enumerate() {
+                assert_eq!(summary, expected[index].0, "{id}: packet {index} outcome");
+                assert_eq!(hits, expected[index].1.hits(), "{id}: packet {index} trace");
             }
 
             // The summary sink must record the same summaries and traces —
@@ -721,9 +720,9 @@ mod tests {
             let mut summary_target = id.create();
             summary_target.process_batch(&refs, &mut ctx, &mut results, DecodeSink::Summary);
             assert_eq!(results.len(), window.len(), "{id} (summary)");
-            for (index, (summary, trace)) in results.iter().enumerate() {
-                assert_eq!(*summary, expected[index].0, "{id}: packet {index} summary-sink outcome");
-                assert_eq!(*trace, expected[index].1, "{id}: packet {index} summary-sink trace");
+            for (index, (summary, hits)) in results.iter().enumerate() {
+                assert_eq!(summary, expected[index].0, "{id}: packet {index} summary-sink outcome");
+                assert_eq!(hits, expected[index].1.hits(), "{id}: packet {index} summary-sink trace");
             }
         }
     }
@@ -740,7 +739,7 @@ mod tests {
             ctx.trace(),
         );
         assert_eq!(results.len(), 2);
-        let summaries: Vec<OutcomeSummary> = results.iter().map(|(s, _)| *s).collect();
+        let summaries: Vec<OutcomeSummary> = results.iter().map(|(s, _)| s).collect();
         assert_eq!(
             summaries,
             vec![
@@ -754,7 +753,7 @@ mod tests {
         results.record(&Outcome::ProtocolError("bad".into()), ctx.trace());
         assert_eq!(results.len(), 1);
         assert_eq!(
-            results.iter().next().map(|(s, _)| *s),
+            results.iter().next().map(|(s, _)| s),
             Some(OutcomeSummary::ProtocolError)
         );
     }
@@ -793,7 +792,7 @@ mod tests {
     }
 
     #[test]
-    fn record_sparse_matches_record() {
+    fn record_hits_matches_record() {
         let mut ctx = TraceContext::new();
         ctx.edge(peachstar_coverage::EdgeId::new(42));
         ctx.edge(peachstar_coverage::EdgeId::new(7));
@@ -801,9 +800,66 @@ mod tests {
         let mut dense = WindowResults::new();
         dense.record(&outcome, ctx.trace());
         let mut sparse = WindowResults::new();
-        sparse.record_sparse(OutcomeSummary::from(&outcome), &ctx.trace().to_sparse());
-        let dense_row: Vec<_> = dense.iter().map(|(s, t)| (*s, t.clone())).collect();
-        let sparse_row: Vec<_> = sparse.iter().map(|(s, t)| (*s, t.clone())).collect();
-        assert_eq!(dense_row, sparse_row);
+        let snapshot = ctx.trace().to_sparse();
+        assert!(sparse.record_hits(
+            OutcomeSummary::from(&outcome),
+            snapshot.hits().iter().copied()
+        ));
+        assert!(dense.iter().eq(sparse.iter()));
+        assert_eq!(
+            dense.iter().next(),
+            Some((OutcomeSummary::Response, snapshot.hits()))
+        );
+    }
+
+    #[test]
+    fn record_hits_round_trips_hits_and_refuses_any_other_form() {
+        let mut ctx = TraceContext::new();
+        for id in [900u32, 3, 77, 3, 12, 65_535] {
+            ctx.edge(peachstar_coverage::EdgeId::new(id));
+        }
+        let original = ctx.trace().to_sparse();
+        let mut results = WindowResults::new();
+        assert!(results.record_hits(OutcomeSummary::Response, original.hits().iter().copied()));
+        assert_eq!(
+            results.iter().next_back().map(|(_, hits)| hits),
+            Some(original.hits())
+        );
+        // Unsorted slots, a repeated slot and a zero count are refused.
+        for messy in [
+            vec![(9u16, 2u8), (4, 1)],
+            vec![(4, 1), (4, 7)],
+            vec![(1, 1), (2, 0)],
+        ] {
+            let summary = OutcomeSummary::ProtocolError;
+            assert!(
+                !results.record_hits(summary, messy.iter().copied()),
+                "{messy:?}"
+            );
+        }
+        assert!(results.record_hits(OutcomeSummary::ProtocolError, []));
+        let records: Vec<_> = results.iter().collect();
+        assert_eq!(
+            records,
+            vec![
+                (OutcomeSummary::Response, original.hits()),
+                (OutcomeSummary::ProtocolError, &[][..]),
+            ]
+        );
+    }
+
+    #[test]
+    fn a_refused_record_leaves_the_record_as_it_was() {
+        let mut results = WindowResults::new();
+        assert!(results.record_hits(OutcomeSummary::Response, [(3, 1), (9, 2)]));
+        // The refusal comes after some pairs were accepted: they go too.
+        for messy in [
+            [(10u16, 1u8), (11, 1), (11, 1)],
+            [(12, 4), (13, 0), (14, 1)],
+        ] {
+            assert!(!results.record_hits(OutcomeSummary::ProtocolError, messy));
+            assert_eq!(results.len(), 1, "{messy:?}");
+            assert_eq!(results.hits, [(3, 1), (9, 2)], "{messy:?}");
+        }
     }
 }

@@ -11,16 +11,13 @@
 //!
 //! Server-side semantics replicate the in-process executor bit for bit:
 //!
-//! * **Batch**: [`DecodeSink::Summary`] is armed around a *per-packet*
-//!   loop of [`contained_step`] (never a whole-window `process_batch`
-//!   call) — a batch record carries no payload, so nothing a full decode
-//!   builds could cross the wire. The per-packet step is deliberate: the
-//!   in-process executor finishes a window on exactly this step after a
-//!   panic, and for windows that *don't* panic the per-packet results are
-//!   identical to the batched ones (proven by the batch-equivalence tests).
-//!   Containing per packet server-side means a client-visible window never
-//!   fails, which is what makes TCP campaigns reduce to the same records as
-//!   in-process ones.
+//! * **Batch**: the window runs through [`contained_window`], the
+//!   in-process executor's own window step: one contained
+//!   [`Target::process_batch`] under [`DecodeSink::Summary`](crate::DecodeSink)
+//!   (a record carries no payload), and after a panic the rest of the
+//!   window packet by packet. The records are those of the in-process
+//!   window, so a client-visible window never fails, which is what makes
+//!   TCP campaigns reduce to the same records as in-process ones.
 //! * **Panic containment is server-side** ([`crate::containment`]): a target
 //!   panic must become a `Panic` fault on the wire, not a dead handler
 //!   thread and a broken socket.
@@ -37,11 +34,11 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
-use peachstar_coverage::{SparseTrace, TraceContext};
+use peachstar_coverage::TraceContext;
 
-use crate::containment::contained_step;
+use crate::containment::{contained_window, RefTable};
 use crate::wire::{MessageStream, Request, Response, WireFraming};
-use crate::{DecodeSink, OutcomeSummary, Target};
+use crate::{Target, WindowResults};
 
 /// Deterministic server-side failure injection for [`serve_with_chaos`]:
 /// the wire-level counterpart of [`ChaosTarget`](crate::chaos::ChaosTarget).
@@ -245,8 +242,8 @@ pub fn serve_with_chaos(
 
 /// Serves one connection until EOF: the request/reply loop described in the
 /// module docs. A batch's packets are executed as borrowed slices of the
-/// received message, and each record's summary and sorted hits are written
-/// straight into the reused reply buffer, so an exchange allocates nothing.
+/// received message into one reused [`WindowResults`], whose records are
+/// written into one reused reply buffer, so an exchange allocates nothing.
 fn handle_connection(
     mut stream: TcpStream,
     mut target: Box<dyn Target>,
@@ -258,8 +255,8 @@ fn handle_connection(
     let framing = WireFraming::for_target(target.name());
     let mut messages = MessageStream::new(framing);
     let mut ctx = TraceContext::new();
+    let (mut refs, mut results) = (RefTable::default(), WindowResults::new());
     let mut reply = Vec::new();
-    let mut snapshot = SparseTrace::new();
     while let Some(message) = messages.recv(&mut stream)? {
         if chaos_state.should_drop(&chaos) {
             // Drop BEFORE processing: the request was never executed, so the
@@ -269,13 +266,10 @@ fn handle_connection(
         }
         match Request::decode(message)? {
             Request::Batch(packets) => {
-                let _armed = DecodeSink::Summary.arm();
-                Response::begin_batch(packets.len(), &mut reply);
-                for packet in packets.iter() {
-                    let outcome = contained_step(&mut target, spare.as_ref(), &mut ctx, packet);
-                    ctx.trace().snapshot_into(&mut snapshot);
-                    Response::push_record(OutcomeSummary::from(&outcome), &snapshot, &mut reply);
-                }
+                refs.with(packets.iter(), |packets| {
+                    contained_window(&mut target, spare.as_ref(), &mut ctx, packets, &mut results);
+                });
+                Response::encode_batch(&results, &mut reply);
             }
             Request::Reset => {
                 target.reset();
@@ -332,15 +326,15 @@ mod tests {
         assert_eq!(window.len(), packets.len());
         let mut reference = ModbusServer::new();
         let mut ctx = TraceContext::new();
-        for (packet, (summary, trace)) in packets.iter().zip(window.iter()) {
+        for (packet, (summary, hits)) in packets.iter().zip(window.iter()) {
             ctx.reset();
             let outcome = reference.process(packet, &mut ctx);
-            assert_eq!(*summary, OutcomeSummary::from(&outcome));
-            assert_eq!(*trace, ctx.trace().to_sparse());
+            assert_eq!(summary, crate::OutcomeSummary::from(&outcome));
+            assert_eq!(hits, ctx.trace().to_sparse().hits());
         }
         assert_eq!(
-            window.iter().next().map(|(s, _)| *s),
-            Some(OutcomeSummary::ProtocolError)
+            window.iter().next().map(|(s, _)| s),
+            Some(crate::OutcomeSummary::ProtocolError)
         );
 
         let mut reset = Vec::new();

@@ -36,8 +36,6 @@
 use std::io::{self, Read, Write};
 use std::ops::Range;
 
-use peachstar_coverage::SparseTrace;
-
 use crate::{intern_site, Fault, FaultKind, OutcomeSummary, WindowResults};
 
 /// TPKT version byte (RFC 1006).
@@ -410,8 +408,7 @@ impl<'a> Packets<'a> {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Response<'a> {
     /// Per-packet summaries and traces of one processed window. Servers
-    /// write it record by record with [`Response::begin_batch`] and
-    /// [`Response::push_record`].
+    /// encode it with [`Response::encode_batch`].
     Batch(Records<'a>),
     /// Acknowledges a [`Request::Reset`].
     ResetDone,
@@ -475,9 +472,9 @@ fn put_bytes(out: &mut Vec<u8>, bytes: &[u8]) {
     out.extend_from_slice(bytes);
 }
 
-fn put_trace(out: &mut Vec<u8>, trace: &SparseTrace) {
-    put_len(out, trace.edges_hit());
-    for &(slot, count) in trace.hits() {
+fn put_hits(out: &mut Vec<u8>, hits: &[(u16, u8)]) {
+    put_len(out, hits.len());
+    for &(slot, count) in hits {
         out.extend_from_slice(&slot.to_le_bytes());
         out.push(count);
     }
@@ -646,32 +643,27 @@ impl<'a> Request<'a> {
 impl<'a> Response<'a> {
     /// Serialises the response into a message payload.
     pub fn encode_into(&self, out: &mut Vec<u8>) {
+        out.clear();
         match self {
             Response::Batch(records) => {
-                Self::begin_batch(records.len, out);
+                out.push(RESP_BATCH);
+                put_len(out, records.len);
                 out.extend_from_slice(records.bytes);
             }
-            Response::ResetDone => {
-                out.clear();
-                out.push(RESP_RESET);
-            }
+            Response::ResetDone => out.push(RESP_RESET),
         }
     }
 
-    /// Starts a [`Response::Batch`] of `len` records in `out` (cleared
-    /// first); exactly `len` [`push_record`](Response::push_record) calls
-    /// complete it.
-    pub fn begin_batch(len: usize, out: &mut Vec<u8>) {
+    /// Serialises a [`Response::Batch`] of a window's `records` into a
+    /// message payload, straight from their flat buffers.
+    pub fn encode_batch(records: &WindowResults, out: &mut Vec<u8>) {
         out.clear();
         out.push(RESP_BATCH);
-        put_len(out, len);
-    }
-
-    /// Appends one execution's record to a batch reply begun with
-    /// [`begin_batch`](Response::begin_batch).
-    pub fn push_record(summary: OutcomeSummary, trace: &SparseTrace, out: &mut Vec<u8>) {
-        put_summary(out, summary);
-        put_trace(out, trace);
+        put_len(out, records.len());
+        for (summary, hits) in records.iter() {
+            put_summary(out, summary);
+            put_hits(out, hits);
+        }
     }
 
     /// Deserialises a response from a message payload. A batch reply's
@@ -796,36 +788,33 @@ mod tests {
         assert_eq!(again, buffer);
     }
 
-    fn trace(pairs: &[(u16, u8)]) -> SparseTrace {
-        let mut trace = SparseTrace::new();
-        assert!(trace.assign_hits(pairs.iter().copied()));
-        trace
-    }
-
     #[test]
     fn response_codec_round_trips_and_reinterns_fault_sites() {
         let fault = Fault::new(FaultKind::HeapUseAfterFree, intern_site("mms.c:parse"));
-        let trace = trace(&[(3, 1), (9, 200), (65_000, 2)]);
+        let hits = [(3, 1), (9, 200), (65_000, 2)];
         let mut buffer = Vec::new();
         Response::ResetDone.encode_into(&mut buffer);
         assert_eq!(Response::decode(&buffer), Ok(Response::ResetDone));
         let records = [
-            (OutcomeSummary::Response, trace.clone()),
-            (OutcomeSummary::ProtocolError, SparseTrace::new()),
-            (OutcomeSummary::Fault(fault), trace.clone()),
+            (OutcomeSummary::Response, &hits[..]),
+            (OutcomeSummary::ProtocolError, &[][..]),
+            (OutcomeSummary::Fault(fault), &hits[..]),
         ];
-        Response::begin_batch(records.len(), &mut buffer);
-        for (summary, trace) in &records {
-            Response::push_record(*summary, trace, &mut buffer);
+        let mut sent = WindowResults::new();
+        for (summary, hits) in records {
+            assert!(sent.record_hits(summary, hits.iter().copied()));
         }
-        let Ok(Response::Batch(batch)) = Response::decode(&buffer) else {
+        Response::encode_batch(&sent, &mut buffer);
+        let reply = Response::decode(&buffer);
+        let Ok(Response::Batch(batch)) = reply else {
             panic!("expected a batch reply");
         };
         let mut window = WindowResults::new();
         batch.decode_into(&mut window).expect("valid records");
-        let decoded: Vec<(OutcomeSummary, SparseTrace)> =
-            window.iter().map(|(s, t)| (*s, t.clone())).collect();
-        assert_eq!(decoded, records);
+        assert!(window.iter().eq(records));
+        let mut again = Vec::new();
+        reply.expect("decoded").encode_into(&mut again);
+        assert_eq!(again, buffer);
         // Decoded fault sites are pointer-identical to the interned
         // originals, so wire faults dedup against in-process ones.
         let Some((OutcomeSummary::Fault(decoded_fault), _)) = window.iter().next_back() else {
@@ -839,16 +828,10 @@ mod tests {
         // A trace crosses the wire in snapshot form; anything else is a
         // corrupted reply, not a trace to sort or filter.
         for hits in [&[(9u16, 1u8), (3, 1)][..], &[(3, 1), (3, 2)], &[(3, 0)]] {
-            let mut trace = Vec::new();
-            put_len(&mut trace, hits.len());
-            for &(slot, count) in hits {
-                trace.extend_from_slice(&slot.to_le_bytes());
-                trace.push(count);
-            }
-            let mut batch = Vec::new();
-            Response::begin_batch(1, &mut batch);
-            batch.push(0);
-            batch.extend_from_slice(&trace);
+            let mut batch = vec![RESP_BATCH];
+            put_len(&mut batch, 1);
+            put_summary(&mut batch, OutcomeSummary::Response);
+            put_hits(&mut batch, hits);
             let Ok(Response::Batch(records)) = Response::decode(&batch) else {
                 panic!("a batch header decodes on its own");
             };

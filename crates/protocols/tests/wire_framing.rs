@@ -108,15 +108,17 @@ fn well_formed(kind: u8, packets: &[Vec<u8>], edges: &[u16]) -> Vec<u8> {
         0 => Request::encode_batch(packets.iter().map(Vec::as_slice), &mut out),
         1 => Request::Reset.encode_into(&mut out),
         2 => {
-            Response::begin_batch(packets.len(), &mut out);
+            let mut records = WindowResults::new();
             for (i, packet) in packets.iter().enumerate() {
                 let summary = match packet.len() % 3 {
                     0 => OutcomeSummary::Response,
                     1 => OutcomeSummary::ProtocolError,
                     _ => OutcomeSummary::Fault(fault),
                 };
-                Response::push_record(summary, &trace_of(&edges[i.min(edges.len())..]), &mut out);
+                let trace = trace_of(&edges[i.min(edges.len())..]);
+                assert!(records.record_hits(summary, trace.hits().iter().copied()));
             }
+            Response::encode_batch(&records, &mut out);
         }
         _ => Response::ResetDone.encode_into(&mut out),
     }
@@ -146,10 +148,7 @@ fn reply_accepts(message: &[u8]) -> bool {
             if records.decode_into(&mut window).is_err() {
                 return false;
             }
-            Response::begin_batch(window.len(), &mut again);
-            for (summary, trace) in window.iter() {
-                Response::push_record(*summary, trace, &mut again);
-            }
+            Response::encode_batch(&window, &mut again);
         }
         Ok(reply) => reply.encode_into(&mut again),
     }

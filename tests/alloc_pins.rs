@@ -18,10 +18,11 @@
 //! that worker happens to run, so the same campaign measured a few
 //! allocations apart from run to run.
 //!
-//! The worker topology keeps its windows, and each worker its result and
-//! packet-slice buffers, across rounds: its one-round campaign (8 windows
-//! of 250) pays for buffers that grow with a window's bytes, not for one
-//! seed per packet or one trace per execution. The same campaign with a
+//! The worker topology keeps its windows, each with its packets and its
+//! results, and each worker its packet-slice table, across rounds: its
+//! one-round campaign (8 windows of 250) pays for buffers that grow with a
+//! window's bytes and hits, not for one seed per packet or one trace per
+//! execution. The same campaign with a
 //! merge barrier after every window runs 8 rounds and must not cost more:
 //! besides its exact pin, it is held to the one-round count as a ceiling,
 //! so a change that allocates per round again fails either way.
@@ -55,16 +56,16 @@ use peachstar_datamodel::emit::emit_default;
 use peachstar_protocols::TargetId;
 
 /// Allocations of the unbatched Peach campaign, which runs as a batch of one.
-const PEACH_UNBATCHED: u64 = 988;
+const PEACH_UNBATCHED: u64 = 987;
 /// Allocations of the same campaign with `batch(64)`.
-const PEACH_BATCH_64: u64 = 1_674;
+const PEACH_BATCH_64: u64 = 1_546;
 /// Allocations of the same campaign on the worker topology, one worker.
-const PEACH_ONE_WORKER: u64 = 1_685;
+const PEACH_ONE_WORKER: u64 = 1_281;
 /// Allocations of the one-worker campaign with a merge barrier after every
 /// window: 8 rounds instead of 1.
-const PEACH_ONE_WORKER_8_ROUNDS: u64 = 1_509;
+const PEACH_ONE_WORKER_8_ROUNDS: u64 = 1_062;
 /// Allocations of the unbatched Peach\* campaign.
-const PEACHSTAR_UNBATCHED: u64 = 5_779;
+const PEACHSTAR_UNBATCHED: u64 = 5_778;
 /// Allocations a final-snapshot capture adds to the Peach\* campaign.
 /// `capture_final` returns an owned snapshot, so it clones the map, the
 /// pool and the monitor; only checkpoints written to disk encode straight

@@ -33,9 +33,11 @@ use peachstar::CampaignReport;
 use peachstar_coverage::TraceContext;
 use peachstar_protocols::chaos::{ChaosConfig, ChaosTarget};
 use peachstar_protocols::containment::contained;
-use peachstar_protocols::{FaultKind, Target, TargetId};
+use peachstar_protocols::{serve, FaultKind, Target, TargetId};
 use std::collections::BTreeSet;
 use std::net::TcpListener;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 
 /// The deterministic fields of a report, in one comparable bundle
 /// (everything except wall-clock timing).
@@ -307,6 +309,67 @@ fn framed_tcp_hangs_trip_the_same_watchdog_bugs() {
         sites(TransportMode::InProcess),
         sites(TransportMode::FramedTcp),
         "watchdog bugs behind framed TCP diverged from in-process"
+    );
+}
+
+/// Modbus, counting every fresh copy made of it, its copies' included.
+struct CountingCopies {
+    inner: Box<dyn Target>,
+    copies: Arc<AtomicUsize>,
+}
+
+impl Target for CountingCopies {
+    fn name(&self) -> &'static str {
+        self.inner.name()
+    }
+
+    fn data_models(&self) -> peachstar_datamodel::DataModelSet {
+        self.inner.data_models()
+    }
+
+    fn process(&mut self, packet: &[u8], ctx: &mut TraceContext) -> peachstar_protocols::Outcome {
+        self.inner.process(packet, ctx)
+    }
+
+    fn reset(&mut self) {
+        self.inner.reset();
+    }
+
+    fn clone_fresh(&self) -> Box<dyn Target + Send> {
+        self.copies.fetch_add(1, Ordering::SeqCst);
+        Box::new(Self {
+            inner: self.inner.clone_fresh(),
+            copies: Arc::clone(&self.copies),
+        })
+    }
+}
+
+#[test]
+fn a_supervised_framed_tcp_campaign_runs_on_one_connection() {
+    // The server's accept loop makes two fresh copies of its target per
+    // connection (the connection's target and its spare), so a served
+    // target that counts its copies counts connections. The executor hands
+    // the connection the campaign dialled to the watchdog's first worker,
+    // so a supervised campaign opens no second connection for the
+    // watchdog and leaves none unused.
+    let copies = Arc::new(AtomicUsize::new(0));
+    let served = CountingCopies {
+        inner: TargetId::Modbus.create(),
+        copies: Arc::clone(&copies),
+    };
+    let server = serve(
+        TcpListener::bind("127.0.0.1:0").expect("bind"),
+        Box::new(served),
+    )
+    .expect("serve");
+    let target = FramedTcpTarget::connect(TargetId::Modbus.create_send(), server.addr());
+    let cfg = config(StrategyKind::Peach, 9).exec_timeout_ms(5_000);
+    let report = Campaign::new(Box::new(target), cfg).run();
+    assert_eq!(report.executions, 1_000);
+    assert_eq!(
+        copies.load(Ordering::SeqCst),
+        2,
+        "one connection, two copies"
     );
 }
 

@@ -334,24 +334,22 @@ fn an_exhausted_connection_degrades_onto_the_survivors() {
     // accept-and-close rejections outlast its reconnect budget: the
     // connection is marked dead, its window is redistributed, and the
     // surviving connection finishes the campaign with the healthy report.
-    // Unbatched, every window reaches the target in one chunk; a batch
-    // splits each window into several, so a connection can die between
-    // chunks of one window. Each case drops at a frame its campaign
-    // reaches, which the same chaos on a lone connection proves: there it
-    // exhausts every connection the campaign has.
-    for (cfg, drop_every) in [
-        (config(13), 3),
-        (config(13).batch(50), 7),
-        (config(13).batch(5), 137),
-    ] {
-        let healthy = deterministic(
-            &ShardedCampaign::new(
-                TargetId::Modbus.create(),
-                cfg,
-                ShardConfig::with_workers(2).sync_windows(2),
-            )
-            .run(),
-        );
+    // A worker sends each window as a reset and one batch, so a lone
+    // connection carries 10 frames (5 windows); the drops land on a
+    // window-start reset, on a mid-campaign batch and on the last frame.
+    // Each case drops at a frame its campaign reaches, which the same chaos
+    // on a lone connection proves: there it exhausts every connection the
+    // campaign has.
+    let cfg = config(13);
+    let healthy = deterministic(
+        &ShardedCampaign::new(
+            TargetId::Modbus.create(),
+            cfg,
+            ShardConfig::with_workers(2).sync_windows(2),
+        )
+        .run(),
+    );
+    for drop_every in [3, 6, 10] {
         let chaotic = cfg
             .reconnect(ReconnectPolicy::immediate(2))
             .wire_chaos(
@@ -373,8 +371,7 @@ fn an_exhausted_connection_degrades_onto_the_survivors() {
         assert_eq!(
             healthy,
             deterministic(&report),
-            "degraded campaign diverged (batch {:?})",
-            cfg.batch
+            "degraded campaign diverged (drop at frame {drop_every})"
         );
         let lone = std::panic::catch_unwind(|| on_workers(1))
             .expect_err("the drop must fire and exhaust the lone connection");
@@ -385,8 +382,7 @@ fn an_exhausted_connection_degrades_onto_the_survivors() {
             .unwrap_or_default();
         assert!(
             message.contains("every connection exhausted its reconnect budget"),
-            "unexpected panic (batch {:?}): {message}",
-            cfg.batch
+            "unexpected panic (drop at frame {drop_every}): {message}"
         );
     }
 }
