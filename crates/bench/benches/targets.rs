@@ -37,9 +37,6 @@ fn bench_targets(c: &mut Criterion) {
 /// window and handed to `process_batch` — the exact call shape of the
 /// batched campaign fast path, whose packet loop calls each target's
 /// `process` with static dispatch.
-/// The `_summary` variants arm [`DecodeSink::Summary`], so their delta
-/// against the plain entries is the pure cost of response assembly and
-/// error-string formatting that batched campaign windows skip.
 fn bench_process_batch(c: &mut Criterion) {
     let mut group = c.benchmark_group("targets");
     group.sample_size(30);
@@ -54,19 +51,14 @@ fn bench_process_batch(c: &mut Criterion) {
             .map(|model| emit_default(model).expect("default packet emits"))
             .collect();
         let refs: Vec<&[u8]> = packets.iter().map(Vec::as_slice).collect();
-        for (suffix, sink) in [("", DecodeSink::Full), ("_summary", DecodeSink::Summary)] {
-            group.bench_function(
-                format!("process_batch_{}{suffix}", target_id.project_name()),
-                |b| {
-                    let mut ctx = TraceContext::new();
-                    let mut results = WindowResults::new();
-                    b.iter(|| {
-                        target.process_batch(&refs, &mut ctx, &mut results, sink);
-                        results.len()
-                    });
-                },
-            );
-        }
+        group.bench_function(format!("process_batch_{}", target_id.project_name()), |b| {
+            let mut ctx = TraceContext::new();
+            let mut results = WindowResults::new();
+            b.iter(|| {
+                target.process_batch(&refs, &mut ctx, &mut results, DecodeSink);
+                results.len()
+            });
+        });
     }
     group.finish();
 }

@@ -141,8 +141,8 @@ pub struct CliOptions {
     /// failure in scripts and CI.
     pub fail_on_fault: bool,
     /// Wrap every target in the deterministic chaos layer with this seed:
-    /// injected panics and garbage responses exercise the fault-tolerant
-    /// execution path (hangs too, with `--chaos-hang-every`).
+    /// injected panics exercise the fault-tolerant execution path (hangs
+    /// too, with `--chaos-hang-every`).
     pub chaos: Option<u64>,
     /// With `--chaos`: also inject blocking hangs on every ~Nth distinct
     /// packet. Requires `--exec-timeout-ms` so the watchdog bounds them.
@@ -365,10 +365,10 @@ OPTIONS:
                              (0 = ran clean, 1 = operational error) — lets
                              scripts and CI distinguish the three outcomes.
     --chaos <SEED>           Wrap every target in the deterministic chaos
-                             layer: injected panics and garbage responses,
-                             selected by packet content under SEED, exercise
-                             panic containment end to end. The non-chaos
-                             campaign stream is unaffected.
+                             layer: injected panics, selected by packet
+                             content under SEED, exercise panic containment
+                             end to end. The non-chaos campaign stream is
+                             unaffected.
     --chaos-hang-every <N>   With --chaos: also inject blocking hangs on
                              every ~Nth distinct packet. Requires
                              --exec-timeout-ms so the watchdog bounds them.

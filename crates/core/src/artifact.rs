@@ -25,6 +25,11 @@
 //! 64 trailer, and atomic writes through a `.tmp` file and a rename. A
 //! bundle is a few hundred bytes written once per bug, so it gains nothing
 //! from the snapshot's varints.
+//!
+//! Version 2 records the chaos policy without the garbage-response period
+//! that version 1 carried (the injector no longer has one). A version-1
+//! bundle is refused by number, [`SnapshotError::UnsupportedVersion`]`(1)`,
+//! as a version-1 snapshot is.
 
 use std::path::{Path, PathBuf};
 
@@ -42,7 +47,7 @@ use crate::snapshot::{
 pub const MAGIC: [u8; 8] = *b"PEACHART";
 
 /// Current artifact format version.
-pub const VERSION: u32 = 1;
+pub const VERSION: u32 = 2;
 
 const SECTION_RECIPE: u8 = 1;
 const SECTION_BUG: u8 = 2;
@@ -173,7 +178,6 @@ impl CrashArtifact {
                     put_u64(buf, chaos.panic_every);
                     put_u64(buf, chaos.hang_every);
                     put_u64(buf, chaos.hang.as_millis() as u64);
-                    put_u64(buf, chaos.garbage_every);
                     put_u32(buf, chaos.sites);
                 }
                 None => put_u8(buf, 0),
@@ -246,7 +250,6 @@ impl CrashArtifact {
                             .panic_every(section.u64()?)
                             .hang_every(section.u64()?)
                             .hang_ms(section.u64()?)
-                            .garbage_every(section.u64()?)
                             .sites(section.u32()?),
                     ),
                     _ => return Err(SnapshotError::Corrupt("chaos flag")),
@@ -455,7 +458,7 @@ mod tests {
             .rng_seed(5)
             .sample_interval(100)
             .reset_interval(150);
-        let chaos = ChaosConfig::new(11).panic_every(23).hang_every(0).garbage_every(0);
+        let chaos = ChaosConfig::new(11).panic_every(23).hang_every(0);
         let report = Campaign::new(
             Box::new(ChaosTarget::new(target.create_send(), chaos)),
             config,
@@ -498,6 +501,20 @@ mod tests {
     }
 
     #[test]
+    fn a_version_1_bundle_is_refused_by_number() {
+        // Magic, version 1, an empty body and a valid checksum: the version
+        // is checked before any section is read.
+        let mut bytes = MAGIC.to_vec();
+        put_u32(&mut bytes, 1);
+        let checksum = fnv1a(&bytes);
+        put_u64(&mut bytes, checksum);
+        assert!(matches!(
+            CrashArtifact::decode(&bytes),
+            Err(SnapshotError::UnsupportedVersion(1))
+        ));
+    }
+
+    #[test]
     fn replay_reproduces_a_recorded_bug() {
         let (target, config, chaos, report) = chaos_campaign();
         let bug = report.bugs.first().expect("chaos campaign finds bugs");
@@ -513,7 +530,7 @@ mod tests {
         let mut artifact = CrashArtifact::from_bug(target, &config, None, Some(chaos), bug);
         // A different chaos seed misbehaves on different packets, so the
         // recorded site cannot fire at the recorded execution.
-        artifact.chaos = Some(ChaosConfig::new(12).panic_every(23).hang_every(0).garbage_every(0));
+        artifact.chaos = Some(ChaosConfig::new(12).panic_every(23).hang_every(0));
         let (_, error) = *artifact.replay().expect_err("divergence must be caught");
         assert!(matches!(
             error,

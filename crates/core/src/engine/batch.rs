@@ -6,9 +6,9 @@
 //! unless [`CampaignConfig::batch`] says otherwise): every slice is
 //! generated up front into a pooled `PacketArena`, executed in a
 //! *single* [`TargetExecutor::execute_window`] call (one virtual dispatch
-//! per slice via [`Target::process_batch`], decoding with the summary
-//! sink), and then reduced through [`Engine::reduce`] in global execution
-//! order, straight from the slice's [`WindowResults`]. The worker topology
+//! per slice via [`Target::process_batch`]), and then reduced through
+//! [`Engine::reduce`] in global execution order, straight from the slice's
+//! [`WindowResults`]. The worker topology
 //! ([`shard`](crate::engine::shard)) executes each of its windows whole
 //! through the same executor call on its workers, with the same pooled
 //! table of packet slices ([`RefTable`]).
@@ -143,10 +143,10 @@ impl Engine {
             debug_assert_eq!(results.len(), count, "one result per packet");
 
             // Phase 3 — reduce in global execution order.
-            for ((execution, packet), (summary, hits)) in
+            for ((execution, packet), (outcome, hits)) in
                 (start..).zip(&arena.packets).zip(results.iter())
             {
-                self.reduce(execution, packet, summary, hits, models);
+                self.reduce(execution, packet, outcome, hits, models);
             }
             start = end + 1;
         }

@@ -73,7 +73,7 @@ impl ResetPolicy {
 ///
 /// ```
 /// use peachstar::engine::TargetExecutor;
-/// use peachstar_protocols::{OutcomeSummary, TargetId, WindowResults};
+/// use peachstar_protocols::{Outcome, TargetId, WindowResults};
 ///
 /// // Reset the Modbus target's session state every 100 executions, so
 /// // executions 1..=99 may run as one window.
@@ -82,8 +82,8 @@ impl ResetPolicy {
 /// let mut results = WindowResults::new();
 /// executor.execute_window(1, &[&request, &[0xFF], &request], &mut results);
 /// assert_eq!(results.len(), 3, "one record per packet");
-/// let (summary, hits) = results.iter().next().expect("the first record");
-/// assert_eq!(summary, OutcomeSummary::Response);
+/// let (outcome, hits) = results.iter().next().expect("the first record");
+/// assert_eq!(outcome, Outcome::Response);
 /// assert!(!hits.is_empty(), "every execution is instrumented");
 /// ```
 ///
@@ -248,8 +248,8 @@ impl TargetExecutor {
         if let Some(watchdog) = &mut self.watchdog {
             out.begin();
             for (offset, packet) in packets.iter().enumerate() {
-                let (summary, trace) = watchdog.execute(resets && offset == 0, packet);
-                let recorded = out.record_hits(summary, trace.hits().iter().copied());
+                let (outcome, trace) = watchdog.execute(resets && offset == 0, packet);
+                let recorded = out.record_hits(outcome, trace.hits().iter().copied());
                 debug_assert!(recorded, "a snapshot's hits are in snapshot form");
             }
             return;
@@ -272,10 +272,10 @@ mod tests {
     use super::*;
     use crate::engine::batch::windows_for_policy;
     use peachstar_protocols::containment::contained_step;
-    use peachstar_protocols::{OutcomeSummary, TargetId};
+    use peachstar_protocols::{Outcome, TargetId};
 
-    /// One execution's outcome summary and trace hits.
-    type Record = (OutcomeSummary, Vec<(u16, u8)>);
+    /// One execution's outcome and trace hits.
+    type Record = (Outcome, Vec<(u16, u8)>);
 
     #[test]
     fn interval_policy_matches_the_historic_reset_cadence() {
@@ -338,10 +338,7 @@ mod tests {
                     target.reset();
                 }
                 let outcome = contained_step(&mut target, spare.as_ref(), &mut ctx, packet);
-                (
-                    OutcomeSummary::from(&outcome),
-                    ctx.trace().to_sparse().hits().to_vec(),
-                )
+                (outcome, ctx.trace().to_sparse().hits().to_vec())
             })
             .collect()
     }
@@ -355,11 +352,7 @@ mod tests {
             let window = &packets[start as usize - 1..end as usize];
             executor.execute_window(start, window, &mut results);
             assert_eq!(results.len(), window.len(), "one record per packet");
-            records.extend(
-                results
-                    .iter()
-                    .map(|(summary, hits)| (summary, hits.to_vec())),
-            );
+            records.extend(results.iter().map(|(outcome, hits)| (outcome, hits.to_vec())));
         }
         records
     }
@@ -403,7 +396,7 @@ mod tests {
     fn execute_contains_panics_and_continues() {
         use peachstar_protocols::chaos::{ChaosConfig, ChaosTarget};
         use peachstar_protocols::FaultKind;
-        let chaos = ChaosConfig::new(5).panic_every(2).garbage_every(0).sites(2);
+        let chaos = ChaosConfig::new(5).panic_every(2).sites(2);
         let target = Box::new(ChaosTarget::new(TargetId::Modbus.create_send(), chaos));
         let mut executor = TargetExecutor::new(target, 0);
         let packets: Vec<Vec<u8>> = (0u8..24).map(|i| vec![i, 0x68, i ^ 0x3C]).collect();
@@ -417,8 +410,8 @@ mod tests {
         );
         let panics = results
             .iter()
-            .filter_map(|(summary, _)| match summary {
-                OutcomeSummary::Fault(fault) if fault.kind == FaultKind::Panic => Some(fault),
+            .filter_map(|(outcome, _)| match outcome {
+                Outcome::Fault(fault) if fault.kind == FaultKind::Panic => Some(fault),
                 _ => None,
             })
             .inspect(|fault| assert!(fault.site.starts_with("chaos: injected panic #")))
@@ -426,9 +419,9 @@ mod tests {
         assert!(panics > 0, "panic_every=2 must fire in 24 packets");
         // The executor survived every panic and still works.
         executor.execute_window(100, &[&REQUEST], &mut results);
-        let (summary, hits) = results.iter().next().expect("one record");
-        assert!(match summary {
-            OutcomeSummary::Fault(fault) => fault.kind == FaultKind::Panic,
+        let (outcome, hits) = results.iter().next().expect("one record");
+        assert!(match outcome {
+            Outcome::Fault(fault) => fault.kind == FaultKind::Panic,
             _ => !hits.is_empty(),
         });
     }
@@ -439,10 +432,7 @@ mod tests {
         // sequential contained path: same synthetic faults at the same
         // offsets, same traces for the surviving packets.
         use peachstar_protocols::chaos::{ChaosConfig, ChaosTarget};
-        let chaos = ChaosConfig::new(11)
-            .panic_every(3)
-            .garbage_every(5)
-            .sites(3);
+        let chaos = ChaosConfig::new(11).panic_every(3).sites(3);
         let make =
             || Box::new(ChaosTarget::new(TargetId::Modbus.create_send(), chaos)) as Box<dyn Target>;
         let packets: Vec<Vec<u8>> = (0u8..16).map(|i| vec![i, i ^ 0x77]).collect();
@@ -480,18 +470,14 @@ mod tests {
     fn deadline_executor_converts_hangs_into_faults() {
         use peachstar_protocols::chaos::{ChaosConfig, ChaosTarget};
         use peachstar_protocols::{Fault, FaultKind};
-        let chaos = ChaosConfig::new(0)
-            .panic_every(0)
-            .garbage_every(0)
-            .hang_every(1)
-            .hang_ms(2_000);
+        let chaos = ChaosConfig::new(0).panic_every(0).hang_every(1).hang_ms(2_000);
         let target = Box::new(ChaosTarget::new(TargetId::Modbus.create_send(), chaos));
         let mut executor = TargetExecutor::new(target, 0).with_deadline(Duration::from_millis(25));
         let mut results = WindowResults::new();
         executor.execute_window(1, &[&[0x01]], &mut results);
-        let (summary, hits) = results.iter().next().expect("one record");
+        let (outcome, hits) = results.iter().next().expect("one record");
         let hang = Fault::new(FaultKind::Hang, crate::engine::supervisor::HANG_SITE);
-        assert_eq!(summary, OutcomeSummary::Fault(hang));
+        assert_eq!(outcome, Outcome::Fault(hang));
         assert!(hits.is_empty());
     }
 
@@ -501,7 +487,7 @@ mod tests {
         let mut results = WindowResults::new();
         executor.execute_window(1, &[&REQUEST, &[]], &mut results);
         let records: Vec<_> = results.iter().collect();
-        assert_eq!(records[0].0, OutcomeSummary::Response);
+        assert_eq!(records[0].0, Outcome::Response);
         assert!(!records[0].1.is_empty());
         // The next execution starts from a clean trace.
         assert_ne!(records[1].1, records[0].1);

@@ -35,7 +35,7 @@ pub(crate) mod supervisor;
 pub mod transport;
 
 pub use executor::{ResetPolicy, TargetExecutor};
-pub use monitor::{CampaignMonitor, MonitorState, OutcomeSummary};
+pub use monitor::{CampaignMonitor, MonitorState};
 pub use schedule::{Schedule, ScheduleState};
 pub use session::{PhaseMask, SessionConfig, SessionPlan, SessionSchedule};
 pub use shard::ShardConfig;
@@ -43,6 +43,7 @@ pub use transport::{error_class, FramedTcpTarget, ReconnectPolicy, TransportMode
 
 use peachstar_coverage::CoverageMap;
 use peachstar_datamodel::DataModelSet;
+use peachstar_protocols::Outcome;
 use rand::rngs::SmallRng;
 
 use crate::seed::SeedPool;
@@ -73,8 +74,8 @@ use crate::strategy::GeneratedPacket;
 /// for execution in 1..=200 {
 ///     let packet = engine.schedule.next_packet(&models, &mut rng);
 ///     executor.execute_window(execution, &[&packet.bytes], &mut results);
-///     for (summary, hits) in results.iter() {
-///         engine.reduce(execution, &packet, summary, hits, &models);
+///     for (outcome, hits) in results.iter() {
+///         engine.reduce(execution, &packet, outcome, hits, &models);
 ///     }
 /// }
 /// // The first execution always adds coverage, so it is a valuable seed.
@@ -120,11 +121,11 @@ impl Engine {
     /// # Example
     ///
     /// ```
-    /// use peachstar::engine::{CampaignMonitor, Engine, OutcomeSummary, Schedule};
+    /// use peachstar::engine::{CampaignMonitor, Engine, Schedule};
     /// use peachstar::seed::Seed;
     /// use peachstar::strategy::StrategyKind;
     /// use peachstar_coverage::{EdgeId, TraceContext};
-    /// use peachstar_protocols::TargetId;
+    /// use peachstar_protocols::{Outcome, TargetId};
     ///
     /// let models = TargetId::Modbus.create().data_models();
     /// let mut engine = Engine::new(
@@ -137,7 +138,7 @@ impl Engine {
     /// let packet = Seed::new(vec![0x42], "demo", false);
     /// // The same trace twice: only its first execution adds coverage.
     /// for execution in 1..=2 {
-    ///     engine.reduce(execution, &packet, OutcomeSummary::Response, trace.hits(), &models);
+    ///     engine.reduce(execution, &packet, Outcome::Response, trace.hits(), &models);
     /// }
     /// assert_eq!(engine.seeds.len(), 1);
     /// assert_eq!(engine.monitor.responses(), 2);
@@ -146,7 +147,7 @@ impl Engine {
         &mut self,
         execution: u64,
         packet: &GeneratedPacket,
-        outcome: OutcomeSummary,
+        outcome: Outcome,
         hits: &[(u16, u8)],
         models: &DataModelSet,
     ) {
@@ -269,7 +270,7 @@ mod tests {
             engine.reduce(
                 execution,
                 &packet,
-                OutcomeSummary::Response,
+                Outcome::Response,
                 trace.hits(),
                 &models,
             );

@@ -3,14 +3,11 @@
 
 use std::collections::HashSet;
 
+use peachstar_protocols::Outcome;
+
 use crate::campaign::BugRecord;
 use crate::stats::{CoverageSeries, SeriesPoint};
 use crate::strategy::GeneratedPacket;
-
-// The summary now lives next to `Outcome` in the protocols crate, where
-// `Target::process_batch` buffers one per packet; re-exported here so the
-// engine-facing path `engine::OutcomeSummary` keeps working.
-pub use peachstar_protocols::OutcomeSummary;
 
 /// Observes the campaign from the side: tallies outcomes, deduplicates bugs
 /// by fault site, and samples the coverage growth series for the
@@ -22,13 +19,14 @@ pub use peachstar_protocols::OutcomeSummary;
 /// # Example
 ///
 /// ```
-/// use peachstar::engine::{CampaignMonitor, OutcomeSummary};
+/// use peachstar::engine::CampaignMonitor;
 /// use peachstar::seed::Seed;
+/// use peachstar_protocols::Outcome;
 ///
 /// // A 100-execution campaign sampled every 50 executions.
 /// let mut monitor = CampaignMonitor::new(100, 50);
 /// let packet = Seed::new(vec![0x68, 0x04], "startdt", false);
-/// monitor.record(1, &packet, OutcomeSummary::Response);
+/// monitor.record(1, &packet, Outcome::Response);
 /// monitor.sample(50, 12, 30);
 /// assert_eq!(monitor.responses(), 1);
 /// assert_eq!(monitor.series().final_paths(), 12);
@@ -148,11 +146,11 @@ pub struct MonitorState {
 impl CampaignMonitor {
     /// Records one execution's outcome (called once per execution, in
     /// execution order).
-    pub fn record(&mut self, execution: u64, packet: &GeneratedPacket, outcome: OutcomeSummary) {
+    pub fn record(&mut self, execution: u64, packet: &GeneratedPacket, outcome: Outcome) {
         match outcome {
-            OutcomeSummary::Response => self.responses += 1,
-            OutcomeSummary::ProtocolError => self.protocol_errors += 1,
-            OutcomeSummary::Fault(fault) => {
+            Outcome::Response => self.responses += 1,
+            Outcome::ProtocolError => self.protocol_errors += 1,
+            Outcome::Fault(fault) => {
                 self.fault_hits += 1;
                 if self.seen_sites.insert(fault.site) {
                     self.bugs.push(BugRecord {
@@ -185,7 +183,7 @@ impl CampaignMonitor {
 mod tests {
     use super::*;
     use crate::seed::Seed;
-    use peachstar_protocols::{Fault, FaultKind, Outcome};
+    use peachstar_protocols::{Fault, FaultKind};
 
     fn packet() -> GeneratedPacket {
         Seed::new(vec![1, 2, 3], "m", false)
@@ -194,13 +192,13 @@ mod tests {
     #[test]
     fn tallies_and_dedups_bugs_by_site() {
         let mut monitor = CampaignMonitor::new(100, 10);
-        monitor.record(1, &packet(), OutcomeSummary::Response);
-        monitor.record(2, &packet(), OutcomeSummary::ProtocolError);
+        monitor.record(1, &packet(), Outcome::Response);
+        monitor.record(2, &packet(), Outcome::ProtocolError);
         let fault = Fault::new(FaultKind::Segv, "a.c:f");
-        monitor.record(3, &packet(), OutcomeSummary::Fault(fault));
-        monitor.record(4, &packet(), OutcomeSummary::Fault(fault));
+        monitor.record(3, &packet(), Outcome::Fault(fault));
+        monitor.record(4, &packet(), Outcome::Fault(fault));
         let other = Fault::new(FaultKind::Hang, "b.c:g");
-        monitor.record(5, &packet(), OutcomeSummary::Fault(other));
+        monitor.record(5, &packet(), Outcome::Fault(other));
 
         assert_eq!(monitor.responses(), 1);
         assert_eq!(monitor.protocol_errors(), 1);
@@ -226,22 +224,5 @@ mod tests {
         let (series, bugs) = monitor.into_series_and_bugs();
         assert_eq!(series.final_paths(), 25);
         assert!(bugs.is_empty());
-    }
-
-    #[test]
-    fn outcome_summary_from_outcome() {
-        assert_eq!(
-            OutcomeSummary::from(&Outcome::Response(vec![1])),
-            OutcomeSummary::Response
-        );
-        assert_eq!(
-            OutcomeSummary::from(&Outcome::ProtocolError("bad".into())),
-            OutcomeSummary::ProtocolError
-        );
-        let fault = Fault::new(FaultKind::Segv, "x");
-        assert_eq!(
-            OutcomeSummary::from(&Outcome::Fault(fault)),
-            OutcomeSummary::Fault(fault)
-        );
     }
 }

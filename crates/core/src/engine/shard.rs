@@ -60,13 +60,13 @@ use rand::rngs::SmallRng;
 
 use peachstar_datamodel::DataModelSet;
 use peachstar_protocols::containment::contained;
-use peachstar_protocols::{FaultKind, Target, WindowResults};
+use peachstar_protocols::{FaultKind, Outcome, Target, WindowResults};
 
 use peachstar_protocols::containment::RefTable;
 
 use crate::campaign::CampaignConfig;
 use crate::engine::transport::is_connection_loss;
-use crate::engine::{Engine, OutcomeSummary, ResetPolicy, Schedule, TargetExecutor};
+use crate::engine::{Engine, ResetPolicy, Schedule, TargetExecutor};
 use crate::seed::Seed;
 use crate::strategy::GeneratedPacket;
 
@@ -206,8 +206,8 @@ enum ShardWorker {
 
 /// Whether a recorded outcome is an exhausted reconnect budget, contained
 /// by the executor like any other panic.
-fn lost_connection(summary: OutcomeSummary) -> bool {
-    matches!(summary, OutcomeSummary::Fault(fault)
+fn lost_connection(outcome: Outcome) -> bool {
+    matches!(outcome, Outcome::Fault(fault)
         if fault.kind == FaultKind::Panic && is_connection_loss(fault.site))
 }
 
@@ -254,7 +254,7 @@ fn run_window(runner: &mut Runner, window: &mut Window) -> bool {
     // uncontained panic: in the window-start reset (a worker clone's first
     // dial among them) or in a rebuild.
     match attempt {
-        Ok(()) => !(degradable && results.iter().any(|(summary, _)| lost_connection(summary))),
+        Ok(()) => !(degradable && results.iter().any(|(outcome, _)| lost_connection(outcome))),
         Err(message) if degradable && is_connection_loss(&message) => false,
         Err(message) => panic!("{message}"),
     }
@@ -505,7 +505,7 @@ mod tests {
         // depend on who executed the window.
         use peachstar_protocols::chaos::{ChaosConfig, ChaosTarget};
         let run = |workers: usize| {
-            let chaos = ChaosConfig::new(11).panic_every(23).hang_every(0).garbage_every(0);
+            let chaos = ChaosConfig::new(11).panic_every(23).hang_every(0);
             let target = Box::new(ChaosTarget::new(TargetId::Modbus.create_send(), chaos));
             let config = CampaignConfig::new(StrategyKind::Peach)
                 .executions(600)

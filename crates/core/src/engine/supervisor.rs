@@ -16,7 +16,7 @@ use std::thread;
 use std::time::Duration;
 
 use peachstar_coverage::{SparseTrace, TraceContext};
-use peachstar_protocols::{Fault, FaultKind, OutcomeSummary, Target};
+use peachstar_protocols::{Fault, FaultKind, Outcome, Target};
 
 use peachstar_protocols::containment::contained_step;
 
@@ -32,8 +32,8 @@ struct Job {
     reset_before: bool,
 }
 
-/// One execution's outcome summary and trace, as a window records them.
-type Reply = (OutcomeSummary, SparseTrace);
+/// One execution's outcome and trace, as a window records them.
+type Reply = (Outcome, SparseTrace);
 
 struct WatchdogWorker {
     jobs: mpsc::Sender<Job>,
@@ -79,7 +79,7 @@ fn spawn_worker(mut target: Box<dyn Target>, spare: Box<dyn Target>) -> Watchdog
                     target.reset();
                 }
                 let outcome = contained_step(&mut target, spare.as_ref(), &mut ctx, &job.packet);
-                let reply = (OutcomeSummary::from(&outcome), ctx.trace().to_sparse());
+                let reply = (outcome, ctx.trace().to_sparse());
                 if replies_tx.send(reply).is_err() {
                     // The supervisor abandoned us (deadline missed on an
                     // earlier packet) — nothing left to do.
@@ -147,7 +147,7 @@ impl Watchdog {
                     // lets the worker exit whenever (if ever) it comes back.
                     self.worker = None;
                     return (
-                        OutcomeSummary::Fault(Fault::new(FaultKind::Hang, HANG_SITE)),
+                        Outcome::Fault(Fault::new(FaultKind::Hang, HANG_SITE)),
                         SparseTrace::new(),
                     );
                 }
@@ -157,7 +157,7 @@ impl Watchdog {
             }
         }
         (
-            OutcomeSummary::Fault(Fault::new(FaultKind::Hang, WORKER_LOST_SITE)),
+            Outcome::Fault(Fault::new(FaultKind::Hang, WORKER_LOST_SITE)),
             SparseTrace::new(),
         )
     }
@@ -178,17 +178,13 @@ mod tests {
         );
         let request = [0x00, 0x01, 0x00, 0x00, 0x00, 0x06, 0x01, 0x03, 0x00, 0x00, 0x00, 0x02];
         let (outcome, trace) = watchdog.execute(false, &request);
-        assert_eq!(outcome, OutcomeSummary::Response);
+        assert_eq!(outcome, Outcome::Response);
         assert!(!trace.hits().is_empty(), "supervised executions still record coverage");
     }
 
     #[test]
     fn watchdog_abandons_hangs_and_recovers() {
-        let chaos = ChaosConfig::new(0)
-            .panic_every(0)
-            .garbage_every(0)
-            .hang_every(1)
-            .hang_ms(2_000);
+        let chaos = ChaosConfig::new(0).panic_every(0).hang_every(1).hang_ms(2_000);
         let hanging = || Box::new(ChaosTarget::new(TargetId::Modbus.create_send(), chaos));
         let mut watchdog = Watchdog::new(hanging(), hanging(), Duration::from_millis(25));
         let started = std::time::Instant::now();
@@ -197,7 +193,7 @@ mod tests {
             started.elapsed() < Duration::from_millis(1_500),
             "the deadline, not the hang, bounds the wall time"
         );
-        let hang = OutcomeSummary::Fault(Fault::new(FaultKind::Hang, HANG_SITE));
+        let hang = Outcome::Fault(Fault::new(FaultKind::Hang, HANG_SITE));
         assert_eq!(outcome, hang);
         assert!(trace.hits().is_empty(), "an abandoned execution has no trace");
         // The rebuilt worker keeps serving — with hang_every(1) it hangs
@@ -212,7 +208,7 @@ mod tests {
         let panicking = || Box::new(ChaosTarget::new(TargetId::Modbus.create_send(), chaos));
         let mut watchdog = Watchdog::new(panicking(), panicking(), Duration::from_secs(5));
         let (outcome, _) = watchdog.execute(true, &[0x01, 0x02, 0x03]);
-        let OutcomeSummary::Fault(fault) = outcome else {
+        let Outcome::Fault(fault) = outcome else {
             panic!("an injected panic becomes a fault, got {outcome:?}");
         };
         assert_eq!(fault.kind, FaultKind::Panic);
@@ -220,7 +216,7 @@ mod tests {
         // The worker survives its own contained panic.
         let (outcome, _) = watchdog.execute(false, &[0x04]);
         assert!(
-            matches!(outcome, OutcomeSummary::Fault(fault) if fault.kind == FaultKind::Panic),
+            matches!(outcome, Outcome::Fault(fault) if fault.kind == FaultKind::Panic),
             "{outcome:?}"
         );
     }

@@ -18,8 +18,8 @@
 //!
 //! The seam is deliberately *below* the executor: every reset-policy
 //! decision, panic rebuild, watchdog deadline and window walk runs
-//! client-side exactly as in-process, and the wire relays `(outcome summary,
-//! sparse trace)` pairs verbatim (fault sites re-interned on receipt, so
+//! client-side exactly as in-process, and the wire relays `(outcome, sparse
+//! trace)` pairs verbatim (fault sites re-interned on receipt, so
 //! dedup is pointer-compatible). That is what makes a loopback-TCP campaign
 //! bit-identical to an in-process one — `tests/transport_equivalence.rs`
 //! holds the proof across all six targets and both strategies.
@@ -55,7 +55,7 @@ use peachstar_coverage::TraceContext;
 use peachstar_datamodel::DataModelSet;
 use peachstar_protocols::server::{serve_with_chaos, ServerHandle, WireChaos};
 use peachstar_protocols::wire::{MessageStream, Request, Response, WireFraming};
-use peachstar_protocols::{DecodeSink, Outcome, OutcomeSummary, Target, WindowResults};
+use peachstar_protocols::{DecodeSink, Outcome, Target, WindowResults};
 
 /// Which transport carries packets from the executor to the target.
 ///
@@ -491,22 +491,17 @@ impl Target for FramedTcpTarget {
         self.blueprint.session_template()
     }
 
-    /// A window of one. Its record carries the outcome's summary, so the
-    /// returned outcome's payloads are empty.
+    /// A window of one.
     fn process(&mut self, packet: &[u8], ctx: &mut TraceContext) -> Outcome {
         let mut window = std::mem::take(&mut self.window);
-        self.process_batch(&[packet], ctx, &mut window, DecodeSink::Summary);
-        let (summary, _) = window.iter().next().expect("one record per packet");
+        self.process_batch(&[packet], ctx, &mut window, DecodeSink);
+        let (outcome, _) = window.iter().next().expect("one record per packet");
         self.window = window;
-        match summary {
-            OutcomeSummary::Response => Outcome::Response(Vec::new()),
-            OutcomeSummary::ProtocolError => Outcome::ProtocolError(String::new()),
-            OutcomeSummary::Fault(fault) => Outcome::Fault(fault),
-        }
+        outcome
     }
 
-    /// The server decodes every window under [`DecodeSink::Summary`],
-    /// whatever `_sink` says: a record carries no payload either way.
+    /// One `Batch` exchange: the server runs the window and replies with
+    /// its record.
     fn process_batch(
         &mut self,
         packets: &[&[u8]],
@@ -580,11 +575,7 @@ mod tests {
                 ref_ctx.reset();
                 let over_wire = tcp.process(packet, &mut tcp_ctx);
                 let direct = reference.process(packet, &mut ref_ctx);
-                assert_eq!(
-                    OutcomeSummary::from(&over_wire),
-                    OutcomeSummary::from(&direct),
-                    "{id:?}"
-                );
+                assert_eq!(over_wire, direct, "{id:?}");
                 assert_eq!(
                     tcp_ctx.trace().to_sparse(),
                     ref_ctx.trace().to_sparse(),
@@ -606,8 +597,8 @@ mod tests {
         let mut ref_ctx = TraceContext::new();
         let mut over_wire = WindowResults::new();
         let mut direct = WindowResults::new();
-        tcp.process_batch(&window, &mut tcp_ctx, &mut over_wire, DecodeSink::Full);
-        reference.process_batch(&window, &mut ref_ctx, &mut direct, DecodeSink::Full);
+        tcp.process_batch(&window, &mut tcp_ctx, &mut over_wire, DecodeSink);
+        reference.process_batch(&window, &mut ref_ctx, &mut direct, DecodeSink);
         assert_eq!(over_wire.len(), direct.len());
         assert!(over_wire.iter().eq(direct.iter()));
     }
@@ -712,7 +703,7 @@ mod tests {
         assert!(!ctx.trace().is_empty());
         let mut out = WindowResults::new();
         let lost = contained(|| {
-            tcp.process_batch(&[&[0x01]], &mut ctx, &mut out, DecodeSink::Summary);
+            tcp.process_batch(&[&[0x01]], &mut ctx, &mut out, DecodeSink);
         });
         assert!(lost.is_err(), "the dial is refused");
         assert!(ctx.trace().is_empty(), "a lost window records no edge");
@@ -754,11 +745,7 @@ mod tests {
             tcp_ctx.reset();
             let over_wire = tcp.process(packet, &mut tcp_ctx);
             let direct = reference.process(packet, &mut ref_ctx);
-            assert_eq!(
-                OutcomeSummary::from(&over_wire),
-                OutcomeSummary::from(&direct),
-                "journal replay restores session state"
-            );
+            assert_eq!(over_wire, direct, "journal replay restores session state");
             assert_eq!(tcp_ctx.trace().to_sparse(), ref_ctx.trace().to_sparse());
         }
     }

@@ -192,7 +192,9 @@ pub struct SnapshotMeta {
     /// session plus the phase-mask bits (1 = handshake, 2 = payload,
     /// 4 = teardown).
     pub session: Option<(u64, u8)>,
-    /// Batched-window size when batching is active.
+    /// Batched-window size when batching is active. Inline campaigns
+    /// only: a sharded fingerprint leaves it unset, because workers run
+    /// every window in one call whatever the batch.
     pub batch: Option<u64>,
     /// Merge-barrier width (windows per round) for sharded campaigns.
     pub sync_windows: Option<u64>,
@@ -229,10 +231,12 @@ impl SnapshotMeta {
     }
 
     /// Marks the fingerprint as belonging to a sharded campaign with the
-    /// given merge-barrier width.
+    /// given merge-barrier width, and clears the batch, which workers
+    /// ignore.
     #[must_use]
     pub fn sharded(mut self, sync_windows: u64) -> Self {
         self.sync_windows = Some(sync_windows);
+        self.batch = None;
         self
     }
 
@@ -260,7 +264,9 @@ impl SnapshotMeta {
         if self.session != current.session {
             return Err(SnapshotError::Mismatch("session"));
         }
-        if self.batch != current.batch {
+        // A sharded snapshot that an earlier build wrote with a batch
+        // resumes under any batch: workers ignore it.
+        if self.sync_windows.is_none() && self.batch != current.batch {
             return Err(SnapshotError::Mismatch("batch"));
         }
         if self.sync_windows != current.sync_windows {

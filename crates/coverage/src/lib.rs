@@ -124,11 +124,12 @@ macro_rules! cov_edge {
 ///
 /// The id is FNV-1a 64 over the file bytes, then the line and the column as
 /// little-endian bytes, folded to 32 bits. It is a `const fn`, so
-/// [`cov_edge!`] evaluates it at compile time. It hashes the path string as
-/// given: `file!()` is whatever path Cargo passed to rustc, which is
-/// workspace-relative for workspace members but absolute for a crate built
-/// as a path dependency of another workspace, so such builds' ids depend on
-/// the checkout directory.
+/// [`cov_edge!`] evaluates it at compile time. The file is hashed from its
+/// last `crates/` component on (whole when it has none): `file!()` is
+/// whatever path Cargo passed to rustc, which is workspace-relative for
+/// workspace members but absolute for a crate built as a path dependency of
+/// another workspace, and both forms get the workspace's ids. So no id
+/// depends on the directory the code was checked out to.
 ///
 /// Exposed, and callable at run time, so that targets which generate their
 /// own instrumentation points (e.g. table-driven parsers) can produce
@@ -143,10 +144,31 @@ macro_rules! cov_edge {
 pub const fn site_id(file: &str, line: u32, column: u32) -> EdgeId {
     // FNV-1a: well distributed over the 16-bit block-id space of the trace
     // map.
-    let hash = fnv1a(0xcbf2_9ce4_8422_2325, file.as_bytes());
+    let hash = fnv1a(0xcbf2_9ce4_8422_2325, from_last_crates_dir(file.as_bytes()));
     let hash = fnv1a(hash, &line.to_le_bytes());
     let hash = fnv1a(hash, &column.to_le_bytes());
     EdgeId::new((hash ^ (hash >> 32)) as u32)
+}
+
+/// `path` from its last `crates/` component on, or all of it when it has
+/// none; a `while` loop because a `const fn` cannot use iterators.
+const fn from_last_crates_dir(path: &[u8]) -> &[u8] {
+    const DIR: &[u8] = b"crates/";
+    let mut start = 0;
+    let mut i = 0;
+    while i + DIR.len() <= path.len() {
+        if i == 0 || path[i - 1] == b'/' {
+            let mut j = 0;
+            while j < DIR.len() && path[i + j] == DIR[j] {
+                j += 1;
+            }
+            if j == DIR.len() {
+                start = i;
+            }
+        }
+        i += 1;
+    }
+    path.split_at(start).1
 }
 
 /// Continues an FNV-1a 64 hash over `bytes`; a `while` loop because a
@@ -184,6 +206,19 @@ mod tests {
             site_id("crates/protocols/src/modbus.rs", 100, 9).raw(),
             0x5b17_b95b
         );
+    }
+
+    #[test]
+    fn site_id_does_not_depend_on_the_checkout() {
+        // A crate built outside the workspace sees absolute paths.
+        let workspace = site_id("crates/protocols/src/modbus.rs", 100, 9);
+        assert_eq!(site_id("/any/prefix/crates/protocols/src/modbus.rs", 100, 9), workspace);
+        assert_eq!(
+            site_id("/home/crates/x/crates/protocols/src/modbus.rs", 100, 9),
+            workspace,
+            "the last `crates/` component counts"
+        );
+        assert_ne!(site_id("/any/mycrates/protocols/src/modbus.rs", 100, 9), workspace);
     }
 
     #[test]

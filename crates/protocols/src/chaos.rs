@@ -5,14 +5,13 @@
 //! shard workers) needs a target that *actually* panics and hangs — the six
 //! built-in targets only ever return the polite [`Outcome::Fault`] of their
 //! planted bugs. `ChaosTarget` wraps an inner target and injects real
-//! `panic!`s, real blocking sleeps and garbage response bytes, selected
-//! **by packet content**, not by execution count:
+//! `panic!`s and real blocking sleeps, selected **by packet content**, not
+//! by execution count:
 //!
 //! ```text
 //! h = FNV-1a(seed ‖ packet bytes)
 //! h % panic_every == 0  → panic!("chaos: injected panic #<h % sites>")
 //! h % hang_every  == 0  → sleep(hang) before processing
-//! h % garbage_every == 0 → XOR a keystream derived from h over the response
 //! ```
 //!
 //! Content-keyed selection is what makes the chaos stream deterministic in
@@ -42,10 +41,9 @@ use crate::{Outcome, SessionTemplate, Target};
 ///
 /// All selection is content-keyed (see the module docs); a period of `0`
 /// disables that failure class. The defaults inject a panic roughly every
-/// ~100th distinct packet and garbage on every ~50th, with hangs disabled
-/// (enable them explicitly where a watchdog is armed — an unsupervised
-/// campaign would simply stall for [`hang`](ChaosConfig::hang) per
-/// selected packet).
+/// ~100th distinct packet, with hangs disabled (enable them explicitly
+/// where a watchdog is armed — an unsupervised campaign would simply stall
+/// for [`hang`](ChaosConfig::hang) per selected packet).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ChaosConfig {
     /// Seed mixed into the content hash, so two chaos campaigns over the
@@ -57,15 +55,13 @@ pub struct ChaosConfig {
     pub hang_every: u64,
     /// How long an injected hang blocks.
     pub hang: Duration,
-    /// Corrupt the response bytes when `h % garbage_every == 0` (0 disables).
-    pub garbage_every: u64,
     /// Number of distinct panic sites to synthesise (dedup fodder).
     pub sites: u32,
 }
 
 impl ChaosConfig {
     /// Default policy for `seed`: panics every ~101st distinct packet,
-    /// garbage every ~53rd, hangs disabled, 3 distinct panic sites.
+    /// hangs disabled, 3 distinct panic sites.
     #[must_use]
     pub const fn new(seed: u64) -> Self {
         Self {
@@ -73,7 +69,6 @@ impl ChaosConfig {
             panic_every: 101,
             hang_every: 0,
             hang: Duration::from_millis(100),
-            garbage_every: 53,
             sites: 3,
         }
     }
@@ -99,13 +94,6 @@ impl ChaosConfig {
         self
     }
 
-    /// Sets the garbage-response injection period (0 disables).
-    #[must_use]
-    pub const fn garbage_every(mut self, every: u64) -> Self {
-        self.garbage_every = every;
-        self
-    }
-
     /// Sets the number of distinct synthetic panic sites.
     #[must_use]
     pub const fn sites(mut self, sites: u32) -> Self {
@@ -124,13 +112,11 @@ pub enum ChaosDecision {
     Panic(u32),
     /// Block for [`ChaosConfig::hang`] before processing.
     Hang,
-    /// Process, then XOR a keystream over the response bytes.
-    Garbage,
 }
 
-/// A [`Target`] wrapper that deterministically injects panics, hangs and
-/// garbage responses around an inner target. See the module docs for the
-/// selection scheme and the determinism argument.
+/// A [`Target`] wrapper that deterministically injects panics and hangs
+/// around an inner target. See the module docs for the selection scheme and
+/// the determinism argument.
 pub struct ChaosTarget {
     inner: Box<dyn Target + Send>,
     config: ChaosConfig,
@@ -172,8 +158,6 @@ fn decision_for(config: &ChaosConfig, packet: &[u8]) -> ChaosDecision {
         ChaosDecision::Panic(h as u32 % config.sites.max(1))
     } else if config.hang_every > 0 && h.is_multiple_of(config.hang_every) {
         ChaosDecision::Hang
-    } else if config.garbage_every > 0 && h.is_multiple_of(config.garbage_every) {
-        ChaosDecision::Garbage
     } else {
         ChaosDecision::Pass
     }
@@ -196,17 +180,6 @@ impl Target for ChaosTarget {
             ChaosDecision::Hang => {
                 thread::sleep(self.config.hang);
                 self.inner.process(packet, ctx)
-            }
-            ChaosDecision::Garbage => {
-                let mut outcome = self.inner.process(packet, ctx);
-                if let Outcome::Response(bytes) = &mut outcome {
-                    let mut state = content_hash(self.config.seed, packet) | 1;
-                    for byte in bytes.iter_mut() {
-                        state = state.wrapping_mul(0x9E37_79B9_7F4A_7C15).rotate_left(13);
-                        *byte ^= (state >> 56) as u8;
-                    }
-                }
-                outcome
             }
             ChaosDecision::Pass => self.inner.process(packet, ctx),
         }
@@ -240,7 +213,7 @@ mod tests {
 
     #[test]
     fn decisions_are_content_keyed_and_deterministic() {
-        let config = ChaosConfig::new(7).panic_every(3).garbage_every(2);
+        let config = ChaosConfig::new(7).panic_every(3).hang_every(2);
         let target = ChaosTarget::new(TargetId::Modbus.create_send(), config);
         let clone = target.clone_fresh();
         // Same bytes → same decision, across instances and clone_fresh.
@@ -257,7 +230,7 @@ mod tests {
         assert!(injected > 0, "periods of 2 and 3 must select something");
         drop(clone);
         // A different seed re-keys the selection.
-        let other = ChaosConfig::new(8).panic_every(3).garbage_every(2);
+        let other = ChaosConfig::new(8).panic_every(3).hang_every(2);
         assert!(
             packets
                 .iter()
@@ -287,53 +260,29 @@ mod tests {
     }
 
     #[test]
-    fn pass_and_garbage_preserve_inner_semantics() {
-        // With panics and hangs disabled, the wrapper's outcomes differ from
-        // the inner target's only in garbage-scrambled response payloads:
-        // same variant, same trace, and the scrambling itself is
-        // deterministic.
+    fn pass_preserves_inner_semantics() {
+        // With panics and hangs disabled the wrapper is transparent: same
+        // outcome, same trace.
         use peachstar_datamodel::emit::emit_default;
-        let config = ChaosConfig::new(3).panic_every(0).hang_every(0).garbage_every(2);
+        let config = ChaosConfig::new(3).panic_every(0).hang_every(0);
         let mut plain = TargetId::Modbus.create_send();
         let mut chaotic = ChaosTarget::new(TargetId::Modbus.create_send(), config);
-        let packets: Vec<Vec<u8>> = plain
-            .data_models()
-            .models()
-            .iter()
-            .map(|model| emit_default(model).expect("default emission"))
-            .collect();
-        let mut scrambled = 0;
-        for packet in &packets {
+        for model in plain.data_models().models() {
+            let packet = emit_default(model).expect("default emission");
+            assert_eq!(chaotic.decision(&packet), ChaosDecision::Pass);
             let mut ctx_a = TraceContext::new();
             let mut ctx_b = TraceContext::new();
-            let expected = plain.process(packet, &mut ctx_a);
-            let actual = chaotic.process(packet, &mut ctx_b);
-            assert_eq!(ctx_a.trace().path_id(), ctx_b.trace().path_id());
-            match (&expected, &actual) {
-                (Outcome::Response(a), Outcome::Response(b)) => {
-                    assert_eq!(a.len(), b.len(), "garbage keeps the length");
-                    if a != b {
-                        scrambled += 1;
-                        assert_eq!(chaotic.decision(packet), ChaosDecision::Garbage);
-                    }
-                }
-                _ => assert_eq!(expected, actual),
-            }
-            // Determinism: a second chaotic instance produces identical bytes.
-            let mut again = ChaosTarget::new(TargetId::Modbus.create_send(), config);
-            let mut ctx_c = TraceContext::new();
-            assert_eq!(actual, again.process(packet, &mut ctx_c));
+            assert_eq!(
+                plain.process(&packet, &mut ctx_a),
+                chaotic.process(&packet, &mut ctx_b)
+            );
+            assert_eq!(ctx_a.trace().to_sparse(), ctx_b.trace().to_sparse());
         }
-        assert!(scrambled > 0, "garbage_every=2 must scramble something");
     }
 
     #[test]
     fn hang_injection_blocks_for_the_configured_duration() {
-        let config = ChaosConfig::new(0)
-            .panic_every(0)
-            .garbage_every(0)
-            .hang_every(1)
-            .hang_ms(30);
+        let config = ChaosConfig::new(0).panic_every(0).hang_every(1).hang_ms(30);
         let mut target = ChaosTarget::new(TargetId::Modbus.create_send(), config);
         let mut ctx = TraceContext::new();
         let started = std::time::Instant::now();

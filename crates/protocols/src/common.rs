@@ -126,6 +126,25 @@ pub fn read_u24_le(data: &[u8], offset: usize) -> Option<u32> {
     Some(u32::from(bytes[0]) | (u32::from(bytes[1]) << 8) | (u32::from(bytes[2]) << 16))
 }
 
+/// The outcome and the trace of one packet, for the targets' unit tests:
+/// a target answers with its outcome class only, so tests read the branch
+/// a packet took from its trace.
+#[cfg(test)]
+pub(crate) fn traced(
+    target: &mut dyn crate::Target,
+    packet: &[u8],
+) -> (crate::Outcome, peachstar_coverage::SparseTrace) {
+    let mut ctx = peachstar_coverage::TraceContext::new();
+    let outcome = target.process(packet, &mut ctx);
+    (outcome, ctx.trace().to_sparse())
+}
+
+/// Every hit of `trace`: one per edge a packet took, loops counted.
+#[cfg(test)]
+pub(crate) fn total_hits(trace: &peachstar_coverage::SparseTrace) -> u32 {
+    trace.hits().iter().map(|&(_, count)| u32::from(count)).sum()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

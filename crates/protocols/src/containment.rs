@@ -129,8 +129,7 @@ pub fn contained_step(
 
 /// Runs one reset-aligned window of packets, replacing `out`'s contents
 /// with one record per packet. The window crosses into `target` once,
-/// through a contained [`Target::process_batch`] that decodes under
-/// [`DecodeSink::Summary`] (a record keeps no payload). When that panics
+/// through a contained [`Target::process_batch`]. When that panics
 /// while processing packet `out.len()` (every `process_batch` records
 /// incrementally), the panicking packet records the [`panic_fault`] with
 /// its partial trace, `target` is rebuilt from `spare`, and the rest of the
@@ -148,13 +147,13 @@ pub fn contained_window(
     packets: &[&[u8]],
     out: &mut WindowResults,
 ) {
-    let batch = contained(|| target.process_batch(packets, ctx, out, DecodeSink::Summary));
+    let batch = contained(|| target.process_batch(packets, ctx, out, DecodeSink));
     if let Err(message) = batch {
-        out.record(&Outcome::Fault(panic_fault(&message)), ctx.trace());
+        out.record(Outcome::Fault(panic_fault(&message)), ctx.trace());
         *target = spare.clone_fresh();
         for packet in packets.iter().skip(out.len()) {
             let outcome = contained_step(target, spare, ctx, packet);
-            out.record(&outcome, ctx.trace());
+            out.record(outcome, ctx.trace());
         }
     }
 }

@@ -47,7 +47,9 @@ const MAX_DATA_SET_ENTRIES: usize = 32;
 pub struct IccpServer {
     db: PointDatabase,
     associated: bool,
-    data_sets: Vec<Vec<String>>,
+    /// Data sets created: each one's references are parsed and checked,
+    /// but only the count is ever read back.
+    data_sets: usize,
     transfer_sets_started: u32,
 }
 
@@ -63,7 +65,7 @@ impl IccpServer {
         Self {
             db,
             associated: false,
-            data_sets: Vec::new(),
+            data_sets: 0,
             transfer_sets_started: 0,
         }
     }
@@ -77,15 +79,7 @@ impl IccpServer {
     /// Number of data sets created so far.
     #[must_use]
     pub fn data_set_count(&self) -> usize {
-        self.data_sets.len()
-    }
-
-    fn ok_response(opcode: u8, payload: &[u8]) -> Outcome {
-        crate::sink::response_with(5 + payload.len(), |response| {
-            response.extend_from_slice(&[0x54, 0x32, opcode | 0x80]);
-            response.extend_from_slice(&(payload.len() as u16).to_be_bytes());
-            response.extend_from_slice(payload);
-        })
+        self.data_sets
     }
 
     fn read_reference(body: &[u8], offset: usize) -> Option<(&str, usize)> {
@@ -95,6 +89,8 @@ impl IccpServer {
         Some((text, offset + 1 + length))
     }
 
+    /// Serves one message. A lookup that finds no point or data set is
+    /// still answered (with an error code), so it is a [`Outcome::Response`].
     #[allow(clippy::too_many_lines)]
     fn handle_message(&mut self, opcode: u8, body: &[u8], ctx: &mut TraceContext) -> Outcome {
         cov_edge!(ctx);
@@ -104,12 +100,12 @@ impl IccpServer {
                 // Body: version(2) ap-title-length(1) ap-title(n) bltable-id…
                 if body.len() < 3 {
                     cov_edge!(ctx);
-                    return crate::sink::protocol_error("associate request too short");
+                    return Outcome::ProtocolError;
                 }
                 let version = read_u16_be(body, 0).expect("length checked");
                 if version != 0x0001 && version != 0x0002 {
                     cov_edge!(ctx);
-                    return crate::sink::protocol_error_fmt(format_args!("unsupported TASE.2 version {version}"));
+                    return Outcome::ProtocolError;
                 }
                 let ap_title_length = usize::from(body[2]);
                 // Planted bug 1 (Table I, libiec_iccp_mod, SEGV): the length
@@ -124,50 +120,46 @@ impl IccpServer {
                 }
                 cov_edge!(ctx);
                 self.associated = true;
-                Self::ok_response(opcode, &[0x00])
+                Outcome::Response
             }
             opcode::CONCLUDE => {
                 cov_edge!(ctx);
                 self.associated = false;
-                Self::ok_response(opcode, &[])
+                Outcome::Response
             }
             opcode::GET_DATA_VALUE => {
                 cov_edge!(ctx);
                 if !self.associated {
                     cov_edge!(ctx);
-                    return crate::sink::protocol_error("not associated");
+                    return Outcome::ProtocolError;
                 }
                 let Some((reference, _)) = Self::read_reference(body, 0) else {
                     cov_edge!(ctx);
-                    return crate::sink::protocol_error("missing point reference");
+                    return Outcome::ProtocolError;
                 };
                 cov_edge!(ctx);
-                match self.db.named_point(reference) {
-                    Some(value) => {
-                        cov_edge!(ctx);
-                        // Per-point handlers of the original bilateral table.
-                        cov_edge!(ctx, reference.bytes().map(u32::from).sum::<u32>());
-                        Self::ok_response(opcode, &(value as f32).to_be_bytes())
-                    }
-                    None => {
-                        cov_edge!(ctx);
-                        Self::ok_response(opcode, &[0xff])
-                    }
+                if self.db.named_point(reference).is_some() {
+                    cov_edge!(ctx);
+                    // Per-point handlers of the original bilateral table.
+                    cov_edge!(ctx, reference.bytes().map(u32::from).sum::<u32>());
+                } else {
+                    cov_edge!(ctx);
                 }
+                Outcome::Response
             }
             opcode::SET_DATA_VALUE => {
                 cov_edge!(ctx);
                 if !self.associated {
                     cov_edge!(ctx);
-                    return crate::sink::protocol_error("not associated");
+                    return Outcome::ProtocolError;
                 }
                 let Some((reference, next)) = Self::read_reference(body, 0) else {
                     cov_edge!(ctx);
-                    return crate::sink::protocol_error("missing point reference");
+                    return Outcome::ProtocolError;
                 };
                 let Some(raw) = body.get(next..next + 4) else {
                     cov_edge!(ctx);
-                    return crate::sink::protocol_error("missing point value");
+                    return Outcome::ProtocolError;
                 };
                 cov_edge!(ctx);
                 let value = f64::from(f32::from_be_bytes([raw[0], raw[1], raw[2], raw[3]]));
@@ -176,45 +168,37 @@ impl IccpServer {
                     cov_edge!(ctx, reference.bytes().map(u32::from).sum::<u32>());
                     cov_edge!(ctx, raw[0] >> 3);
                     self.db.set_named_point(reference.to_string(), value);
-                    Self::ok_response(opcode, &[0x00])
                 } else {
                     cov_edge!(ctx);
-                    Self::ok_response(opcode, &[0xff])
                 }
+                Outcome::Response
             }
             opcode::CREATE_DATA_SET => {
                 cov_edge!(ctx);
                 if !self.associated {
                     cov_edge!(ctx);
-                    return crate::sink::protocol_error("not associated");
+                    return Outcome::ProtocolError;
                 }
                 if body.is_empty() {
                     cov_edge!(ctx);
-                    return crate::sink::protocol_error("empty data set request");
+                    return Outcome::ProtocolError;
                 }
                 let declared_entries = usize::from(body[0]);
                 if declared_entries == 0 || declared_entries > MAX_DATA_SET_ENTRIES {
                     cov_edge!(ctx);
-                    return crate::sink::protocol_error_fmt(format_args!(
-                        "data set entry count {declared_entries} out of range"
-                    ));
+                    return Outcome::ProtocolError;
                 }
-                let mut entries = Vec::with_capacity(declared_entries);
                 let mut offset = 1usize;
-                for index in 0..declared_entries {
+                for _ in 0..declared_entries {
                     cov_edge!(ctx);
                     match Self::read_reference(body, offset) {
-                        Some((reference, next)) => {
-                            entries.push(reference.to_string());
-                            offset = next;
-                        }
+                        Some((_, next)) => offset = next,
                         None => {
                             cov_edge!(ctx);
                             // Planted bug 2 (Table I, SEGV): the element loop
                             // trusts the declared count and dereferences a
                             // NULL entry pointer when the request runs out of
                             // references early.
-                            let _ = index;
                             return Outcome::Fault(Fault::new(
                                 FaultKind::Segv,
                                 "data_sets.c:createDataSet",
@@ -223,53 +207,44 @@ impl IccpServer {
                     }
                 }
                 cov_edge!(ctx);
-                cov_edge!(ctx, entries.len());
-                self.data_sets.push(entries);
-                Self::ok_response(opcode, &[(self.data_sets.len() - 1) as u8])
+                cov_edge!(ctx, declared_entries);
+                self.data_sets += 1;
+                Outcome::Response
             }
             opcode::READ_DATA_SET => {
                 cov_edge!(ctx);
                 if !self.associated {
                     cov_edge!(ctx);
-                    return crate::sink::protocol_error("not associated");
+                    return Outcome::ProtocolError;
                 }
                 let Some(&index) = body.first() else {
                     cov_edge!(ctx);
-                    return crate::sink::protocol_error("missing data set index");
+                    return Outcome::ProtocolError;
                 };
                 cov_edge!(ctx);
-                match self.data_sets.get(usize::from(index)) {
-                    Some(entries) => {
-                        cov_edge!(ctx);
-                        let mut payload = vec![entries.len() as u8];
-                        for entry in entries {
-                            let value = self.db.named_point(entry).unwrap_or(0.0);
-                            payload.extend_from_slice(&(value as f32).to_be_bytes());
-                        }
-                        Self::ok_response(opcode, &payload)
-                    }
-                    None => {
-                        cov_edge!(ctx);
-                        Self::ok_response(opcode, &[0xff])
-                    }
+                if usize::from(index) < self.data_sets {
+                    cov_edge!(ctx);
+                } else {
+                    cov_edge!(ctx);
                 }
+                Outcome::Response
             }
             opcode::START_TRANSFER_SET => {
                 cov_edge!(ctx);
                 if !self.associated {
                     cov_edge!(ctx);
-                    return crate::sink::protocol_error("not associated");
+                    return Outcome::ProtocolError;
                 }
                 // Body: data-set index(1) report-interval(2) rbe-flag(1).
                 if body.len() < 4 {
                     cov_edge!(ctx);
-                    return crate::sink::protocol_error("transfer set request too short");
+                    return Outcome::ProtocolError;
                 }
                 let data_set_index = usize::from(body[0]);
                 let interval = read_u16_be(body, 1).expect("length checked");
-                if data_set_index >= self.data_sets.len() {
+                if data_set_index >= self.data_sets {
                     cov_edge!(ctx);
-                    return crate::sink::protocol_error("unknown data set");
+                    return Outcome::ProtocolError;
                 }
                 // Planted bug 3 (Table I, SEGV): interval zero makes the
                 // original scheduler compute `next_report = now % interval`
@@ -283,24 +258,24 @@ impl IccpServer {
                 }
                 if interval > 3600 {
                     cov_edge!(ctx);
-                    return crate::sink::protocol_error("report interval out of range");
+                    return Outcome::ProtocolError;
                 }
                 cov_edge!(ctx);
                 cov_edge!(ctx, data_set_index);
                 cov_edge!(ctx, interval / 60);
                 self.transfer_sets_started += 1;
-                Self::ok_response(opcode, &[0x00])
+                Outcome::Response
             }
             opcode::INFORMATION_MESSAGE => {
                 cov_edge!(ctx);
                 if !self.associated {
                     cov_edge!(ctx);
-                    return crate::sink::protocol_error("not associated");
+                    return Outcome::ProtocolError;
                 }
                 // Body: info-reference-size(2) info-reference(n) message…
                 let Some(size) = read_u16_be(body, 0) else {
                     cov_edge!(ctx);
-                    return crate::sink::protocol_error("missing info reference size");
+                    return Outcome::ProtocolError;
                 };
                 let reference = body.get(2..2 + usize::from(size));
                 // Planted bug 4 (Table I, heap buffer overflow): the copy
@@ -312,18 +287,17 @@ impl IccpServer {
                         "information_messages.c:copyInfoReference",
                     ));
                 }
-                let Some(reference) = reference else {
+                if reference.is_none() {
                     cov_edge!(ctx);
-                    return crate::sink::protocol_error("info reference truncated");
-                };
+                    return Outcome::ProtocolError;
+                }
                 cov_edge!(ctx);
                 cov_edge!(ctx, size / 4);
-                let echo_len = reference.len().min(8) as u8;
-                Self::ok_response(opcode, &[echo_len])
+                Outcome::Response
             }
-            other => {
+            _ => {
                 cov_edge!(ctx);
-                crate::sink::protocol_error_fmt(format_args!("unknown ICCP opcode {other:#04x}"))
+                Outcome::ProtocolError
             }
         }
     }
@@ -349,20 +323,17 @@ impl Target for IccpServer {
         // Header: magic "T2" (0x54 0x32), opcode(1), length(2), body.
         if packet.len() < 5 {
             cov_edge!(ctx);
-            return crate::sink::protocol_error("packet shorter than ICCP header");
+            return Outcome::ProtocolError;
         }
         if packet[0] != 0x54 || packet[1] != 0x32 {
             cov_edge!(ctx);
-            return crate::sink::protocol_error("bad ICCP magic");
+            return Outcome::ProtocolError;
         }
         let opcode = packet[2];
         let length = usize::from(read_u16_be(packet, 3).expect("length checked"));
         if length != packet.len() - 5 {
             cov_edge!(ctx);
-            return crate::sink::protocol_error_fmt(format_args!(
-                "ICCP length {length} does not match body length {}",
-                packet.len() - 5
-            ));
+            return Outcome::ProtocolError;
         }
         cov_edge!(ctx);
         let body = &packet[5..];
@@ -531,6 +502,7 @@ impl StrWithRule for BlockBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::common::traced;
     use peachstar_datamodel::emit::emit_default;
 
     fn run(server: &mut IccpServer, packet: &[u8]) -> Outcome {
@@ -549,9 +521,8 @@ mod tests {
         let mut body = vec![0x00, 0x01, 0x04];
         body.extend_from_slice(b"ctrl");
         body.push(0x01);
-        assert!(run(server, &message(opcode::ASSOCIATE, &body))
-            .response()
-            .is_some());
+        assert_eq!(run(server, &message(opcode::ASSOCIATE, &body)), Outcome::Response);
+        assert!(server.associated);
     }
 
     fn reference(text: &str) -> Vec<u8> {
@@ -564,13 +535,17 @@ mod tests {
     fn associate_then_read_point() {
         let mut server = IccpServer::new();
         associate(&mut server);
-        let outcome = run(
+        let (known, known_trace) = traced(
             &mut server,
             &message(opcode::GET_DATA_VALUE, &reference("icc1/VoltageA")),
         );
-        let response = outcome.response().unwrap();
-        let value = f32::from_be_bytes([response[5], response[6], response[7], response[8]]);
-        assert!((value - 230.1).abs() < 0.01);
+        assert_eq!(known, Outcome::Response);
+        let (unknown, unknown_trace) = traced(
+            &mut server,
+            &message(opcode::GET_DATA_VALUE, &reference("icc1/VoltageZ")),
+        );
+        assert_eq!(unknown, Outcome::Response, "an unknown point is answered too");
+        assert_ne!(known_trace, unknown_trace, "a known point has its own handler");
     }
 
     #[test]
@@ -580,7 +555,7 @@ mod tests {
             &mut server,
             &message(opcode::GET_DATA_VALUE, &reference("icc1/VoltageA")),
         );
-        assert!(matches!(outcome, Outcome::ProtocolError(_)));
+        assert_eq!(outcome, Outcome::ProtocolError);
     }
 
     #[test]
@@ -589,9 +564,10 @@ mod tests {
         associate(&mut server);
         let mut body = reference("icc1/Frequency");
         body.extend_from_slice(&49.95f32.to_be_bytes());
-        assert!(run(&mut server, &message(opcode::SET_DATA_VALUE, &body))
-            .response()
-            .is_some());
+        assert_eq!(
+            run(&mut server, &message(opcode::SET_DATA_VALUE, &body)),
+            Outcome::Response
+        );
         assert!((server.db.named_point("icc1/Frequency").unwrap() - 49.95).abs() < 0.01);
     }
 
@@ -603,12 +579,14 @@ mod tests {
         body.extend(reference("icc1/VoltageA"));
         body.extend(reference("icc1/VoltageB"));
         let outcome = run(&mut server, &message(opcode::CREATE_DATA_SET, &body));
-        assert!(outcome.response().is_some());
+        assert_eq!(outcome, Outcome::Response);
         assert_eq!(server.data_set_count(), 1);
 
-        let outcome = run(&mut server, &message(opcode::READ_DATA_SET, &[0]));
-        let response = outcome.response().unwrap();
-        assert_eq!(response[5], 2, "two values in the data set");
+        let (existing, existing_trace) = traced(&mut server, &message(opcode::READ_DATA_SET, &[0]));
+        assert_eq!(existing, Outcome::Response);
+        let (missing, missing_trace) = traced(&mut server, &message(opcode::READ_DATA_SET, &[1]));
+        assert_eq!(missing, Outcome::Response, "an unknown data set is answered too");
+        assert_ne!(existing_trace, missing_trace);
     }
 
     #[test]
@@ -662,7 +640,7 @@ mod tests {
             &mut server,
             &message(opcode::START_TRANSFER_SET, &[0, 0x00, 0x3c, 0x01]),
         );
-        assert!(outcome.response().is_some());
+        assert_eq!(outcome, Outcome::Response);
         assert_eq!(server.transfer_sets_started(), 1);
     }
 
@@ -685,9 +663,10 @@ mod tests {
         let mut body = vec![0x00, 0x05];
         body.extend_from_slice(b"alarm");
         body.extend_from_slice(b"text");
-        assert!(run(&mut server, &message(opcode::INFORMATION_MESSAGE, &body))
-            .response()
-            .is_some());
+        assert_eq!(
+            run(&mut server, &message(opcode::INFORMATION_MESSAGE, &body)),
+            Outcome::Response
+        );
     }
 
     #[test]
@@ -727,15 +706,15 @@ mod tests {
     #[test]
     fn malformed_header_is_a_protocol_error() {
         let mut server = IccpServer::new();
-        assert!(matches!(run(&mut server, &[]), Outcome::ProtocolError(_)));
-        assert!(matches!(
+        assert_eq!(run(&mut server, &[]), Outcome::ProtocolError);
+        assert_eq!(
             run(&mut server, &[0x55, 0x32, 0x01, 0x00, 0x00]),
-            Outcome::ProtocolError(_)
-        ));
-        assert!(matches!(
+            Outcome::ProtocolError
+        );
+        assert_eq!(
             run(&mut server, &[0x54, 0x32, 0x01, 0x00, 0x09]),
-            Outcome::ProtocolError(_)
-        ));
+            Outcome::ProtocolError
+        );
     }
 
     #[test]

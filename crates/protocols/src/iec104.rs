@@ -47,7 +47,6 @@ pub struct Iec104Server {
     db: PointDatabase,
     state: LinkState,
     receive_sequence: u16,
-    send_sequence: u16,
     common_address: u16,
 }
 
@@ -59,7 +58,6 @@ impl Iec104Server {
             db: PointDatabase::default(),
             state: LinkState::Idle,
             receive_sequence: 0,
-            send_sequence: 0,
             common_address: 1,
         }
     }
@@ -70,54 +68,16 @@ impl Iec104Server {
         self.receive_sequence
     }
 
-    fn u_frame_response(control: u8) -> Outcome {
-        crate::sink::response_array([0x68, 0x04, control, 0x00, 0x00, 0x00])
-    }
-
-    fn s_frame(&self) -> Outcome {
-        let ack = self.receive_sequence << 1;
-        crate::sink::response_array([
-            0x68,
-            0x04,
-            0x01,
-            0x00,
-            (ack & 0xff) as u8,
-            (ack >> 8) as u8,
-        ])
-    }
-
-    fn i_frame_response(&mut self, asdu: Vec<u8>) -> Outcome {
-        let send = self.send_sequence << 1;
-        let receive = self.receive_sequence << 1;
-        // The sequence number advances under both sinks (a state mutation,
-        // not output); only the frame assembly below is sink-elidable.
-        self.send_sequence = self.send_sequence.wrapping_add(1) & 0x7fff;
-        crate::sink::response_with(6 + asdu.len(), |frame| {
-            frame.push(0x68);
-            frame.push((4 + asdu.len()) as u8);
-            frame.extend_from_slice(&[(send & 0xff) as u8, (send >> 8) as u8]);
-            frame.extend_from_slice(&[(receive & 0xff) as u8, (receive >> 8) as u8]);
-            frame.extend_from_slice(&asdu);
-        })
-    }
-
-    /// Builds a mirrored confirmation ASDU with the given cause of
-    /// transmission.
-    fn confirmation(asdu: &[u8], cot: u8) -> Vec<u8> {
-        let mut reply = asdu.to_vec();
-        if reply.len() > 2 {
-            reply[2] = cot;
-        }
-        reply
-    }
-
+    /// Decodes one ASDU. Every accepted ASDU is answered with a mirrored
+    /// confirmation, negative (the P/N bit) for an unknown qualifier,
+    /// address or type.
     #[allow(clippy::too_many_lines)]
     fn handle_asdu(&mut self, asdu: &[u8], ctx: &mut TraceContext) -> Outcome {
         cov_edge!(ctx);
         // ASDU header: type(1) vsq(1) cot(1) originator(1) common-address(2).
         if asdu.len() < 6 {
             cov_edge!(ctx);
-            return crate::sink::protocol_error("ASDU shorter than its header");
+            return Outcome::ProtocolError;
         }
         let type_identifier = asdu[0];
         let vsq = asdu[1];
@@ -127,11 +87,11 @@ impl Iec104Server {
         let common_address = read_u16_le(asdu, 4).expect("length checked");
         if common_address != self.common_address && common_address != 0xffff {
             cov_edge!(ctx);
-            return crate::sink::protocol_error_fmt(format_args!("unknown common address {common_address}"));
+            return Outcome::ProtocolError;
         }
         if element_count == 0 {
             cov_edge!(ctx);
-            return crate::sink::protocol_error("ASDU with zero information objects");
+            return Outcome::ProtocolError;
         }
         let objects = &asdu[6..];
         match type_identifier {
@@ -140,64 +100,52 @@ impl Iec104Server {
                 // Interrogation: QOI in the single information object.
                 let Some(ioa) = read_u24_le(objects, 0) else {
                     cov_edge!(ctx);
-                    return crate::sink::protocol_error("interrogation without IOA");
+                    return Outcome::ProtocolError;
                 };
                 if ioa != 0 {
                     cov_edge!(ctx);
-                    return crate::sink::protocol_error("interrogation IOA must be zero");
+                    return Outcome::ProtocolError;
                 }
                 let qoi = objects.get(3).copied().unwrap_or(20);
                 cov_edge!(ctx);
-                // Activation confirmation followed by a burst of M_SP_NA_1
-                // points; we only return the confirmation frame here.
-                let mut confirmation = Self::confirmation(asdu, 7);
-                confirmation[1] = 1;
                 if (20..=36).contains(&qoi) {
                     cov_edge!(ctx);
                     // Per-group interrogation handlers of the original server.
                     cov_edge!(ctx, qoi - 20);
-                    self.i_frame_response(confirmation)
                 } else {
                     cov_edge!(ctx);
-                    // Unknown qualifier: negative confirmation (P/N bit).
-                    confirmation[2] |= 0x40;
-                    self.i_frame_response(confirmation)
                 }
+                Outcome::Response
             }
             type_id::C_CI_NA_1 | type_id::C_CS_NA_1 | type_id::C_RD_NA_1 => {
                 cov_edge!(ctx);
                 if objects.len() < 3 {
                     cov_edge!(ctx);
-                    return crate::sink::protocol_error("command without information object");
+                    return Outcome::ProtocolError;
                 }
                 cov_edge!(ctx);
-                self.i_frame_response(Self::confirmation(asdu, 7))
+                Outcome::Response
             }
             type_id::C_SC_NA_1 | type_id::C_DC_NA_1 => {
                 cov_edge!(ctx);
                 if cot != 6 {
                     cov_edge!(ctx);
-                    return crate::sink::protocol_error_fmt(format_args!(
-                        "command with unexpected cause of transmission {cot}"
-                    ));
+                    return Outcome::ProtocolError;
                 }
                 let Some(ioa) = read_u24_le(objects, 0) else {
                     cov_edge!(ctx);
-                    return crate::sink::protocol_error("command without IOA");
+                    return Outcome::ProtocolError;
                 };
                 let Some(&qualifier) = objects.get(3) else {
                     cov_edge!(ctx);
-                    return crate::sink::protocol_error("command without qualifier");
+                    return Outcome::ProtocolError;
                 };
                 let select = qualifier & 0x80 != 0;
                 let state = qualifier & 0x01 != 0;
                 let address = ioa as usize;
                 if address >= self.db.coil_count() {
                     cov_edge!(ctx);
-                    // Unknown information object address: negative confirmation.
-                    let mut reply = Self::confirmation(asdu, 47);
-                    reply[2] |= 0x40;
-                    return self.i_frame_response(reply);
+                    return Outcome::Response;
                 }
                 cov_edge!(ctx);
                 // Per-information-object dispatch of the original server.
@@ -207,36 +155,34 @@ impl Iec104Server {
                     cov_edge!(ctx);
                     self.db.set_coil(address, state);
                 }
-                self.i_frame_response(Self::confirmation(asdu, 7))
+                Outcome::Response
             }
             type_id::C_SE_NA_1 => {
                 cov_edge!(ctx);
                 let Some(ioa) = read_u24_le(objects, 0) else {
                     cov_edge!(ctx);
-                    return crate::sink::protocol_error("set point without IOA");
+                    return Outcome::ProtocolError;
                 };
                 let Some(value) = read_u16_le(objects, 3) else {
                     cov_edge!(ctx);
-                    return crate::sink::protocol_error("set point without value");
+                    return Outcome::ProtocolError;
                 };
                 let address = ioa as usize;
                 if address >= self.db.register_count() {
                     cov_edge!(ctx);
-                    let mut reply = Self::confirmation(asdu, 47);
-                    reply[2] |= 0x40;
-                    return self.i_frame_response(reply);
+                    return Outcome::Response;
                 }
                 cov_edge!(ctx);
                 cov_edge!(ctx, address / 2);
                 cov_edge!(ctx, value >> 12);
                 self.db.set_register(address, value);
-                self.i_frame_response(Self::confirmation(asdu, 7))
+                Outcome::Response
             }
             type_id::M_SP_NA_1 | type_id::M_DP_NA_1 | type_id::M_ME_NA_1 | type_id::M_ME_NC_1 => {
                 cov_edge!(ctx);
                 // Monitoring ASDUs arriving at the controlled station are
                 // mirrored back with COT 44 (unknown type id in this
-                // direction) — but only after walking the element list, which
+                // direction), but only after walking the element list, which
                 // is where the branchy per-element decode happens.
                 let element_size = match type_identifier {
                     type_id::M_SP_NA_1 => 1,
@@ -256,21 +202,16 @@ impl Iec104Server {
                     }
                     if offset > objects.len() {
                         cov_edge!(ctx);
-                        return crate::sink::protocol_error_fmt(format_args!(
-                            "information object {index} truncated"
-                        ));
+                        return Outcome::ProtocolError;
                     }
                 }
                 cov_edge!(ctx);
                 cov_edge!(ctx, element_count.min(8));
-                self.i_frame_response(Self::confirmation(asdu, 44))
+                Outcome::Response
             }
             _ => {
                 cov_edge!(ctx);
-                // Unknown type identification: COT 44 negative confirmation.
-                let mut reply = Self::confirmation(asdu, 44);
-                reply[2] |= 0x40;
-                self.i_frame_response(reply)
+                Outcome::Response
             }
         }
     }
@@ -295,59 +236,57 @@ impl Target for Iec104Server {
         cov_edge!(ctx);
         if packet.len() < 6 {
             cov_edge!(ctx);
-            return crate::sink::protocol_error("frame shorter than APCI");
+            return Outcome::ProtocolError;
         }
         if packet[0] != 0x68 {
             cov_edge!(ctx);
-            return crate::sink::protocol_error("missing start byte 0x68");
+            return Outcome::ProtocolError;
         }
         let length = usize::from(packet[1]);
         if length < 4 || length != packet.len() - 2 {
             cov_edge!(ctx);
-            return crate::sink::protocol_error_fmt(format_args!(
-                "APCI length {length} does not match frame length {}",
-                packet.len() - 2
-            ));
+            return Outcome::ProtocolError;
         }
         let control = &packet[2..6];
         // U-frame: bits 0..1 of the first control octet are 11.
         if control[0] & 0x03 == 0x03 {
             cov_edge!(ctx);
             return match control[0] {
+                // STARTDT, STOPDT and TESTFR act, each answered by its con.
                 0x07 => {
                     cov_edge!(ctx);
                     self.state = LinkState::Started;
-                    Self::u_frame_response(0x0b) // STARTDT con
+                    Outcome::Response
                 }
                 0x13 => {
                     cov_edge!(ctx);
                     self.state = LinkState::Idle;
-                    Self::u_frame_response(0x23) // STOPDT con
+                    Outcome::Response
                 }
                 0x43 => {
                     cov_edge!(ctx);
-                    Self::u_frame_response(0x83) // TESTFR con
+                    Outcome::Response
                 }
-                other => {
+                _ => {
                     cov_edge!(ctx);
-                    crate::sink::protocol_error_fmt(format_args!("unknown U-frame control {other:#04x}"))
+                    Outcome::ProtocolError
                 }
             };
         }
         // S-frame: bits 0..1 are 01.
         if control[0] & 0x03 == 0x01 {
             cov_edge!(ctx);
-            return self.s_frame();
+            return Outcome::Response;
         }
         // I-frame: bit 0 is 0.
         cov_edge!(ctx);
         if self.state != LinkState::Started {
             cov_edge!(ctx);
-            return crate::sink::protocol_error("I-frame before STARTDT");
+            return Outcome::ProtocolError;
         }
         if length == 4 {
             cov_edge!(ctx);
-            return crate::sink::protocol_error("I-frame without ASDU");
+            return Outcome::ProtocolError;
         }
         self.receive_sequence = self.receive_sequence.wrapping_add(1) & 0x7fff;
         let asdu = &packet[6..];
@@ -523,6 +462,7 @@ pub fn data_models() -> DataModelSet {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::common::traced;
     use peachstar_datamodel::emit::emit_default;
 
     fn run(server: &mut Iec104Server, packet: &[u8]) -> Outcome {
@@ -532,10 +472,8 @@ mod tests {
 
     fn startdt(server: &mut Iec104Server) {
         let outcome = run(server, &[0x68, 0x04, 0x07, 0x00, 0x00, 0x00]);
-        assert_eq!(
-            outcome.response().unwrap(),
-            &[0x68, 0x04, 0x0b, 0x00, 0x00, 0x00]
-        );
+        assert_eq!(outcome, Outcome::Response);
+        assert_eq!(server.state, LinkState::Started);
     }
 
     fn i_frame(asdu: &[u8]) -> Vec<u8> {
@@ -549,19 +487,20 @@ mod tests {
         let mut server = Iec104Server::new();
         startdt(&mut server);
         let testfr = run(&mut server, &[0x68, 0x04, 0x43, 0x00, 0x00, 0x00]);
-        assert_eq!(testfr.response().unwrap()[2], 0x83);
+        assert_eq!(testfr, Outcome::Response);
+        assert_eq!(server.state, LinkState::Started);
         let stopdt = run(&mut server, &[0x68, 0x04, 0x13, 0x00, 0x00, 0x00]);
-        assert_eq!(stopdt.response().unwrap()[2], 0x23);
+        assert_eq!(stopdt, Outcome::Response);
+        assert_eq!(server.state, LinkState::Idle);
+        let unknown = run(&mut server, &[0x68, 0x04, 0x33, 0x00, 0x00, 0x00]);
+        assert_eq!(unknown, Outcome::ProtocolError);
     }
 
     #[test]
     fn i_frame_before_startdt_is_rejected() {
         let mut server = Iec104Server::new();
         let asdu = [45, 1, 6, 0, 1, 0, 0x01, 0x00, 0x00, 0x01];
-        assert!(matches!(
-            run(&mut server, &i_frame(&asdu)),
-            Outcome::ProtocolError(_)
-        ));
+        assert_eq!(run(&mut server, &i_frame(&asdu)), Outcome::ProtocolError);
     }
 
     #[test]
@@ -570,10 +509,10 @@ mod tests {
         startdt(&mut server);
         // C_SC_NA_1, one object, COT=activation, CA=1, IOA=5, execute ON.
         let asdu = [45, 1, 6, 0, 1, 0, 0x05, 0x00, 0x00, 0x01];
+        assert_eq!(server.db.coil(5), Some(false));
         let outcome = run(&mut server, &i_frame(&asdu));
-        let response = outcome.response().expect("activation confirmation");
-        assert_eq!(response[6], 45);
-        assert_eq!(response[8] & 0x3f, 7, "COT becomes activation confirmation");
+        assert_eq!(outcome, Outcome::Response, "activation confirmation");
+        assert_eq!(server.db.coil(5), Some(true));
         assert_eq!(server.receive_sequence(), 1);
     }
 
@@ -582,12 +521,13 @@ mod tests {
         let mut server = Iec104Server::new();
         startdt(&mut server);
         let good = [100, 1, 6, 0, 1, 0, 0x00, 0x00, 0x00, 20];
-        let response = run(&mut server, &i_frame(&good));
-        assert_eq!(response.response().unwrap()[8] & 0x40, 0);
+        let (positive, positive_trace) = traced(&mut server, &i_frame(&good));
+        assert_eq!(positive, Outcome::Response);
 
         let bad = [100, 1, 6, 0, 1, 0, 0x00, 0x00, 0x00, 99];
-        let response = run(&mut server, &i_frame(&bad));
-        assert_ne!(response.response().unwrap()[8] & 0x40, 0, "P/N bit set");
+        let (negative, negative_trace) = traced(&mut server, &i_frame(&bad));
+        assert_eq!(negative, Outcome::Response, "a negative confirmation answers too");
+        assert_ne!(positive_trace, negative_trace, "the P/N branch is its own edge");
     }
 
     #[test]
@@ -596,7 +536,7 @@ mod tests {
         startdt(&mut server);
         let asdu = [48, 1, 6, 0, 1, 0, 0x07, 0x00, 0x00, 0xCD, 0xAB, 0x00];
         let outcome = run(&mut server, &i_frame(&asdu));
-        assert!(outcome.response().is_some());
+        assert_eq!(outcome, Outcome::Response);
         assert_eq!(server.db.register(7), Some(0xABCD));
     }
 
@@ -604,27 +544,21 @@ mod tests {
     fn malformed_frames_are_protocol_errors() {
         let mut server = Iec104Server::new();
         startdt(&mut server);
-        assert!(matches!(run(&mut server, &[]), Outcome::ProtocolError(_)));
-        assert!(matches!(
+        assert_eq!(run(&mut server, &[]), Outcome::ProtocolError);
+        assert_eq!(
             run(&mut server, &[0x67, 0x04, 0x07, 0, 0, 0]),
-            Outcome::ProtocolError(_)
-        ));
-        assert!(matches!(
+            Outcome::ProtocolError
+        );
+        assert_eq!(
             run(&mut server, &[0x68, 0x10, 0x07, 0, 0, 0]),
-            Outcome::ProtocolError(_)
-        ));
+            Outcome::ProtocolError
+        );
         // ASDU with zero elements.
         let asdu = [45, 0, 6, 0, 1, 0, 0x05, 0x00, 0x00, 0x01];
-        assert!(matches!(
-            run(&mut server, &i_frame(&asdu)),
-            Outcome::ProtocolError(_)
-        ));
+        assert_eq!(run(&mut server, &i_frame(&asdu)), Outcome::ProtocolError);
         // Wrong common address.
         let asdu = [45, 1, 6, 0, 9, 0, 0x05, 0x00, 0x00, 0x01];
-        assert!(matches!(
-            run(&mut server, &i_frame(&asdu)),
-            Outcome::ProtocolError(_)
-        ));
+        assert_eq!(run(&mut server, &i_frame(&asdu)), Outcome::ProtocolError);
     }
 
     #[test]
@@ -633,10 +567,7 @@ mod tests {
         startdt(&mut server);
         // M_ME_NA_1 claiming 5 elements but carrying far fewer bytes.
         let asdu = [9, 5, 3, 0, 1, 0, 0x01, 0x00, 0x00, 0x11, 0x22, 0x00];
-        assert!(matches!(
-            run(&mut server, &i_frame(&asdu)),
-            Outcome::ProtocolError(_)
-        ));
+        assert_eq!(run(&mut server, &i_frame(&asdu)), Outcome::ProtocolError);
     }
 
     #[test]
@@ -646,8 +577,8 @@ mod tests {
         let asdu = [45, 1, 6, 0, 1, 0, 0x05, 0x00, 0x00, 0x01];
         run(&mut server, &i_frame(&asdu));
         let outcome = run(&mut server, &[0x68, 0x04, 0x01, 0x00, 0x00, 0x00]);
-        let response = outcome.response().unwrap();
-        assert_eq!(response[4], 2, "receive sequence 1 encoded as <<1");
+        assert_eq!(outcome, Outcome::Response);
+        assert_eq!(server.receive_sequence(), 1, "an S-frame is not counted");
     }
 
     #[test]
@@ -663,7 +594,7 @@ mod tests {
                 model.name()
             );
             assert!(
-                outcome.response().is_some(),
+                outcome == Outcome::Response,
                 "{}: default packet should elicit a response, got {outcome:?}",
                 model.name()
             );

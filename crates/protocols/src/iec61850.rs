@@ -62,15 +62,6 @@ fn read_tlv(data: &[u8], offset: usize) -> Option<(Tlv<'_>, usize)> {
     Some((Tlv { tag, value }, start + length))
 }
 
-/// Encodes one TLV (short-form length only; callers keep values < 128 bytes).
-fn write_tlv(tag: u8, value: &[u8]) -> Vec<u8> {
-    crate::sink::bytes_with(2 + value.len(), |out| {
-        out.push(tag);
-        out.push(value.len() as u8);
-        out.extend_from_slice(value);
-    })
-}
-
 /// Association state of the MMS server.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Association {
@@ -110,119 +101,95 @@ impl MmsServer {
         self.invoke_counter
     }
 
-    fn tpkt(payload: &[u8]) -> Vec<u8> {
-        crate::sink::bytes_with(7 + payload.len(), |out| {
-            out.extend_from_slice(&[0x03, 0x00]);
-            out.extend_from_slice(&((payload.len() + 4 + 3) as u16).to_be_bytes());
-            out.extend_from_slice(&[0x02, 0xf0, 0x80]); // COTP DT header (length, code, EOT)
-            out.extend_from_slice(payload);
-        })
-    }
-
-    fn handle_confirmed(
-        &mut self,
-        body: &[u8],
-        ctx: &mut TraceContext,
-    ) -> Outcome {
+    /// Serves one confirmed request. A DataAccessError (object
+    /// non-existent, type inconsistent) is an answer too, so it is a
+    /// [`Outcome::Response`].
+    fn handle_confirmed(&mut self, body: &[u8], ctx: &mut TraceContext) -> Outcome {
         cov_edge!(ctx);
         // Confirmed request: invokeId TLV (0x02) then service TLV.
         let Some((invoke, next)) = read_tlv(body, 0) else {
             cov_edge!(ctx);
-            return crate::sink::protocol_error("confirmed request without invoke id");
+            return Outcome::ProtocolError;
         };
         if invoke.tag != 0x02 || invoke.value.is_empty() || invoke.value.len() > 4 {
             cov_edge!(ctx);
-            return crate::sink::protocol_error("malformed invoke id");
+            return Outcome::ProtocolError;
         }
         cov_edge!(ctx, invoke.value.len());
         let Some((request, _)) = read_tlv(body, next) else {
             cov_edge!(ctx);
-            return crate::sink::protocol_error("confirmed request without service");
+            return Outcome::ProtocolError;
         };
         self.invoke_counter += 1;
         match request.tag & 0x1f {
             confirmed::IDENTIFY => {
                 cov_edge!(ctx);
-                let vendor = write_tlv(0x80, b"peachstar");
-                let model = write_tlv(0x81, b"mms-sim");
-                let revision = write_tlv(0x82, b"1.0");
-                let mut response = vendor;
-                response.extend(model);
-                response.extend(revision);
-                Outcome::Response(Self::tpkt(&write_tlv(0xA1, &response)))
+                Outcome::Response
             }
             confirmed::GET_NAME_LIST => {
                 cov_edge!(ctx);
                 // Object class TLV inside the request selects LD vs LN lists.
                 let Some((class, _)) = read_tlv(request.value, 0) else {
                     cov_edge!(ctx);
-                    return crate::sink::protocol_error("getNameList without object class");
+                    return Outcome::ProtocolError;
                 };
                 cov_edge!(ctx);
-                let names: Vec<&str> = if class.value.first() == Some(&0x09) {
-                    vec!["simpleIOGenericIO"]
+                let names: &[&str] = if class.value.first() == Some(&0x09) {
+                    &["simpleIOGenericIO"]
                 } else {
-                    vec!["GGIO1", "LLN0", "LPHD1"]
+                    &["GGIO1", "LLN0", "LPHD1"]
                 };
-                let mut list = Vec::new();
-                for name in names {
+                for _ in names {
                     cov_edge!(ctx);
-                    list.extend(write_tlv(0x1a, name.as_bytes()));
                 }
-                Outcome::Response(Self::tpkt(&write_tlv(0xA1, &list)))
+                Outcome::Response
             }
             confirmed::READ => {
                 cov_edge!(ctx);
                 // Variable specification: domain name + item name strings.
                 let Some((var_spec, _)) = read_tlv(request.value, 0) else {
                     cov_edge!(ctx);
-                    return crate::sink::protocol_error("read without variable specification");
+                    return Outcome::ProtocolError;
                 };
                 let Some((domain, after_domain)) = read_tlv(var_spec.value, 0) else {
                     cov_edge!(ctx);
-                    return crate::sink::protocol_error("read without domain name");
+                    return Outcome::ProtocolError;
                 };
                 let Some((item, _)) = read_tlv(var_spec.value, after_domain) else {
                     cov_edge!(ctx);
-                    return crate::sink::protocol_error("read without item name");
+                    return Outcome::ProtocolError;
                 };
                 let domain = String::from_utf8_lossy(domain.value);
                 let item = String::from_utf8_lossy(item.value).replace('$', ".");
                 let reference = format!("{domain}/{item}");
                 cov_edge!(ctx);
-                match self.db.named_point(&reference) {
-                    Some(value) => {
-                        cov_edge!(ctx);
-                        // Per-object access handlers of the original stack.
-                        cov_edge!(ctx, reference.len());
-                        cov_edge!(ctx, reference.bytes().map(u32::from).sum::<u32>());
-                        let encoded = write_tlv(0x87, &(value as f32).to_be_bytes());
-                        Outcome::Response(Self::tpkt(&write_tlv(0xA1, &encoded)))
-                    }
-                    None => {
-                        cov_edge!(ctx);
-                        // DataAccessError: object-non-existent.
-                        Outcome::Response(Self::tpkt(&write_tlv(0x80, &[0x0a])))
-                    }
+                if self.db.named_point(&reference).is_some() {
+                    cov_edge!(ctx);
+                    // Per-object access handlers of the original stack.
+                    cov_edge!(ctx, reference.len());
+                    cov_edge!(ctx, reference.bytes().map(u32::from).sum::<u32>());
+                } else {
+                    cov_edge!(ctx);
                 }
+                Outcome::Response
             }
             confirmed::WRITE => {
                 cov_edge!(ctx);
                 let Some((var_spec, after_spec)) = read_tlv(request.value, 0) else {
                     cov_edge!(ctx);
-                    return crate::sink::protocol_error("write without variable specification");
+                    return Outcome::ProtocolError;
                 };
                 let Some((domain, after_domain)) = read_tlv(var_spec.value, 0) else {
                     cov_edge!(ctx);
-                    return crate::sink::protocol_error("write without domain name");
+                    return Outcome::ProtocolError;
                 };
                 let Some((item, _)) = read_tlv(var_spec.value, after_domain) else {
                     cov_edge!(ctx);
-                    return crate::sink::protocol_error("write without item name");
+                    return Outcome::ProtocolError;
                 };
                 let Some((data, _)) = read_tlv(request.value, after_spec) else {
                     cov_edge!(ctx);
-                    return crate::sink::protocol_error("write without data");
+                    return Outcome::ProtocolError;
                 };
                 let domain = String::from_utf8_lossy(domain.value);
                 let item = String::from_utf8_lossy(item.value).replace('$', ".");
@@ -238,7 +205,7 @@ impl MmsServer {
                     1 => f64::from(data.value[0]),
                     _ => {
                         cov_edge!(ctx);
-                        return Outcome::Response(Self::tpkt(&write_tlv(0x80, &[0x07])));
+                        return Outcome::Response;
                     }
                 };
                 if self.db.named_point(&reference).is_some() {
@@ -246,20 +213,18 @@ impl MmsServer {
                     cov_edge!(ctx, reference.bytes().map(u32::from).sum::<u32>());
                     cov_edge!(ctx, data.value.len());
                     self.db.set_named_point(reference, value);
-                    Outcome::Response(Self::tpkt(&write_tlv(0xA1, &write_tlv(0x81, &[]))))
                 } else {
                     cov_edge!(ctx);
-                    Outcome::Response(Self::tpkt(&write_tlv(0x80, &[0x0a])))
                 }
+                Outcome::Response
             }
             confirmed::GET_VARIABLE_ATTRIBUTES => {
                 cov_edge!(ctx);
-                let type_description = write_tlv(0xA2, &write_tlv(0x91, &[0x04]));
-                Outcome::Response(Self::tpkt(&write_tlv(0xA1, &type_description)))
+                Outcome::Response
             }
-            other => {
+            _ => {
                 cov_edge!(ctx);
-                crate::sink::protocol_error_fmt(format_args!("unsupported confirmed service {other:#04x}"))
+                Outcome::ProtocolError
             }
         }
     }
@@ -285,60 +250,55 @@ impl Target for MmsServer {
         // TPKT: version 3, reserved 0, 16-bit length.
         if packet.len() < 7 {
             cov_edge!(ctx);
-            return crate::sink::protocol_error("frame shorter than TPKT + COTP");
+            return Outcome::ProtocolError;
         }
         if packet[0] != 0x03 || packet[1] != 0x00 {
             cov_edge!(ctx);
-            return crate::sink::protocol_error("bad TPKT version");
+            return Outcome::ProtocolError;
         }
         let tpkt_length = usize::from(u16::from_be_bytes([packet[2], packet[3]]));
         if tpkt_length != packet.len() {
             cov_edge!(ctx);
-            return crate::sink::protocol_error_fmt(format_args!(
-                "TPKT length {tpkt_length} does not match frame length {}",
-                packet.len()
-            ));
+            return Outcome::ProtocolError;
         }
         // COTP data TPDU: length indicator, code 0xF0, EOT flag.
         let cotp_length = usize::from(packet[4]);
         if cotp_length < 2 || 5 + cotp_length > packet.len() {
             cov_edge!(ctx);
-            return crate::sink::protocol_error("bad COTP length indicator");
+            return Outcome::ProtocolError;
         }
         if packet[5] != 0xf0 {
             cov_edge!(ctx);
-            return crate::sink::protocol_error("not a COTP data TPDU");
+            return Outcome::ProtocolError;
         }
         cov_edge!(ctx);
         let mms = &packet[4 + 1 + cotp_length..];
         let Some((pdu, _)) = read_tlv(mms, 0) else {
             cov_edge!(ctx);
-            return crate::sink::protocol_error("empty MMS payload");
+            return Outcome::ProtocolError;
         };
         match pdu.tag {
             service::INITIATE => {
                 cov_edge!(ctx);
                 self.association = Association::Open;
-                // initiate-ResponsePDU with our negotiated parameters.
-                let detail = write_tlv(0x80, &[0x00, 0x01]);
-                Outcome::Response(Self::tpkt(&write_tlv(0xA9, &detail)))
+                Outcome::Response
             }
             service::CONCLUDE => {
                 cov_edge!(ctx);
                 self.association = Association::Closed;
-                Outcome::Response(Self::tpkt(&write_tlv(0x8C, &[])))
+                Outcome::Response
             }
             service::CONFIRMED_REQUEST => {
                 cov_edge!(ctx);
                 if self.association != Association::Open {
                     cov_edge!(ctx);
-                    return crate::sink::protocol_error("confirmed request before initiate");
+                    return Outcome::ProtocolError;
                 }
                 self.handle_confirmed(pdu.value, ctx)
             }
-            other => {
+            _ => {
                 cov_edge!(ctx);
-                crate::sink::protocol_error_fmt(format_args!("unknown MMS PDU tag {other:#04x}"))
+                Outcome::ProtocolError
             }
         }
     }
@@ -564,11 +524,19 @@ pub fn data_models() -> DataModelSet {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::common::{total_hits, traced};
     use peachstar_datamodel::emit::emit_default;
 
     fn run(server: &mut MmsServer, packet: &[u8]) -> Outcome {
         let mut ctx = TraceContext::new();
         server.process(packet, &mut ctx)
+    }
+
+    /// One TLV record with a short-form length.
+    fn tlv(tag: u8, value: &[u8]) -> Vec<u8> {
+        let mut out = vec![tag, value.len() as u8];
+        out.extend_from_slice(value);
+        out
     }
 
     fn frame(mms: &[u8]) -> Vec<u8> {
@@ -580,14 +548,22 @@ mod tests {
     }
 
     fn initiate(server: &mut MmsServer) {
-        let packet = frame(&write_tlv(service::INITIATE, &[0x80, 0x02, 0x00, 0x01]));
-        assert!(run(server, &packet).response().is_some());
+        let packet = frame(&tlv(service::INITIATE, &[0x80, 0x02, 0x00, 0x01]));
+        assert_eq!(run(server, &packet), Outcome::Response);
+        assert_eq!(server.association, Association::Open);
     }
 
     fn confirmed(invoke_id: u8, service_tag: u8, args: &[u8]) -> Vec<u8> {
-        let mut body = write_tlv(0x02, &[invoke_id]);
-        body.extend(write_tlv(service_tag, args));
-        frame(&write_tlv(service::CONFIRMED_REQUEST, &body))
+        let mut body = tlv(0x02, &[invoke_id]);
+        body.extend(tlv(service_tag, args));
+        frame(&tlv(service::CONFIRMED_REQUEST, &body))
+    }
+
+    /// A read request for `domain`/`item`.
+    fn read(invoke_id: u8, domain: &[u8], item: &[u8]) -> Vec<u8> {
+        let mut spec = tlv(0x1a, domain);
+        spec.extend(tlv(0x1a, item));
+        confirmed(invoke_id, 0xA4, &tlv(0xA0, &spec))
     }
 
     #[test]
@@ -595,7 +571,7 @@ mod tests {
         let mut server = MmsServer::new();
         initiate(&mut server);
         let identify = confirmed(1, 0x82, &[]);
-        assert!(run(&mut server, &identify).response().is_some());
+        assert_eq!(run(&mut server, &identify), Outcome::Response);
         assert_eq!(server.invoke_counter(), 1);
     }
 
@@ -603,62 +579,50 @@ mod tests {
     fn confirmed_request_before_initiate_is_rejected() {
         let mut server = MmsServer::new();
         let identify = confirmed(1, 0x82, &[]);
-        assert!(matches!(
-            run(&mut server, &identify),
-            Outcome::ProtocolError(_)
-        ));
+        assert_eq!(run(&mut server, &identify), Outcome::ProtocolError);
     }
 
     #[test]
-    fn get_name_list_returns_logical_devices() {
+    fn get_name_list_walks_the_requested_class() {
+        // One logical device, or three logical nodes: one hit per name.
         let mut server = MmsServer::new();
         initiate(&mut server);
-        let args = write_tlv(0x80, &[0x09]);
-        let packet = confirmed(2, 0xA1, &args);
-        let response = run(&mut server, &packet);
-        let bytes = response.response().unwrap();
-        let text = String::from_utf8_lossy(bytes);
-        assert!(text.contains("simpleIOGenericIO"));
+        let (devices, device_trace) =
+            traced(&mut server, &confirmed(2, 0xA1, &tlv(0x80, &[0x09])));
+        let (nodes, node_trace) = traced(&mut server, &confirmed(2, 0xA1, &tlv(0x80, &[0x00])));
+        assert_eq!((devices, nodes), (Outcome::Response, Outcome::Response));
+        assert_eq!(total_hits(&node_trace), total_hits(&device_trace) + 2);
     }
 
     #[test]
-    fn read_existing_variable_returns_float() {
+    fn read_existing_variable_is_answered() {
         let mut server = MmsServer::new();
         initiate(&mut server);
-        let mut spec = write_tlv(0x1a, b"simpleIOGenericIO");
-        spec.extend(write_tlv(0x1a, b"GGIO1$AnIn1"));
-        let args = write_tlv(0xA0, &spec);
-        let packet = confirmed(3, 0xA4, &args);
-        let response = run(&mut server, &packet);
-        let bytes = response.response().unwrap();
-        // 0x87 tag with 4-byte float 1.25 somewhere in the reply.
-        let expected = 1.25f32.to_be_bytes();
-        assert!(bytes.windows(4).any(|window| window == expected));
+        let (found, found_trace) = traced(&mut server, &read(3, b"simpleIOGenericIO", b"GGIO1$AnIn1"));
+        assert_eq!(found, Outcome::Response);
+        let (_, missing_trace) = traced(&mut server, &read(3, b"simpleIOGenericIO", b"GGIO1$Nope"));
+        assert_ne!(found_trace, missing_trace, "an existing object has its own handler");
     }
 
     #[test]
     fn read_missing_variable_returns_access_error() {
         let mut server = MmsServer::new();
         initiate(&mut server);
-        let mut spec = write_tlv(0x1a, b"simpleIOGenericIO");
-        spec.extend(write_tlv(0x1a, b"GGIO1$Nope"));
-        let args = write_tlv(0xA0, &spec);
-        let packet = confirmed(4, 0xA4, &args);
-        let response = run(&mut server, &packet);
-        let bytes = response.response().unwrap();
-        assert_eq!(bytes[bytes.len() - 1], 0x0a, "object-non-existent");
+        let outcome = run(&mut server, &read(4, b"simpleIOGenericIO", b"GGIO1$Nope"));
+        assert_eq!(outcome, Outcome::Response, "a DataAccessError answers too");
+        assert_eq!(server.db.named_point("simpleIOGenericIO/GGIO1.Nope"), None);
     }
 
     #[test]
     fn write_updates_the_point_database() {
         let mut server = MmsServer::new();
         initiate(&mut server);
-        let mut spec = write_tlv(0x1a, b"simpleIOGenericIO");
-        spec.extend(write_tlv(0x1a, b"GGIO1$AnIn2"));
-        let mut args = write_tlv(0xA0, &spec);
-        args.extend(write_tlv(0x87, &7.5f32.to_be_bytes()));
+        let mut spec = tlv(0x1a, b"simpleIOGenericIO");
+        spec.extend(tlv(0x1a, b"GGIO1$AnIn2"));
+        let mut args = tlv(0xA0, &spec);
+        args.extend(tlv(0x87, &7.5f32.to_be_bytes()));
         let packet = confirmed(5, 0xA5, &args);
-        assert!(run(&mut server, &packet).response().is_some());
+        assert_eq!(run(&mut server, &packet), Outcome::Response);
         assert_eq!(
             server.db.named_point("simpleIOGenericIO/GGIO1.AnIn2"),
             Some(7.5)
@@ -669,34 +633,29 @@ mod tests {
     fn malformed_frames_are_protocol_errors() {
         let mut server = MmsServer::new();
         initiate(&mut server);
-        assert!(matches!(run(&mut server, &[]), Outcome::ProtocolError(_)));
-        assert!(matches!(
+        assert_eq!(run(&mut server, &[]), Outcome::ProtocolError);
+        assert_eq!(
             run(&mut server, &[0x04, 0x00, 0x00, 0x07, 0x02, 0xf0, 0x80]),
-            Outcome::ProtocolError(_)
-        ));
+            Outcome::ProtocolError
+        );
         // TPKT length lies about the frame size.
-        let mut bad = frame(&write_tlv(service::INITIATE, &[]));
+        let mut bad = frame(&tlv(service::INITIATE, &[]));
         bad[3] = bad[3].wrapping_add(5);
-        assert!(matches!(run(&mut server, &bad), Outcome::ProtocolError(_)));
+        assert_eq!(run(&mut server, &bad), Outcome::ProtocolError);
         // Truncated TLV inside the MMS payload.
         let truncated = frame(&[0xA0, 0x20, 0x02]);
-        assert!(matches!(
-            run(&mut server, &truncated),
-            Outcome::ProtocolError(_)
-        ));
+        assert_eq!(run(&mut server, &truncated), Outcome::ProtocolError);
     }
 
     #[test]
     fn conclude_closes_the_association() {
         let mut server = MmsServer::new();
         initiate(&mut server);
-        let conclude = frame(&write_tlv(service::CONCLUDE, &[]));
-        assert!(run(&mut server, &conclude).response().is_some());
+        let conclude = frame(&tlv(service::CONCLUDE, &[]));
+        assert_eq!(run(&mut server, &conclude), Outcome::Response);
+        assert_eq!(server.association, Association::Closed);
         let identify = confirmed(6, 0x82, &[]);
-        assert!(matches!(
-            run(&mut server, &identify),
-            Outcome::ProtocolError(_)
-        ));
+        assert_eq!(run(&mut server, &identify), Outcome::ProtocolError);
     }
 
     #[test]
@@ -723,7 +682,7 @@ mod tests {
                 model.name()
             );
             assert!(
-                outcome.response().is_some(),
+                outcome == Outcome::Response,
                 "{}: default packet should get a response, got {outcome:?}",
                 model.name()
             );

@@ -28,10 +28,8 @@
 //! let mut ctx = TraceContext::new();
 //! // A well-formed "read holding registers" request.
 //! let request = [0x00, 0x01, 0x00, 0x00, 0x00, 0x06, 0x01, 0x03, 0x00, 0x00, 0x00, 0x02];
-//! match server.process(&request, &mut ctx) {
-//!     Outcome::Response(bytes) => assert_eq!(bytes[7], 0x03),
-//!     other => panic!("expected a response, got {other:?}"),
-//! }
+//! assert_eq!(server.process(&request, &mut ctx), Outcome::Response);
+//! assert_eq!(server.requests_served(), 1);
 //! assert!(ctx.trace().edges_hit() > 0, "processing is instrumented");
 //! ```
 
@@ -48,7 +46,6 @@ pub mod iec61850;
 pub mod lib60870;
 pub mod modbus;
 pub mod server;
-pub mod sink;
 pub mod wire;
 
 use std::fmt;
@@ -58,7 +55,6 @@ use peachstar_coverage::{TraceContext, TraceMap};
 use peachstar_datamodel::DataModelSet;
 
 pub use server::{serve, serve_with_chaos, ServerHandle, WireChaos};
-pub use sink::DecodeSink;
 pub use wire::{FrameReassembler, MessageStream, WireFraming};
 
 /// The memory-safety-analogue failure classes reported by targets.
@@ -148,16 +144,23 @@ impl fmt::Display for Fault {
     }
 }
 
-/// Outcome of feeding one packet to a target.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// Outcome of feeding one packet to a target: the class of the execution
+/// the campaign tallies, plus the fault record when the packet reached a
+/// planted bug.
+///
+/// It is the one outcome type from a decoder to the report: a
+/// [`WindowResults`] record, a framed-TCP reply and the campaign monitor
+/// all carry it as it is. A target returns the class of its answer, not
+/// the answer: nothing in a campaign reads response bytes or rejection
+/// reasons (PAPER.md §7).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Outcome {
-    /// The packet was processed and produced a response (possibly empty for
-    /// unconfirmed services).
-    Response(Vec<u8>),
-    /// The packet was rejected by the protocol's validation logic (malformed
-    /// frame, unknown function code, bad length, …). The string names the
-    /// rejection reason.
-    ProtocolError(String),
+    /// The packet was processed and answered (an exception response or an
+    /// unconfirmed service included).
+    Response,
+    /// The packet was rejected by the protocol's validation logic
+    /// (malformed frame, unknown function code, bad length, …).
+    ProtocolError,
     /// The packet reached a planted vulnerability.
     Fault(Fault),
 }
@@ -177,42 +180,18 @@ impl Outcome {
             _ => None,
         }
     }
-
-    /// The response bytes, if the packet was processed successfully.
-    #[must_use]
-    pub fn response(&self) -> Option<&[u8]> {
-        match self {
-            Outcome::Response(bytes) => Some(bytes),
-            _ => None,
-        }
-    }
 }
 
-/// What a campaign needs to know about one execution's outcome — the
-/// variant plus the fault record, without the response/rejection payloads,
-/// so batched and sharded engines can buffer it compactly per execution.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum OutcomeSummary {
-    /// The packet was processed and answered.
-    Response,
-    /// The packet was rejected by protocol validation.
-    ProtocolError,
-    /// The packet reached a planted vulnerability.
-    Fault(Fault),
-}
-
-impl From<&Outcome> for OutcomeSummary {
-    fn from(outcome: &Outcome) -> Self {
-        match outcome {
-            Outcome::Response(_) => OutcomeSummary::Response,
-            Outcome::ProtocolError(_) => OutcomeSummary::ProtocolError,
-            Outcome::Fault(fault) => OutcomeSummary::Fault(*fault),
-        }
-    }
-}
+/// Ignored: the inert last parameter of [`Target::process_batch`]. Decoders
+/// build no payload, so there is no decode fidelity to choose. It is kept
+/// only because the campaign benchmark (`peachbench`, a package of its
+/// own) spells it in its `process_batch` wrapper, and goes with the next
+/// change to that benchmark.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
+pub struct DecodeSink;
 
 /// The one record of an executed window: per execution, in execution
-/// order, its [`OutcomeSummary`] and its trace's hits in snapshot form
+/// order, its [`Outcome`] and its trace's hits in snapshot form
 /// (slots strictly ascending, no zero count; see
 /// [`SparseTrace::hits`](peachstar_coverage::SparseTrace::hits)).
 ///
@@ -224,9 +203,9 @@ impl From<&Outcome> for OutcomeSummary {
 /// in the steady state a window of any length records without allocating.
 #[derive(Debug, Default)]
 pub struct WindowResults {
-    /// Per execution: its summary and where its hits end in `hits` (they
+    /// Per execution: its outcome and where its hits end in `hits` (they
     /// start where the previous execution's end).
-    records: Vec<(OutcomeSummary, usize)>,
+    records: Vec<(Outcome, usize)>,
     /// Every execution's hits, back to back.
     hits: Vec<(u16, u8)>,
 }
@@ -245,14 +224,13 @@ impl WindowResults {
     }
 
     /// Records one execution's outcome and live trace, in execution order.
-    pub fn record(&mut self, outcome: &Outcome, trace: &TraceMap) {
+    pub fn record(&mut self, outcome: Outcome, trace: &TraceMap) {
         let start = self.hits.len();
         // A trace map's slots fit in a `u16` (its dirty list stores them so).
         self.hits
             .extend(trace.iter_hits().map(|(slot, count)| (slot as u16, count)));
         self.hits[start..].sort_unstable_by_key(|&(slot, _)| slot);
-        self.records
-            .push((OutcomeSummary::from(outcome), self.hits.len()));
+        self.records.push((outcome, self.hits.len()));
     }
 
     /// Records one execution whose trace arrives as `(slot, hit count)`
@@ -264,7 +242,7 @@ impl WindowResults {
     #[must_use]
     pub fn record_hits(
         &mut self,
-        summary: OutcomeSummary,
+        outcome: Outcome,
         pairs: impl IntoIterator<Item = (u16, u8)>,
     ) -> bool {
         let start = self.hits.len();
@@ -278,7 +256,7 @@ impl WindowResults {
             }
             self.hits.push((slot, count));
         }
-        self.records.push((summary, self.hits.len()));
+        self.records.push((outcome, self.hits.len()));
         true
     }
 
@@ -296,14 +274,14 @@ impl WindowResults {
         self.records.is_empty()
     }
 
-    /// The recorded `(summary, hits)` pairs, in execution order.
+    /// The recorded `(outcome, hits)` pairs, in execution order.
     pub fn iter(
         &self,
-    ) -> impl DoubleEndedIterator<Item = (OutcomeSummary, &[(u16, u8)])> + ExactSizeIterator {
+    ) -> impl DoubleEndedIterator<Item = (Outcome, &[(u16, u8)])> + ExactSizeIterator {
         (0..self.records.len()).map(|index| {
             let start = index.checked_sub(1).map_or(0, |last| self.records[last].1);
-            let (summary, end) = self.records[index];
-            (summary, &self.hits[start..end])
+            let (outcome, end) = self.records[index];
+            (outcome, &self.hits[start..end])
         })
     }
 }
@@ -384,7 +362,7 @@ pub trait Target: Send {
 
     /// Processes one reset-aligned *window* of packets in a single call,
     /// replacing `out`'s previous contents with one record per packet, in
-    /// execution order: its outcome summary and its trace's hits.
+    /// execution order: its outcome and its trace's hits.
     ///
     /// The default implementation loops [`process`](Target::process) —
     /// resetting `ctx` before each packet and restarting the target after a
@@ -393,15 +371,7 @@ pub trait Target: Send {
     /// per implementing type, so the loop's `process` call is statically
     /// dispatched: one virtual call per window instead of one per packet.
     /// Only targets whose packets leave the process (a framed-TCP client)
-    /// need an override.
-    ///
-    /// `sink` selects the output fidelity for the whole window (see
-    /// [`DecodeSink`]): [`DecodeSink::Summary`] skips response assembly and
-    /// error-string formatting, which `out` never records anyway. An
-    /// override that decodes the packets in this process must arm the sink
-    /// around its packet loop like the default implementation does. A
-    /// framed-TCP client ignores it: its server decodes every window under
-    /// the summary sink, because a wire record carries no payload.
+    /// need an override. The [`DecodeSink`] argument is ignored.
     ///
     /// # Contract
     ///
@@ -409,18 +379,16 @@ pub trait Target: Send {
     /// to what a [`process`](Target::process) loop over the same packets
     /// would record — batched campaigns are required to be bit-identical to
     /// sequential ones, so an override must not skip or reorder any
-    /// instrumented work whose edges land in the trace, and the sink may
-    /// only elide payload bytes, never an outcome variant or a state
-    /// mutation. After a [`Outcome::Fault`] the target must restart itself
-    /// (via [`reset`](Target::reset)) before the next packet.
+    /// instrumented work whose edges land in the trace. After a
+    /// [`Outcome::Fault`] the target must restart itself (via
+    /// [`reset`](Target::reset)) before the next packet.
     fn process_batch(
         &mut self,
         packets: &[&[u8]],
         ctx: &mut TraceContext,
         out: &mut WindowResults,
-        sink: DecodeSink,
+        _sink: DecodeSink,
     ) {
-        let _armed = sink.arm();
         out.begin();
         for packet in packets {
             ctx.reset();
@@ -428,7 +396,7 @@ pub trait Target: Send {
             if outcome.is_fault() {
                 self.reset();
             }
-            out.record(&outcome, ctx.trace());
+            out.record(outcome, ctx.trace());
         }
     }
 
@@ -638,7 +606,7 @@ mod tests {
             for packet in template.handshake.iter().chain(&template.teardown) {
                 let outcome = target.process(&packet.bytes, &mut ctx);
                 assert!(
-                    outcome.response().is_some(),
+                    outcome == Outcome::Response,
                     "{id}: template packet `{}` rejected: {outcome:?}",
                     packet.label
                 );
@@ -648,7 +616,7 @@ mod tests {
             let mut ctx = TraceContext::new();
             for packet in &template.handshake {
                 assert!(
-                    target.process(&packet.bytes, &mut ctx).response().is_some(),
+                    target.process(&packet.bytes, &mut ctx) == Outcome::Response,
                     "{id}: handshake `{}` rejected after reset",
                     packet.label
                 );
@@ -690,14 +658,14 @@ mod tests {
             // Reference: the per-execution loop, exactly as the default impl
             // documents it.
             let mut ctx = TraceContext::new();
-            let mut expected: Vec<(OutcomeSummary, peachstar_coverage::SparseTrace)> = Vec::new();
+            let mut expected: Vec<(Outcome, peachstar_coverage::SparseTrace)> = Vec::new();
             for packet in &window {
                 ctx.reset();
                 let outcome = sequential.process(packet, &mut ctx);
                 if outcome.is_fault() {
                     sequential.reset();
                 }
-                expected.push((OutcomeSummary::from(&outcome), ctx.trace().to_sparse()));
+                expected.push((outcome, ctx.trace().to_sparse()));
             }
 
             let refs: Vec<&[u8]> = window.iter().map(Vec::as_slice).collect();
@@ -705,24 +673,13 @@ mod tests {
             let mut results = WindowResults::new();
             // Two rounds through the same pooled buffer: the second proves
             // `begin` leaves no stale record behind.
-            batched.process_batch(&refs, &mut ctx, &mut results, DecodeSink::Full);
+            batched.process_batch(&refs, &mut ctx, &mut results, DecodeSink);
             batched.reset();
-            batched.process_batch(&refs, &mut ctx, &mut results, DecodeSink::Full);
+            batched.process_batch(&refs, &mut ctx, &mut results, DecodeSink);
             assert_eq!(results.len(), window.len(), "{id}");
-            for (index, (summary, hits)) in results.iter().enumerate() {
-                assert_eq!(summary, expected[index].0, "{id}: packet {index} outcome");
+            for (index, (outcome, hits)) in results.iter().enumerate() {
+                assert_eq!(outcome, expected[index].0, "{id}: packet {index} outcome");
                 assert_eq!(hits, expected[index].1.hits(), "{id}: packet {index} trace");
-            }
-
-            // The summary sink must record the same summaries and traces —
-            // it only skips payload construction, which `WindowResults`
-            // never stores. Third round through the pooled buffer.
-            let mut summary_target = id.create();
-            summary_target.process_batch(&refs, &mut ctx, &mut results, DecodeSink::Summary);
-            assert_eq!(results.len(), window.len(), "{id} (summary)");
-            for (index, (summary, hits)) in results.iter().enumerate() {
-                assert_eq!(summary, expected[index].0, "{id}: packet {index} summary-sink outcome");
-                assert_eq!(hits, expected[index].1.hits(), "{id}: packet {index} summary-sink trace");
             }
         }
     }
@@ -733,40 +690,37 @@ mod tests {
         assert!(results.is_empty());
         let mut ctx = TraceContext::new();
         ctx.edge(peachstar_coverage::EdgeId::new(7));
-        results.record(&Outcome::Response(vec![1]), ctx.trace());
-        results.record(
-            &Outcome::Fault(Fault::new(FaultKind::Segv, "x")),
-            ctx.trace(),
-        );
+        results.record(Outcome::Response, ctx.trace());
+        results.record(Outcome::Fault(Fault::new(FaultKind::Segv, "x")), ctx.trace());
         assert_eq!(results.len(), 2);
-        let summaries: Vec<OutcomeSummary> = results.iter().map(|(s, _)| s).collect();
+        let outcomes: Vec<Outcome> = results.iter().map(|(outcome, _)| outcome).collect();
         assert_eq!(
-            summaries,
+            outcomes,
             vec![
-                OutcomeSummary::Response,
-                OutcomeSummary::Fault(Fault::new(FaultKind::Segv, "x"))
+                Outcome::Response,
+                Outcome::Fault(Fault::new(FaultKind::Segv, "x"))
             ]
         );
         results.begin();
         assert!(results.is_empty());
         assert_eq!(results.iter().count(), 0, "rewound results are invisible");
-        results.record(&Outcome::ProtocolError("bad".into()), ctx.trace());
+        results.record(Outcome::ProtocolError, ctx.trace());
         assert_eq!(results.len(), 1);
         assert_eq!(
-            results.iter().next().map(|(s, _)| s),
-            Some(OutcomeSummary::ProtocolError)
+            results.iter().next().map(|(outcome, _)| outcome),
+            Some(Outcome::ProtocolError)
         );
     }
 
     #[test]
     fn outcome_accessors() {
-        let ok = Outcome::Response(vec![1, 2, 3]);
-        assert_eq!(ok.response(), Some(&[1u8, 2, 3][..]));
-        assert!(!ok.is_fault());
+        for ok in [Outcome::Response, Outcome::ProtocolError] {
+            assert!(!ok.is_fault());
+            assert_eq!(ok.fault(), None);
+        }
         let fault = Outcome::Fault(Fault::new(FaultKind::Segv, "here"));
         assert!(fault.is_fault());
         assert_eq!(fault.fault().unwrap().kind, FaultKind::Segv);
-        assert_eq!(fault.response(), None);
     }
 
     #[test]
@@ -796,19 +750,15 @@ mod tests {
         let mut ctx = TraceContext::new();
         ctx.edge(peachstar_coverage::EdgeId::new(42));
         ctx.edge(peachstar_coverage::EdgeId::new(7));
-        let outcome = Outcome::Response(vec![1, 2]);
         let mut dense = WindowResults::new();
-        dense.record(&outcome, ctx.trace());
+        dense.record(Outcome::Response, ctx.trace());
         let mut sparse = WindowResults::new();
         let snapshot = ctx.trace().to_sparse();
-        assert!(sparse.record_hits(
-            OutcomeSummary::from(&outcome),
-            snapshot.hits().iter().copied()
-        ));
+        assert!(sparse.record_hits(Outcome::Response, snapshot.hits().iter().copied()));
         assert!(dense.iter().eq(sparse.iter()));
         assert_eq!(
             dense.iter().next(),
-            Some((OutcomeSummary::Response, snapshot.hits()))
+            Some((Outcome::Response, snapshot.hits()))
         );
     }
 
@@ -820,7 +770,7 @@ mod tests {
         }
         let original = ctx.trace().to_sparse();
         let mut results = WindowResults::new();
-        assert!(results.record_hits(OutcomeSummary::Response, original.hits().iter().copied()));
+        assert!(results.record_hits(Outcome::Response, original.hits().iter().copied()));
         assert_eq!(
             results.iter().next_back().map(|(_, hits)| hits),
             Some(original.hits())
@@ -831,19 +781,18 @@ mod tests {
             vec![(4, 1), (4, 7)],
             vec![(1, 1), (2, 0)],
         ] {
-            let summary = OutcomeSummary::ProtocolError;
             assert!(
-                !results.record_hits(summary, messy.iter().copied()),
+                !results.record_hits(Outcome::ProtocolError, messy.iter().copied()),
                 "{messy:?}"
             );
         }
-        assert!(results.record_hits(OutcomeSummary::ProtocolError, []));
+        assert!(results.record_hits(Outcome::ProtocolError, []));
         let records: Vec<_> = results.iter().collect();
         assert_eq!(
             records,
             vec![
-                (OutcomeSummary::Response, original.hits()),
-                (OutcomeSummary::ProtocolError, &[][..]),
+                (Outcome::Response, original.hits()),
+                (Outcome::ProtocolError, &[][..]),
             ]
         );
     }
@@ -851,13 +800,13 @@ mod tests {
     #[test]
     fn a_refused_record_leaves_the_record_as_it_was() {
         let mut results = WindowResults::new();
-        assert!(results.record_hits(OutcomeSummary::Response, [(3, 1), (9, 2)]));
+        assert!(results.record_hits(Outcome::Response, [(3, 1), (9, 2)]));
         // The refusal comes after some pairs were accepted: they go too.
         for messy in [
             [(10u16, 1u8), (11, 1), (11, 1)],
             [(12, 4), (13, 0), (14, 1)],
         ] {
-            assert!(!results.record_hits(OutcomeSummary::ProtocolError, messy));
+            assert!(!results.record_hits(Outcome::ProtocolError, messy));
             assert_eq!(results.len(), 1, "{messy:?}");
             assert_eq!(results.hits, [(3, 1), (9, 2)], "{messy:?}");
         }

@@ -64,19 +64,6 @@ impl Lib60870Server {
         self.activations_seen
     }
 
-    fn u_frame_response(control: u8) -> Outcome {
-        crate::sink::response_array([0x68, 0x04, control, 0x00, 0x00, 0x00])
-    }
-
-    fn confirmation(asdu: &[u8], cot: u8) -> Vec<u8> {
-        let mut frame = vec![0x68, (4 + asdu.len()) as u8, 0x00, 0x00, 0x00, 0x00];
-        frame.extend_from_slice(asdu);
-        if frame.len() > 8 {
-            frame[8] = cot;
-        }
-        frame
-    }
-
     /// `CS101_ASDU_getCOT` — the function of Listing 1 in the paper. The
     /// original reads `self->asdu[2]` unconditionally; the planted fault
     /// fires whenever the ASDU is too short for that access.
@@ -143,6 +130,8 @@ impl Lib60870Server {
         Ok(time)
     }
 
+    /// Decodes one ASDU. Every accepted ASDU is answered with a
+    /// confirmation, negative (the P/N bit) for an unknown address or type.
     #[allow(clippy::too_many_lines)]
     fn handle_asdu(&mut self, asdu: &[u8], ctx: &mut TraceContext) -> Outcome {
         cov_edge!(ctx);
@@ -150,7 +139,7 @@ impl Lib60870Server {
         // that *those two* bytes exist.
         if asdu.len() < 2 {
             cov_edge!(ctx);
-            return crate::sink::protocol_error("ASDU shorter than type + VSQ");
+            return Outcome::ProtocolError;
         }
         let type_identifier = asdu[0];
         let vsq = asdu[1];
@@ -164,16 +153,16 @@ impl Lib60870Server {
 
         if asdu.len() < 6 {
             cov_edge!(ctx);
-            return crate::sink::protocol_error("ASDU header truncated");
+            return Outcome::ProtocolError;
         }
         let common_address = read_u16_le(asdu, 4).expect("length checked");
         if common_address != self.common_address && common_address != 0xffff {
             cov_edge!(ctx);
-            return crate::sink::protocol_error_fmt(format_args!("unknown common address {common_address}"));
+            return Outcome::ProtocolError;
         }
         if element_count == 0 {
             cov_edge!(ctx);
-            return crate::sink::protocol_error("ASDU with zero elements");
+            return Outcome::ProtocolError;
         }
         let objects = &asdu[6..];
 
@@ -182,24 +171,20 @@ impl Lib60870Server {
                 cov_edge!(ctx);
                 if cot != 6 && cot != 8 {
                     cov_edge!(ctx);
-                    return crate::sink::protocol_error_fmt(format_args!("single command with COT {cot}"));
+                    return Outcome::ProtocolError;
                 }
                 let Some(ioa) = read_u24_le(objects, 0) else {
                     cov_edge!(ctx);
-                    return crate::sink::protocol_error("single command without IOA");
+                    return Outcome::ProtocolError;
                 };
                 let Some(&sco) = objects.get(3) else {
                     cov_edge!(ctx);
-                    return crate::sink::protocol_error("single command without SCO");
+                    return Outcome::ProtocolError;
                 };
                 let address = ioa as usize;
                 if address >= self.db.coil_count() {
                     cov_edge!(ctx);
-                    let mut reply = Self::confirmation(asdu, 47);
-                    if reply.len() > 8 {
-                        reply[8] |= 0x40;
-                    }
-                    return crate::sink::response_vec(reply);
+                    return Outcome::Response;
                 }
                 cov_edge!(ctx);
                 self.activations_seen += 1;
@@ -210,50 +195,46 @@ impl Lib60870Server {
                     cov_edge!(ctx);
                     self.db.set_coil(address, sco & 0x01 != 0);
                 }
-                crate::sink::response_vec(Self::confirmation(asdu, 7))
+                Outcome::Response
             }
             type_id::C_SE_NB_1 => {
                 cov_edge!(ctx);
                 let Some(ioa) = read_u24_le(objects, 0) else {
                     cov_edge!(ctx);
-                    return crate::sink::protocol_error("set point without IOA");
+                    return Outcome::ProtocolError;
                 };
                 let Some(value) = read_u16_le(objects, 3) else {
                     cov_edge!(ctx);
-                    return crate::sink::protocol_error("set point without value");
+                    return Outcome::ProtocolError;
                 };
                 let address = ioa as usize;
                 if address >= self.db.register_count() {
                     cov_edge!(ctx);
-                    let mut reply = Self::confirmation(asdu, 47);
-                    if reply.len() > 8 {
-                        reply[8] |= 0x40;
-                    }
-                    return crate::sink::response_vec(reply);
+                    return Outcome::Response;
                 }
                 cov_edge!(ctx);
                 cov_edge!(ctx, address / 2);
                 cov_edge!(ctx, value >> 12);
                 self.activations_seen += 1;
                 self.db.set_register(address, value);
-                crate::sink::response_vec(Self::confirmation(asdu, 7))
+                Outcome::Response
             }
             type_id::C_IC_NA_1 => {
                 cov_edge!(ctx);
                 if objects.len() < 4 {
                     cov_edge!(ctx);
-                    return crate::sink::protocol_error("interrogation without QOI");
+                    return Outcome::ProtocolError;
                 }
                 cov_edge!(ctx);
                 self.activations_seen += 1;
-                crate::sink::response_vec(Self::confirmation(asdu, 7))
+                Outcome::Response
             }
             type_id::C_CS_NA_1 | type_id::C_TS_TA_1 => {
                 cov_edge!(ctx);
                 // Clock synchronisation / test command: IOA then CP56Time2a.
                 if objects.len() < 3 {
                     cov_edge!(ctx);
-                    return crate::sink::protocol_error("command without IOA");
+                    return Outcome::ProtocolError;
                 }
                 let time = match Self::decode_cp56(objects, 3, ctx) {
                     Ok(time) => time,
@@ -263,18 +244,13 @@ impl Lib60870Server {
                 let hour = time[4] & 0x1f;
                 if minute >= 60 || hour >= 24 {
                     cov_edge!(ctx);
-                    return crate::sink::protocol_error("invalid CP56Time2a timestamp");
+                    return Outcome::ProtocolError;
                 }
                 cov_edge!(ctx);
                 cov_edge!(ctx, minute / 10);
                 cov_edge!(ctx, hour / 4);
                 self.activations_seen += 1;
-                let mut reply = Self::confirmation(asdu, 7);
-                // Echo the timestamp minute byte as a visible state change.
-                if let Some(last) = reply.last_mut() {
-                    *last = time[2];
-                }
-                crate::sink::response_vec(reply)
+                Outcome::Response
             }
             type_id::M_ME_NC_1 => {
                 cov_edge!(ctx);
@@ -286,18 +262,14 @@ impl Lib60870Server {
                             let address = index % self.db.register_count().max(1);
                             self.db.set_register(address, *value as u16);
                         }
-                        crate::sink::response_vec(Self::confirmation(asdu, 44))
+                        Outcome::Response
                     }
                     Err(fault) => Outcome::Fault(fault),
                 }
             }
             _ => {
                 cov_edge!(ctx);
-                let mut reply = Self::confirmation(asdu, 44);
-                if reply.len() > 8 {
-                    reply[8] |= 0x40;
-                }
-                crate::sink::response_vec(reply)
+                Outcome::Response
             }
         }
     }
@@ -322,49 +294,50 @@ impl Target for Lib60870Server {
         cov_edge!(ctx);
         if packet.len() < 6 {
             cov_edge!(ctx);
-            return crate::sink::protocol_error("frame shorter than APCI");
+            return Outcome::ProtocolError;
         }
         if packet[0] != 0x68 {
             cov_edge!(ctx);
-            return crate::sink::protocol_error("missing start byte");
+            return Outcome::ProtocolError;
         }
         let length = usize::from(packet[1]);
         if length < 4 || length != packet.len() - 2 {
             cov_edge!(ctx);
-            return crate::sink::protocol_error("APCI length mismatch");
+            return Outcome::ProtocolError;
         }
         let control = packet[2];
         if control & 0x03 == 0x03 {
             cov_edge!(ctx);
             return match control {
+                // STARTDT, STOPDT and TESTFR act, each answered by its con.
                 0x07 => {
                     cov_edge!(ctx);
                     self.started = true;
-                    Self::u_frame_response(0x0b)
+                    Outcome::Response
                 }
                 0x13 => {
                     cov_edge!(ctx);
                     self.started = false;
-                    Self::u_frame_response(0x23)
+                    Outcome::Response
                 }
                 0x43 => {
                     cov_edge!(ctx);
-                    Self::u_frame_response(0x83)
+                    Outcome::Response
                 }
-                other => {
+                _ => {
                     cov_edge!(ctx);
-                    crate::sink::protocol_error_fmt(format_args!("unknown U-frame {other:#04x}"))
+                    Outcome::ProtocolError
                 }
             };
         }
         if control & 0x03 == 0x01 {
             cov_edge!(ctx);
-            return crate::sink::response_array([0x68, 0x04, 0x01, 0x00, 0x00, 0x00]);
+            return Outcome::Response;
         }
         cov_edge!(ctx);
         if !self.started {
             cov_edge!(ctx);
-            return crate::sink::protocol_error("I-frame before STARTDT");
+            return Outcome::ProtocolError;
         }
         // Unlike the IEC104 target, lib60870 accepts an I-frame whose APCI
         // length covers only part of the ASDU header — which is exactly what
@@ -372,7 +345,7 @@ impl Target for Lib60870Server {
         let asdu = &packet[6..];
         if asdu.is_empty() {
             cov_edge!(ctx);
-            return crate::sink::protocol_error("I-frame without ASDU");
+            return Outcome::ProtocolError;
         }
         self.handle_asdu(asdu, ctx)
     }
@@ -568,9 +541,8 @@ mod tests {
     }
 
     fn startdt(server: &mut Lib60870Server) {
-        assert!(run(server, &[0x68, 0x04, 0x07, 0x00, 0x00, 0x00])
-            .response()
-            .is_some());
+        assert_eq!(run(server, &[0x68, 0x04, 0x07, 0x00, 0x00, 0x00]), Outcome::Response);
+        assert!(server.started);
     }
 
     fn i_frame(asdu: &[u8]) -> Vec<u8> {
@@ -583,12 +555,12 @@ mod tests {
     fn single_command_activation_is_confirmed() {
         let mut server = Lib60870Server::new();
         startdt(&mut server);
-        let asdu = [45, 1, 6, 0, 1, 0, 0x03, 0x00, 0x00, 0x01];
+        let asdu = [45, 1, 6, 0, 1, 0, 0x04, 0x00, 0x00, 0x01];
+        assert_eq!(server.db.coil(4), Some(false));
         let outcome = run(&mut server, &i_frame(&asdu));
-        let response = outcome.response().expect("confirmation");
-        assert_eq!(response[8] & 0x3f, 7);
+        assert_eq!(outcome, Outcome::Response, "activation confirmation");
         assert_eq!(server.activations_seen(), 1);
-        assert_eq!(server.db.coil(3), Some(true));
+        assert_eq!(server.db.coil(4), Some(true));
     }
 
     #[test]
@@ -633,7 +605,13 @@ mod tests {
             103, 1, 6, 0, 1, 0, 0x00, 0x00, 0x00, 0x10, 0x20, 0x1e, 0x0a, 0x0f, 0x06, 0x14,
         ];
         let outcome = run(&mut server, &i_frame(&asdu));
-        assert!(outcome.response().is_some());
+        assert_eq!(outcome, Outcome::Response);
+        assert_eq!(server.activations_seen(), 1);
+        // A minute of 60 is no timestamp.
+        let asdu = [
+            103, 1, 6, 0, 1, 0, 0x00, 0x00, 0x00, 0x10, 0x20, 0x3c, 0x0a, 0x0f, 0x06, 0x14,
+        ];
+        assert_eq!(run(&mut server, &i_frame(&asdu)), Outcome::ProtocolError);
     }
 
     #[test]
@@ -643,7 +621,7 @@ mod tests {
         // One element: IOA(3) + float 2.0 + quality.
         let asdu = [13, 1, 3, 0, 1, 0, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x40, 0x00];
         let outcome = run(&mut server, &i_frame(&asdu));
-        assert!(outcome.response().is_some());
+        assert_eq!(outcome, Outcome::Response);
         assert_eq!(server.db.register(0), Some(2));
     }
 

@@ -12,6 +12,21 @@
 //!   deep write request;
 //! * a **SEGV** analogue in the `read_write_multiple_registers` handler,
 //!   which indexes the register mapping with an unvalidated combined offset.
+//!
+//! The server answers every request it parses. A Modbus exception
+//! response is an answer too, so the decoder returns [`Outcome::Response`]
+//! for each exception the original server sends: *illegal function* (0x01)
+//! for an unknown function code or diagnostics sub-function, *illegal data
+//! address* (0x02) for an address or range outside the mapping, and
+//! *illegal data value* (0x03) for a short body or a quantity, byte count
+//! or coil value out of range. Only broken MBAP framing and an empty PDU
+//! are a [`Outcome::ProtocolError`].
+//!
+//! Every `cov_edge!` in this file stays on the line, and at the column,
+//! whose site id the pinned modbus reports were captured with: moving this
+//! decoder's sites merges two of its edges into one map slot (ARCHITECTURE,
+//! § Coverage instrumentation). Blank lines stand where the decoder used to
+//! assemble response frames.
 
 use peachstar_coverage::{cov_edge, TraceContext};
 use peachstar_datamodel::{
@@ -20,13 +35,6 @@ use peachstar_datamodel::{
 
 use crate::common::{read_u16_be, PointDatabase};
 use crate::{Fault, FaultKind, Outcome, Target};
-
-/// Modbus exception codes used in error responses.
-mod exception {
-    pub const ILLEGAL_FUNCTION: u8 = 0x01;
-    pub const ILLEGAL_DATA_ADDRESS: u8 = 0x02;
-    pub const ILLEGAL_DATA_VALUE: u8 = 0x03;
-}
 
 /// Function codes implemented by the server.
 mod function {
@@ -73,35 +81,27 @@ impl ModbusServer {
         self.requests_served
     }
 
-    fn exception(transaction: u16, unit: u8, function: u8, code: u8) -> Outcome {
-        crate::sink::response_with(9, |response| {
-            response.extend_from_slice(&transaction.to_be_bytes());
-            response.extend_from_slice(&[0x00, 0x00, 0x00, 0x03, unit, function | 0x80, code]);
-        })
-    }
 
-    fn reply(transaction: u16, unit: u8, pdu: &[u8]) -> Outcome {
-        crate::sink::response_with(7 + pdu.len(), |response| {
-            response.extend_from_slice(&transaction.to_be_bytes());
-            response.extend_from_slice(&[0x00, 0x00]);
-            response.extend_from_slice(&((pdu.len() + 1) as u16).to_be_bytes());
-            response.push(unit);
-            response.extend_from_slice(pdu);
-        })
-    }
 
+
+
+
+
+
+
+
+
+
+
+
+
+    /// Handles one request PDU; the module docs list its answers.
     #[allow(clippy::too_many_lines)]
-    fn handle_pdu(
-        &mut self,
-        transaction: u16,
-        unit: u8,
-        pdu: &[u8],
-        ctx: &mut TraceContext,
-    ) -> Outcome {
+    fn handle_pdu(&mut self, pdu: &[u8], ctx: &mut TraceContext) -> Outcome {
         cov_edge!(ctx);
         let Some(&function) = pdu.first() else {
             cov_edge!(ctx);
-            return crate::sink::protocol_error("empty PDU");
+            return Outcome::ProtocolError;
         };
         let body = &pdu[1..];
         match function {
@@ -110,166 +110,166 @@ impl ModbusServer {
                 let (Some(start), Some(quantity)) = (read_u16_be(body, 0), read_u16_be(body, 2))
                 else {
                     cov_edge!(ctx);
-                    return Self::exception(
-                        transaction,
-                        unit,
-                        function,
-                        exception::ILLEGAL_DATA_VALUE,
-                    );
+                    return Outcome::Response;
                 };
+
+
+
+
+
                 if quantity == 0 || quantity > 2000 {
                     cov_edge!(ctx);
-                    return Self::exception(
-                        transaction,
-                        unit,
-                        function,
-                        exception::ILLEGAL_DATA_VALUE,
-                    );
+                    return Outcome::Response;
                 }
+
+
+
+
+
                 let end = usize::from(start) + usize::from(quantity);
                 if end > self.db.coil_count() {
                     cov_edge!(ctx);
-                    return Self::exception(
-                        transaction,
-                        unit,
-                        function,
-                        exception::ILLEGAL_DATA_ADDRESS,
-                    );
+                    return Outcome::Response;
                 }
+
+
+
+
+
                 cov_edge!(ctx);
                 // Data-dependent dispatch: different coil zones are backed by
                 // different callback blocks in the original server.
                 cov_edge!(ctx, start / 8);
                 cov_edge!(ctx, quantity / 8);
-                let byte_count = usize::from(quantity).div_ceil(8);
-                let mut data = vec![0u8; byte_count];
+
+
                 for offset in 0..usize::from(quantity) {
                     if self.db.coil(usize::from(start) + offset) == Some(true) {
                         cov_edge!(ctx);
-                        data[offset / 8] |= 1 << (offset % 8);
                     }
                 }
-                let mut reply = vec![function, byte_count as u8];
-                reply.extend_from_slice(&data);
-                Self::reply(transaction, unit, &reply)
+                Outcome::Response
             }
+
+
+
             function::READ_HOLDING_REGISTERS | function::READ_INPUT_REGISTERS => {
                 cov_edge!(ctx);
                 let (Some(start), Some(quantity)) = (read_u16_be(body, 0), read_u16_be(body, 2))
                 else {
                     cov_edge!(ctx);
-                    return Self::exception(
-                        transaction,
-                        unit,
-                        function,
-                        exception::ILLEGAL_DATA_VALUE,
-                    );
+                    return Outcome::Response;
                 };
+
+
+
+
+
                 if quantity == 0 || quantity > 125 {
                     cov_edge!(ctx);
-                    return Self::exception(
-                        transaction,
-                        unit,
-                        function,
-                        exception::ILLEGAL_DATA_VALUE,
-                    );
+                    return Outcome::Response;
                 }
+
+
+
+
+
                 let end = usize::from(start) + usize::from(quantity);
                 if end > self.db.register_count() {
                     cov_edge!(ctx);
-                    return Self::exception(
-                        transaction,
-                        unit,
-                        function,
-                        exception::ILLEGAL_DATA_ADDRESS,
-                    );
+                    return Outcome::Response;
                 }
+
+
+
+
+
                 cov_edge!(ctx);
                 cov_edge!(ctx, start / 8);
                 cov_edge!(ctx, quantity);
-                let mut reply = vec![function, (quantity * 2) as u8];
-                for offset in 0..usize::from(quantity) {
-                    let value = self.db.register(usize::from(start) + offset).unwrap_or(0);
-                    reply.extend_from_slice(&value.to_be_bytes());
-                }
-                Self::reply(transaction, unit, &reply)
+                Outcome::Response
             }
+
+
+
+
+
             function::WRITE_SINGLE_COIL => {
                 cov_edge!(ctx);
                 let (Some(address), Some(value)) = (read_u16_be(body, 0), read_u16_be(body, 2))
                 else {
                     cov_edge!(ctx);
-                    return Self::exception(
-                        transaction,
-                        unit,
-                        function,
-                        exception::ILLEGAL_DATA_VALUE,
-                    );
+                    return Outcome::Response;
                 };
+
+
+
+
+
                 if value != 0x0000 && value != 0xFF00 {
                     cov_edge!(ctx);
-                    return Self::exception(
-                        transaction,
-                        unit,
-                        function,
-                        exception::ILLEGAL_DATA_VALUE,
-                    );
+                    return Outcome::Response;
                 }
+
+
+
+
+
                 if !self.db.set_coil(usize::from(address), value == 0xFF00) {
                     cov_edge!(ctx);
-                    return Self::exception(
-                        transaction,
-                        unit,
-                        function,
-                        exception::ILLEGAL_DATA_ADDRESS,
-                    );
+                    return Outcome::Response;
                 }
+
+
+
+
+
                 cov_edge!(ctx);
-                Self::reply(transaction, unit, pdu)
+                Outcome::Response
             }
             function::WRITE_SINGLE_REGISTER => {
                 cov_edge!(ctx);
                 let (Some(address), Some(value)) = (read_u16_be(body, 0), read_u16_be(body, 2))
                 else {
                     cov_edge!(ctx);
-                    return Self::exception(
-                        transaction,
-                        unit,
-                        function,
-                        exception::ILLEGAL_DATA_VALUE,
-                    );
+                    return Outcome::Response;
                 };
+
+
+
+
+
                 if !self.db.set_register(usize::from(address), value) {
                     cov_edge!(ctx);
-                    return Self::exception(
-                        transaction,
-                        unit,
-                        function,
-                        exception::ILLEGAL_DATA_ADDRESS,
-                    );
+                    return Outcome::Response;
                 }
+
+
+
+
+
                 cov_edge!(ctx);
                 cov_edge!(ctx, address / 8);
                 cov_edge!(ctx, value >> 12);
-                Self::reply(transaction, unit, pdu)
+                Outcome::Response
             }
             function::DIAGNOSTICS => {
                 cov_edge!(ctx);
                 let (Some(sub_function), Some(data)) = (read_u16_be(body, 0), read_u16_be(body, 2))
                 else {
                     cov_edge!(ctx);
-                    return Self::exception(
-                        transaction,
-                        unit,
-                        function,
-                        exception::ILLEGAL_DATA_VALUE,
-                    );
+                    return Outcome::Response;
                 };
+
+
+
+
+
                 match sub_function {
                     // Return query data (loopback).
                     0x0000 => {
                         cov_edge!(ctx);
-                        Self::reply(transaction, unit, pdu)
+                        Outcome::Response
                     }
                     // Restart communications option: in the original C server
                     // this tears down and re-allocates the register mapping.
@@ -280,16 +280,16 @@ impl ModbusServer {
                             cov_edge!(ctx);
                             self.mapping_freed = true;
                         }
-                        Self::reply(transaction, unit, pdu)
+                        Outcome::Response
                     }
                     // Force listen-only mode.
                     0x0004 => {
                         cov_edge!(ctx);
-                        Self::reply(transaction, unit, &[function, 0x00, 0x04, 0x00, 0x00])
+                        Outcome::Response
                     }
                     _ => {
                         cov_edge!(ctx);
-                        Self::exception(transaction, unit, function, exception::ILLEGAL_FUNCTION)
+                        Outcome::Response
                     }
                 }
             }
@@ -298,22 +298,22 @@ impl ModbusServer {
                 let (Some(start), Some(quantity)) = (read_u16_be(body, 0), read_u16_be(body, 2))
                 else {
                     cov_edge!(ctx);
-                    return Self::exception(
-                        transaction,
-                        unit,
-                        function,
-                        exception::ILLEGAL_DATA_VALUE,
-                    );
+                    return Outcome::Response;
                 };
+
+
+
+
+
                 let Some(&byte_count) = body.get(4) else {
                     cov_edge!(ctx);
-                    return Self::exception(
-                        transaction,
-                        unit,
-                        function,
-                        exception::ILLEGAL_DATA_VALUE,
-                    );
+                    return Outcome::Response;
                 };
+
+
+
+
+
                 let values = &body[5..];
                 if quantity == 0
                     || quantity > 0x07B0
@@ -321,50 +321,50 @@ impl ModbusServer {
                     || values.len() < usize::from(byte_count)
                 {
                     cov_edge!(ctx);
-                    return Self::exception(
-                        transaction,
-                        unit,
-                        function,
-                        exception::ILLEGAL_DATA_VALUE,
-                    );
+                    return Outcome::Response;
                 }
+
+
+
+
+
                 if usize::from(start) + usize::from(quantity) > self.db.coil_count() {
                     cov_edge!(ctx);
-                    return Self::exception(
-                        transaction,
-                        unit,
-                        function,
-                        exception::ILLEGAL_DATA_ADDRESS,
-                    );
+                    return Outcome::Response;
                 }
+
+
+
+
+
                 cov_edge!(ctx);
                 for offset in 0..usize::from(quantity) {
                     let bit = values[offset / 8] & (1 << (offset % 8)) != 0;
                     self.db.set_coil(usize::from(start) + offset, bit);
                 }
-                Self::reply(transaction, unit, &pdu[..5])
+                Outcome::Response
             }
             function::WRITE_MULTIPLE_REGISTERS => {
                 cov_edge!(ctx);
                 let (Some(start), Some(quantity)) = (read_u16_be(body, 0), read_u16_be(body, 2))
                 else {
                     cov_edge!(ctx);
-                    return Self::exception(
-                        transaction,
-                        unit,
-                        function,
-                        exception::ILLEGAL_DATA_VALUE,
-                    );
+                    return Outcome::Response;
                 };
+
+
+
+
+
                 let Some(&byte_count) = body.get(4) else {
                     cov_edge!(ctx);
-                    return Self::exception(
-                        transaction,
-                        unit,
-                        function,
-                        exception::ILLEGAL_DATA_VALUE,
-                    );
+                    return Outcome::Response;
                 };
+
+
+
+
+
                 let values = &body[5..];
                 if quantity == 0
                     || quantity > 123
@@ -372,22 +372,22 @@ impl ModbusServer {
                     || values.len() < usize::from(byte_count)
                 {
                     cov_edge!(ctx);
-                    return Self::exception(
-                        transaction,
-                        unit,
-                        function,
-                        exception::ILLEGAL_DATA_VALUE,
-                    );
+                    return Outcome::Response;
                 }
+
+
+
+
+
                 if usize::from(start) + usize::from(quantity) > self.db.register_count() {
                     cov_edge!(ctx);
-                    return Self::exception(
-                        transaction,
-                        unit,
-                        function,
-                        exception::ILLEGAL_DATA_ADDRESS,
-                    );
+                    return Outcome::Response;
                 }
+
+
+
+
+
                 // Planted bug 1 (Table I, libmodbus, heap use-after-free):
                 // the mapping was freed by a prior "restart communications"
                 // diagnostic and is reused here without re-allocation.
@@ -405,7 +405,7 @@ impl ModbusServer {
                     let value = read_u16_be(values, offset * 2).unwrap_or(0);
                     self.db.set_register(usize::from(start) + offset, value);
                 }
-                Self::reply(transaction, unit, &pdu[..5])
+                Outcome::Response
             }
             function::MASK_WRITE_REGISTER => {
                 cov_edge!(ctx);
@@ -415,28 +415,28 @@ impl ModbusServer {
                     read_u16_be(body, 4),
                 ) else {
                     cov_edge!(ctx);
-                    return Self::exception(
-                        transaction,
-                        unit,
-                        function,
-                        exception::ILLEGAL_DATA_VALUE,
-                    );
+                    return Outcome::Response;
                 };
+
+
+
+
+
                 let Some(current) = self.db.register(usize::from(address)) else {
                     cov_edge!(ctx);
-                    return Self::exception(
-                        transaction,
-                        unit,
-                        function,
-                        exception::ILLEGAL_DATA_ADDRESS,
-                    );
+                    return Outcome::Response;
                 };
+
+
+
+
+
                 cov_edge!(ctx);
                 cov_edge!(ctx, address / 8);
                 cov_edge!(ctx, and_mask >> 12);
                 let new_value = (current & and_mask) | (or_mask & !and_mask);
                 self.db.set_register(usize::from(address), new_value);
-                Self::reply(transaction, unit, pdu)
+                Outcome::Response
             }
             function::READ_WRITE_MULTIPLE_REGISTERS => {
                 cov_edge!(ctx);
@@ -447,22 +447,22 @@ impl ModbusServer {
                     read_u16_be(body, 6),
                 ) else {
                     cov_edge!(ctx);
-                    return Self::exception(
-                        transaction,
-                        unit,
-                        function,
-                        exception::ILLEGAL_DATA_VALUE,
-                    );
+                    return Outcome::Response;
                 };
+
+
+
+
+
                 let Some(&write_byte_count) = body.get(8) else {
                     cov_edge!(ctx);
-                    return Self::exception(
-                        transaction,
-                        unit,
-                        function,
-                        exception::ILLEGAL_DATA_VALUE,
-                    );
+                    return Outcome::Response;
                 };
+
+
+
+
+
                 let write_values = &body[9..];
                 if read_quantity == 0
                     || read_quantity > 125
@@ -472,13 +472,13 @@ impl ModbusServer {
                     || write_values.len() < usize::from(write_byte_count)
                 {
                     cov_edge!(ctx);
-                    return Self::exception(
-                        transaction,
-                        unit,
-                        function,
-                        exception::ILLEGAL_DATA_VALUE,
-                    );
+                    return Outcome::Response;
                 }
+
+
+
+
+
                 // Planted bug 2 (Table I, libmodbus, SEGV): the original code
                 // validates the read range and the write range separately but
                 // indexes the mapping with `write_start + read_quantity` when
@@ -500,13 +500,13 @@ impl ModbusServer {
                         > self.db.register_count()
                 {
                     cov_edge!(ctx);
-                    return Self::exception(
-                        transaction,
-                        unit,
-                        function,
-                        exception::ILLEGAL_DATA_ADDRESS,
-                    );
+                    return Outcome::Response;
                 }
+
+
+
+
+
                 cov_edge!(ctx);
                 cov_edge!(ctx, read_start / 8);
                 cov_edge!(ctx, write_start / 8);
@@ -515,16 +515,16 @@ impl ModbusServer {
                     let value = read_u16_be(write_values, offset * 2).unwrap_or(0);
                     self.db.set_register(usize::from(write_start) + offset, value);
                 }
-                let mut reply = vec![function, (read_quantity * 2) as u8];
-                for offset in 0..usize::from(read_quantity) {
-                    let value = self.db.register(usize::from(read_start) + offset).unwrap_or(0);
-                    reply.extend_from_slice(&value.to_be_bytes());
-                }
-                Self::reply(transaction, unit, &reply)
+                Outcome::Response
             }
+
+
+
+
+
             _ => {
                 cov_edge!(ctx);
-                Self::exception(transaction, unit, function, exception::ILLEGAL_FUNCTION)
+                Outcome::Response
             }
         }
     }
@@ -551,31 +551,31 @@ impl Target for ModbusServer {
         // MBAP header: transaction(2) protocol(2) length(2) unit(1).
         if packet.len() < 8 {
             cov_edge!(ctx);
-            return crate::sink::protocol_error("packet shorter than MBAP header + function");
+            return Outcome::ProtocolError;
         }
-        let transaction = read_u16_be(packet, 0).expect("length checked");
+
         let protocol = read_u16_be(packet, 2).expect("length checked");
         let length = read_u16_be(packet, 4).expect("length checked");
         let unit = packet[6];
         if protocol != 0 {
             cov_edge!(ctx);
-            return crate::sink::protocol_error_fmt(format_args!("unsupported protocol id {protocol}"));
+            return Outcome::ProtocolError;
         }
         if usize::from(length) != packet.len() - 6 {
             cov_edge!(ctx);
-            return crate::sink::protocol_error_fmt(format_args!(
-                "MBAP length {} does not match packet length {}",
-                length,
-                packet.len() - 6
-            ));
+            return Outcome::ProtocolError;
         }
+
+
+
+
         if unit != 0 && unit != 1 {
             cov_edge!(ctx);
-            return crate::sink::protocol_error_fmt(format_args!("request for other unit {unit}"));
+            return Outcome::ProtocolError;
         }
         cov_edge!(ctx);
         let pdu = &packet[7..];
-        self.handle_pdu(transaction, unit, pdu, ctx)
+        self.handle_pdu(pdu, ctx)
     }
 
     fn reset(&mut self) {
@@ -772,6 +772,7 @@ pub fn data_models() -> DataModelSet {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::common::{total_hits, traced};
     use peachstar_datamodel::emit::emit_default;
 
     fn run(server: &mut ModbusServer, packet: &[u8]) -> Outcome {
@@ -788,76 +789,77 @@ mod tests {
     }
 
     #[test]
-    fn read_holding_registers_returns_values() {
+    fn read_holding_registers_is_answered() {
         let mut server = ModbusServer::new();
         let outcome = run(&mut server, &mbap(&[0x03, 0x00, 0x01, 0x00, 0x02]));
-        let response = outcome.response().expect("valid request gets a response");
-        assert_eq!(response[7], 0x03);
-        assert_eq!(response[8], 4, "two registers -> four bytes");
-        assert_eq!(&response[9..11], &3u16.to_be_bytes());
+        assert_eq!(outcome, Outcome::Response);
+        assert_eq!(server.requests_served(), 1);
     }
 
     #[test]
     fn read_beyond_mapping_is_an_exception_not_a_fault() {
         let mut server = ModbusServer::new();
-        let outcome = run(&mut server, &mbap(&[0x03, 0xFF, 0x00, 0x00, 0x10]));
-        let response = outcome.response().expect("exception response");
-        assert_eq!(response[7], 0x83);
-        assert_eq!(response[8], exception::ILLEGAL_DATA_ADDRESS);
+        let (inside, inside_trace) = traced(&mut server, &mbap(&[0x03, 0x00, 0x00, 0x00, 0x10]));
+        let (beyond, beyond_trace) = traced(&mut server, &mbap(&[0x03, 0xFF, 0x00, 0x00, 0x10]));
+        assert_eq!((inside, beyond), (Outcome::Response, Outcome::Response));
+        assert_ne!(inside_trace, beyond_trace, "the exception takes its own branch");
     }
 
     #[test]
     fn write_then_read_roundtrip() {
         let mut server = ModbusServer::new();
         run(&mut server, &mbap(&[0x06, 0x00, 0x05, 0xAB, 0xCD]));
+        assert_eq!(server.db.register(5), Some(0xABCD));
         let outcome = run(&mut server, &mbap(&[0x03, 0x00, 0x05, 0x00, 0x01]));
-        let response = outcome.response().unwrap();
-        assert_eq!(&response[9..11], &[0xAB, 0xCD]);
+        assert_eq!(outcome, Outcome::Response);
     }
 
     #[test]
     fn coil_functions_roundtrip() {
         let mut server = ModbusServer::new();
-        // Force coil 3 on.
-        let outcome = run(&mut server, &mbap(&[0x05, 0x00, 0x03, 0xFF, 0x00]));
-        assert!(outcome.response().is_some());
-        // Read coils 0..8 and check bit 3.
-        let outcome = run(&mut server, &mbap(&[0x01, 0x00, 0x00, 0x00, 0x08]));
-        let response = outcome.response().unwrap();
-        assert_eq!(response[8], 1, "one data byte");
-        assert_ne!(response[9] & 0b0000_1000, 0);
+        let read = mbap(&[0x01, 0x00, 0x00, 0x00, 0x08]);
+        let (_, before) = traced(&mut server, &read);
+        // Force coil 4 on (it starts off).
+        let outcome = run(&mut server, &mbap(&[0x05, 0x00, 0x04, 0xFF, 0x00]));
+        assert_eq!(outcome, Outcome::Response);
+        assert_eq!(server.db.coil(4), Some(true));
+        // The read walks the coils: one more set coil, one more hit.
+        let (outcome, after) = traced(&mut server, &read);
+        assert_eq!(outcome, Outcome::Response);
+        assert_eq!(total_hits(&after), total_hits(&before) + 1);
     }
 
     #[test]
     fn invalid_coil_value_is_rejected() {
         let mut server = ModbusServer::new();
-        let outcome = run(&mut server, &mbap(&[0x05, 0x00, 0x03, 0x12, 0x34]));
-        let response = outcome.response().unwrap();
-        assert_eq!(response[7], 0x85);
-        assert_eq!(response[8], exception::ILLEGAL_DATA_VALUE);
+        let (outcome, invalid) = traced(&mut server, &mbap(&[0x05, 0x00, 0x04, 0x12, 0x34]));
+        assert_eq!(outcome, Outcome::Response, "an exception is an answer");
+        assert_eq!(server.db.coil(4), Some(false), "the coil is untouched");
+        let (_, valid) = traced(&mut server, &mbap(&[0x05, 0x00, 0x04, 0xFF, 0x00]));
+        assert_ne!(invalid, valid);
     }
 
     #[test]
     fn malformed_mbap_is_a_protocol_error() {
         let mut server = ModbusServer::new();
-        assert!(matches!(run(&mut server, &[0x00; 4]), Outcome::ProtocolError(_)));
+        assert_eq!(run(&mut server, &[0x00; 4]), Outcome::ProtocolError);
         // Wrong protocol identifier.
         let mut packet = mbap(&[0x03, 0x00, 0x00, 0x00, 0x01]);
         packet[2] = 0xFF;
-        assert!(matches!(run(&mut server, &packet), Outcome::ProtocolError(_)));
+        assert_eq!(run(&mut server, &packet), Outcome::ProtocolError);
         // Wrong MBAP length.
         let mut packet = mbap(&[0x03, 0x00, 0x00, 0x00, 0x01]);
         packet[5] = 0x01;
-        assert!(matches!(run(&mut server, &packet), Outcome::ProtocolError(_)));
+        assert_eq!(run(&mut server, &packet), Outcome::ProtocolError);
     }
 
     #[test]
     fn unknown_function_code_is_illegal_function() {
         let mut server = ModbusServer::new();
-        let outcome = run(&mut server, &mbap(&[0x41, 0x00, 0x00]));
-        let response = outcome.response().unwrap();
-        assert_eq!(response[7], 0xC1);
-        assert_eq!(response[8], exception::ILLEGAL_FUNCTION);
+        let (outcome, unknown) = traced(&mut server, &mbap(&[0x41, 0x00, 0x00]));
+        assert_eq!(outcome, Outcome::Response, "an exception is an answer");
+        let (_, other) = traced(&mut server, &mbap(&[0x42, 0x00, 0x00]));
+        assert_eq!(unknown, other, "every unknown code takes the same branch");
     }
 
     #[test]
@@ -867,10 +869,9 @@ mod tests {
             &mut server,
             &mbap(&[0x10, 0x00, 0x02, 0x00, 0x02, 0x04, 0x11, 0x22, 0x33, 0x44]),
         );
-        assert!(outcome.response().is_some());
-        let outcome = run(&mut server, &mbap(&[0x03, 0x00, 0x02, 0x00, 0x02]));
-        let response = outcome.response().unwrap();
-        assert_eq!(&response[9..13], &[0x11, 0x22, 0x33, 0x44]);
+        assert_eq!(outcome, Outcome::Response);
+        assert_eq!(server.db.register(2), Some(0x1122));
+        assert_eq!(server.db.register(3), Some(0x3344));
     }
 
     #[test]
@@ -921,7 +922,7 @@ mod tests {
             let packet = emit_default(model).unwrap();
             let outcome = run(&mut server, &packet);
             assert!(
-                outcome.response().is_some(),
+                outcome == Outcome::Response,
                 "{}: default packet should be processed, got {outcome:?}",
                 model.name()
             );
@@ -943,10 +944,11 @@ mod tests {
     fn mask_write_applies_masks() {
         let mut server = ModbusServer::new();
         run(&mut server, &mbap(&[0x06, 0x00, 0x04, 0x12, 0x34]));
-        run(&mut server, &mbap(&[0x16, 0x00, 0x04, 0xF2, 0x25, 0x00, 0x02]));
-        let outcome = run(&mut server, &mbap(&[0x03, 0x00, 0x04, 0x00, 0x01]));
-        let response = outcome.response().unwrap();
-        let value = u16::from_be_bytes([response[9], response[10]]);
-        assert_eq!(value, (0x1234 & 0xF225) | (0x0002 & !0xF225));
+        let outcome = run(&mut server, &mbap(&[0x16, 0x00, 0x04, 0xF2, 0x25, 0x00, 0x02]));
+        assert_eq!(outcome, Outcome::Response);
+        assert_eq!(
+            server.db.register(4),
+            Some((0x1234 & 0xF225) | (0x0002 & !0xF225))
+        );
     }
 }

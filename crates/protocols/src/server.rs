@@ -6,16 +6,15 @@
 //! panic rebuilds, and its own [`TraceContext`] — exactly the ownership
 //! model of one in-process executor lane. The handler speaks the
 //! [`wire`](crate::wire) protocol: [`Request::Batch`] / [`Request::Reset`]
-//! in, [`Response`] with outcome summaries and sparse traces out, framed per
+//! in, [`Response`] with outcomes and sparse traces out, framed per
 //! [`WireFraming::for_target`].
 //!
 //! Server-side semantics replicate the in-process executor bit for bit:
 //!
 //! * **Batch**: the window runs through [`contained_window`], the
 //!   in-process executor's own window step: one contained
-//!   [`Target::process_batch`] under [`DecodeSink::Summary`](crate::DecodeSink)
-//!   (a record carries no payload), and after a panic the rest of the
-//!   window packet by packet. The records are those of the in-process
+//!   [`Target::process_batch`], and after a panic the rest of the window
+//!   packet by packet. The records are those of the in-process
 //!   window, so a client-visible window never fails, which is what makes
 //!   TCP campaigns reduce to the same records as in-process ones.
 //! * **Panic containment is server-side** ([`crate::containment`]): a target
@@ -313,7 +312,7 @@ mod tests {
         assert_eq!(framing, WireFraming::Raw);
         let mut messages = MessageStream::new(framing);
 
-        // Batch: per-packet summaries in order, matching the sequential
+        // Batch: per-packet outcomes in order, matching the sequential
         // reference loop. The syntactically hopeless first packet comes back
         // as the protocol error the in-process target records.
         let packets: [&[u8]; 3] = [&[0x01], &[0x02], &[0x01]];
@@ -326,15 +325,14 @@ mod tests {
         assert_eq!(window.len(), packets.len());
         let mut reference = ModbusServer::new();
         let mut ctx = TraceContext::new();
-        for (packet, (summary, hits)) in packets.iter().zip(window.iter()) {
+        for (packet, (outcome, hits)) in packets.iter().zip(window.iter()) {
             ctx.reset();
-            let outcome = reference.process(packet, &mut ctx);
-            assert_eq!(summary, crate::OutcomeSummary::from(&outcome));
+            assert_eq!(outcome, reference.process(packet, &mut ctx));
             assert_eq!(hits, ctx.trace().to_sparse().hits());
         }
         assert_eq!(
-            window.iter().next().map(|(s, _)| s),
-            Some(crate::OutcomeSummary::ProtocolError)
+            window.iter().next().map(|(outcome, _)| outcome),
+            Some(crate::Outcome::ProtocolError)
         );
 
         let mut reset = Vec::new();

@@ -19,8 +19,8 @@
 //!    test).
 //! 2. **Messages** ([`Request`], [`Response`]): the transport protocol
 //!    itself — process a reset-aligned window of packets, reset — with
-//!    outcome summaries, fault records and sparse coverage traces
-//!    serialised symmetrically on both sides. Fault sites cross the wire as strings and are re-interned
+//!    outcomes, fault records and sparse coverage traces serialised
+//!    symmetrically on both sides. Fault sites cross the wire as strings and are re-interned
 //!    on decode ([`crate::intern_site`]), so a fault that travelled through
 //!    a socket deduplicates against the same fault recorded in process.
 //!    Decoding borrows: a batch request's packets are slices of the
@@ -36,7 +36,7 @@
 use std::io::{self, Read, Write};
 use std::ops::Range;
 
-use crate::{intern_site, Fault, FaultKind, OutcomeSummary, WindowResults};
+use crate::{intern_site, Fault, FaultKind, Outcome, WindowResults};
 
 /// TPKT version byte (RFC 1006).
 const TPKT_VERSION: u8 = 0x03;
@@ -407,7 +407,7 @@ impl<'a> Packets<'a> {
 /// One transport reply, server → client, borrowed from its payload.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Response<'a> {
-    /// Per-packet summaries and traces of one processed window. Servers
+    /// Per-packet outcomes and traces of one processed window. Servers
     /// encode it with [`Response::encode_batch`].
     Batch(Records<'a>),
     /// Acknowledges a [`Request::Reset`].
@@ -449,8 +449,8 @@ impl Records<'_> {
         out.begin();
         let mut reader = Reader::new(self.bytes);
         for _ in 0..self.len {
-            let summary = reader.summary()?;
-            if !out.record_hits(summary, reader.hits()?) {
+            let outcome = reader.outcome()?;
+            if !out.record_hits(outcome, reader.hits()?) {
                 return Err(UNSORTED_TRACE);
             }
         }
@@ -491,11 +491,11 @@ fn put_fault(out: &mut Vec<u8>, fault: Fault) {
     put_bytes(out, fault.site.as_bytes());
 }
 
-fn put_summary(out: &mut Vec<u8>, summary: OutcomeSummary) {
-    match summary {
-        OutcomeSummary::Response => out.push(0),
-        OutcomeSummary::ProtocolError => out.push(1),
-        OutcomeSummary::Fault(fault) => {
+fn put_outcome(out: &mut Vec<u8>, outcome: Outcome) {
+    match outcome {
+        Outcome::Response => out.push(0),
+        Outcome::ProtocolError => out.push(1),
+        Outcome::Fault(fault) => {
             out.push(2);
             put_fault(out, fault);
         }
@@ -574,12 +574,12 @@ impl<'a> Reader<'a> {
         Ok(Fault::new(kind, intern_site(self.string()?)))
     }
 
-    fn summary(&mut self) -> Result<OutcomeSummary, WireError> {
+    fn outcome(&mut self) -> Result<Outcome, WireError> {
         match self.u8()? {
-            0 => Ok(OutcomeSummary::Response),
-            1 => Ok(OutcomeSummary::ProtocolError),
-            2 => Ok(OutcomeSummary::Fault(self.fault()?)),
-            _ => Err(WireError("unknown summary variant")),
+            0 => Ok(Outcome::Response),
+            1 => Ok(Outcome::ProtocolError),
+            2 => Ok(Outcome::Fault(self.fault()?)),
+            _ => Err(WireError("unknown outcome variant")),
         }
     }
 
@@ -660,8 +660,8 @@ impl<'a> Response<'a> {
         out.clear();
         out.push(RESP_BATCH);
         put_len(out, records.len());
-        for (summary, hits) in records.iter() {
-            put_summary(out, summary);
+        for (outcome, hits) in records.iter() {
+            put_outcome(out, outcome);
             put_hits(out, hits);
         }
     }
@@ -796,13 +796,13 @@ mod tests {
         Response::ResetDone.encode_into(&mut buffer);
         assert_eq!(Response::decode(&buffer), Ok(Response::ResetDone));
         let records = [
-            (OutcomeSummary::Response, &hits[..]),
-            (OutcomeSummary::ProtocolError, &[][..]),
-            (OutcomeSummary::Fault(fault), &hits[..]),
+            (Outcome::Response, &hits[..]),
+            (Outcome::ProtocolError, &[][..]),
+            (Outcome::Fault(fault), &hits[..]),
         ];
         let mut sent = WindowResults::new();
-        for (summary, hits) in records {
-            assert!(sent.record_hits(summary, hits.iter().copied()));
+        for (outcome, hits) in records {
+            assert!(sent.record_hits(outcome, hits.iter().copied()));
         }
         Response::encode_batch(&sent, &mut buffer);
         let reply = Response::decode(&buffer);
@@ -817,7 +817,7 @@ mod tests {
         assert_eq!(again, buffer);
         // Decoded fault sites are pointer-identical to the interned
         // originals, so wire faults dedup against in-process ones.
-        let Some((OutcomeSummary::Fault(decoded_fault), _)) = window.iter().next_back() else {
+        let Some((Outcome::Fault(decoded_fault), _)) = window.iter().next_back() else {
             panic!("the last record is the fault");
         };
         assert!(std::ptr::eq(decoded_fault.site, fault.site));
@@ -830,7 +830,7 @@ mod tests {
         for hits in [&[(9u16, 1u8), (3, 1)][..], &[(3, 1), (3, 2)], &[(3, 0)]] {
             let mut batch = vec![RESP_BATCH];
             put_len(&mut batch, 1);
-            put_summary(&mut batch, OutcomeSummary::Response);
+            put_outcome(&mut batch, Outcome::Response);
             put_hits(&mut batch, hits);
             let Ok(Response::Batch(records)) = Response::decode(&batch) else {
                 panic!("a batch header decodes on its own");

@@ -13,7 +13,7 @@ use proptest::prelude::*;
 
 use peachstar_coverage::{EdgeId, SparseTrace, TraceContext};
 use peachstar_protocols::wire::{FrameReassembler, MessageStream, Request, Response, WireFraming};
-use peachstar_protocols::{intern_site, Fault, FaultKind, OutcomeSummary, TargetId, WindowResults};
+use peachstar_protocols::{intern_site, Fault, FaultKind, Outcome, TargetId, WindowResults};
 
 // Shared with `decoder_framing.rs`; only the TPKT/COTP check is used here.
 #[allow(dead_code)]
@@ -110,13 +110,13 @@ fn well_formed(kind: u8, packets: &[Vec<u8>], edges: &[u16]) -> Vec<u8> {
         2 => {
             let mut records = WindowResults::new();
             for (i, packet) in packets.iter().enumerate() {
-                let summary = match packet.len() % 3 {
-                    0 => OutcomeSummary::Response,
-                    1 => OutcomeSummary::ProtocolError,
-                    _ => OutcomeSummary::Fault(fault),
+                let outcome = match packet.len() % 3 {
+                    0 => Outcome::Response,
+                    1 => Outcome::ProtocolError,
+                    _ => Outcome::Fault(fault),
                 };
                 let trace = trace_of(&edges[i.min(edges.len())..]);
-                assert!(records.record_hits(summary, trace.hits().iter().copied()));
+                assert!(records.record_hits(outcome, trace.hits().iter().copied()));
             }
             Response::encode_batch(&records, &mut out);
         }

@@ -61,7 +61,7 @@ impl Target for SensorGateway {
         cov_edge!(ctx);
         if packet.len() < 4 || packet[0] != 0xCA || packet[1] != 0xFE {
             cov_edge!(ctx);
-            return Outcome::ProtocolError("bad magic".into());
+            return Outcome::ProtocolError;
         }
         let sensor = usize::from(packet[3]);
         match packet[2] {
@@ -69,21 +69,21 @@ impl Target for SensorGateway {
                 cov_edge!(ctx);
                 if sensor >= self.limits.len() {
                     cov_edge!(ctx);
-                    return Outcome::ProtocolError("unknown sensor".into());
+                    return Outcome::ProtocolError;
                 }
                 cov_edge!(ctx, sensor);
-                Outcome::Response(self.limits[sensor].to_be_bytes().to_vec())
+                Outcome::Response
             }
             2 => {
                 cov_edge!(ctx);
                 if packet.len() < 7 {
                     cov_edge!(ctx);
-                    return Outcome::ProtocolError("short write".into());
+                    return Outcome::ProtocolError;
                 }
                 // Planted bug: the bounds check is off by one.
                 if sensor > self.limits.len() {
                     cov_edge!(ctx);
-                    return Outcome::ProtocolError("unknown sensor".into());
+                    return Outcome::ProtocolError;
                 }
                 if sensor == self.limits.len() {
                     cov_edge!(ctx);
@@ -95,11 +95,11 @@ impl Target for SensorGateway {
                 let limit = u16::from_be_bytes([packet[4], packet[5]]);
                 cov_edge!(ctx, sensor);
                 self.limits[sensor] = limit;
-                Outcome::Response(vec![0x00])
+                Outcome::Response
             }
             _ => {
                 cov_edge!(ctx);
-                Outcome::ProtocolError("unknown opcode".into())
+                Outcome::ProtocolError
             }
         }
     }

@@ -36,6 +36,13 @@
 //! executions. The two counts are not pinned: a connection's handler
 //! thread starts on its own time, and under load a few of its allocations
 //! fell outside the measurement.
+//!
+//! The execute stage is also pinned on its own, per target: one
+//! `process_batch` window of the target's model defaults, cycled to 64
+//! packets (the shape of the `targets/process_batch_*` benches), measured
+//! on the same target and buffers after one warm-up window. What remains
+//! there is decode work, not output: a target returns an outcome class,
+//! never response bytes.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::process::ExitCode;
@@ -52,20 +59,21 @@ use peachstar::strategy::{
     GenerationStrategy, SemanticAwareConfig, SemanticAwareStrategy, StrategyKind, StrategyState,
 };
 use peachstar::Seed;
+use peachstar_coverage::TraceContext;
 use peachstar_datamodel::emit::emit_default;
-use peachstar_protocols::TargetId;
+use peachstar_protocols::{DecodeSink, TargetId, WindowResults};
 
 /// Allocations of the unbatched Peach campaign, which runs as a batch of one.
-const PEACH_UNBATCHED: u64 = 987;
+const PEACH_UNBATCHED: u64 = 920;
 /// Allocations of the same campaign with `batch(64)`.
-const PEACH_BATCH_64: u64 = 1_546;
+const PEACH_BATCH_64: u64 = 1_479;
 /// Allocations of the same campaign on the worker topology, one worker.
-const PEACH_ONE_WORKER: u64 = 1_281;
+const PEACH_ONE_WORKER: u64 = 1_214;
 /// Allocations of the one-worker campaign with a merge barrier after every
 /// window: 8 rounds instead of 1.
-const PEACH_ONE_WORKER_8_ROUNDS: u64 = 1_062;
+const PEACH_ONE_WORKER_8_ROUNDS: u64 = 995;
 /// Allocations of the unbatched Peach\* campaign.
-const PEACHSTAR_UNBATCHED: u64 = 5_778;
+const PEACHSTAR_UNBATCHED: u64 = 5_599;
 /// Allocations a final-snapshot capture adds to the Peach\* campaign.
 /// `capture_final` returns an owned snapshot, so it clones the map, the
 /// pool and the monitor; only checkpoints written to disk encode straight
@@ -88,6 +96,15 @@ const PEACHSTAR_CHECKPOINTS: u64 = 3_694;
 /// plans, the corpus's rule map and donor lists, the queue, and the
 /// cracker's, refill's and emitter's reusable buffers.
 const PEACHSTAR_OBSERVE_OVERHEAD: u64 = 112;
+/// Allocations of one warmed-up 64-packet decode window, per target.
+const DECODE_WINDOWS: [(&str, TargetId, u64); 6] = [
+    ("decode_window_libmodbus", TargetId::Modbus, 0),
+    ("decode_window_IEC104", TargetId::Iec104, 0),
+    ("decode_window_libiec61850", TargetId::Iec61850, 75),
+    ("decode_window_lib60870", TargetId::Lib60870, 9),
+    ("decode_window_libiec_iccp_mod", TargetId::Iccp, 11),
+    ("decode_window_opendnp3", TargetId::Dnp3, 64),
+];
 
 /// The system allocator, counting every `alloc` and `realloc` (the provided
 /// `alloc_zeroed` goes through `alloc`).
@@ -206,6 +223,29 @@ fn valuable_observes() -> (u64, u64, u64) {
     (observes + drain, puzzles, queued as u64)
 }
 
+/// Allocations of the second of two `process_batch` windows of `target`'s
+/// model defaults, cycled to 64 packets, on one target and one set of
+/// buffers.
+fn decode_window(target: TargetId) -> u64 {
+    let mut target = target.create();
+    let packets: Vec<Vec<u8>> = target
+        .data_models()
+        .models()
+        .iter()
+        .cycle()
+        .take(64)
+        .map(|model| emit_default(model).expect("emits"))
+        .collect();
+    let refs: Vec<&[u8]> = packets.iter().map(Vec::as_slice).collect();
+    let mut ctx = TraceContext::new();
+    let mut results = WindowResults::new();
+    target.process_batch(&refs, &mut ctx, &mut results, DecodeSink);
+    let (count, ()) =
+        allocations(|| target.process_batch(&refs, &mut ctx, &mut results, DecodeSink));
+    assert_eq!(results.len(), 64);
+    count
+}
+
 fn main() -> ExitCode {
     // The first campaign in a process makes one allocation more than every
     // later one, so a warm-up runs before any pin is measured.
@@ -230,6 +270,8 @@ fn main() -> ExitCode {
     });
     std::fs::remove_dir_all(&rotation).ok();
     let (observed, puzzles, queued) = valuable_observes();
+    let decode_windows =
+        DECODE_WINDOWS.map(|(name, target, pinned)| (name, decode_window(target), pinned));
     // Last, so that no server thread of theirs can still be allocating
     // while an exact pin is measured.
     let peach_wire_batch_1 = wire(config(StrategyKind::Peach).batch(1));
@@ -308,6 +350,7 @@ fn main() -> ExitCode {
     ];
     let checks = pins
         .into_iter()
+        .chain(decode_windows)
         .map(|(name, measured, pinned)| (name, measured, measured == pinned, "pinned", pinned))
         .chain(ceilings.into_iter().map(|(name, measured, ceiling)| {
             (name, measured, measured <= ceiling, "ceiling", ceiling)

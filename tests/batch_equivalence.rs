@@ -164,13 +164,12 @@ fn batched_session_peach_equals_sequential_session_campaign() {
 }
 
 #[test]
-fn summary_decode_never_changes_a_batched_report() {
-    // Batched windows decode with the summary sink: decoders skip response
-    // assembly and error-string formatting, which the campaign loop never
-    // reads, while control flow, state and traces stay identical. An armed
-    // watchdog runs the same windows per packet with full decodes, so every
-    // deterministic report field must match it bit for bit — for every
-    // target, both strategies, and across batch sizes.
+fn windowed_campaigns_match_the_per_packet_watchdog_path() {
+    // Batched windows cross into the target in one `process_batch` call;
+    // an armed watchdog runs the same windows one `contained_step` per
+    // packet on its supervised worker. Every deterministic report field
+    // must match bit for bit — for every target, both strategies, and
+    // across batch sizes.
     for (target, seed) in [
         (TargetId::Modbus, 3),
         (TargetId::Iec104, 7),
@@ -182,13 +181,13 @@ fn summary_decode_never_changes_a_batched_report() {
         for strategy in [StrategyKind::Peach, StrategyKind::PeachStar] {
             for batch in [7, 250] {
                 let cfg = config(strategy, seed).batch(batch);
-                let summary = deterministic(&Campaign::new(target.create(), cfg).run());
-                let full = deterministic(
+                let windowed = deterministic(&Campaign::new(target.create(), cfg).run());
+                let per_packet = deterministic(
                     &Campaign::new(target.create(), cfg.exec_timeout_ms(60_000)).run(),
                 );
                 assert_eq!(
-                    full, summary,
-                    "{strategy} on {target} seed {seed} batch {batch}: summary decode diverged"
+                    per_packet, windowed,
+                    "{strategy} on {target} seed {seed} batch {batch}: windows diverged"
                 );
             }
         }
@@ -196,26 +195,26 @@ fn summary_decode_never_changes_a_batched_report() {
 }
 
 #[test]
-fn summary_decode_never_changes_a_sharded_report() {
-    // Workers decode their fast-path windows with the same sink; the
-    // supervised worker path decodes in full, so worker-count invariance
-    // and summary/full equality compose.
+fn sharded_windows_match_the_per_packet_watchdog_path() {
+    // Workers run each window in one call; under the watchdog they run it
+    // packet by packet, so worker-count invariance and window/per-packet
+    // equality compose.
     for (target, seed) in [(TargetId::Modbus, 11), (TargetId::Iec104, 5)] {
         for strategy in [StrategyKind::Peach, StrategyKind::PeachStar] {
             for workers in [1, 3] {
                 let cfg = config(strategy, seed).batch(64);
                 let shard = ShardConfig::with_workers(workers).sync_windows(2);
-                let summary = deterministic(
+                let windowed = deterministic(
                     &ShardedCampaign::new(target.create(), cfg, shard).run(),
                 );
-                let full_decode = cfg.exec_timeout_ms(60_000);
-                let full = deterministic(
-                    &ShardedCampaign::new(target.create(), full_decode, shard).run(),
+                let supervised = cfg.exec_timeout_ms(60_000);
+                let per_packet = deterministic(
+                    &ShardedCampaign::new(target.create(), supervised, shard).run(),
                 );
                 assert_eq!(
-                    full, summary,
+                    per_packet, windowed,
                     "{strategy} on {target} seed {seed}, {workers} workers: \
-                     sharded summary decode diverged"
+                     sharded windows diverged"
                 );
             }
         }

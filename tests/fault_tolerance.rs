@@ -1,14 +1,13 @@
-//! Fault tolerance: a campaign must survive a misbehaving target — panics,
-//! hangs, garbage responses — without losing budget, determinism, or
-//! resumability.
+//! Fault tolerance: a campaign must survive a misbehaving target — panics
+//! and hangs — without losing budget, determinism, or resumability.
 //!
 //! Every test drives the real campaign machinery against [`ChaosTarget`],
 //! the deterministic seeded failure injector: the same packet bytes always
 //! trigger the same injected failure, so chaos campaigns are as reproducible
 //! as clean ones. The matrix pins four guarantees:
 //!
-//! 1. **Budget completion** — injected panics/garbage never eat executions,
-//!    across strategies × batch sizes × sessions × sharded workers.
+//! 1. **Budget completion** — injected panics never eat executions, across
+//!    strategies × batch sizes × sessions × sharded workers.
 //! 2. **Dedup** — injected panic sites surface as unique bugs, one record
 //!    per site, alongside the target's native bugs.
 //! 3. **Worker invariance under chaos** — injection is content-keyed and
@@ -70,13 +69,10 @@ fn deterministic(report: &CampaignReport) -> Deterministic {
     }
 }
 
-/// Panic + garbage injection (no hangs — those need the watchdog and get
-/// their own test), aggressive enough to fire many times per campaign.
+/// Panic injection (no hangs — those need the watchdog and get their own
+/// test), aggressive enough to fire many times per campaign.
 fn chaos() -> ChaosConfig {
-    ChaosConfig::new(11)
-        .panic_every(23)
-        .hang_every(0)
-        .garbage_every(13)
+    ChaosConfig::new(11).panic_every(23).hang_every(0)
 }
 
 fn chaos_target(target: TargetId) -> Box<dyn Target> {
@@ -166,11 +162,7 @@ fn hang_watchdog_preserves_the_budget_under_blocking_hangs() {
     // Hang-only chaos: every 41st content hash blocks for 200ms. With a
     // 25ms deadline the watchdog abandons the stuck call, reports a hang
     // fault, and the campaign still completes its full budget.
-    let chaos = ChaosConfig::new(5)
-        .panic_every(0)
-        .garbage_every(0)
-        .hang_every(41)
-        .hang_ms(200);
+    let chaos = ChaosConfig::new(5).panic_every(0).hang_every(41).hang_ms(200);
     let target = Box::new(ChaosTarget::new(TargetId::Modbus.create_send(), chaos));
     let cfg = config(StrategyKind::Peach, 9).exec_timeout_ms(25);
     let report = Campaign::new(target, cfg).run();
@@ -283,11 +275,7 @@ fn framed_tcp_hangs_trip_the_same_watchdog_bugs() {
     // content-keyed panic sites plus the constant hang site — matches
     // in-process exactly; execution indices are timing-free because
     // injection is content-hashed.
-    let chaos = ChaosConfig::new(5)
-        .panic_every(0)
-        .garbage_every(0)
-        .hang_every(41)
-        .hang_ms(200);
+    let chaos = ChaosConfig::new(5).panic_every(0).hang_every(41).hang_ms(200);
     let sites = |transport: TransportMode| {
         let target = Box::new(ChaosTarget::new(TargetId::Modbus.create_send(), chaos));
         let cfg = config(StrategyKind::Peach, 9)
@@ -388,8 +376,7 @@ fn a_dead_socket_is_contained_for_target_rebuild() {
     drop(doomed);
     let mut ctx = TraceContext::new();
     let mut attempt = || {
-        let outcome = target.process(&[0u8; 8], &mut ctx);
-        drop(outcome);
+        target.process(&[0u8; 8], &mut ctx);
     };
     // The first exchange may still see buffered success; the dead socket
     // surfaces within a couple of round-trips.

@@ -95,7 +95,7 @@ fn modbus_peach_baseline_report_is_pinned() {
 fn batched_modbus_peach_baseline_matches_the_pinned_report() {
     // The batched driver against the constants captured from the dense
     // implementation, deliberately un-recaptured: batching amortises
-    // dispatch and decodes with the summary sink, but may not move a single
+    // dispatch into one call per window, but may not move a single
     // count of the feedback-free baseline, whatever the batch size.
     for batch in [64, 250, 4_000] {
         let config = CampaignConfig::new(StrategyKind::Peach)

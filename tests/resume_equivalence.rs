@@ -215,6 +215,21 @@ fn sharded_snapshot_resumes_under_any_worker_count() {
             "worker count {workers} changed the resumed campaign"
         );
     }
+    // Workers ignore the batch, and so does a sharded fingerprint: a
+    // snapshot taken under `batch(250)` resumes with the batch unset, also
+    // when it holds that batch, as an earlier build wrote it.
+    let batched = ShardedCampaign::new(TargetId::Iec104.create(), cfg.batch(250), shard_two);
+    let mut snapshot = stop_at(batched, None, barrier).expect("runs to the barrier");
+    assert_eq!(snapshot.meta.batch, None, "a sharded fingerprint holds no batch");
+    for written_batch in [None, Some(250)] {
+        snapshot.meta.batch = written_batch;
+        let resumed = resume(
+            ShardedCampaign::new(TargetId::Iec104.create(), cfg, shard_two),
+            &snapshot,
+        )
+        .expect("a batch(250) snapshot resumes with the batch unset");
+        assert_eq!(complete, deterministic(&resumed), "{written_batch:?}");
+    }
 }
 
 #[test]

@@ -90,9 +90,9 @@ fn framed_tcp_campaign_equals_in_process_for_every_target() {
 
 #[test]
 fn framed_tcp_batched_campaign_equals_in_process() {
-    // Batched windows ride the wire as one round-trip per window, decoded
-    // server-side with the summary sink; summaries and traces must reduce to
-    // the same records the per-packet loop makes.
+    // Batched windows ride the wire as one round-trip per window, run
+    // server-side in one call; outcomes and traces must reduce to the same
+    // records the per-packet loop makes.
     for (target, seed) in [(TargetId::Modbus, 3), (TargetId::Iec61850, 21)] {
         let cfg = config(StrategyKind::PeachStar, seed).batch(128);
         let in_process = deterministic(&Campaign::new(target.create(), cfg).run());
